@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from ._text import write_rows
 from .data import (
     concat_pairs,
     delay_embed,
@@ -40,10 +41,6 @@ from .systems import (
     rotation_system,
     simulate,
 )
-
-
-def _fmt(value: float) -> str:
-    return format(float(value) + 0.0, ".17g")
 
 
 def _note(text: str) -> None:
@@ -195,10 +192,11 @@ def cmd_fit(args) -> int:
     _note(f"wrote model to {args.out}")
 
     residual = residuals[_TRAINING_RESIDUAL_KEY[args.algo]]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["index", "re", "im", "training_residual"])
-    for i, value in enumerate(eigenvalues):
-        writer.writerow([i, _fmt(value.real), _fmt(value.imag), _fmt(residual)])
+    table = np.column_stack([
+        eigenvalues.real, eigenvalues.imag, np.full(eigenvalues.shape, residual),
+    ])
+    sys.stdout.write("index,re,im,training_residual\n")
+    write_rows(sys.stdout, table + 0.0, labels=range(table.shape[0]))
     return 0
 
 
@@ -208,14 +206,13 @@ def cmd_fit(args) -> int:
 def cmd_spectrum(args) -> int:
     record = load_model(args.model)
     values = np.asarray(record.model.eigenvalues)
-    order = np.argsort(-np.abs(values), kind="stable")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["index", "re", "im", "magnitude", "phase"])
-    for i in order:
-        v = values[i]
-        writer.writerow(
-            [int(i), _fmt(v.real), _fmt(v.imag), _fmt(abs(v)), _fmt(np.angle(v))]
-        )
+    magnitude = np.abs(values)
+    # the magnitude column prints the same numbers the rows are sorted by
+    order = np.argsort(-magnitude, kind="stable")
+    v = values[order]
+    table = np.column_stack([v.real, v.imag, magnitude[order], np.angle(v)])
+    sys.stdout.write("index,re,im,magnitude,phase\n")
+    write_rows(sys.stdout, table + 0.0, labels=order)
     return 0
 
 
@@ -311,10 +308,10 @@ def cmd_predict(args) -> int:
         forecast = edmd_predict(record.model, g0, args.steps)
     else:
         forecast = kernel_predict(record.model, g0, args.steps)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["step"] + [f"g{j}" for j in range(1, forecast.shape[1] + 1)])
-    for m in range(forecast.shape[0]):
-        writer.writerow([m + 1] + [_fmt(v) for v in forecast[m]])
+    header = ["step"] + [f"g{j}" for j in range(1, forecast.shape[1] + 1)]
+    sys.stdout.write(",".join(header) + "\n")
+    forecast += 0.0  # in place: prints -0.0 as "0" without copying the forecast
+    write_rows(sys.stdout, forecast, labels=range(1, forecast.shape[0] + 1))
     return 0
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._text import write_rows
 from .errors import ConfigError, DataError, ShapeError
 
 # Allowed relative jitter between consecutive time steps on load.
@@ -328,10 +329,6 @@ def _is_float(text: str) -> bool:
         return False
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write the trajectory CSV (17 significant digits, round-trip exact).
 
@@ -348,12 +345,8 @@ def _write_trajectory(traj: Trajectory, handle) -> None:
     header = ["t"] + _header_columns("x", traj.n_states)
     header += _header_columns("u", traj.n_inputs)
     header += _header_columns("d", traj.n_disturbances)
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(traj.length):
-        row = [_fmt(i * traj.dt)] + [_fmt(v) for v in traj.states[i]]
-        if traj.inputs is not None:
-            row += [_fmt(v) for v in traj.inputs[i]]
-        if traj.disturbances is not None:
-            row += [_fmt(v) for v in traj.disturbances[i]]
-        writer.writerow(row)
+    handle.write(",".join(header) + "\n")
+    # arange(T) * dt gives the same doubles as i * dt for each row i
+    columns = [np.arange(traj.length) * traj.dt, traj.states]
+    columns += [s for s in (traj.inputs, traj.disturbances) if s is not None]
+    write_rows(handle, np.column_stack(columns))

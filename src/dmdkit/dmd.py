@@ -36,6 +36,8 @@ from .linalg import DEFAULT_RTOL, SvdFactors, eig, pinv, svd_truncated
 _COMPANION_RTOL = 1e-12
 _ZERO_EIGENVALUE_TOL = 1e-12
 _IMAG_RESIDUE_TOL = 1e-8
+# forecast steps advanced per block in _spectral_predict
+_PREDICT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,8 @@ def fit_companion(pair: SnapshotPair) -> CompanionFit:
     The block's next snapshot is written as x@c by least squares; the
     companion matrix of c carries the eigenvalues. Data whose matrix is
     rank-deficient (rank below both dimensions) loses information in this
-    representation, so that case is rejected in favor of the SVD fit.
+    representation, so that case is rejected in favor of the SVD fit, as is
+    a leading block cut short of the rank by ill-conditioning.
     """
     x, xp = pair.x, pair.xp
     if x.shape[1] < 2:
@@ -102,6 +105,14 @@ def fit_companion(pair: SnapshotPair) -> CompanionFit:
     window = _leading_window(x)
     if window == 0:
         raise EmptyRankError("no usable snapshot columns")
+    # Columns of a Krylov sequence that depend on a prefix stay in its span,
+    # so a prefix shorter than the rank means conditioning, not dependence,
+    # cut the window; its companion matrix would give a wrong spectrum.
+    if window < rank:
+        raise ConditioningError(
+            f"leading snapshot columns become ill-conditioned after {window} of "
+            f"rank {rank}; use fit_svd_dmd instead"
+        )
     coeffs = pinv(x[:, :window], rtol=_COMPANION_RTOL) @ xp[:, window - 1]
     c_matrix = np.zeros((window, window))
     c_matrix[1:, :-1] = np.eye(window - 1)
@@ -203,24 +214,39 @@ def full_operator(model: KoopmanModel) -> np.ndarray:
     return model.svd.u @ model.k_hat @ model.svd.u.T
 
 
-def _discard_imaginary(values: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 0.0)
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if residue > _IMAG_RESIDUE_TOL * scale:
+def _discard_imaginary(rows: np.ndarray) -> np.ndarray:
+    """Real part of each forecast row, checking its imaginary residue.
+
+    Each row is judged against its own scale, max(1, max |Re|), and the
+    first row over the tolerance raises.
+    """
+    scale = np.maximum(1.0, np.max(np.abs(rows.real), axis=1, initial=0.0))
+    residue = np.max(np.abs(rows.imag), axis=1, initial=0.0)
+    bad = np.flatnonzero(residue > _IMAG_RESIDUE_TOL * scale)
+    if bad.size:
         raise NumericalError(
-            f"prediction has imaginary residue {residue:.3e}; the spectrum "
+            f"prediction has imaginary residue {residue[bad[0]]:.3e}; the spectrum "
             "is not conjugate-consistent with real data"
         )
-    return values.real
+    return rows.real
 
 
 def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
-    """Advance amplitudes through eigenvalue powers, m = 1..steps."""
+    """Advance amplitudes through eigenvalue powers, m = 1..steps.
+
+    Powers are built _PREDICT_BLOCK steps at a time by a running product,
+    the same left-to-right multiplications as stepping one at a time, and
+    each block is mapped through the modes by one matrix product.
+    """
     out = np.empty((steps, modes.shape[0]))
     state = amplitudes.astype(complex)
-    for m in range(steps):
-        state = state * values
-        out[m] = _discard_imaginary(modes @ state)
+    for start in range(0, steps, _PREDICT_BLOCK):
+        powers = np.empty((min(_PREDICT_BLOCK, steps - start), state.size), dtype=complex)
+        powers[0] = state * values
+        powers[1:] = values
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        state = powers[-1]
+        out[start : start + powers.shape[0]] = _discard_imaginary(powers @ modes.T)
     return out
 
 

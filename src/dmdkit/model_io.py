@@ -7,20 +7,23 @@ order. Floats are written with 17 significant digits, which round-trips every
 double exactly: save -> load -> save is byte-identical and loaded models
 reproduce the original predictions to machine precision.
 
-Reading uses the stdlib json parser. Writing uses a small local emitter
-because the stdlib encoder offers no hook for fixed-precision float text.
+Reading uses the stdlib json parser. The stdlib encoder offers no hook for
+fixed-precision float text, so writing renders the payload here: each matrix
+stays a numpy array until its ``real`` or ``imag`` list is converted as a
+whole by ``_text.float_texts`` and joined once, and the file is written piece
+by piece rather than built as one string.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmd import KoopmanModel
-from .dmd import CompanionFit
+from ._text import float_texts
+from .dmd import CompanionFit, KoopmanModel
 from .edmd import EdmdModel
 from .errors import ConfigError, DataError
 from .kernel_edmd import KernelModel
@@ -69,36 +72,37 @@ class ModelRecord:
 # ------------------------------------------------------------ text rendering
 
 
-def _float_text(value) -> str:
-    value = float(value) + 0.0
-    if not math.isfinite(value):
-        raise DataError("model files cannot encode non-finite numbers")
-    return format(value, ".17g")
-
-
-def _render(value, indent: int) -> str:
+def _render(value, indent: int):
+    """Yield the JSON text of ``value`` in pieces; matrices arrive as arrays."""
     if isinstance(value, dict):
         if not value:
-            return "{}"
+            yield "{}"
+            return
         pad = "  " * indent
-        rows = [
-            f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v, indent) for v in value) + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_text(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise DataError(f"cannot encode {type(value).__name__} in a model file")
+        sep = "{\n"
+        for k, v in value.items():
+            yield f"{sep}{pad}  {json.dumps(str(k))}: "
+            yield from _render(v, indent + 1)
+            sep = ",\n"
+        yield "\n" + pad + "}"
+    elif isinstance(value, np.ndarray):
+        yield "[" + ", ".join(float_texts(value)) + "]"
+    elif isinstance(value, (list, tuple)):
+        yield "[" + ", ".join("".join(_render(v, indent)) for v in value) + "]"
+    elif value is None:
+        yield "null"
+    elif isinstance(value, (bool, np.bool_)):
+        yield "true" if value else "false"
+    elif isinstance(value, (int, np.integer)):
+        yield str(int(value))
+    elif isinstance(value, (float, np.floating)):
+        if not np.isfinite(value):
+            raise DataError("model files cannot encode non-finite numbers")
+        yield float_texts(float(value) + 0.0)[0]
+    elif isinstance(value, str):
+        yield json.dumps(value)
+    else:
+        raise DataError(f"cannot encode {type(value).__name__} in a model file")
 
 
 def _encode_matrix(m) -> dict:
@@ -114,8 +118,8 @@ def _encode_matrix(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "real": [float(v) for v in re.ravel()],
-        "imag": [float(v) for v in im.ravel()],
+        "real": re.ravel(),
+        "imag": im.ravel(),
     }
 
 
@@ -231,9 +235,14 @@ def save_model(record: ModelRecord, path) -> None:
         "flags": list(getattr(record.model, "flags", ())),
         "matrices": matrices,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_render(payload, 0))
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(_render(payload, 0))
+            handle.write("\n")
+    except DataError:
+        # the file is written piece by piece; leave none half written
+        os.remove(path)
+        raise
 
 
 # ------------------------------------------------------------- load pathways

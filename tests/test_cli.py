@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dmdkit.cli import main
+from dmdkit.data import save_trajectory
+from dmdkit.systems import linear_system, simulate
 
 
 def run(capsys, argv):
@@ -27,6 +29,18 @@ def write_diag_traj(capsys, tmp_path, name="traj.csv"):
         "--x0", "1,1", "--steps", "20", "--out", str(path),
     ])
     assert code == 0
+    return path
+
+
+def write_block_rotation_traj(tmp_path, blocks, steps, seed, name="rot.csv"):
+    """Planar rotation blocks with seeded angles, run from a seeded start."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((2 * blocks, 2 * blocks))
+    for k, theta in enumerate(rng.uniform(0.2, np.pi - 0.2, blocks)):
+        c, s = np.cos(theta), np.sin(theta)
+        a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+    path = tmp_path / name
+    save_trajectory(simulate(linear_system(a, rng.standard_normal(2 * blocks), steps)), path)
     return path
 
 
@@ -147,6 +161,21 @@ def test_spectrum_rows_sorted_by_magnitude(capsys, tmp_path):
     assert all(r[2] == 0.0 and r[4] == 0.0 for r in rows)
 
 
+def test_spectrum_magnitude_column_never_increases(capsys, tmp_path):
+    # 20 unit-modulus eigenvalues: numpy's vectorised |z| and the scalar |z|
+    # differ in the last bit for some of them, so rows must print the very
+    # magnitudes they were sorted by; no ulp of slack is allowed
+    traj = write_block_rotation_traj(tmp_path, blocks=10, steps=60, seed=1)
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
+    assert code == 0
+    code, out, _ = run(capsys, ["spectrum", str(model)])
+    assert code == 0
+    mags = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
+    assert len(mags) == 20
+    assert all(later <= earlier for earlier, later in zip(mags, mags[1:]))
+
+
 def test_predict_diagonal_powers(capsys, tmp_path):
     traj = write_diag_traj(capsys, tmp_path)
     model = tmp_path / "model.json"
@@ -186,6 +215,20 @@ def test_companion_fit_and_predict(capsys, tmp_path):
     assert code == 0
     _, rows = csv_rows(out)
     assert_allclose(rows, [[1, 0.9, 0.5], [2, 0.81, 0.25]], atol=1e-9)
+
+
+def test_companion_ill_conditioned_window_exits_4_without_model(capsys, tmp_path):
+    traj = write_block_rotation_traj(tmp_path, blocks=100, steps=300, seed=0)
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, [
+        "fit", "--algo", "companion", "--data", str(traj), "--out", str(model),
+    ])
+    assert code == 4
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "ill-conditioned" in errors[0]
+    assert "Traceback" not in err
+    assert not model.exists()
 
 
 def test_edmd_cli_round_trip_tracks_simulation(capsys, tmp_path):

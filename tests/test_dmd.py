@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from dmdkit.data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
 from dmdkit.dmd import (
+    _PREDICT_BLOCK,
     KoopmanModel,
+    _spectral_predict,
     companion_modes,
     dmd_modes,
     eigenfunction_values,
@@ -41,6 +43,16 @@ def spectra_gap(found, expected):
 
 def linear_pair(a, x0, steps):
     return snapshot_pairs(simulate(linear_system(a, x0, steps)))
+
+
+def block_rotation_traj(blocks, steps, seed):
+    """Planar rotation blocks with seeded angles, run from a seeded start."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((2 * blocks, 2 * blocks))
+    for k, theta in enumerate(rng.uniform(0.2, np.pi - 0.2, blocks)):
+        c, s = np.cos(theta), np.sin(theta)
+        a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+    return simulate(linear_system(a, rng.standard_normal(2 * blocks), steps))
 
 
 def raw_pair(x, xp):
@@ -101,6 +113,14 @@ def test_companion_rank_deficient_rows_advises_svd():
     doubled = np.hstack([traj.states, traj.states[:, :1]])
     pair = snapshot_pairs(Trajectory(dt=1.0, states=doubled))
     with pytest.raises(ConditioningError) as err:
+        fit_companion(pair)
+    assert "svd" in str(err.value).lower()
+
+def test_companion_refuses_krylov_window_shorter_than_rank():
+    # 200 states x 300 steps has full row rank, but its leading Krylov columns
+    # turn ill-conditioned before column 200; the window's spectrum is wrong
+    pair = snapshot_pairs(block_rotation_traj(blocks=100, steps=300, seed=0))
+    with pytest.raises(ConditioningError, match="rank 200") as err:
         fit_companion(pair)
     assert "svd" in str(err.value).lower()
 
@@ -233,6 +253,47 @@ def test_predict_rejects_inconsistent_complex_output():
     )
     with pytest.raises(NumericalError):
         predict(model, [1.0], steps=1)
+
+def stepwise_forecast(modes, values, amplitudes, steps):
+    """One step at a time, each row checked on its own: the reference loop."""
+    out = np.empty((steps, modes.shape[0]))
+    state = amplitudes.astype(complex)
+    for m in range(steps):
+        state = state * values
+        row = modes @ state
+        scale = max(1.0, float(np.max(np.abs(row.real))))
+        residue = float(np.max(np.abs(row.imag)))
+        if residue > 1e-8 * scale:
+            raise NumericalError(f"prediction has imaginary residue {residue:.3e}")
+        out[m] = row.real
+    return out
+
+def test_block_forecast_matches_stepwise_reference_across_blocks():
+    traj = block_rotation_traj(blocks=10, steps=60, seed=3)
+    model = fit_svd_dmd(snapshot_pairs(traj))
+    g0 = traj.states[-1]
+    steps = 2 * _PREDICT_BLOCK + 7
+    amps = np.linalg.lstsq(model.modes_v, g0.astype(complex), rcond=None)[0]
+    expected = stepwise_forecast(model.modes_v, model.eigenvalues, amps, steps)
+    got = predict(model, g0, steps)
+    assert got.shape == expected.shape
+    # stated tolerance: 1e-12 relative to the largest forecast entry
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+def test_imaginary_residue_is_judged_per_row_against_its_own_scale():
+    # Re = 1e6 * 0.5**m shrinks while the imaginary residue stays 1e-3, so
+    # rows 1-3 pass (scale >= 1.25e5) and row 4 (scale 6.25e4) fails; a scale
+    # taken over the whole block would let every row pass
+    modes = np.array([[1.0, 1.0]], dtype=complex)
+    values = np.array([0.5, 1.0], dtype=complex)
+    amps = np.array([1e6, 1e-3j])
+    out = _spectral_predict(modes, values, amps, 3)
+    assert_allclose(out[:, 0], 1e6 * 0.5 ** np.arange(1, 4), rtol=1e-15)
+    for steps in (4, 2 * _PREDICT_BLOCK + 1):
+        with pytest.raises(NumericalError, match="residue 1.000e-03"):
+            _spectral_predict(modes, values, amps, steps)
+        with pytest.raises(NumericalError, match="residue 1.000e-03"):
+            stepwise_forecast(modes, values, amps, steps)
 
 def test_eigenfunction_functional_equation_on_linear_data():
     a = np.array([[0.9, 0.2], [0.0, 0.5]])
