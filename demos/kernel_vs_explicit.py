@@ -28,7 +28,7 @@ for degree in (1, 2, 3):
     e_vals = np.sort_complex(em.eigenvalues)
     gap = float(np.max(np.abs(k_vals - e_vals))) if k_vals.size == e_vals.size else np.nan
     print(f"degree {degree}: kernel rank {km.sigma.size}, "
-          f"explicit rank {em.svd.sigma.size}, spectrum gap {gap:.2e}")
+          f"explicit rank {em.svd_sigma.size}, spectrum gap {gap:.2e}")
 
 # Kernels without finite dictionaries work the same way.
 gm = fit_kernel_edmd(pair, GaussianKernel(1.5))

@@ -24,7 +24,6 @@ from .dmd import (
     CompanionFit,
     KoopmanModel,
     companion_modes,
-    dmd_modes,
     embedding_sweep,
     fit_companion,
     fit_svd_dmd,
@@ -47,7 +46,6 @@ from .kernel_edmd import (
     fit_kernel_edmd,
     gram_matrices,
     kernel_eigenfunction,
-    kernel_modes,
     kernel_predict,
 )
 from .linalg import DEFAULT_RTOL, EigenPairs, SvdFactors, eig, pinv, svd_truncated
@@ -115,7 +113,6 @@ __all__ = [
     "companion_modes",
     "concat_pairs",
     "delay_embed",
-    "dmd_modes",
     "edmd_predict",
     "eig",
     "embedding_sweep",
@@ -129,7 +126,6 @@ __all__ = [
     "full_operator",
     "gram_matrices",
     "kernel_eigenfunction",
-    "kernel_modes",
     "kernel_predict",
     "lift_snapshots",
     "linear_system",

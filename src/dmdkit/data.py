@@ -12,6 +12,8 @@ significant digits so a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,24 +287,13 @@ def load_trajectory(path) -> Trajectory:
             raise DataError(f"{path}: file is empty") from None
         n_x, n_u, n_d = _parse_header(header, path)
         width = 1 + n_x + n_u + n_d
-        rows = []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != width:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                bad = next(f for f in fields if not _is_float(f))
-                raise DataError(
-                    f"{path}: line {lineno}: non-numeric value '{bad.strip()}'"
-                ) from None
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    table = np.array(rows)
+        first_line = reader.line_num + 1
+        body = handle.read()
+    table = _parse_body(body, width)
+    if table is None:
+        table = np.array(_parse_rows(body, width, first_line, path))
+    if len(table) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
     t = table[:, 0]
     dt = t[1] - t[0]
     if dt <= 0:
@@ -319,6 +310,45 @@ def load_trajectory(path) -> Trajectory:
     dists = table[:, 1 + n_x + n_u :] if n_d else None
     return Trajectory(dt=float(dt), states=states, inputs=inputs, disturbances=dists,
                       meta={"source": str(path)})
+
+
+def _parse_body(body: str, width: int) -> np.ndarray | None:
+    """The data rows parsed in one pass, or None if the fast parser balks.
+
+    Whatever ``np.loadtxt`` accepts, the row loop below reads into the same
+    doubles; but loadtxt refuses some bodies the loop takes (quoted fields,
+    ``_`` in numbers) and its messages do not name the line, so None sends
+    the body through the loop.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                               ndmin=2, dtype=float)
+    except (ValueError, UserWarning):
+        return None
+    return table if table.shape[1] == width else None
+
+
+def _parse_rows(body: str, width: int, first_line: int, path) -> list:
+    """Parse the data rows one field at a time, naming the first bad line."""
+    rows = []
+    reader = csv.reader(io.StringIO(body, newline=""))
+    for lineno, fields in enumerate(reader, start=first_line):
+        if not fields:
+            continue
+        if len(fields) != width:
+            raise DataError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            bad = next(f for f in fields if not _is_float(f))
+            raise DataError(
+                f"{path}: line {lineno}: non-numeric value '{bad.strip()}'"
+            ) from None
+    return rows
 
 
 def _is_float(text: str) -> bool:

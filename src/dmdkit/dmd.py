@@ -9,8 +9,8 @@ dominant left singular subspace and eigendecomposes the reduced operator,
 which is far better behaved on noisy or rank-deficient data.
 
 ``fit_svd_dmd`` returns a ``KoopmanModel`` carrying eigenvalues, modes in
-observable space, and the SVD factors needed to evaluate eigenfunctions and
-run spectral predictions.
+observable space, and the left singular vectors and singular values needed
+to evaluate eigenfunctions and lift the operator back to observable space.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .linalg import DEFAULT_RTOL, SvdFactors, eig, pinv, svd_truncated
+from .linalg import DEFAULT_RTOL, eig, pinv, svd_truncated
 
 # companion precondition: the regression block must be well conditioned
 # (condition number below 1e12), so columns are accepted while the smallest
@@ -57,13 +57,18 @@ class CompanionFit:
 
 @dataclass(frozen=True)
 class KoopmanModel:
-    """SVD-based DMD fit: reduced operator, spectrum, and observable modes."""
+    """SVD-based DMD fit: reduced operator, spectrum, and observable modes.
+
+    ``svd_u`` and ``svd_sigma`` are the retained left singular vectors and
+    singular values of the snapshot matrix.
+    """
 
     k_hat: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors_p: np.ndarray
     modes_v: np.ndarray
-    svd: SvdFactors
+    svd_u: np.ndarray
+    svd_sigma: np.ndarray
     observable_dim: int
     fit_residual: float
     algorithm_tag: str = "dmd"
@@ -163,7 +168,9 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> KoopmanModel:
     if has_zero:
         flags.append("zero_eigenvalue_modes")
 
-    amps = np.linalg.lstsq(modes, pair.x.astype(complex), rcond=None)[0]
+    # the cutoff lstsq(rcond=None) applies, at a fraction of its cost
+    cutoff = np.finfo(float).eps * max(modes.shape)
+    amps = np.linalg.pinv(modes, rcond=cutoff) @ pair.x
     recon = modes @ (spectrum.values[:, None] * amps)
     denom = np.linalg.norm(pair.xp)
     residual = float(np.linalg.norm(pair.xp - recon) / (denom if denom > 0 else 1.0))
@@ -173,23 +180,12 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> KoopmanModel:
         eigenvalues=spectrum.values,
         eigenvectors_p=spectrum.vectors,
         modes_v=modes,
-        svd=factors,
+        svd_u=factors.u,
+        svd_sigma=factors.sigma,
         observable_dim=pair.n_observables,
         fit_residual=residual,
         flags=tuple(flags),
     )
-
-
-def dmd_modes(model: KoopmanModel, pair: SnapshotPair) -> np.ndarray:
-    """Recompute the observable-space modes of a fitted model from its pair."""
-    if pair.n_observables != model.observable_dim:
-        raise ShapeError(
-            f"pair has {pair.n_observables} observables, model expects "
-            f"{model.observable_dim}"
-        )
-    modes, _ = _mode_columns(pair.xp, model.svd, model.eigenvalues,
-                             model.eigenvectors_p)
-    return modes
 
 
 def eigenfunction_values(model: KoopmanModel, z) -> np.ndarray:
@@ -201,7 +197,7 @@ def eigenfunction_values(model: KoopmanModel, z) -> np.ndarray:
         raise ShapeError(
             f"z has dimension {cols.shape[0]}, model expects {model.observable_dim}"
         )
-    lifted = model.svd.u.T @ cols
+    lifted = model.svd_u.T @ cols
     try:
         phi = np.linalg.solve(model.eigenvectors_p, lifted.astype(complex))
     except np.linalg.LinAlgError as err:
@@ -211,7 +207,7 @@ def eigenfunction_values(model: KoopmanModel, z) -> np.ndarray:
 
 def full_operator(model: KoopmanModel) -> np.ndarray:
     """Lift the reduced operator back to observable space, U K_hat U^T."""
-    return model.svd.u @ model.k_hat @ model.svd.u.T
+    return model.svd_u @ model.k_hat @ model.svd_u.T
 
 
 def _discard_imaginary(rows: np.ndarray) -> np.ndarray:

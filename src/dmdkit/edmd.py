@@ -21,7 +21,7 @@ import numpy as np
 from .data import SnapshotPair
 from .dmd import _spectral_predict
 from .errors import ConfigError, NumericalError, ShapeError
-from .linalg import DEFAULT_RTOL, EigenPairs, SvdFactors, eig, svd_truncated
+from .linalg import DEFAULT_RTOL, EigenPairs, eig, svd_truncated
 from .observables import Dictionary
 
 _B_CONDITION_LIMIT = 1e12
@@ -34,7 +34,9 @@ class EdmdModel:
     ``b_coeffs`` rows give eigenfunction coefficients on the reduced (left
     singular) coordinates; ``d_coeffs`` expands the raw observables in the
     dictionary; ``modes_v`` is None when the eigenvector matrix was too ill
-    conditioned to invert (see flags).
+    conditioned to invert (see flags). ``svd_u`` and ``svd_sigma`` are the
+    retained left singular vectors and singular values of the lifted
+    snapshot matrix.
     """
 
     dictionary: Dictionary
@@ -43,7 +45,8 @@ class EdmdModel:
     b_coeffs: np.ndarray
     d_coeffs: np.ndarray
     modes_v: np.ndarray | None
-    svd: SvdFactors
+    svd_u: np.ndarray
+    svd_sigma: np.ndarray
     lifted_residual: float
     d_residual: float
     observable_dim: int
@@ -113,7 +116,8 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
         b_coeffs=b_coeffs,
         d_coeffs=d_coeffs,
         modes_v=modes_v,
-        svd=factors,
+        svd_u=factors.u,
+        svd_sigma=factors.sigma,
         lifted_residual=lifted_residual,
         d_residual=d_residual,
         observable_dim=pair.n_observables,
@@ -126,7 +130,7 @@ def eigenfunction_values(model: EdmdModel, z) -> np.ndarray:
     theta = model.dictionary.transform(np.asarray(z, dtype=float))
     single = theta.ndim == 1
     cols = theta[:, None] if single else theta
-    phi = model.b_coeffs @ (model.svd.u.T @ cols)
+    phi = model.b_coeffs @ (model.svd_u.T @ cols)
     return phi[:, 0] if single else phi
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .data import SnapshotPair
 from .dmd import _spectral_predict
 from .errors import ConfigError, EmptyRankError, ShapeError
-from .linalg import DEFAULT_RTOL, EigenPairs, eig
+from .linalg import DEFAULT_RTOL, eig
 from .observables import Kernel
 
 _V_CONDITION_LIMIT = 1e12
@@ -34,29 +34,20 @@ class KernelModel:
 
     ``sigma`` are the retained singular values of the implicit lifted data,
     ``q_eigvecs`` the matching eigenvector columns of G, and ``v_inv`` the
-    dual basis used for eigenfunction evaluation.
+    dual basis used for eigenfunction evaluation: the inverse of the
+    reduced operator's eigenvector matrix, whose rows are left eigenvectors.
     """
 
     kernel: Kernel
-    g_gram: np.ndarray
-    a_gram: np.ndarray
     q_eigvecs: np.ndarray
     sigma: np.ndarray
     k_hat_u: np.ndarray
-    eigen: EigenPairs
+    eigenvalues: np.ndarray
     v_inv: np.ndarray
     training_x: np.ndarray
     modes: np.ndarray
     fit_residual: float
     flags: tuple = ()
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eigen.values
-
-    @property
-    def eigenvectors_v(self) -> np.ndarray:
-        return self.eigen.vectors
 
 
 def gram_matrices(pair: SnapshotPair, kernel: Kernel):
@@ -107,12 +98,11 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
 
     return KernelModel(
         kernel=kernel,
-        g_gram=g_gram,
-        a_gram=a_gram,
-        q_eigvecs=q,
+        # row-major like a loaded model's, so both evaluate bit for bit alike
+        q_eigvecs=np.ascontiguousarray(q),
         sigma=sigma,
         k_hat_u=k_hat_u,
-        eigen=spectrum,
+        eigenvalues=spectrum.values,
         v_inv=v_inv,
         training_x=pair.x,
         modes=modes,
@@ -142,21 +132,6 @@ def kernel_eigenfunction(model: KernelModel, i: int, z) -> complex:
     if not 0 <= i < count:
         raise IndexError(f"eigenfunction index {i} out of range [0, {count})")
     return complex(eigenfunction_values(model, z)[i])
-
-
-def kernel_modes(model: KernelModel, observed_x) -> np.ndarray:
-    """Mode matrix for an arbitrary observable sampled along the training data.
-
-    ``observed_x`` column j holds the observable evaluated at training
-    snapshot j; the result's columns are that observable's Koopman modes.
-    """
-    observed = np.asarray(observed_x, dtype=float)
-    if observed.ndim != 2 or observed.shape[1] != model.training_x.shape[1]:
-        raise ShapeError(
-            "observed_x must have one column per training snapshot "
-            f"({model.training_x.shape[1]}), got {observed.shape}"
-        )
-    return (observed @ model.q_eigvecs / model.sigma[None, :]) @ model.eigen.vectors
 
 
 def kernel_predict(model: KernelModel, z0, steps: int) -> np.ndarray:

@@ -1,17 +1,34 @@
 """Model persistence: structured JSON with explicit real/imaginary arrays.
 
 A saved file carries the algorithm tag, fit metadata (tolerance, embedding
-depth, augmentation, residuals, dictionary or kernel spec string), and every
-matrix the fitted model needs, each as {rows, cols, real, imag} in row-major
-order. Floats are written with 17 significant digits, which round-trips every
-double exactly: save -> load -> save is byte-identical and loaded models
-reproduce the original predictions to machine precision.
+depth, augmentation, residuals, dictionary or kernel spec string), and the
+matrices a loaded model reads to print its spectrum, forecast and evaluate
+eigenfunctions. Each matrix is {rows, cols, real, imag} in row-major order,
+with ``imag`` left out when every imaginary entry is zero. Schema version 2
+stores, per algorithm (``_LAYOUTS``):
 
-Reading uses the stdlib json parser. The stdlib encoder offers no hook for
-fixed-precision float text, so writing renders the payload here: each matrix
-stays a numpy array until its ``real`` or ``imag`` list is converted as a
-whole by ``_text.float_texts`` and joined once, and the file is written piece
-by piece rather than built as one string.
+* dmd: k_hat, eigenvalues, eigenvectors_p, modes_v, svd_u, svd_sigma;
+* edmd: the same less modes_v, then b_coeffs, d_coeffs, modes_v (absent when
+  the eigenvector basis was singular) and dict_centers (rbf dictionaries);
+* kernel-edmd: q_eigvecs, sigma, k_hat_u, eigenvalues, v_inv, training_x,
+  modes;
+* companion: c_matrix, eigenvalues, vandermonde_t, modes.
+
+What only the fit uses (right singular vectors, Gram matrices, the kernel
+fit's right eigenvectors) is not stored. Floats are written with 17
+significant digits, which round-trips every double exactly: save -> load ->
+save is byte-identical and loaded models reproduce the original predictions
+bit for bit.
+
+Reading uses the stdlib json parser with NaN and Infinity refused, then
+checks every field's type, every number's finiteness, and that the matrix
+shapes agree with each other and with the fit metadata, so a damaged file
+raises ``DataError`` rather than failing later or forecasting wrongly.
+
+The stdlib encoder offers no hook for fixed-precision float text, so writing
+renders the payload here: each matrix stays a numpy array until its ``real``
+or ``imag`` list is converted as a whole by ``_text.float_texts`` and joined
+once, and the file is written piece by piece rather than built as one string.
 """
 
 from __future__ import annotations
@@ -25,14 +42,62 @@ import numpy as np
 from ._text import float_texts
 from .dmd import CompanionFit, KoopmanModel
 from .edmd import EdmdModel
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .kernel_edmd import KernelModel
-from .linalg import EigenPairs, SvdFactors
+from .linalg import EigenPairs
 from .observables import RbfDictionary, build_dictionary, parse_kernel
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _ALGORITHMS = ("companion", "dmd", "edmd", "kernel-edmd")
+
+# Stored matrices per algorithm, in file order: name -> (rows, cols, complex).
+# A letter is a size every matrix of the file must agree on (see _DIMENSIONS);
+# a row count of 1 marks a vector, which loads as 1-D.
+_LAYOUTS = {
+    "companion": {
+        "c_matrix": ("w", "w", False),
+        "eigenvalues": (1, "w", True),
+        "vandermonde_t": ("w", "w", True),
+        "modes": ("n", "w", True),
+    },
+    "dmd": {
+        "k_hat": ("r", "r", False),
+        "eigenvalues": (1, "r", True),
+        "eigenvectors_p": ("r", "r", True),
+        "modes_v": ("n", "r", True),
+        "svd_u": ("n", "r", False),
+        "svd_sigma": (1, "r", False),
+    },
+    "edmd": {
+        "k_hat": ("r", "r", False),
+        "eigenvalues": (1, "r", True),
+        "eigenvectors_p": ("r", "r", True),
+        "b_coeffs": ("r", "r", True),
+        "d_coeffs": ("n", "f", False),
+        "svd_u": ("f", "r", False),
+        "svd_sigma": (1, "r", False),
+        "modes_v": ("n", "r", True),
+        "dict_centers": ("f", "n", False),
+    },
+    "kernel-edmd": {
+        "q_eigvecs": ("m", "r", False),
+        "sigma": (1, "r", False),
+        "k_hat_u": ("r", "r", False),
+        "eigenvalues": (1, "r", True),
+        "v_inv": ("r", "r", True),
+        "training_x": ("n", "m", False),
+        "modes": ("n", "r", True),
+    },
+}
+_OPTIONAL = {"edmd": ("modes_v", "dict_centers")}
+_DIMENSIONS = {
+    "r": "eigenvalue count",
+    "n": "observable dimension",
+    "w": "companion window",
+    "f": "dictionary size",
+    "m": "training snapshot count",
+}
 
 
 @dataclass(frozen=True)
@@ -115,26 +180,57 @@ def _encode_matrix(m) -> dict:
     im = np.imag(m).astype(float) + 0.0
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise DataError("model matrices must be finite")
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "real": re.ravel(),
-        "imag": im.ravel(),
-    }
+    out = {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "real": re.ravel()}
+    if np.any(im):
+        out["imag"] = im.ravel()
+    return out
+
+
+def _count(value, what: str, minimum: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise DataError(f"model file {what} must be an integer >= {minimum}, "
+                        f"got {value!r:.40}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value)):
+        raise DataError(f"model file {what} must be a finite number, got {value!r:.40}")
+    return float(value)
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"model file {what} must be a string, got {value!r:.40}")
+    return value
+
+
+def _numbers(values, name: str, key: str, count: int) -> np.ndarray:
+    """The list ``values`` as a float array of ``count`` finite entries."""
+    # without a dtype, a string entry shows in arr.dtype; dtype=float would
+    # convert "1.5" silently
+    arr = np.array(values if isinstance(values, list) else None)
+    if arr.dtype.kind not in "iuf" or arr.shape != (count,):
+        raise DataError(f"matrix {name!r} {key} must be a list of {count} numbers")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise DataError(f"matrix {name!r} {key} has non-finite entries")
+    return arr
 
 
 def _decode_matrix(obj, name: str, want_complex: bool) -> np.ndarray:
     if not isinstance(obj, dict):
         raise DataError(f"matrix {name!r} is not an object")
-    for key in ("rows", "cols", "real", "imag"):
+    for key in ("rows", "cols", "real"):
         if key not in obj:
             raise DataError(f"matrix {name!r} is missing key {key!r}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    try:
-        re = np.asarray(obj["real"], dtype=float).reshape(rows, cols)
-        im = np.asarray(obj["imag"], dtype=float).reshape(rows, cols)
-    except ValueError as err:
-        raise DataError(f"matrix {name!r} has inconsistent shape data: {err}") from err
+    rows = _count(obj["rows"], f"matrix {name!r} rows")
+    cols = _count(obj["cols"], f"matrix {name!r} cols")
+    re = _numbers(obj["real"], name, "real", rows * cols).reshape(rows, cols)
+    if "imag" not in obj:
+        return re.astype(complex) if want_complex else re
+    im = _numbers(obj["imag"], name, "imag", rows * cols).reshape(rows, cols)
     if want_complex:
         return re + 1j * im
     if np.any(im != 0.0):
@@ -142,83 +238,102 @@ def _decode_matrix(obj, name: str, want_complex: bool) -> np.ndarray:
     return re
 
 
-def _vector(matrix: np.ndarray) -> np.ndarray:
-    if matrix.shape[0] != 1:
-        raise DataError("expected a single-row vector encoding")
-    return matrix[0]
+def _decode_matrices(algorithm: str, matrices: dict, dims: dict) -> dict:
+    """Decode the algorithm's stored matrices, checking their shapes agree.
+
+    ``dims`` maps the layout letters fixed by the fit metadata to sizes;
+    every other letter takes its size from the first matrix that has it.
+    """
+    out = {}
+    for name, (rows, cols, want_complex) in _LAYOUTS[algorithm].items():
+        if name not in matrices:
+            if name in _OPTIONAL.get(algorithm, ()):
+                continue
+            raise DataError(f"model file is missing matrix key {name!r}")
+        m = _decode_matrix(matrices[name], name, want_complex)
+        for letter, size in zip((rows, cols), m.shape):
+            named = isinstance(letter, str)
+            expected = dims.setdefault(letter, size) if named else letter
+            if size != expected:
+                what = _DIMENSIONS[letter] if named else "row count"
+                raise DataError(
+                    f"matrix {name!r} is {m.shape[0]}x{m.shape[1]}, which does not "
+                    f"match the model's {what} of {expected}"
+                )
+        out[name] = m[0] if rows == 1 else m
+    return out
 
 
 # ------------------------------------------------------------- save pathways
 
 
-def _matrices_for(record: ModelRecord) -> tuple[dict, dict]:
-    """Algorithm-specific matrix table and extra fit metadata."""
+def _arrays_for(record: ModelRecord) -> tuple[dict, dict]:
+    """Algorithm-specific arrays by stored name, and extra fit metadata."""
     model = record.model
     if record.algorithm == "companion":
         if not isinstance(model, CompanionFit):
             raise ConfigError("companion records must wrap a CompanionFit")
-        matrices = {
-            "c_matrix": _encode_matrix(model.c_matrix),
-            "eigenvalues": _encode_matrix(model.eigenvalues),
-            "vandermonde_t": _encode_matrix(model.vandermonde_t),
-            "modes": _encode_matrix(record.companion_modes),
+        arrays = {
+            "c_matrix": model.c_matrix,
+            "eigenvalues": model.eigenvalues,
+            "vandermonde_t": model.vandermonde_t,
+            "modes": record.companion_modes,
         }
-        return matrices, {"window": int(model.window)}
+        return arrays, {"window": int(model.window)}
     if record.algorithm == "dmd":
         if not isinstance(model, KoopmanModel):
             raise ConfigError("dmd records must wrap a KoopmanModel")
-        matrices = {
-            "k_hat": _encode_matrix(model.k_hat),
-            "eigenvalues": _encode_matrix(model.eigenvalues),
-            "eigenvectors_p": _encode_matrix(model.eigenvectors_p),
-            "modes_v": _encode_matrix(model.modes_v),
-            "svd_u": _encode_matrix(model.svd.u),
-            "svd_sigma": _encode_matrix(model.svd.sigma),
-            "svd_w": _encode_matrix(model.svd.w),
+        arrays = {
+            "k_hat": model.k_hat,
+            "eigenvalues": model.eigenvalues,
+            "eigenvectors_p": model.eigenvectors_p,
+            "modes_v": model.modes_v,
+            "svd_u": model.svd_u,
+            "svd_sigma": model.svd_sigma,
         }
-        return matrices, {"observable_dim": int(model.observable_dim)}
+        return arrays, {"observable_dim": int(model.observable_dim)}
     if record.algorithm == "edmd":
         if not isinstance(model, EdmdModel):
             raise ConfigError("edmd records must wrap an EdmdModel")
-        matrices = {
-            "k_hat": _encode_matrix(model.k_hat),
-            "eigenvalues": _encode_matrix(model.eigenvalues),
-            "eigenvectors_p": _encode_matrix(model.eigen.vectors),
-            "b_coeffs": _encode_matrix(model.b_coeffs),
-            "d_coeffs": _encode_matrix(model.d_coeffs),
-            "svd_u": _encode_matrix(model.svd.u),
-            "svd_sigma": _encode_matrix(model.svd.sigma),
-            "svd_w": _encode_matrix(model.svd.w),
+        arrays = {
+            "k_hat": model.k_hat,
+            "eigenvalues": model.eigenvalues,
+            "eigenvectors_p": model.eigenvectors_p,
+            "b_coeffs": model.b_coeffs,
+            "d_coeffs": model.d_coeffs,
+            "svd_u": model.svd_u,
+            "svd_sigma": model.svd_sigma,
+            "modes_v": model.modes_v,
         }
-        if model.modes_v is not None:
-            matrices["modes_v"] = _encode_matrix(model.modes_v)
+        if isinstance(model.dictionary, RbfDictionary):
+            arrays["dict_centers"] = model.dictionary.centers
         extra = {
             "observable_dim": int(model.observable_dim),
             "dictionary": model.dictionary.spec_string(),
         }
-        if isinstance(model.dictionary, RbfDictionary):
-            matrices["dict_centers"] = _encode_matrix(model.dictionary.centers)
-        return matrices, extra
+        return arrays, extra
     if not isinstance(model, KernelModel):
         raise ConfigError("kernel-edmd records must wrap a KernelModel")
-    matrices = {
-        "g_gram": _encode_matrix(model.g_gram),
-        "a_gram": _encode_matrix(model.a_gram),
-        "q_eigvecs": _encode_matrix(model.q_eigvecs),
-        "sigma": _encode_matrix(model.sigma),
-        "k_hat_u": _encode_matrix(model.k_hat_u),
-        "eigenvalues": _encode_matrix(model.eigenvalues),
-        "eigenvectors_v": _encode_matrix(model.eigen.vectors),
-        "v_inv": _encode_matrix(model.v_inv),
-        "training_x": _encode_matrix(model.training_x),
-        "modes": _encode_matrix(model.modes),
+    arrays = {
+        "q_eigvecs": model.q_eigvecs,
+        "sigma": model.sigma,
+        "k_hat_u": model.k_hat_u,
+        "eigenvalues": model.eigenvalues,
+        "v_inv": model.v_inv,
+        "training_x": model.training_x,
+        "modes": model.modes,
     }
-    return matrices, {"kernel": model.kernel.spec_string()}
+    return arrays, {"kernel": model.kernel.spec_string()}
 
 
 def save_model(record: ModelRecord, path) -> None:
     """Write the record as schema-versioned JSON (17 significant digits)."""
-    matrices, extra = _matrices_for(record)
+    arrays, extra = _arrays_for(record)
+    matrices = {
+        name: _encode_matrix(arrays[name])
+        for name in _LAYOUTS[record.algorithm]
+        if arrays.get(name) is not None
+    }
     fit_meta = {
         "rtol": float(record.rtol),
         "embed_h": int(record.embed_h),
@@ -254,141 +369,158 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _load_companion(matrices, fit_meta):
-    model = CompanionFit(
-        c_matrix=_decode_matrix(_require(matrices, "c_matrix", "matrix"), "c_matrix", False),
-        eigenvalues=_vector(_decode_matrix(_require(matrices, "eigenvalues", "matrix"),
-                                           "eigenvalues", True)),
-        vandermonde_t=_decode_matrix(_require(matrices, "vandermonde_t", "matrix"),
-                                     "vandermonde_t", True),
-        window=int(_require(fit_meta, "window", "fit")),
-    )
-    modes = _decode_matrix(_require(matrices, "modes", "matrix"), "modes", True)
-    return model, modes
+def _section(obj: dict, key: str) -> dict:
+    value = _require(obj, key, "top-level")
+    if not isinstance(value, dict):
+        raise DataError(f"model file {key!r} must be a JSON object")
+    return value
 
 
-def _load_svd(matrices) -> SvdFactors:
-    return SvdFactors(
-        u=_decode_matrix(_require(matrices, "svd_u", "matrix"), "svd_u", False),
-        sigma=_vector(_decode_matrix(_require(matrices, "svd_sigma", "matrix"),
-                                     "svd_sigma", False)),
-        w=_decode_matrix(_require(matrices, "svd_w", "matrix"), "svd_w", False),
-    )
+def _refuse_constant(token: str):
+    raise DataError(f"model file contains {token}; every number must be finite")
 
 
-def _load_dmd(matrices, fit_meta, flags, residuals):
+def _load_companion(m, fit_meta, flags, residuals):
+    return CompanionFit(c_matrix=m["c_matrix"], eigenvalues=m["eigenvalues"],
+                        vandermonde_t=m["vandermonde_t"],
+                        window=int(m["c_matrix"].shape[0]))
+
+
+def _load_dmd(m, fit_meta, flags, residuals):
     return KoopmanModel(
-        k_hat=_decode_matrix(_require(matrices, "k_hat", "matrix"), "k_hat", False),
-        eigenvalues=_vector(_decode_matrix(_require(matrices, "eigenvalues", "matrix"),
-                                           "eigenvalues", True)),
-        eigenvectors_p=_decode_matrix(_require(matrices, "eigenvectors_p", "matrix"),
-                                      "eigenvectors_p", True),
-        modes_v=_decode_matrix(_require(matrices, "modes_v", "matrix"), "modes_v", True),
-        svd=_load_svd(matrices),
-        observable_dim=int(_require(fit_meta, "observable_dim", "fit")),
-        fit_residual=float(residuals.get("training", 0.0)),
+        k_hat=m["k_hat"],
+        eigenvalues=m["eigenvalues"],
+        eigenvectors_p=m["eigenvectors_p"],
+        modes_v=m["modes_v"],
+        svd_u=m["svd_u"],
+        svd_sigma=m["svd_sigma"],
+        observable_dim=int(m["modes_v"].shape[0]),
+        fit_residual=residuals.get("training", 0.0),
         flags=flags,
     )
 
 
-def _load_edmd(matrices, fit_meta, flags, residuals):
-    spec = _require(fit_meta, "dictionary", "fit")
-    input_dim = int(_require(fit_meta, "observable_dim", "fit"))
-    if isinstance(spec, str) and spec.startswith("rbf:"):
-        width = float(spec.split(":")[1])
-        centers = _decode_matrix(_require(matrices, "dict_centers", "matrix"),
-                                 "dict_centers", False)
-        dictionary = RbfDictionary(centers, width)
-    else:
-        dictionary = build_dictionary(spec, input_dim)
-    modes_v = None
-    if "modes_v" in matrices:
-        modes_v = _decode_matrix(matrices["modes_v"], "modes_v", True)
-    values = _vector(_decode_matrix(_require(matrices, "eigenvalues", "matrix"),
-                                    "eigenvalues", True))
-    vectors = _decode_matrix(_require(matrices, "eigenvectors_p", "matrix"),
-                             "eigenvectors_p", True)
+def _edmd_dictionary(spec: str, input_dim: int, centers):
+    try:
+        if not spec.startswith("rbf:"):
+            return build_dictionary(spec, input_dim)
+        if centers is None:
+            raise DataError("model file is missing matrix key 'dict_centers'")
+        return RbfDictionary(centers, float(spec.split(":")[1]))
+    except (ConfigError, ShapeError, ValueError) as err:
+        raise DataError(f"model file dictionary {spec!r} is unusable: {err}") from None
+
+
+def _load_edmd(m, fit_meta, flags, residuals):
+    spec = _string(_require(fit_meta, "dictionary", "fit"), "dictionary")
+    input_dim = int(m["d_coeffs"].shape[0])
+    dictionary = _edmd_dictionary(spec, input_dim, m.get("dict_centers"))
+    if dictionary.size != m["d_coeffs"].shape[1]:
+        raise DataError(
+            f"model file dictionary {spec!r} has {dictionary.size} features, "
+            f"but its matrices have {m['d_coeffs'].shape[1]}"
+        )
+    eigen = EigenPairs(values=m["eigenvalues"], vectors=m["eigenvectors_p"])
     return EdmdModel(
         dictionary=dictionary,
-        k_hat=_decode_matrix(_require(matrices, "k_hat", "matrix"), "k_hat", False),
-        eigen=EigenPairs(values=values, vectors=vectors),
-        b_coeffs=_decode_matrix(_require(matrices, "b_coeffs", "matrix"), "b_coeffs", True),
-        d_coeffs=_decode_matrix(_require(matrices, "d_coeffs", "matrix"), "d_coeffs", False),
-        modes_v=modes_v,
-        svd=_load_svd(matrices),
-        lifted_residual=float(residuals.get("lifted", 0.0)),
-        d_residual=float(residuals.get("observable", 0.0)),
+        k_hat=m["k_hat"],
+        eigen=eigen,
+        b_coeffs=m["b_coeffs"],
+        d_coeffs=m["d_coeffs"],
+        modes_v=m.get("modes_v"),
+        svd_u=m["svd_u"],
+        svd_sigma=m["svd_sigma"],
+        lifted_residual=residuals.get("lifted", 0.0),
+        d_residual=residuals.get("observable", 0.0),
         observable_dim=input_dim,
         flags=flags,
     )
 
 
-def _load_kernel(matrices, fit_meta, flags, residuals):
-    values = _vector(_decode_matrix(_require(matrices, "eigenvalues", "matrix"),
-                                    "eigenvalues", True))
-    vectors = _decode_matrix(_require(matrices, "eigenvectors_v", "matrix"),
-                             "eigenvectors_v", True)
+def _load_kernel(m, fit_meta, flags, residuals):
+    spec = _string(_require(fit_meta, "kernel", "fit"), "kernel")
+    try:
+        kernel = parse_kernel(spec)
+    except ConfigError as err:
+        raise DataError(f"model file kernel {spec!r} is unusable: {err}") from None
     return KernelModel(
-        kernel=parse_kernel(_require(fit_meta, "kernel", "fit")),
-        g_gram=_decode_matrix(_require(matrices, "g_gram", "matrix"), "g_gram", False),
-        a_gram=_decode_matrix(_require(matrices, "a_gram", "matrix"), "a_gram", False),
-        q_eigvecs=_decode_matrix(_require(matrices, "q_eigvecs", "matrix"),
-                                 "q_eigvecs", False),
-        sigma=_vector(_decode_matrix(_require(matrices, "sigma", "matrix"), "sigma", False)),
-        k_hat_u=_decode_matrix(_require(matrices, "k_hat_u", "matrix"), "k_hat_u", False),
-        eigen=EigenPairs(values=values, vectors=vectors),
-        v_inv=_decode_matrix(_require(matrices, "v_inv", "matrix"), "v_inv", True),
-        training_x=_decode_matrix(_require(matrices, "training_x", "matrix"),
-                                  "training_x", False),
-        modes=_decode_matrix(_require(matrices, "modes", "matrix"), "modes", True),
-        fit_residual=float(residuals.get("training", 0.0)),
+        kernel=kernel,
+        q_eigvecs=m["q_eigvecs"],
+        sigma=m["sigma"],
+        k_hat_u=m["k_hat_u"],
+        eigenvalues=m["eigenvalues"],
+        v_inv=m["v_inv"],
+        training_x=m["training_x"],
+        modes=m["modes"],
+        fit_residual=residuals.get("training", 0.0),
         flags=flags,
     )
+
+
+_LOADERS = {
+    "companion": _load_companion,
+    "dmd": _load_dmd,
+    "edmd": _load_edmd,
+    "kernel-edmd": _load_kernel,
+}
 
 
 def load_model(path) -> ModelRecord:
     """Read a model file, checking the schema version before anything else."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_constant=_refuse_constant)
     except OSError as err:
         raise DataError(f"cannot read model file: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataError(f"model file is not valid JSON: {err}") from err
     if not isinstance(payload, dict):
         raise DataError("model file must contain a JSON object")
     version = _require(payload, "schema_version", "top-level")
     if version != SCHEMA_VERSION:
         raise DataError(
-            f"model file schema_version {version} is not supported "
+            f"model file schema_version {version!r:.40} is not supported "
             f"(this build reads version {SCHEMA_VERSION})"
         )
     algorithm = _require(payload, "algorithm", "top-level")
     if algorithm not in _ALGORITHMS:
-        raise DataError(f"unknown algorithm tag {algorithm!r} in model file")
-    fit_meta = _require(payload, "fit", "top-level")
-    matrices = _require(payload, "matrices", "top-level")
-    flags = tuple(payload.get("flags", []))
-    residuals = {str(k): float(v) for k, v in _require(fit_meta, "residuals", "fit").items()}
+        raise DataError(f"unknown algorithm tag {algorithm!r:.40} in model file")
+    fit_meta = _section(payload, "fit")
+    matrices = _section(payload, "matrices")
+    flags = payload.get("flags", [])
+    if not isinstance(flags, list):
+        raise DataError("model file 'flags' must be a list")
+    flags = tuple(_string(flag, "flag") for flag in flags)
+    residuals = _require(fit_meta, "residuals", "fit")
+    if not isinstance(residuals, dict):
+        raise DataError("model file 'residuals' must be a JSON object")
+    residuals = {k: _number(v, f"residual {k!r}") for k, v in residuals.items()}
 
-    companion_modes = None
+    dims = {}
     if algorithm == "companion":
-        model, companion_modes = _load_companion(matrices, fit_meta)
-    elif algorithm == "dmd":
-        model = _load_dmd(matrices, fit_meta, flags, residuals)
-    elif algorithm == "edmd":
-        model = _load_edmd(matrices, fit_meta, flags, residuals)
-    else:
-        model = _load_kernel(matrices, fit_meta, flags, residuals)
+        dims["w"] = _count(_require(fit_meta, "window", "fit"), "window", 1)
+    elif algorithm in ("dmd", "edmd"):
+        dims["n"] = _count(_require(fit_meta, "observable_dim", "fit"),
+                           "observable_dim", 1)
+    decoded = _decode_matrices(algorithm, matrices, dims)
+    model = _LOADERS[algorithm](decoded, fit_meta, flags, residuals)
+    augment = _require(fit_meta, "augment_inputs", "fit")
+    if not isinstance(augment, bool):
+        raise DataError(f"model file augment_inputs must be true or false, "
+                        f"got {augment!r:.40}")
 
     split = fit_meta.get("base_split")
+    if split is not None:
+        if not isinstance(split, list) or len(split) != 3:
+            raise DataError("model file 'base_split' must list 3 column counts")
+        split = tuple(_count(v, "base_split entry") for v in split)
     return ModelRecord(
         algorithm=algorithm,
         model=model,
-        rtol=float(_require(fit_meta, "rtol", "fit")),
-        embed_h=int(_require(fit_meta, "embed_h", "fit")),
-        augment_inputs=bool(_require(fit_meta, "augment_inputs", "fit")),
+        rtol=_number(_require(fit_meta, "rtol", "fit"), "rtol"),
+        embed_h=_count(_require(fit_meta, "embed_h", "fit"), "embed_h", 1),
+        augment_inputs=augment,
         residuals=residuals,
-        companion_modes=companion_modes,
-        base_split=tuple(int(v) for v in split) if split is not None else None,
+        companion_modes=decoded["modes"] if algorithm == "companion" else None,
+        base_split=split,
     )

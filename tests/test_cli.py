@@ -364,7 +364,7 @@ def test_schema_bump_is_rejected_on_load(capsys, tmp_path):
     model = tmp_path / "model.json"
     run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
     payload = json.loads(model.read_text())
-    payload["schema_version"] = 2
+    payload["schema_version"] = 3
     model.write_text(json.dumps(payload))
     code, _, err = run(capsys, ["spectrum", str(model)])
     assert code == 3
@@ -373,6 +373,53 @@ def test_schema_bump_is_rejected_on_load(capsys, tmp_path):
     ic.write_text("1,1\n")
     code, _, _ = run(capsys, ["predict", str(model), str(ic), "1"])
     assert code == 3
+
+
+def _nan_in_modes(payload):
+    payload["matrices"]["modes_v"]["real"][0] = float("nan")  # dumped as NaN
+
+
+def _text_row_count(payload):
+    payload["matrices"]["k_hat"]["rows"] = "2"
+
+
+def _text_residual(payload):
+    payload["fit"]["residuals"]["training"] = "small"
+
+
+def _one_eigenvalue(payload):
+    values = payload["matrices"]["eigenvalues"]
+    values["cols"] = 1
+    values["real"] = values["real"][:1]
+    values.pop("imag", None)
+
+
+def _wrong_observable_dim(payload):
+    payload["fit"]["observable_dim"] = 3
+
+
+@pytest.mark.parametrize("damage, named", [
+    (_nan_in_modes, "NaN"),
+    (_text_row_count, "'k_hat' rows"),
+    (_text_residual, "residual 'training'"),
+    (_one_eigenvalue, "eigenvalue count"),
+    (_wrong_observable_dim, "observable dimension"),
+])
+def test_damaged_model_file_exits_3_with_one_line(capsys, tmp_path, damage, named):
+    traj = write_diag_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
+    payload = json.loads(model.read_text())
+    damage(payload)
+    model.write_text(json.dumps(payload))
+    ic = tmp_path / "ic.csv"
+    ic.write_text("1,1\n")
+    for argv in (["spectrum", str(model)], ["predict", str(model), str(ic), "3"]):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
 
 def test_wrong_ic_width_exits_3(capsys, tmp_path):

@@ -194,6 +194,27 @@ def test_load_names_line_of_non_numeric_value(tmp_path):
         load_trajectory(path)
 
 
+def test_fast_body_parse_matches_per_field_parse(tmp_path):
+    from dmdkit.data import _parse_body, _parse_rows
+
+    rng = np.random.default_rng(32)
+    scales = 10.0 ** rng.integers(-300, 300, (40, 3))
+    traj = Trajectory(dt=0.1, states=rng.standard_normal((40, 3)) * scales)
+    path = tmp_path / "traj.csv"
+    save_trajectory(traj, path)
+    body = path.read_text().split("\n", 1)[1]
+    fast = _parse_body(body, 4)
+    assert fast is not None
+    assert_array_equal(fast, np.array(_parse_rows(body, 4, 2, path)))
+
+
+def test_load_reads_fields_the_fast_parser_refuses(tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text('t,x1\r\n0,"1.5"\r\n\r\n1,2_0\r\n')
+    loaded = load_trajectory(path)
+    assert_array_equal(loaded.states[:, 0], [1.5, 20.0])
+
+
 def test_load_rejects_time_jitter(tmp_path):
     path = tmp_path / "jitter.csv"
     path.write_text("t,x1\n0,1\n1,2\n2.002,3\n")  # 1e-3 relative jitter

@@ -8,7 +8,6 @@ from dmdkit.dmd import (
     KoopmanModel,
     _spectral_predict,
     companion_modes,
-    dmd_modes,
     eigenfunction_values,
     embedding_sweep,
     fit_companion,
@@ -139,7 +138,7 @@ def test_svd_dmd_duplicated_row_keeps_rank_two():
     tripled = np.hstack([traj.states, traj.states[:, :1]])
     pair = snapshot_pairs(Trajectory(dt=1.0, states=tripled))
     model = fit_svd_dmd(pair, rtol=1e-8)
-    assert model.svd.rank == 2
+    assert model.svd_sigma.size == 2
     assert spectra_gap(model.eigenvalues, [0.9, 0.5]) < 1e-10
 
 def test_svd_dmd_zero_data_raises():
@@ -193,10 +192,25 @@ def test_modes_match_eigenvectors_of_nondiagonal_a():
         cosine = np.abs(expected @ mode) / np.linalg.norm(mode)
         assert cosine > 1 - 1e-10
 
-def test_dmd_modes_recompute_matches_stored():
-    pair = linear_pair(np.diag([0.9, 0.5]), [1.0, 1.0], steps=9)
+@pytest.mark.parametrize("noise", [0.0, 1e-3, 1e-1])
+def test_training_residual_matches_lstsq_reference(noise):
+    # the fit takes amplitudes from pinv(modes); lstsq(rcond=None) is the
+    # reference. They agree to 1e-12 relative, or 1e-14 absolute where the
+    # residual is itself roundoff (exact data).
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 6))
+    a *= 0.95 / np.max(np.abs(np.linalg.eigvals(a)))
+    states = simulate(linear_system(a, rng.standard_normal(6), steps=40)).states
+    states = states + noise * rng.standard_normal(states.shape)
+    pair = snapshot_pairs(Trajectory(dt=1.0, states=states))
     model = fit_svd_dmd(pair)
-    assert_allclose(dmd_modes(model, pair), model.modes_v, rtol=0, atol=0)
+    amps = np.linalg.lstsq(model.modes_v, pair.x.astype(complex), rcond=None)[0]
+    recon = model.modes_v @ (model.eigenvalues[:, None] * amps)
+    reference = np.linalg.norm(pair.xp - recon) / np.linalg.norm(pair.xp)
+    assert abs(model.fit_residual - reference) <= 1e-12 * reference + 1e-14
+    if noise:
+        assert reference > 1e-4  # the noisy case is not another exact fit
+
 
 def test_zero_eigenvalue_modes_flagged_and_zeroed():
     # x -> shift map dies after two steps; the spectrum is all zeros
@@ -247,7 +261,8 @@ def test_predict_rejects_inconsistent_complex_output():
         eigenvalues=np.array([1.0j]),
         eigenvectors_p=np.array([[1.0 + 0.0j]]),
         modes_v=np.array([[1.0 + 0.0j]]),
-        svd=factors,
+        svd_u=factors.u,
+        svd_sigma=factors.sigma,
         observable_dim=1,
         fit_residual=0.0,
     )

@@ -170,7 +170,7 @@ def test_eigenfunction_for_squared_rate_is_x1_squared():
 
 def test_eval_eigenfunction_at_zero_picks_constant_coefficient():
     model = fit_edmd(quadratic_pair(), PolynomialDictionary(2, 2))
-    b_dict = model.b_coeffs @ model.svd.u.T
+    b_dict = model.b_coeffs @ model.svd_u.T
     for i in range(model.eigenvalues.size):
         assert eval_eigenfunction(model, i, [0.0, 0.0]) == pytest.approx(
             complex(b_dict[i, 0]), abs=1e-12

@@ -4,13 +4,12 @@ from numpy.testing import assert_allclose
 
 from dmdkit.data import SnapshotPair, snapshot_pairs
 from dmdkit.edmd import fit_edmd
-from dmdkit.errors import EmptyRankError, ShapeError
+from dmdkit.errors import EmptyRankError
 from dmdkit.kernel_edmd import (
     eigenfunction_values,
     fit_kernel_edmd,
     gram_matrices,
     kernel_eigenfunction,
-    kernel_modes,
     kernel_predict,
 )
 from dmdkit.observables import GaussianKernel, PolynomialDictionary, PolynomialKernel
@@ -80,8 +79,9 @@ def test_gram_symmetry_and_positive_semidefiniteness():
 def test_gram_factorization_reconstructs_g():
     pair = spiral_pair()
     model = fit_kernel_edmd(pair, PolynomialKernel(2), rtol=1e-10)
+    g_gram = model.kernel.gram(pair.x, pair.x)
     recon = model.q_eigvecs @ np.diag(model.sigma ** 2) @ model.q_eigvecs.T
-    rel = np.linalg.norm(model.g_gram - recon) / np.linalg.norm(model.g_gram)
+    rel = np.linalg.norm(g_gram - recon) / np.linalg.norm(g_gram)
     assert rel < 1e-8
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -107,9 +107,11 @@ def test_quadratic_kernel_finds_invariant_subspace_rates():
 def test_reduced_operator_eigen_residual():
     pair = spiral_pair()
     model = fit_kernel_edmd(pair, PolynomialKernel(2))
-    res = model.k_hat_u @ model.eigen.vectors - model.eigenvalues * model.eigen.vectors
-    scale = np.maximum(1.0, np.abs(model.eigenvalues))
-    assert np.all(np.linalg.norm(res, axis=0) <= 1e-8 * scale)
+    # rows of v_inv are left eigenvectors: v_inv K = diag(lambda) v_inv
+    left = model.v_inv
+    res = left @ model.k_hat_u - model.eigenvalues[:, None] * left
+    scale = np.maximum(1.0, np.abs(model.eigenvalues)) * np.linalg.norm(left, axis=1)
+    assert np.all(np.linalg.norm(res, axis=1) <= 1e-8 * scale)
 
 def test_eigenfunction_functional_equation_on_invariant_data():
     pair = spiral_pair()
@@ -174,19 +176,6 @@ def test_mode_reconstruction_of_training_observables():
     scale = np.linalg.norm(pair.x, axis=0)
     err = np.linalg.norm(pair.x - recon, axis=0)
     assert np.all(err <= 1e-6 * scale)
-
-def test_kernel_modes_for_custom_observable():
-    pair = spiral_pair()
-    model = fit_kernel_edmd(pair, PolynomialKernel(2))
-    observed = pair.x[:1] ** 2
-    modes = kernel_modes(model, observed)
-    phi = eigenfunction_values(model, pair.x)
-    assert_allclose((modes @ phi).real, observed, atol=1e-8)
-
-def test_kernel_modes_validates_column_count():
-    model = fit_kernel_edmd(spiral_pair(), PolynomialKernel(1))
-    with pytest.raises(ShapeError):
-        kernel_modes(model, np.ones((1, 3)))
 
 def test_kernel_eigenfunction_scalar_and_bounds():
     model = fit_kernel_edmd(spiral_pair(), PolynomialKernel(1))

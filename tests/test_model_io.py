@@ -1,15 +1,32 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dmdkit.cli import main
 from dmdkit.data import SnapshotPair, snapshot_pairs
-from dmdkit.dmd import companion_modes, fit_companion, fit_svd_dmd, predict
+from dmdkit.dmd import (
+    _spectral_predict,
+    companion_modes,
+    fit_companion,
+    fit_svd_dmd,
+    predict,
+)
+from dmdkit.dmd import eigenfunction_values as dmd_phi
 from dmdkit.edmd import edmd_predict, fit_edmd
+from dmdkit.edmd import eigenfunction_values as edmd_phi
 from dmdkit.errors import ConfigError, DataError
+from dmdkit.kernel_edmd import eigenfunction_values as kernel_phi
 from dmdkit.kernel_edmd import fit_kernel_edmd, kernel_predict
-from dmdkit.model_io import SCHEMA_VERSION, ModelRecord, load_model, save_model
+from dmdkit.model_io import (
+    SCHEMA_VERSION,
+    ModelRecord,
+    _arrays_for,
+    load_model,
+    save_model,
+)
 from dmdkit.observables import (
     CustomDictionary,
     PolynomialDictionary,
@@ -105,9 +122,8 @@ def test_dmd_round_trip_is_exact(tmp_path):
     assert_array_equal(loaded.model.eigenvalues, record.model.eigenvalues)
     assert_array_equal(loaded.model.eigenvectors_p, record.model.eigenvectors_p)
     assert_array_equal(loaded.model.modes_v, record.model.modes_v)
-    assert_array_equal(loaded.model.svd.u, record.model.svd.u)
-    assert_array_equal(loaded.model.svd.sigma, record.model.svd.sigma)
-    assert_array_equal(loaded.model.svd.w, record.model.svd.w)
+    assert_array_equal(loaded.model.svd_u, record.model.svd_u)
+    assert_array_equal(loaded.model.svd_sigma, record.model.svd_sigma)
     assert loaded.model.fit_residual == record.model.fit_residual
 
 
@@ -143,8 +159,9 @@ def test_kernel_round_trip_is_exact(tmp_path):
     save_model(record, path)
     loaded = load_model(path)
     assert loaded.model.kernel.spec_string() == record.model.kernel.spec_string()
-    assert_array_equal(loaded.model.g_gram, record.model.g_gram)
+    assert_array_equal(loaded.model.q_eigvecs, record.model.q_eigvecs)
     assert_array_equal(loaded.model.sigma, record.model.sigma)
+    assert_array_equal(loaded.model.eigenvalues, record.model.eigenvalues)
     assert_array_equal(loaded.model.k_hat_u, record.model.k_hat_u)
     assert_array_equal(loaded.model.v_inv, record.model.v_inv)
     assert_array_equal(loaded.model.training_x, record.model.training_x)
@@ -261,7 +278,9 @@ def test_real_matrix_with_imaginary_entries_is_rejected(tmp_path):
     path = tmp_path / "model.json"
     save_model(dmd_record(), path)
     payload = json.loads(path.read_text())
-    payload["matrices"]["svd_u"]["imag"][0] = 0.5
+    stored = payload["matrices"]["svd_u"]
+    assert "imag" not in stored
+    stored["imag"] = [0.5] + [0] * (len(stored["real"]) - 1)
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError, match="svd_u"):
         load_model(path)
@@ -310,3 +329,109 @@ def test_file_floats_survive_json_parse_exactly(tmp_path):
         record.model.k_hat.shape
     )
     assert_array_equal(stored, record.model.k_hat)
+
+
+# ---------------------------------------------------------------- schema 2
+
+
+RECORD_MAKERS = [dmd_record, companion_record, edmd_record, kernel_record]
+
+
+def forecast_and_eigenfunctions(record, z, steps=7):
+    model = record.model
+    if record.algorithm == "dmd":
+        return predict(model, z, steps), dmd_phi(model, z)
+    if record.algorithm == "edmd":
+        return edmd_predict(model, z, steps), edmd_phi(model, z)
+    if record.algorithm == "kernel-edmd":
+        return kernel_predict(model, z, steps), kernel_phi(model, z)
+    modes = record.companion_modes
+    amps = np.linalg.lstsq(modes, z.astype(complex), rcond=None)[0]
+    return _spectral_predict(modes, model.eigenvalues, amps, steps), amps
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, make_record):
+    record = make_record()
+    path = tmp_path / "model.json"
+    save_model(record, path)
+    loaded = load_model(path)
+    z = np.random.default_rng(41).uniform(-1.0, 1.0, record.observable_dim)
+    for got, want in zip(forecast_and_eigenfunctions(loaded, z),
+                         forecast_and_eigenfunctions(record, z)):
+        assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_imag_is_stored_exactly_when_some_entry_is_nonzero(tmp_path, make_record):
+    record = make_record()
+    path = tmp_path / "model.json"
+    save_model(record, path)
+    stored = json.loads(path.read_text())["matrices"]
+    arrays, _ = _arrays_for(record)
+    assert set(stored) == {name for name, value in arrays.items() if value is not None}
+    for name, matrix in stored.items():
+        assert ("imag" in matrix) == bool(np.any(np.imag(arrays[name]))), name
+        if "imag" in matrix:
+            assert any(matrix["imag"])
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_fit_only_matrices_are_not_stored(tmp_path, make_record):
+    path = tmp_path / "model.json"
+    save_model(make_record(), path)
+    stored = json.loads(path.read_text())["matrices"]
+    assert not {"svd_w", "g_gram", "a_gram", "eigenvectors_v"} & set(stored)
+
+
+def test_complex_matrix_without_imag_loads_as_complex(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(dmd_record(), path)
+    payload = json.loads(path.read_text())
+    payload["matrices"]["modes_v"].pop("imag", None)
+    path.write_text(json.dumps(payload))
+    modes = load_model(path).model.modes_v
+    assert modes.dtype == complex and not np.any(modes.imag)
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_version_1_file_is_refused_with_exit_3(tmp_path, capsys, make_record):
+    path = tmp_path / "model.json"
+    save_model(make_record(), path)
+    payload = json.loads(path.read_text())
+    payload["schema_version"] = 1
+    path.write_text(json.dumps(payload))
+    assert main(["spectrum", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: model file schema_version 1 is not supported " \
+        f"(this build reads version {SCHEMA_VERSION})\n"
+
+
+DAMAGES = [None, "x", ["x"], [], {}, -1, 1e300, True]
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_damaged_fields_raise_data_error(tmp_path, make_record):
+    # every damage either still reads as a valid file (a missing imag list,
+    # say) or raises DataError; no other exception may escape the loader
+    path = tmp_path / "model.json"
+    save_model(make_record(), path)
+    original = json.loads(path.read_text())
+    targets = [("fit", key) for key in original["fit"]]
+    for name, matrix in original["matrices"].items():
+        targets += [("matrices", name)] + [("matrices", name, key) for key in matrix]
+    for target in targets:
+        for damage in DAMAGES + ["delete"]:
+            payload = copy.deepcopy(original)
+            holder = payload
+            for key in target[:-1]:
+                holder = holder[key]
+            if damage == "delete":
+                del holder[target[-1]]
+            else:
+                holder[target[-1]] = damage
+            path.write_text(json.dumps(payload))
+            try:
+                load_model(path)
+            except DataError:
+                pass

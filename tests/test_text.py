@@ -101,8 +101,12 @@ def test_model_file_matrices_match_per_value_format_with_negative_zero_as_zero(t
         stored = stored_text(path, "modes_v", part)
         assert stored == ", ".join(per_value(values + 0.0))
         assert stored.split(", ")[1 if part == "real" else -2] == "0"  # was -0.0
-    loaded = load_model(path).model.modes_v[0]
-    assert np.array_equal(loaded.real, real) and np.array_equal(loaded.imag, imag)
+    stored = json.loads(path.read_text())["matrices"]["modes_v"]
+    assert np.array_equal(np.array(stored["real"], dtype=float), real)
+    assert np.array_equal(np.array(stored["imag"], dtype=float), imag)
+    # a 1 x 3000 mode matrix does not fit the 3-observable model around it
+    with pytest.raises(DataError, match="modes_v"):
+        load_model(path)
 
 
 def test_model_file_is_valid_json_and_resaves_byte_identical(tmp_path):
