@@ -196,7 +196,7 @@ def cmd_fit(args) -> int:
         eigenvalues.real, eigenvalues.imag, np.full(eigenvalues.shape, residual),
     ])
     sys.stdout.write("index,re,im,training_residual\n")
-    write_rows(sys.stdout, table + 0.0, labels=range(table.shape[0]))
+    write_rows(sys.stdout, table + 0.0, labels=np.arange(table.shape[0]))
     return 0
 
 
@@ -311,7 +311,7 @@ def cmd_predict(args) -> int:
     header = ["step"] + [f"g{j}" for j in range(1, forecast.shape[1] + 1)]
     sys.stdout.write(",".join(header) + "\n")
     forecast += 0.0  # in place: prints -0.0 as "0" without copying the forecast
-    write_rows(sys.stdout, forecast, labels=range(1, forecast.shape[0] + 1))
+    write_rows(sys.stdout, forecast, labels=np.arange(1, forecast.shape[0] + 1))
     return 0
 
 

@@ -294,8 +294,12 @@ def load_trajectory(path) -> Trajectory:
         table = np.array(_parse_rows(body, width, first_line, path))
     if len(table) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
+    # nan passes every comparison below, so a nan time stamp would load
+    rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if rows.size:
+        raise DataError(f"{path}: line {rows[0] + 2}: non-finite value")
     t = table[:, 0]
-    dt = t[1] - t[0]
+    dt = float(t[1] - t[0])
     if dt <= 0:
         raise DataError(f"{path}: line 3: time stamps must be strictly increasing")
     steps = np.diff(t)
@@ -303,12 +307,13 @@ def load_trajectory(path) -> Trajectory:
     worst = int(np.argmax(jitter))
     if jitter[worst] > _DT_RTOL * abs(dt):
         raise DataError(
-            f"{path}: line {worst + 3}: time step {steps[worst]!r} deviates from dt={dt!r}"
+            f"{path}: line {worst + 3}: time step {float(steps[worst])!r} "
+            f"deviates from dt={dt!r}"
         )
     states = table[:, 1 : 1 + n_x]
     inputs = table[:, 1 + n_x : 1 + n_x + n_u] if n_u else None
     dists = table[:, 1 + n_x + n_u :] if n_d else None
-    return Trajectory(dt=float(dt), states=states, inputs=inputs, disturbances=dists,
+    return Trajectory(dt=dt, states=states, inputs=inputs, disturbances=dists,
                       meta={"source": str(path)})
 
 

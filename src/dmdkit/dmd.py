@@ -76,14 +76,21 @@ class KoopmanModel:
 
 
 def _leading_window(x: np.ndarray) -> int:
-    """Largest j such that the first j columns are numerically independent."""
-    window = 0
-    for j in range(1, min(x.shape) + 1):
+    """Largest j such that the first j columns are numerically independent.
+
+    Adding a column never raises the smallest singular value nor lowers the
+    largest (interlacing), so once a prefix is ill-conditioned every longer
+    one is too, and the boundary is found by bisection.
+    """
+    good, bad = 0, min(x.shape) + 1
+    while bad - good > 1:
+        j = (good + bad) // 2
         s = np.linalg.svd(x[:, :j], compute_uv=False)
-        if s[-1] <= _COMPANION_RTOL * s[0]:
-            break
-        window = j
-    return window
+        if s[-1] > _COMPANION_RTOL * s[0]:
+            good = j
+        else:
+            bad = j
+    return good
 
 
 def fit_companion(pair: SnapshotPair) -> CompanionFit:

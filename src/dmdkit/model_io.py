@@ -26,9 +26,10 @@ shapes agree with each other and with the fit metadata, so a damaged file
 raises ``DataError`` rather than failing later or forecasting wrongly.
 
 The stdlib encoder offers no hook for fixed-precision float text, so writing
-renders the payload here: each matrix stays a numpy array until its ``real``
-or ``imag`` list is converted as a whole by ``_text.float_texts`` and joined
-once, and the file is written piece by piece rather than built as one string.
+renders the payload here. Each matrix stays a numpy array until ``_text``
+turns its ``real`` or ``imag`` list into text, at most ``_text._CHUNK_VALUES``
+numbers at a time, and the file is written piece by piece rather than built
+as one string.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._text import float_texts
+from ._text import float_texts, joined_pieces
 from .dmd import CompanionFit, KoopmanModel
 from .edmd import EdmdModel
 from .errors import ConfigError, DataError, ShapeError
@@ -151,7 +152,9 @@ def _render(value, indent: int):
             sep = ",\n"
         yield "\n" + pad + "}"
     elif isinstance(value, np.ndarray):
-        yield "[" + ", ".join(float_texts(value)) + "]"
+        yield "["
+        yield from joined_pieces(value, ", ")
+        yield "]"
     elif isinstance(value, (list, tuple)):
         yield "[" + ", ".join("".join(_render(v, indent)) for v in value) + "]"
     elif value is None:

@@ -422,6 +422,80 @@ def test_damaged_model_file_exits_3_with_one_line(capsys, tmp_path, damage, name
         assert named in err
 
 
+def _drop_field(lines, rng):
+    row = int(rng.integers(len(lines)))
+    fields = lines[row].split(",")
+    del fields[int(rng.integers(len(fields)))]
+    lines[row] = ",".join(fields)
+
+
+def _set_field(lines, rng, values, column=None):
+    row = int(rng.integers(1, len(lines)))
+    fields = lines[row].split(",")
+    if column is None:
+        column = int(rng.integers(len(fields)))
+    fields[column] = values[int(rng.integers(len(values)))]
+    lines[row] = ",".join(fields)
+
+
+def _non_numeric(lines, rng):
+    _set_field(lines, rng, ["abc", "", "1.2.3", "one", "1e", "--1"])
+
+
+def _nan_value(lines, rng):
+    _set_field(lines, rng, ["nan", "NaN", "-nan"], column=int(rng.integers(1, 5)))
+
+
+def _nan_time_stamp(lines, rng):
+    _set_field(lines, rng, ["nan", "NaN", "-nan"], column=0)
+
+
+def _duplicate_time_stamp(lines, rng):
+    row = int(rng.integers(2, len(lines)))
+    fields = lines[row].split(",")
+    fields[0] = lines[row - 1].split(",")[0]
+    lines[row] = ",".join(fields)
+
+
+def _rename_header(lines, rng):
+    names = lines[0].split(",")
+    names[int(rng.integers(len(names)))] = ["y1", "x0", "T", "x 1", "u1"][int(rng.integers(5))]
+    lines[0] = ",".join(names)
+
+
+def _reorder_header(lines, rng):
+    names = lines[0].split(",")
+    i, j = rng.choice(len(names), size=2, replace=False)
+    names[i], names[j] = names[j], names[i]
+    lines[0] = ",".join(names)
+
+
+def _truncate_last_line(lines, rng):
+    # cut before the last comma, so at least one field goes missing or empty
+    lines[-1] = lines[-1][: int(rng.integers(1, lines[-1].rindex(",") + 1))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("damage", [
+    _drop_field, _non_numeric, _nan_value, _nan_time_stamp, _duplicate_time_stamp,
+    _rename_header, _reorder_header, _truncate_last_line,
+])
+def test_damaged_trajectory_csv_exits_3_with_one_line(capsys, tmp_path, damage, seed):
+    rng = np.random.default_rng(seed)
+    path = write_block_rotation_traj(tmp_path, blocks=2, steps=30, seed=seed)
+    lines = path.read_text().splitlines()
+    damage(lines, rng)
+    path.write_text("\n".join(lines) + ("\n" if damage is not _truncate_last_line else ""))
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(path),
+                                  "--out", str(model)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 def test_wrong_ic_width_exits_3(capsys, tmp_path):
     traj = write_diag_traj(capsys, tmp_path)
     model = tmp_path / "model.json"

@@ -6,6 +6,7 @@ from dmdkit.data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
 from dmdkit.dmd import (
     _PREDICT_BLOCK,
     KoopmanModel,
+    _leading_window,
     _spectral_predict,
     companion_modes,
     eigenfunction_values,
@@ -122,6 +123,31 @@ def test_companion_refuses_krylov_window_shorter_than_rank():
     with pytest.raises(ConditioningError, match="rank 200") as err:
         fit_companion(pair)
     assert "svd" in str(err.value).lower()
+
+def linear_scan_window(x):
+    """One SVD per prefix, stopping at the first ill-conditioned one."""
+    window = 0
+    for j in range(1, min(x.shape) + 1):
+        s = np.linalg.svd(x[:, :j], compute_uv=False)
+        if s[-1] <= 1e-12 * s[0]:
+            break
+        window = j
+    return window
+
+@pytest.mark.parametrize("seed", range(6))
+def test_leading_window_bisection_matches_linear_scan(seed):
+    # 200 states x 300 steps: conditioning cuts the window short of 200
+    x = snapshot_pairs(block_rotation_traj(blocks=100, steps=300, seed=seed)).x
+    window = _leading_window(x)
+    assert window == linear_scan_window(x)
+    assert 0 < window < 200
+    # 3 blocks seen through 40 mixed observables: columns 7 on are dependent
+    rng = np.random.default_rng(seed)
+    low = snapshot_pairs(block_rotation_traj(blocks=3, steps=30, seed=seed)).x
+    mixed = rng.standard_normal((40, 6)) @ low
+    assert _leading_window(mixed) == linear_scan_window(mixed) == 6
+    mixed[:, 0] = 0.0
+    assert _leading_window(mixed) == linear_scan_window(mixed) == 0
 
 def test_svd_dmd_exact_recovery_random_stable():
     rng = np.random.default_rng(11)

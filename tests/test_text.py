@@ -1,4 +1,4 @@
-"""Whole-array float text must match the per-value ``format(v, ".17g")`` it replaced."""
+"""The numpy float-text kernel must give the bytes of per-value ``format(v, ".17g")``."""
 
 import csv
 import dataclasses
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dmdkit import _text
-from dmdkit._text import float_texts, write_rows
+from dmdkit._text import float_texts, joined_pieces, write_rows
 from dmdkit.data import Trajectory, save_trajectory, snapshot_pairs
 from dmdkit.dmd import fit_svd_dmd
 from dmdkit.errors import DataError
@@ -22,6 +22,9 @@ EDGE_VALUES = [
     float(2**53), float(2**53) + 2.0, -float(2**53), 1e16, 1e17, -1e17,
     0.1, -0.1, 1.0 / 3.0, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
     1.0, -1.0, 123456789.0, 0.5,
+    # exact 17-digit ties, settled half to even; the last one scales by
+    # 10**23, which no double holds exactly
+    1e15 + 0.25, 1e15 + 0.75, 1.0 + 2.0**-17, 3 * 2.0**-24,
 ]
 
 
@@ -44,12 +47,65 @@ def test_float_texts_match_per_value_format_and_keep_negative_zero():
     assert float_texts(np.array([-0.0, 0.0])) == ["-0", "0"]
 
 
+def test_float_texts_match_per_value_format_on_a_million_bit_patterns():
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, size=1_100_000, dtype=np.uint64)
+    drawn = bits.view(np.float64)
+    drawn = drawn[np.isfinite(drawn)]
+    assert drawn.size >= 1_000_000
+    assert float_texts(drawn) == per_value(drawn)
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf),
+                           np.nextafter(values, np.inf)])
+
+
+def test_float_texts_match_per_value_format_at_powers_of_ten():
+    powers = with_neighbours(10.0 ** np.arange(-323, 309))
+    powers = powers[np.isfinite(powers)]
+    values = np.concatenate([powers, -powers])
+    assert float_texts(values) == per_value(values)
+
+
+def test_float_texts_match_per_value_format_at_g_switch_points():
+    # %g turns to scientific form below 1e-4 and from 1e17 on
+    values = with_neighbours([1e-5, 1e-4, 1e16, 1e17])
+    values = np.concatenate([values, -values])
+    texts = float_texts(values)
+    assert texts == per_value(values)
+    assert texts[:4] == ["1.0000000000000001e-05", "0.0001", "10000000000000000", "1e+17"]
+
+
+def test_float_texts_match_per_value_format_on_subnormals_and_zeros():
+    tiny = np.float64(5e-324)
+    values = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, 2 * tiny, 2.2250738585072009e-308],
+        np.nextafter(2.2250738585072014e-308, 0.0) / 2.0 ** np.arange(0, 52, 3),
+    ])
+    values = np.concatenate([values, -values])
+    assert float_texts(values) == per_value(values)
+
+
 @pytest.mark.parametrize("values", [
     np.zeros(5), np.full(4, -0.0), np.array([]), np.array([3.5]),
     np.array([[0.0, 2.0], [-0.0, 0.0]]),
 ])
 def test_float_texts_all_zero_none_zero_and_empty(values):
     assert float_texts(values) == per_value(values.ravel())
+
+
+class Recorder(io.StringIO):
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
 
 
 def test_write_rows_matches_csv_writer_across_chunks(monkeypatch):
@@ -60,21 +116,47 @@ def test_write_rows_matches_csv_writer_across_chunks(monkeypatch):
     for k, row in zip(labels, values):
         writer.writerow([k] + per_value(row))
 
-    class Recorder(io.StringIO):
-        def __init__(self):
-            super().__init__()
-            self.pieces = []
-
-        def write(self, text):
-            self.pieces.append(text)
-            return super().write(text)
-
     monkeypatch.setattr(_text, "_CHUNK_ROWS", 8)
     out = Recorder()
     write_rows(out, values, labels=labels)
     assert out.getvalue() == expected.getvalue()
     # 30 rows at 8 per chunk: four writes, none holding the whole table
     assert [piece.count("\n") for piece in out.pieces] == [8, 8, 8, 6]
+
+
+def test_write_rows_prints_labels_below_2_to_53_as_integers():
+    labels = np.array([0, 1, 9, 10, 99, 10**15, 2**53 - 1])
+    table = np.full((labels.size, 1), 0.5)
+    out = io.StringIO()
+    write_rows(out, table, labels=labels)
+    assert out.getvalue() == "".join(f"{k},0.5\n" for k in labels.tolist())
+    for bad in (np.array([2**53]), np.array([0.5]), np.arange(3)):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            write_rows(io.StringIO(), np.zeros((1, 1)), labels=bad)
+
+
+def test_write_rows_keeps_printing_nan_and_inf():
+    table = np.array([[1.5, np.nan, -np.inf], [np.inf, -0.0, 0.1]])
+    out = io.StringIO()
+    write_rows(out, table, labels=[4, 5])
+    assert out.getvalue() == "4,1.5,nan,-inf\n5,inf,-0,0.10000000000000001\n"
+
+
+def test_pieces_stay_bounded_by_value_count(monkeypatch):
+    monkeypatch.setattr(_text, "_CHUNK_VALUES", 30)
+    values = edge_and_random_values(count=600)[:330].reshape(30, 11)
+    out = Recorder()
+    write_rows(out, values, labels=np.arange(30))
+    # 12 fields a row, 30 values a piece: two rows per write
+    assert [piece.count("\n") for piece in out.pieces] == [2] * 15
+    expected = "".join(
+        ",".join([str(k)] + per_value(row)) + "\n" for k, row in enumerate(values))
+    assert out.getvalue() == expected
+    flat = values.ravel()
+    pieces = list(joined_pieces(flat, ", "))
+    assert len(pieces) == 11
+    assert "".join(pieces) == ", ".join(per_value(flat))
+    assert list(joined_pieces(np.array([]), ", ")) == []
 
 
 def dmd_record():
