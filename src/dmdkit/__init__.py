@@ -10,136 +10,60 @@ The three eigenfunction evaluators share the name ``eigenfunction_values``
 and live in their modules: ``dmd``, ``edmd``, and ``kernel_edmd``.
 """
 
-from .data import (
-    EmbeddedTrajectory,
-    SnapshotPair,
-    Trajectory,
-    concat_pairs,
-    delay_embed,
-    load_trajectory,
-    save_trajectory,
-    snapshot_pairs,
-)
-from .dmd import (
-    CompanionFit,
-    KoopmanModel,
-    companion_modes,
-    embedding_sweep,
-    fit_companion,
-    fit_svd_dmd,
-    full_operator,
-    predict,
-)
-from .edmd import EdmdModel, edmd_predict, eval_eigenfunction, fit_edmd, lift_snapshots
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    DataError,
-    DivergenceError,
-    DmdkitError,
-    EmptyRankError,
-    NumericalError,
-    ShapeError,
-)
-from .kernel_edmd import (
-    KernelModel,
-    fit_kernel_edmd,
-    gram_matrices,
-    kernel_eigenfunction,
-    kernel_predict,
-)
-from .linalg import DEFAULT_RTOL, EigenPairs, SvdFactors, eig, pinv, svd_truncated
-from .model_io import SCHEMA_VERSION, ModelRecord, load_model, save_model
-from .observables import (
-    CustomDictionary,
-    Dictionary,
-    GaussianKernel,
-    IdentityDictionary,
-    Kernel,
-    LaplacianKernel,
-    PolynomialDictionary,
-    PolynomialKernel,
-    RbfDictionary,
-    build_dictionary,
-    parse_kernel,
-    strided_centers,
-)
-from .systems import (
-    ExactLift,
-    SystemSpec,
-    exact_lift_oracle,
-    forced_linear_system,
-    linear_system,
-    quadratic_system,
-    rotation_system,
-    simulate,
-)
+from importlib import import_module
+
+# Each public name and the submodule that defines it. Nothing is imported
+# here: ``dmdkit.X`` and ``from dmdkit import X`` load X's module on first use
+# (PEP 562), so a caller pays only for the modules it touches.
+_EXPORTS = {
+    "data": (
+        "EmbeddedTrajectory", "SnapshotPair", "Trajectory", "concat_pairs",
+        "delay_embed", "load_trajectory", "save_trajectory", "snapshot_pairs",
+    ),
+    "dmd": (
+        "CompanionFit", "KoopmanModel", "companion_modes", "embedding_sweep",
+        "fit_companion", "fit_svd_dmd", "full_operator", "predict",
+    ),
+    "edmd": (
+        "EdmdModel", "edmd_predict", "eval_eigenfunction", "fit_edmd", "lift_snapshots",
+    ),
+    "errors": (
+        "ConditioningError", "ConfigError", "DataError", "DivergenceError",
+        "DmdkitError", "EmptyRankError", "NumericalError", "ShapeError",
+    ),
+    "kernel_edmd": (
+        "KernelModel", "fit_kernel_edmd", "gram_matrices", "kernel_eigenfunction",
+        "kernel_predict",
+    ),
+    "linalg": ("DEFAULT_RTOL", "EigenPairs", "SvdFactors", "eig", "pinv", "svd_truncated"),
+    "model_io": ("SCHEMA_VERSION", "ModelRecord", "load_model", "save_model"),
+    "observables": (
+        "CustomDictionary", "Dictionary", "GaussianKernel", "IdentityDictionary",
+        "Kernel", "LaplacianKernel", "PolynomialDictionary", "PolynomialKernel",
+        "RbfDictionary", "build_dictionary", "parse_kernel", "strided_centers",
+    ),
+    "systems": (
+        "ExactLift", "SystemSpec", "exact_lift_oracle", "forced_linear_system",
+        "linear_system", "quadratic_system", "rotation_system", "simulate",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompanionFit",
-    "ConditioningError",
-    "ConfigError",
-    "CustomDictionary",
-    "DataError",
-    "DEFAULT_RTOL",
-    "Dictionary",
-    "DivergenceError",
-    "DmdkitError",
-    "EdmdModel",
-    "EigenPairs",
-    "EmbeddedTrajectory",
-    "EmptyRankError",
-    "ExactLift",
-    "GaussianKernel",
-    "IdentityDictionary",
-    "Kernel",
-    "KernelModel",
-    "KoopmanModel",
-    "LaplacianKernel",
-    "ModelRecord",
-    "NumericalError",
-    "PolynomialDictionary",
-    "PolynomialKernel",
-    "RbfDictionary",
-    "SCHEMA_VERSION",
-    "ShapeError",
-    "SnapshotPair",
-    "SvdFactors",
-    "SystemSpec",
-    "Trajectory",
-    "build_dictionary",
-    "companion_modes",
-    "concat_pairs",
-    "delay_embed",
-    "edmd_predict",
-    "eig",
-    "embedding_sweep",
-    "eval_eigenfunction",
-    "exact_lift_oracle",
-    "fit_companion",
-    "fit_edmd",
-    "fit_kernel_edmd",
-    "fit_svd_dmd",
-    "forced_linear_system",
-    "full_operator",
-    "gram_matrices",
-    "kernel_eigenfunction",
-    "kernel_predict",
-    "lift_snapshots",
-    "linear_system",
-    "load_model",
-    "load_trajectory",
-    "parse_kernel",
-    "pinv",
-    "predict",
-    "quadratic_system",
-    "rotation_system",
-    "save_model",
-    "save_trajectory",
-    "simulate",
-    "snapshot_pairs",
-    "strided_centers",
-    "svd_truncated",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:  # a submodule, e.g. dmdkit.dmd
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

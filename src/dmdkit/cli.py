@@ -9,38 +9,49 @@ malformed data, 4 for numerical failures.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import sys
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._text import write_rows
-from .data import (
-    concat_pairs,
-    delay_embed,
-    load_trajectory,
-    save_trajectory,
-    snapshot_pairs,
-)
-from .dmd import (
-    _spectral_predict,
-    companion_modes,
-    fit_companion,
-    fit_svd_dmd,
-    predict,
-)
-from .edmd import edmd_predict, fit_edmd
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .kernel_edmd import fit_kernel_edmd, kernel_predict
-from .model_io import ModelRecord, load_model, save_model
-from .observables import build_dictionary, parse_kernel
-from .systems import (
-    forced_linear_system,
-    linear_system,
-    quadratic_system,
-    rotation_system,
-    simulate,
-)
+
+if TYPE_CHECKING:
+    from .model_io import ModelRecord
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for ``dmdkit.<module>.<name>`` that imports the module when called.
+
+    Each subcommand then loads only the modules it runs. The stand-ins are
+    attributes of this module and the commands call them through it, so
+    replacing ``dmdkit.cli.<name>`` (as perfbench's span tracer does) still
+    intercepts every call.
+    """
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+simulate = _deferred("systems", "simulate")
+save_trajectory = _deferred("data", "save_trajectory")
+load_trajectory = _deferred("data", "load_trajectory")
+snapshot_pairs = _deferred("data", "snapshot_pairs")
+delay_embed = _deferred("data", "delay_embed")
+concat_pairs = _deferred("data", "concat_pairs")
+fit_svd_dmd = _deferred("dmd", "fit_svd_dmd")
+predict = _deferred("dmd", "predict")
+fit_edmd = _deferred("edmd", "fit_edmd")
+edmd_predict = _deferred("edmd", "edmd_predict")
+fit_kernel_edmd = _deferred("kernel_edmd", "fit_kernel_edmd")
+kernel_predict = _deferred("kernel_edmd", "kernel_predict")
+save_model = _deferred("model_io", "save_model")
+load_model = _deferred("model_io", "load_model")
 
 
 def _note(text: str) -> None:
@@ -76,6 +87,13 @@ def _require_flag(value, flag: str, context: str):
 
 
 def cmd_simulate(args) -> int:
+    from .systems import (
+        forced_linear_system,
+        linear_system,
+        quadratic_system,
+        rotation_system,
+    )
+
     kind = args.system
     steps = args.steps
     if kind == "linear":
@@ -140,6 +158,9 @@ def cmd_fit(args) -> int:
         raise ConfigError("--algo kernel-edmd requires --kernel")
     if args.embed < 1:
         raise ConfigError(f"--embed must be at least 1, got {args.embed}")
+    from .dmd import companion_modes, fit_companion
+    from .model_io import ModelRecord
+    from .observables import build_dictionary, parse_kernel
 
     trajectories = [load_trajectory(path) for path in args.data]
     first = trajectories[0]
@@ -221,6 +242,8 @@ def cmd_spectrum(args) -> int:
 
 def _read_initial_rows(path) -> np.ndarray:
     """Read a headerless numeric CSV of one or more history rows."""
+    import csv
+
     try:
         with open(path, newline="") as handle:
             rows = []
@@ -297,6 +320,8 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"steps must be non-negative, got {args.steps}")
     g0 = _initial_condition(record, _read_initial_rows(args.ic))
     if record.algorithm == "companion":
+        from .dmd import _spectral_predict
+
         modes = record.companion_modes
         amplitudes = np.linalg.lstsq(modes, g0.astype(complex), rcond=None)[0]
         forecast = _spectral_predict(
@@ -402,5 +427,18 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> int:
+    """Program entry of ``python -m dmdkit.cli`` and the ``dmdkit`` script.
+
+    ``gc.freeze()`` puts every object alive once this module's imports are
+    done, numpy's above all, out of the collector's reach, so neither the
+    collections during the command nor the full collection at interpreter
+    exit walk them again. That suits a process that ends after one command;
+    ``main(argv)`` called in-process leaves the collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -297,18 +297,20 @@ def load_trajectory(path) -> Trajectory:
     # nan passes every comparison below, so a nan time stamp would load
     rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if rows.size:
-        raise DataError(f"{path}: line {rows[0] + 2}: non-finite value")
+        line = _row_line(body, first_line, rows[0])
+        raise DataError(f"{path}: line {line}: non-finite value")
     t = table[:, 0]
     dt = float(t[1] - t[0])
     if dt <= 0:
-        raise DataError(f"{path}: line 3: time stamps must be strictly increasing")
+        line = _row_line(body, first_line, 1)
+        raise DataError(f"{path}: line {line}: time stamps must be strictly increasing")
     steps = np.diff(t)
     jitter = np.abs(steps - dt)
     worst = int(np.argmax(jitter))
     if jitter[worst] > _DT_RTOL * abs(dt):
         raise DataError(
-            f"{path}: line {worst + 3}: time step {float(steps[worst])!r} "
-            f"deviates from dt={dt!r}"
+            f"{path}: line {_row_line(body, first_line, worst + 1)}: time step "
+            f"{float(steps[worst])!r} deviates from dt={dt!r}"
         )
     states = table[:, 1 : 1 + n_x]
     inputs = table[:, 1 + n_x : 1 + n_x + n_u] if n_u else None
@@ -339,9 +341,10 @@ def _parse_rows(body: str, width: int, first_line: int, path) -> list:
     """Parse the data rows one field at a time, naming the first bad line."""
     rows = []
     reader = csv.reader(io.StringIO(body, newline=""))
-    for lineno, fields in enumerate(reader, start=first_line):
+    for fields in reader:
         if not fields:
             continue
+        lineno = first_line - 1 + reader.line_num  # a quoted field may span lines
         if len(fields) != width:
             raise DataError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
@@ -354,6 +357,13 @@ def _parse_rows(body: str, width: int, first_line: int, path) -> list:
                 f"{path}: line {lineno}: non-numeric value '{bad.strip()}'"
             ) from None
     return rows
+
+
+def _row_line(body: str, first_line: int, row: int) -> int:
+    """File line of data row ``row`` (0-based); both parsers skip empty lines."""
+    reader = csv.reader(io.StringIO(body, newline=""))
+    lines = [first_line - 1 + reader.line_num for fields in reader if fields]
+    return lines[row]
 
 
 def _is_float(text: str) -> bool:

@@ -14,12 +14,15 @@ regression-based fits, so it serves as an independent reference for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Trajectory
 from .errors import ConfigError, DivergenceError, ShapeError
-from .observables import PolynomialDictionary
+
+if TYPE_CHECKING:
+    from .observables import PolynomialDictionary
 
 _DIVERGENCE_LIMIT = 1e12
 
@@ -242,6 +245,9 @@ def exact_lift_oracle(spec: SystemSpec, dictionary: PolynomialDictionary) -> Exa
     (unavailable) if any state coordinate itself drops out, since the lift
     then says nothing about the observables that matter.
     """
+    # imported here so that simulating a system does not load the dictionaries
+    from .observables import PolynomialDictionary
+
     if not isinstance(dictionary, PolynomialDictionary):
         raise ConfigError("the exact lift oracle needs a polynomial dictionary")
     if dictionary.input_dim != spec.state_dim:

@@ -194,6 +194,19 @@ def test_load_names_line_of_non_numeric_value(tmp_path):
         load_trajectory(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("t,x1\n0,1\n\n1,2\n2,3\n9,4\n", "line 6: time step 7.0 deviates"),
+    ("t,x1\n0,1\n\n1,nan\n2,3\n", "line 4: non-finite value"),
+    ("t,x1\n0,1\n\n0,2\n1,3\n", "line 4: time stamps must be strictly increasing"),
+    ('t,x1\n0,1\n"1\n",2\n2,oops\n', "line 5: non-numeric value 'oops'"),
+], ids=["uneven-step", "nan", "repeated-stamp", "quoted-newline"])
+def test_load_names_file_line_not_row_number(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(DataError, match=message):
+        load_trajectory(path)
+
+
 def test_fast_body_parse_matches_per_field_parse(tmp_path):
     from dmdkit.data import _parse_body, _parse_rows
 
