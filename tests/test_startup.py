@@ -129,11 +129,6 @@ def test_star_import_gives_exactly_all():
     assert all(namespace[name] is getattr(dmdkit, name) for name in dmdkit.__all__)
 
 
-def test_submodule_attributes_resolve():
-    for name in SUBMODULES:
-        assert dmdkit.__getattr__(name) is importlib.import_module(f"dmdkit.{name}")
-
-
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         dmdkit.no_such_name
