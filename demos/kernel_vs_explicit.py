@@ -27,8 +27,8 @@ for degree in (1, 2, 3):
     k_vals = np.sort_complex(km.eigenvalues)
     e_vals = np.sort_complex(em.eigenvalues)
     gap = float(np.max(np.abs(k_vals - e_vals))) if k_vals.size == e_vals.size else np.nan
-    print(f"degree {degree}: kernel rank {km.sigma.size}, "
-          f"explicit rank {em.svd_sigma.size}, spectrum gap {gap:.2e}")
+    print(f"degree {degree}: kernel rank {km.eigenvalues.size}, "
+          f"explicit rank {em.eigenvalues.size}, spectrum gap {gap:.2e}")
 
 # Kernels without finite dictionaries work the same way.
 gm = fit_kernel_edmd(pair, GaussianKernel(1.5))

@@ -13,13 +13,13 @@ import numpy as np
 
 from dmdkit import (
     PolynomialDictionary,
+    eigenfunction_values,
     exact_lift_oracle,
     fit_edmd,
     quadratic_system,
     simulate,
     snapshot_pairs,
 )
-from dmdkit.edmd import eval_eigenfunction
 
 mu, lam, c = 0.9, 0.5, 1.0
 spec = quadratic_system(mu, lam, c, (1.0, -0.4), 30)
@@ -37,7 +37,7 @@ print(f"lifted residual (degree 2): {model.lifted_residual:.2e}")
 # The eigenfunction paired with mu^2 behaves like x1 squared: its value
 # along the trajectory scales by 0.81 each step.
 i = int(np.argmin(np.abs(model.eigenvalues - mu**2)))
-values = [eval_eigenfunction(model, i, pair.x[:, t]) for t in range(5)]
+values = eigenfunction_values(model, pair.x[:, :5])[i]
 ratios = [abs(values[t + 1] / values[t]) for t in range(4)]
 print("eigenfunction ratio along trajectory:", np.round(ratios, 8))
 

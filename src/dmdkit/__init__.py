@@ -3,11 +3,11 @@
 Fits finite-dimensional Koopman operator approximations from data by
 companion-matrix DMD, SVD-based DMD (with optional delay embedding and
 input augmentation), explicit EDMD over observable dictionaries, and
-kernel EDMD, exposing spectra, eigenfunctions, modes, and multi-step
-spectral prediction.
-
-The three eigenfunction evaluators share the name ``eigenfunction_values``
-and live in their modules: ``dmd``, ``edmd``, and ``kernel_edmd``.
+kernel EDMD. Every fitter returns a ``SpectralModel``: eigenvalues, modes,
+and a map from features (the state, its dictionary lift, or its kernel row
+against the training data) to eigenfunction values. One
+``eigenfunction_values``, one ``predict`` and one ``full_operator`` serve
+every model, and ``save_model`` writes them all in one file layout.
 """
 
 from importlib import import_module
@@ -21,20 +21,15 @@ _EXPORTS = {
         "delay_embed", "load_trajectory", "save_trajectory", "snapshot_pairs",
     ),
     "dmd": (
-        "CompanionFit", "KoopmanModel", "companion_modes", "embedding_sweep",
-        "fit_companion", "fit_svd_dmd", "full_operator", "predict",
+        "SpectralModel", "eigenfunction_values", "embedding_sweep", "fit_companion",
+        "fit_svd_dmd", "full_operator", "predict",
     ),
-    "edmd": (
-        "EdmdModel", "edmd_predict", "eval_eigenfunction", "fit_edmd", "lift_snapshots",
-    ),
+    "edmd": ("fit_edmd", "lift_snapshots"),
     "errors": (
         "ConditioningError", "ConfigError", "DataError", "DivergenceError",
         "DmdkitError", "EmptyRankError", "NumericalError", "ShapeError",
     ),
-    "kernel_edmd": (
-        "KernelModel", "fit_kernel_edmd", "gram_matrices", "kernel_eigenfunction",
-        "kernel_predict",
-    ),
+    "kernel_edmd": ("fit_kernel_edmd",),
     "linalg": ("DEFAULT_RTOL", "EigenPairs", "SvdFactors", "eig", "pinv", "svd_truncated"),
     "model_io": ("SCHEMA_VERSION", "ModelRecord", "load_model", "save_model"),
     "observables": (

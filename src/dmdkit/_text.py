@@ -33,13 +33,20 @@ first.
 Whole tables are formatted in pieces of at most ``_CHUNK_ROWS`` rows and
 ``_CHUNK_VALUES`` numbers, so the working arrays stay a few megabytes
 whatever the size of the table.
+
+Model files and trajectory CSVs are created through ``write_text_file``,
+which turns a failed write into a one-line ``DataError`` and leaves no
+partial file behind.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
+
+from .errors import DataError
 
 _CHUNK_ROWS = 4096
 _CHUNK_VALUES = 32768
@@ -242,3 +249,29 @@ def _tables():
     dots = np.array([[_word(".", m - 8 * j) if 0 <= m - 8 * j < 8 else 0
                       for m in range(25)] for j in range(3)], dtype="<u8")
     return quads, trailing, prefixes, exponents, low_bytes, dots
+
+
+# ------------------------------------------------------------------ files
+
+
+def write_text_file(path, what: str, write) -> None:
+    """Create ``path`` and call ``write(handle)`` on it, leaving no partial file.
+
+    An ``OSError`` (a missing directory, a full disk) becomes a one-line
+    ``DataError`` naming ``what``; a ``DataError`` from ``write`` passes
+    through. Either way a regular file this call created is removed again,
+    since it was written piece by piece.
+    """
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise DataError(f"cannot write {what}: {err}") from None
+    try:
+        with handle:
+            write(handle)
+    except (OSError, DataError) as err:
+        if os.path.isfile(path):
+            os.remove(path)
+        if isinstance(err, DataError):
+            raise
+        raise DataError(f"cannot write {what}: {err}") from None

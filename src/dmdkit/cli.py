@@ -2,14 +2,16 @@
 
 Standard output carries data-only CSV so results pipe straight into plotting
 tools; progress notes and warnings go to standard error. Exit codes: 0 on
-success, 2 for usage and configuration problems, 3 for unreadable or
-malformed data, 4 for numerical failures.
+success, 1 when standard output closed early (``| head``), 2 for usage and
+configuration problems, 3 for unreadable or malformed data and failed
+writes, 4 for numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
@@ -47,9 +49,7 @@ concat_pairs = _deferred("data", "concat_pairs")
 fit_svd_dmd = _deferred("dmd", "fit_svd_dmd")
 predict = _deferred("dmd", "predict")
 fit_edmd = _deferred("edmd", "fit_edmd")
-edmd_predict = _deferred("edmd", "edmd_predict")
 fit_kernel_edmd = _deferred("kernel_edmd", "fit_kernel_edmd")
-kernel_predict = _deferred("kernel_edmd", "kernel_predict")
 save_model = _deferred("model_io", "save_model")
 load_model = _deferred("model_io", "load_model")
 
@@ -132,21 +132,6 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------- fit
 
 
-_TRAINING_RESIDUAL_KEY = {
-    "companion": "training",
-    "dmd": "training",
-    "edmd": "lifted",
-    "kernel-edmd": "training",
-}
-
-
-def _companion_training_residual(modes, fit, pair) -> float:
-    window = pair.x[:, : fit.window]
-    recon = (modes @ fit.vandermonde_t).real
-    denom = np.linalg.norm(window)
-    return float(np.linalg.norm(window - recon) / (denom if denom > 0 else 1.0))
-
-
 def cmd_fit(args) -> int:
     if args.dict is not None and args.algo != "edmd":
         raise ConfigError("--dict applies only to --algo edmd")
@@ -158,7 +143,7 @@ def cmd_fit(args) -> int:
         raise ConfigError("--algo kernel-edmd requires --kernel")
     if args.embed < 1:
         raise ConfigError(f"--embed must be at least 1, got {args.embed}")
-    from .dmd import companion_modes, fit_companion
+    from .dmd import fit_companion
     from .model_io import ModelRecord
     from .observables import build_dictionary, parse_kernel
 
@@ -175,28 +160,17 @@ def cmd_fit(args) -> int:
         f"{pair.n_columns} column pairs"
     )
 
-    companion = None
     if args.algo == "companion":
         model = fit_companion(pair)
-        companion = companion_modes(model, pair)
-        residuals = {"training": _companion_training_residual(companion, model, pair)}
-        eigenvalues = model.eigenvalues
     elif args.algo == "dmd":
         model = fit_svd_dmd(pair, rtol=args.rtol)
-        residuals = {"training": model.fit_residual}
-        eigenvalues = model.eigenvalues
     elif args.algo == "edmd":
         dictionary = build_dictionary(args.dict, pair.n_observables, snapshots=pair.x)
         model = fit_edmd(pair, dictionary, rtol=args.rtol)
-        residuals = {"lifted": model.lifted_residual, "observable": model.d_residual}
-        eigenvalues = model.eigenvalues
     else:
-        kernel = parse_kernel(args.kernel)
-        model = fit_kernel_edmd(pair, kernel, rtol=args.rtol)
-        residuals = {"training": model.fit_residual}
-        eigenvalues = model.eigenvalues
+        model = fit_kernel_edmd(pair, parse_kernel(args.kernel), rtol=args.rtol)
 
-    for flag in getattr(model, "flags", ()):
+    for flag in model.flags:
         _note(f"note: {flag}")
 
     record = ModelRecord(
@@ -205,16 +179,14 @@ def cmd_fit(args) -> int:
         rtol=args.rtol,
         embed_h=args.embed,
         augment_inputs=args.augment_inputs,
-        residuals=residuals,
-        companion_modes=companion,
         base_split=split,
     )
     save_model(record, args.out)
     _note(f"wrote model to {args.out}")
 
-    residual = residuals[_TRAINING_RESIDUAL_KEY[args.algo]]
+    values = model.eigenvalues
     table = np.column_stack([
-        eigenvalues.real, eigenvalues.imag, np.full(eigenvalues.shape, residual),
+        values.real, values.imag, np.full(values.shape, model.fit_residual),
     ])
     sys.stdout.write("index,re,im,training_residual\n")
     write_rows(sys.stdout, table + 0.0, labels=np.arange(table.shape[0]))
@@ -240,77 +212,27 @@ def cmd_spectrum(args) -> int:
 # ------------------------------------------------------------------- predict
 
 
-def _read_initial_rows(path) -> np.ndarray:
-    """Read a headerless numeric CSV of one or more history rows."""
-    import csv
-
-    try:
-        with open(path, newline="") as handle:
-            rows = []
-            for lineno, fields in enumerate(csv.reader(handle), start=1):
-                if not fields:
-                    continue
-                try:
-                    rows.append([float(f) for f in fields])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}: non-numeric value in "
-                        "initial-condition file"
-                    ) from None
-    except OSError as err:
-        raise DataError(f"cannot read initial-condition file: {err}") from err
-    if not rows:
-        raise DataError(f"{path}: initial-condition file has no data rows")
-    if len({len(r) for r in rows}) != 1:
-        raise DataError(f"{path}: initial-condition rows have unequal lengths")
-    return np.array(rows)
-
-
 def _initial_condition(record: ModelRecord, rows: np.ndarray) -> np.ndarray:
     """Assemble the model's observable vector from raw history rows.
 
-    Non-embedded models take a single row of width observable_dim. Embedded
-    models take embed_h consecutive rows (oldest first) and restack them the
-    way the training pipeline did: states block first, then held inputs and
-    disturbances, each block ordered oldest to newest.
+    A model takes embed_h consecutive rows, oldest first, and restacks them
+    the way the training pipeline did. Models fit with --augment-inputs take
+    whole data rows and stack the states block first, then the held inputs
+    and disturbances, each block ordered oldest to newest; other models take
+    rows of states only.
     """
-    h, dim = record.embed_h, record.observable_dim
-    if h == 1:
-        if rows.shape[0] != 1:
-            raise DataError(
-                f"model expects exactly 1 initial-condition row, got {rows.shape[0]}"
-            )
-        if rows.shape[1] != dim:
-            raise DataError(
-                f"initial condition has {rows.shape[1]} values, model expects {dim}"
-            )
-        return rows[0]
+    h, dim = record.embed_h, record.model.observable_dim
     if rows.shape[0] != h:
-        raise DataError(
-            f"embedded model needs {h} history rows, got {rows.shape[0]}"
-        )
-    split = record.base_split
-    if split is None:
-        if dim % h:
-            raise DataError(
-                "model file lacks the row split needed to embed history rows"
-            )
-        split = (dim // h, 0, 0)
-    n_x, n_u, n_d = split
-    if rows.shape[1] != n_x + n_u + n_d:
-        raise DataError(
-            f"history rows have {rows.shape[1]} values, expected {n_x + n_u + n_d}"
-        )
-    parts = [rows[:, :n_x].reshape(-1)]
-    if n_u:
-        parts.append(rows[:, n_x : n_x + n_u].reshape(-1))
-    if n_d:
-        parts.append(rows[:, n_x + n_u :].reshape(-1))
-    g0 = np.concatenate(parts)
+        raise DataError(f"model needs {h} history row{'s' * (h > 1)}, got {rows.shape[0]}")
+    split = (rows.shape[1], 0, 0)  # states only: the rows stack as they are
+    if record.augment_inputs and record.base_split:
+        split = record.base_split
+    ends = np.cumsum((0, *split))
+    if rows.shape[1] != ends[-1]:
+        raise DataError(f"history rows have {rows.shape[1]} values, expected {ends[-1]}")
+    g0 = np.concatenate([rows[:, a:b].reshape(-1) for a, b in zip(ends[:-1], ends[1:])])
     if g0.size != dim:
-        raise DataError(
-            f"stacked initial condition has {g0.size} values, model expects {dim}"
-        )
+        raise DataError(f"initial condition has {g0.size} values, model expects {dim}")
     return g0
 
 
@@ -318,21 +240,10 @@ def cmd_predict(args) -> int:
     record = load_model(args.model)
     if args.steps < 0:
         raise ConfigError(f"steps must be non-negative, got {args.steps}")
-    g0 = _initial_condition(record, _read_initial_rows(args.ic))
-    if record.algorithm == "companion":
-        from .dmd import _spectral_predict
+    from .data import load_rows
 
-        modes = record.companion_modes
-        amplitudes = np.linalg.lstsq(modes, g0.astype(complex), rcond=None)[0]
-        forecast = _spectral_predict(
-            modes, record.model.eigenvalues, amplitudes, args.steps
-        )
-    elif record.algorithm == "dmd":
-        forecast = predict(record.model, g0, args.steps)
-    elif record.algorithm == "edmd":
-        forecast = edmd_predict(record.model, g0, args.steps)
-    else:
-        forecast = kernel_predict(record.model, g0, args.steps)
+    g0 = _initial_condition(record, load_rows(args.ic, "initial-condition file"))
+    forecast = predict(record.model, g0, args.steps)
     header = ["step"] + [f"g{j}" for j in range(1, forecast.shape[1] + 1)]
     sys.stdout.write(",".join(header) + "\n")
     forecast += 0.0  # in place: prints -0.0 as "0" without copying the forecast
@@ -408,6 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _quiet_stdout() -> None:
+    """Point stdout at devnull, so the flush at exit cannot fail again.
+
+    This is the recipe for a closed pipe in the Python docs (signal module).
+    """
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -415,7 +334,16 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a failed write shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        _quiet_stdout()
+        return 1
+    except OSError as err:  # the files a command writes raise DataError
+        _quiet_stdout()
+        _note(f"error: cannot write standard output: {err}")
+        return 3
     except ConfigError as err:
         _note(f"error: {err}")
         return 2

@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._text import write_rows
+from ._text import write_rows, write_text_file
 from .errors import ConfigError, DataError, ShapeError
 
 # Allowed relative jitter between consecutive time steps on load.
@@ -113,18 +114,12 @@ class EmbeddedTrajectory(Trajectory):
 
     The state/input/disturbance fields hold the stacked windows, so every
     routine that accepts a Trajectory (snapshot_pairs in particular) applies
-    unchanged; ``depth_h`` and ``base`` keep the embedding bookkeeping.
+    unchanged; ``depth_h`` records the embedding depth.
     """
 
     depth_h: int = 1
-    base: Trajectory | None = None
 
     _min_length = 1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.base is not None and self.length != self.base.length - self.depth_h + 1:
-            raise ShapeError("window count does not match base length and depth")
 
 
 @dataclass(frozen=True)
@@ -212,7 +207,6 @@ def delay_embed(traj: Trajectory, h: int) -> EmbeddedTrajectory:
         disturbances=stack(traj.disturbances),
         meta=dict(traj.meta),
         depth_h=int(h),
-        base=traj,
     )
 
 
@@ -275,11 +269,7 @@ def load_trajectory(path) -> Trajectory:
     from the first two stamps and every later step must match it to within
     1e-9 relative jitter.
     """
-    try:
-        handle = open(path, newline="")
-    except OSError as err:
-        raise DataError(f"cannot read trajectory file: {err}") from err
-    with handle:
+    with _text_file(path, "trajectory file") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -289,16 +279,9 @@ def load_trajectory(path) -> Trajectory:
         width = 1 + n_x + n_u + n_d
         first_line = reader.line_num + 1
         body = handle.read()
-    table = _parse_body(body, width)
-    if table is None:
-        table = np.array(_parse_rows(body, width, first_line, path))
+    table = _finite_rows(body, width, first_line, path)
     if len(table) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
-    # nan passes every comparison below, so a nan time stamp would load
-    rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if rows.size:
-        line = _row_line(body, first_line, rows[0])
-        raise DataError(f"{path}: line {line}: non-finite value")
     t = table[:, 0]
     dt = float(t[1] - t[0])
     if dt <= 0:
@@ -317,6 +300,47 @@ def load_trajectory(path) -> Trajectory:
     dists = table[:, 1 + n_x + n_u :] if n_d else None
     return Trajectory(dt=dt, states=states, inputs=inputs, disturbances=dists,
                       meta={"source": str(path)})
+
+
+def load_rows(path, what: str) -> np.ndarray:
+    """Read a headerless numeric CSV as a table of finite rows as wide as the first.
+
+    ``what`` names the file in messages; errors name the offending 1-based
+    line, as ``load_trajectory``'s do.
+    """
+    with _text_file(path, what) as handle:
+        body = handle.read()
+    first = next((fields for fields in csv.reader(io.StringIO(body, newline="")) if fields), None)
+    if first is None:
+        raise DataError(f"{path}: {what} has no data rows")
+    return _finite_rows(body, len(first), 1, path)
+
+
+@contextmanager
+def _text_file(path, what: str):
+    """``path`` opened to read as UTF-8 text; failures become one-line DataErrors."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as err:
+        raise DataError(f"cannot read {what}: {err}") from err
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: file is not UTF-8 text ({err.reason})") from None
+
+
+def _finite_rows(body: str, width: int, first_line: int, path) -> np.ndarray:
+    """The rows of ``body``, its lines counted from ``first_line``, as a finite table."""
+    table = _parse_body(body, width)
+    if table is None:
+        table = np.array(_parse_rows(body, width, first_line, path)).reshape(-1, width)
+    # nan passes every comparison, so a nan time stamp would load
+    rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if rows.size:
+        line = _row_line(body, first_line, rows[0])
+        raise DataError(f"{path}: line {line}: non-finite value")
+    return table
 
 
 def _parse_body(body: str, width: int) -> np.ndarray | None:
@@ -382,8 +406,7 @@ def save_trajectory(traj: Trajectory, path) -> None:
     if hasattr(path, "write"):
         _write_trajectory(traj, path)
     else:
-        with open(path, "w", newline="") as handle:
-            _write_trajectory(traj, handle)
+        write_text_file(path, "trajectory file", lambda handle: _write_trajectory(traj, handle))
 
 
 def _write_trajectory(traj: Trajectory, handle) -> None:

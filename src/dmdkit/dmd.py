@@ -1,22 +1,27 @@
-"""Dynamic mode decomposition in companion and SVD form.
+"""The spectral model every fitter returns, and DMD in companion and SVD form.
 
-Both fits regress a one-step linear operator from snapshot pairs. The
+Every fit in the package ends in one ``SpectralModel``: eigenvalues Lambda,
+modes V in observable space, and a complex map C from a feature vector f(z)
+to eigenfunction values, phi(z) = C f(z). The features are the state itself
+(both DMD fits), a dictionary lift (EDMD, ``edmd``) or kernel products with
+the training snapshots (kernel EDMD, ``kernel_edmd``). One routine each
+evaluates eigenfunctions, forecasts Re(V Lambda^m C f(z)) and forms the
+one-step map Re(V Lambda C), whatever the fitter.
+
+Both DMD fits regress a one-step linear operator from snapshot pairs. The
 companion fit works on the longest leading block of snapshot columns that is
 numerically independent and expresses the next snapshot as a combination of
 those columns; its eigenvalue problem is the companion matrix of the
-regression coefficients. The SVD fit projects the shifted snapshots onto the
-dominant left singular subspace and eigendecomposes the reduced operator,
-which is far better behaved on noisy or rank-deficient data.
-
-``fit_svd_dmd`` returns a ``KoopmanModel`` carrying eigenvalues, modes in
-observable space, and the left singular vectors and singular values needed
-to evaluate eigenfunctions and lift the operator back to observable space.
+regression coefficients, and C is the pseudoinverse of its modes. The SVD
+fit projects the shifted snapshots onto the dominant left singular subspace
+and eigendecomposes the reduced operator, which is far better behaved on
+noisy or rank-deficient data; there C = inv(P) U^T. EDMD shares that
+truncated SVD, reduced operator and eigenbasis inverse (``_reduced_fit``).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +39,9 @@ from .linalg import DEFAULT_RTOL, eig, pinv, svd_truncated
 # (condition number below 1e12), so columns are accepted while the smallest
 # singular value stays above 1e-12 times the largest
 _COMPANION_RTOL = 1e-12
+# above this condition number an eigenvector basis is inverted by pinv and
+# the fit is flagged eigenvector_basis_singular
+_BASIS_CONDITION_LIMIT = 1e12
 _ZERO_EIGENVALUE_TOL = 1e-12
 _IMAG_RESIDUE_TOL = 1e-8
 # forecast steps advanced per block in _spectral_predict
@@ -41,38 +49,70 @@ _PREDICT_BLOCK = 256
 
 
 @dataclass(frozen=True)
-class CompanionFit:
-    """Companion-matrix regression result.
+class SpectralModel:
+    """Eigenvalues, modes and the feature-to-eigenfunction map of a fit.
 
-    ``vandermonde_t`` has rows that are geometric progressions of the
-    eigenvalues, T[i, j] = lambda_i**j, and ``window`` is the number of
-    leading snapshot columns the regression used.
+    ``coeffs`` (r x f) maps a feature vector to the r eigenfunction values
+    and ``modes_v`` (n x r) maps those back to the n observables; EDMD leaves
+    the modes None when its eigenvector basis was too ill conditioned to
+    invert (see flags). ``features`` is None for the identity (DMD), a
+    ``Dictionary`` (EDMD) or a ``Kernel`` evaluated against the
+    ``training_x`` columns (kernel EDMD). ``residuals`` holds the fit's
+    residuals by name, the training residual first.
     """
 
-    c_matrix: np.ndarray
     eigenvalues: np.ndarray
-    vandermonde_t: np.ndarray
-    window: int
-
-
-@dataclass(frozen=True)
-class KoopmanModel:
-    """SVD-based DMD fit: reduced operator, spectrum, and observable modes.
-
-    ``svd_u`` and ``svd_sigma`` are the retained left singular vectors and
-    singular values of the snapshot matrix.
-    """
-
-    k_hat: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors_p: np.ndarray
-    modes_v: np.ndarray
-    svd_u: np.ndarray
-    svd_sigma: np.ndarray
+    modes_v: np.ndarray | None
+    coeffs: np.ndarray
     observable_dim: int
-    fit_residual: float
-    algorithm_tag: str = "dmd"
+    features: object = None
+    training_x: np.ndarray | None = None
     flags: tuple = ()
+    residuals: dict = field(default_factory=dict)
+
+    @property
+    def fit_residual(self) -> float:
+        """The training residual: EDMD's lifted residual, else the reconstruction one."""
+        return next(iter(self.residuals.values()))
+
+    @property
+    def lifted_residual(self) -> float:
+        """EDMD's one-step defect in dictionary space."""
+        return self.residuals["lifted"]
+
+
+def _relative_error(target: np.ndarray, approx: np.ndarray) -> float:
+    denom = np.linalg.norm(target)
+    return float(np.linalg.norm(target - approx) / (denom if denom > 0 else 1.0))
+
+
+def _lstsq_pinv(m: np.ndarray) -> np.ndarray:
+    """Pseudoinverse with the cutoff lstsq(rcond=None) applies, at a fraction of its cost."""
+    return np.linalg.pinv(m, rcond=np.finfo(float).eps * max(m.shape))
+
+
+def _eigen_inverse(k: np.ndarray):
+    """eig(k), the inverse of its eigenvector matrix, and the flags it raised.
+
+    A basis whose condition number passes _BASIS_CONDITION_LIMIT is inverted
+    by pinv instead and flagged eigenvector_basis_singular.
+    """
+    spectrum = eig(k)
+    p = spectrum.vectors
+    if np.linalg.cond(p) > _BASIS_CONDITION_LIMIT:
+        return spectrum, np.linalg.pinv(p), ("eigenvector_basis_singular",)
+    return spectrum, np.linalg.inv(p), ()
+
+
+def _reduced_fit(x: np.ndarray, xp: np.ndarray, rtol: float):
+    """Truncated SVD of x, reduced operator U^T xp W inv(Sigma), its eigenbasis.
+
+    Returns the SVD factors, the reduced operator, and what ``_eigen_inverse``
+    returns for it.
+    """
+    factors = svd_truncated(x, rtol)
+    k_hat = factors.u.T @ xp @ (factors.w / factors.sigma)
+    return (factors, k_hat, *_eigen_inverse(k_hat))
 
 
 def _leading_window(x: np.ndarray) -> int:
@@ -93,14 +133,17 @@ def _leading_window(x: np.ndarray) -> int:
     return good
 
 
-def fit_companion(pair: SnapshotPair) -> CompanionFit:
+def fit_companion(pair: SnapshotPair) -> SpectralModel:
     """Regress the successor of the leading independent snapshot block.
 
     The block's next snapshot is written as x@c by least squares; the
     companion matrix of c carries the eigenvalues. Data whose matrix is
     rank-deficient (rank below both dimensions) loses information in this
     representation, so that case is rejected in favor of the SVD fit, as is
-    a leading block cut short of the rank by ill-conditioning.
+    a leading block cut short of the rank by ill-conditioning. The modes
+    are snapshot combinations, x[:, :window] inv(T) with T[i, j] =
+    lambda_i**j, and the training residual is how well modes @ T rebuilds
+    the block.
     """
     x, xp = pair.x, pair.xp
     if x.shape[1] < 2:
@@ -115,8 +158,6 @@ def fit_companion(pair: SnapshotPair) -> CompanionFit:
             f"{x.shape[0]}x{x.shape[1]}); use fit_svd_dmd instead"
         )
     window = _leading_window(x)
-    if window == 0:
-        raise EmptyRankError("no usable snapshot columns")
     # Columns of a Krylov sequence that depend on a prefix stay in its span,
     # so a prefix shorter than the rank means conditioning, not dependence,
     # cut the window; its companion matrix would give a wrong spectrum.
@@ -125,27 +166,27 @@ def fit_companion(pair: SnapshotPair) -> CompanionFit:
             f"leading snapshot columns become ill-conditioned after {window} of "
             f"rank {rank}; use fit_svd_dmd instead"
         )
-    coeffs = pinv(x[:, :window], rtol=_COMPANION_RTOL) @ xp[:, window - 1]
+    block = x[:, :window]
+    coeffs = pinv(block, rtol=_COMPANION_RTOL) @ xp[:, window - 1]
     c_matrix = np.zeros((window, window))
     c_matrix[1:, :-1] = np.eye(window - 1)
     c_matrix[:, -1] = coeffs
     values = eig(c_matrix).values
     vander = np.vander(values, N=window, increasing=True)
-    return CompanionFit(c_matrix=c_matrix, eigenvalues=values,
-                        vandermonde_t=vander, window=window)
-
-
-def companion_modes(fit: CompanionFit, pair: SnapshotPair) -> np.ndarray:
-    """Modes as snapshot combinations: columns of x[:, :window] @ inv(T)."""
-    if pair.x.shape[1] < fit.window:
-        raise ShapeError("pair has fewer columns than the fitted window")
-    t = fit.vandermonde_t
-    if np.linalg.cond(t) > 1e12:
+    if np.linalg.cond(vander) > 1e12:
         raise NumericalError(
             "Vandermonde matrix is numerically singular (repeated or "
             "clustered eigenvalues); modes are not recoverable"
         )
-    return np.linalg.solve(t.T, pair.x[:, :fit.window].T.astype(complex)).T
+    # row-major, like a loaded model's, so both evaluate bit for bit alike
+    modes = np.ascontiguousarray(np.linalg.solve(vander.T, block.T.astype(complex)).T)
+    return SpectralModel(
+        eigenvalues=values,
+        modes_v=modes,
+        coeffs=_lstsq_pinv(modes),
+        observable_dim=pair.n_observables,
+        residuals={"training": _relative_error(block, (modes @ vander).real)},
+    )
 
 
 def _mode_columns(xp, factors, values, vectors):
@@ -157,16 +198,15 @@ def _mode_columns(xp, factors, values, vectors):
     return modes, bool(np.any(~alive))
 
 
-def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> KoopmanModel:
+def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel:
     """Project the shift operator onto the leading singular subspace.
 
     The reduced operator U^T xp W inv(Sigma) is eigendecomposed; modes are
-    lifted back to observable space. ``fit_residual`` is the relative error
-    of the spectral reconstruction of xp on the training columns.
+    lifted back to observable space, and eigenfunctions are inv(P) U^T z.
+    The training residual is the relative error of the spectral
+    reconstruction of xp on the training columns.
     """
-    factors = svd_truncated(pair.x, rtol)
-    k_hat = factors.u.T @ pair.xp @ (factors.w / factors.sigma)
-    spectrum = eig(k_hat)
+    factors, _, spectrum, p_inv, basis_flags = _reduced_fit(pair.x, pair.xp, rtol)
     modes, has_zero = _mode_columns(pair.xp, factors, spectrum.values, spectrum.vectors)
 
     flags = []
@@ -175,28 +215,29 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> KoopmanModel:
     if has_zero:
         flags.append("zero_eigenvalue_modes")
 
-    # the cutoff lstsq(rcond=None) applies, at a fraction of its cost
-    cutoff = np.finfo(float).eps * max(modes.shape)
-    amps = np.linalg.pinv(modes, rcond=cutoff) @ pair.x
+    amps = _lstsq_pinv(modes) @ pair.x
     recon = modes @ (spectrum.values[:, None] * amps)
-    denom = np.linalg.norm(pair.xp)
-    residual = float(np.linalg.norm(pair.xp - recon) / (denom if denom > 0 else 1.0))
-
-    return KoopmanModel(
-        k_hat=k_hat,
+    return SpectralModel(
         eigenvalues=spectrum.values,
-        eigenvectors_p=spectrum.vectors,
         modes_v=modes,
-        svd_u=factors.u,
-        svd_sigma=factors.sigma,
+        coeffs=p_inv @ factors.u.T,
         observable_dim=pair.n_observables,
-        fit_residual=residual,
-        flags=tuple(flags),
+        flags=(*flags, *basis_flags),
+        residuals={"training": _relative_error(pair.xp, recon)},
     )
 
 
-def eigenfunction_values(model: KoopmanModel, z) -> np.ndarray:
-    """Eigenfunction values inv(P) U^T z; columns of z give columns of phi."""
+def _feature_columns(model: SpectralModel, cols: np.ndarray) -> np.ndarray:
+    """f(z) for each column z: the state, its dictionary lift, or its kernel row."""
+    if model.features is None:
+        return cols
+    if model.training_x is not None:
+        return model.features.gram(model.training_x, cols)
+    return model.features.transform(cols)
+
+
+def eigenfunction_values(model: SpectralModel, z) -> np.ndarray:
+    """Eigenfunction values C f(z); columns of z give columns of phi."""
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     cols = z[:, None] if single else z
@@ -204,17 +245,26 @@ def eigenfunction_values(model: KoopmanModel, z) -> np.ndarray:
         raise ShapeError(
             f"z has dimension {cols.shape[0]}, model expects {model.observable_dim}"
         )
-    lifted = model.svd_u.T @ cols
-    try:
-        phi = np.linalg.solve(model.eigenvectors_p, lifted.astype(complex))
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"eigenvector matrix is singular: {err}") from err
+    phi = model.coeffs @ _feature_columns(model, cols)
     return phi[:, 0] if single else phi
 
 
-def full_operator(model: KoopmanModel) -> np.ndarray:
-    """Lift the reduced operator back to observable space, U K_hat U^T."""
-    return model.svd_u @ model.k_hat @ model.svd_u.T
+def _modes(model: SpectralModel) -> np.ndarray:
+    if model.modes_v is None:
+        raise NumericalError(
+            "modes are unavailable (eigenvector basis was numerically "
+            "singular); prediction is not defined"
+        )
+    return model.modes_v
+
+
+def full_operator(model: SpectralModel) -> np.ndarray:
+    """The one-step map Re(V Lambda C) from features to observables.
+
+    For SVD DMD on exact data this is the system matrix; in general it is
+    xp pinv(x) less the part carried by zero eigenvalues.
+    """
+    return ((_modes(model) * model.eigenvalues) @ model.coeffs).real
 
 
 def _discard_imaginary(rows: np.ndarray) -> np.ndarray:
@@ -253,29 +303,13 @@ def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
     return out
 
 
-def predict(model: KoopmanModel, g0, steps: int) -> np.ndarray:
-    """Spectral forecast g_m = sum_i lambda_i^m phi_i(g0) v_i for m=1..steps.
-
-    g0 is expanded in the mode basis by least squares; a rank-deficient mode
-    matrix still predicts but emits a warning, since the projection is then
-    not unique.
-    """
+def predict(model: SpectralModel, z0, steps: int) -> np.ndarray:
+    """Spectral forecast g_m = Re(V Lambda^m C f(z0)) of the observables, m = 1..steps."""
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps}")
-    g0 = np.asarray(g0, dtype=float).ravel()
-    if g0.size != model.observable_dim:
-        raise ShapeError(
-            f"g0 has dimension {g0.size}, model expects {model.observable_dim}"
-        )
-    amps, _, rank, _ = np.linalg.lstsq(model.modes_v, g0.astype(complex), rcond=None)
-    if rank < min(model.modes_v.shape):
-        warnings.warn(
-            "mode matrix is rank-deficient; prediction uses a least-squares "
-            "projection of g0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _spectral_predict(model.modes_v, model.eigenvalues, amps, steps)
+    modes = _modes(model)
+    phi0 = eigenfunction_values(model, np.asarray(z0, dtype=float).ravel())
+    return _spectral_predict(modes, model.eigenvalues, phi0, steps)
 
 
 def embedding_sweep(traj: Trajectory, depths, rtol: float = DEFAULT_RTOL):

@@ -58,9 +58,6 @@ class Dictionary:
     def spec_string(self) -> str:
         raise ConfigError(f"{self.kind} dictionaries have no spec-string form")
 
-    def __repr__(self):
-        return f"<{type(self).__name__} dim={self.input_dim} size={self.size}>"
-
 
 class IdentityDictionary(Dictionary):
     """The state coordinates themselves (no constant)."""

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dmdkit.model_io
 from dmdkit.cli import main
 from dmdkit.data import save_trajectory
 from dmdkit.systems import linear_system, simulate
@@ -301,6 +304,31 @@ def test_embedded_predict_needs_full_history(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("augment", [False, True])
+def test_embedded_model_of_forced_data_predicts(capsys, tmp_path, augment):
+    # zero inputs keep the states linear; without --augment-inputs the inputs
+    # stay out of the model and the history rows hold states only
+    traj = tmp_path / "forced.csv"
+    run(capsys, [
+        "simulate", "--system", "forced-linear", "--a", "0.9,0.1;0,0.5", "--b", "1;0.5",
+        "--x0", "1,0.5", "--input-scale", "0", "--steps", "30", "--out", str(traj),
+    ])
+    model = tmp_path / "model.json"
+    flags = ["--augment-inputs"] if augment else []
+    code, _, _ = run(capsys, ["fit", "--algo", "dmd", "--embed", "2", *flags,
+                              "--data", str(traj), "--out", str(model)])
+    assert code == 0
+    _, rows = csv_rows(traj.read_text())
+    history = np.array(rows)[:2, 1:] if augment else np.array(rows)[:2, 1:3]
+    ic = tmp_path / "ic.csv"
+    ic.write_text("".join(",".join(format(v, ".17g") for v in row) + "\n" for row in history))
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "3"])
+    assert code == 0, err
+    _, forecast = csv_rows(out)
+    # step m holds the window (x_m, x_m+1), states block first
+    assert_allclose(np.array(forecast)[:, 3:5], np.array(rows)[2:5, 1:3], atol=1e-8)
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--algo", "dmd", "--dict", "poly:2"],
     ["fit", "--algo", "edmd"],
@@ -364,7 +392,7 @@ def test_schema_bump_is_rejected_on_load(capsys, tmp_path):
     model = tmp_path / "model.json"
     run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
     payload = json.loads(model.read_text())
-    payload["schema_version"] = 3
+    payload["schema_version"] = 4
     model.write_text(json.dumps(payload))
     code, _, err = run(capsys, ["spectrum", str(model)])
     assert code == 3
@@ -376,11 +404,11 @@ def test_schema_bump_is_rejected_on_load(capsys, tmp_path):
 
 
 def _nan_in_modes(payload):
-    payload["matrices"]["modes_v"]["real"][0] = float("nan")  # dumped as NaN
+    payload["matrices"]["modes"]["real"][0] = float("nan")  # dumped as NaN
 
 
 def _text_row_count(payload):
-    payload["matrices"]["k_hat"]["rows"] = "2"
+    payload["matrices"]["coeffs"]["rows"] = "2"
 
 
 def _text_residual(payload):
@@ -400,7 +428,7 @@ def _wrong_observable_dim(payload):
 
 @pytest.mark.parametrize("damage, named", [
     (_nan_in_modes, "NaN"),
-    (_text_row_count, "'k_hat' rows"),
+    (_text_row_count, "'coeffs' rows"),
     (_text_residual, "residual 'training'"),
     (_one_eigenvalue, "eigenvalue count"),
     (_wrong_observable_dim, "observable dimension"),
@@ -522,3 +550,130 @@ def test_fit_quadratic_edmd_eigenvalue_081_present(capsys, tmp_path):
     assert code == 0
     _, rows = csv_rows(out)
     assert min(abs(r[1] - 0.81) for r in rows) < 1e-6
+
+
+def one_error_line(err):
+    """One ``error:`` line, after any progress notes, and no traceback."""
+    lines = err.splitlines()
+    return bool(lines) and lines[-1].startswith("error: ") and not any(
+        line.startswith(("error", "Traceback")) for line in lines[:-1])
+
+
+@pytest.mark.parametrize("row", ["nan,1", "inf,1", "1,-inf"])
+def test_non_finite_initial_condition_exits_3(capsys, tmp_path, row):
+    traj = write_diag_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
+    ic = tmp_path / "ic.csv"
+    ic.write_text("\n" + row + "\n")
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "2"])
+    assert code == 3
+    assert out == ""
+    assert one_error_line(err) and f"{ic}: line 2: non-finite value" in err
+
+
+BINARY = b"t,x1\n\x00\xff\xfe\x80binary\n"
+
+
+def test_binary_data_csv_exits_3(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_bytes(BINARY)
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(data),
+                                  "--out", str(model)])
+    assert code == 3
+    assert out == ""
+    assert one_error_line(err) and "not UTF-8" in err
+    assert not model.exists()
+
+
+def test_binary_initial_condition_exits_3(capsys, tmp_path):
+    traj = write_diag_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
+    ic = tmp_path / "ic.csv"
+    ic.write_bytes(BINARY)
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "2"])
+    assert code == 3
+    assert out == ""
+    assert one_error_line(err) and "not UTF-8" in err
+
+
+def closed_pipe(argv, cwd, lines):
+    """Run the CLI with its stdout read for ``lines`` lines, then closed (``| head``)."""
+    proc = subprocess.Popen([sys.executable, "-m", "dmdkit.cli", *argv], cwd=cwd,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+def test_predict_into_closed_pipe_ends_quietly(capsys, tmp_path):
+    traj = write_diag_traj(capsys, tmp_path)
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj),
+                 "--out", str(tmp_path / "model.json")])
+    (tmp_path / "ic.csv").write_text("1,1\n")
+    # 200,000 rows are far more than a pipe buffer holds
+    code, err = closed_pipe(["predict", "model.json", "ic.csv", "200000"], tmp_path, 2)
+    assert (code, err) == (1, b"")
+
+
+def test_simulate_into_closed_pipe_ends_quietly(tmp_path):
+    argv = ["simulate", "--system", "rotation", "--theta", "0.5", "--steps", "200000"]
+    assert closed_pipe(argv, tmp_path, 1) == (1, b"")
+
+
+def test_fit_to_missing_directory_exits_3(capsys, tmp_path):
+    traj = write_diag_traj(capsys, tmp_path)
+    model = tmp_path / "absent" / "m.json"
+    code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj),
+                                  "--out", str(model)])
+    assert code == 3
+    assert out == ""
+    assert one_error_line(err) and "cannot write model file" in err
+    assert not model.parent.exists()
+
+
+def test_simulate_to_missing_directory_exits_3(capsys, tmp_path):
+    out_path = tmp_path / "absent" / "t.csv"
+    code, out, err = run(capsys, ["simulate", "--system", "rotation", "--theta", "0.5",
+                                  "--steps", "5", "--out", str(out_path)])
+    assert code == 3
+    assert out == ""
+    assert one_error_line(err) and "cannot write trajectory file" in err
+    assert not out_path.parent.exists()
+
+
+def test_failed_model_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
+    traj = write_diag_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    render = dmdkit.model_io._render
+
+    def full_disk(value, indent):
+        pieces = render(value, indent)
+        yield next(pieces)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(dmdkit.model_io, "_render", full_disk)
+    code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj),
+                                  "--out", str(model)])
+    assert code == 3
+    assert out == ""
+    assert one_error_line(err) and "No space left on device" in err
+    assert not model.exists()
+
+
+def test_predict_to_full_disk_exits_3(capsys, tmp_path):
+    traj = write_diag_traj(capsys, tmp_path)
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj),
+                 "--out", str(tmp_path / "model.json")])
+    (tmp_path / "ic.csv").write_text("1,1\n")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmdkit.cli", "predict", "model.json", "ic.csv", "3"],
+            cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert one_error_line(proc.stderr) and "No space left on device" in proc.stderr

@@ -99,7 +99,6 @@ def test_delay_embed_window_count_and_content():
     for i in (0, 37, 90):
         assert_array_equal(emb.states[i], states[i : i + 10])
     assert emb.depth_h == 10
-    assert emb.base is traj
 
 
 def test_delay_embed_windows_overlap():

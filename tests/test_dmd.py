@@ -5,10 +5,9 @@ from numpy.testing import assert_allclose
 from dmdkit.data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
 from dmdkit.dmd import (
     _PREDICT_BLOCK,
-    KoopmanModel,
+    SpectralModel,
     _leading_window,
     _spectral_predict,
-    companion_modes,
     eigenfunction_values,
     embedding_sweep,
     fit_companion,
@@ -23,7 +22,7 @@ from dmdkit.errors import (
     NumericalError,
     ShapeError,
 )
-from dmdkit.linalg import spectral_order, svd_truncated
+from dmdkit.linalg import eig, spectral_order, svd_truncated
 from dmdkit.systems import linear_system, rotation_system, simulate
 
 
@@ -64,13 +63,13 @@ def raw_pair(x, xp):
 def test_companion_scalar_series():
     traj = Trajectory(dt=1.0, states=(0.5 ** np.arange(8.0)))
     fit = fit_companion(snapshot_pairs(traj))
-    assert fit.window == 1
+    assert fit.eigenvalues.size == 1
     assert_allclose(fit.eigenvalues, [0.5], rtol=0, atol=1e-14)
 
 def test_companion_diagonal_system():
     pair = linear_pair(np.diag([0.9, 0.5]), [1.0, 1.0], steps=9)
     fit = fit_companion(pair)
-    assert fit.window == 2
+    assert fit.eigenvalues.size == 2
     assert_allclose(fit.eigenvalues, [0.9, 0.5], rtol=0, atol=1e-12)
 
 def test_companion_rotation_spectrum():
@@ -82,22 +81,21 @@ def test_companion_rotation_spectrum():
 def test_companion_structure():
     pair = linear_pair(np.diag([0.9, 0.5, 0.2]), [1.0, -1.0, 0.5], steps=9)
     fit = fit_companion(pair)
-    c = fit.c_matrix
-    k = fit.window
-    assert c.shape == (k, k)
-    assert_allclose(c[1:, :-1], np.eye(k - 1), rtol=0, atol=0)
-    assert_allclose(c[0, :-1], 0.0, rtol=0, atol=0)
-    # rows of T are geometric progressions of the eigenvalues
-    for i, lam in enumerate(fit.eigenvalues):
-        assert_allclose(fit.vandermonde_t[i], lam ** np.arange(k), atol=1e-12)
+    k = fit.eigenvalues.size
+    assert fit.modes_v.shape == (3, k) and fit.coeffs.shape == (k, 3)
+    # the eigenfunction map is the pseudoinverse of the modes
+    assert_allclose(fit.coeffs @ fit.modes_v, np.eye(k), atol=1e-10)
+    assert fit.features is None and fit.residuals["training"] < 1e-12
 
 def test_companion_modes_reconstruct_snapshots():
     a = np.diag([0.9, 0.5])
     pair = linear_pair(a, [1.0, 1.0], steps=9)
     fit = fit_companion(pair)
-    modes = companion_modes(fit, pair)
+    modes = fit.modes_v
     # data decomposes as x_j = sum_i lambda_i^j v_i over the window
-    assert_allclose(modes @ fit.vandermonde_t, pair.x[:, :fit.window], atol=1e-12)
+    window = fit.eigenvalues.size
+    vander = np.vander(fit.eigenvalues, N=window, increasing=True)
+    assert_allclose(modes @ vander, pair.x[:, :window], atol=1e-12)
     # diagonal A: each mode is parallel to a coordinate axis
     for col, axis in ((0, 0), (1, 1)):
         direction = modes[:, col] / np.linalg.norm(modes[:, col])
@@ -164,7 +162,7 @@ def test_svd_dmd_duplicated_row_keeps_rank_two():
     tripled = np.hstack([traj.states, traj.states[:, :1]])
     pair = snapshot_pairs(Trajectory(dt=1.0, states=tripled))
     model = fit_svd_dmd(pair, rtol=1e-8)
-    assert model.svd_sigma.size == 2
+    assert model.eigenvalues.size == 2
     assert spectra_gap(model.eigenvalues, [0.9, 0.5]) < 1e-10
 
 def test_svd_dmd_zero_data_raises():
@@ -184,9 +182,15 @@ def test_eigenvector_residual_invariant():
         x = rng.standard_normal((4, 12))
         xp = rng.standard_normal((4, 12))
         model = fit_svd_dmd(raw_pair(x, xp))
-        res = model.k_hat @ model.eigenvectors_p - model.eigenvalues * model.eigenvectors_p
-        scale = np.maximum(1.0, np.abs(model.eigenvalues))
-        assert np.all(np.linalg.norm(res, axis=0) <= 1e-8 * scale)
+        factors = svd_truncated(x)
+        k_hat = factors.u.T @ xp @ (factors.w / factors.sigma)
+        # rows of C U = inv(P) are left eigenvectors of the reduced operator
+        left = model.coeffs @ factors.u
+        res = left @ k_hat - model.eigenvalues[:, None] * left
+        scale = np.maximum(1.0, np.abs(model.eigenvalues)) * np.linalg.norm(left, axis=1)
+        assert np.all(np.linalg.norm(res, axis=1) <= 1e-8 * scale)
+        vectors = eig(k_hat).vectors
+        assert_allclose(left @ vectors, np.eye(vectors.shape[0]), atol=1e-8)
 
 def test_conjugate_symmetry_of_real_fits():
     rng = np.random.default_rng(17)
@@ -246,8 +250,7 @@ def test_zero_eigenvalue_modes_flagged_and_zeroed():
     assert "zero_eigenvalue_modes" in model.flags
     assert_allclose(np.abs(model.eigenvalues), 0.0, rtol=0, atol=1e-12)
     assert_allclose(model.modes_v, 0.0, rtol=0, atol=0)
-    with pytest.warns(RuntimeWarning):
-        out = predict(model, [1.0, 0.0], steps=2)
+    out = predict(model, [1.0, 0.0], steps=2)
     assert_allclose(out, 0.0, rtol=0, atol=0)
 
 def test_predict_diagonal_two_steps():
@@ -281,16 +284,11 @@ def test_predict_validates_arguments():
         predict(model, [1.0, 1.0], steps=-1)
 
 def test_predict_rejects_inconsistent_complex_output():
-    factors = svd_truncated(np.eye(1), 1e-10)
-    model = KoopmanModel(
-        k_hat=np.array([[0.0]]),
+    model = SpectralModel(
         eigenvalues=np.array([1.0j]),
-        eigenvectors_p=np.array([[1.0 + 0.0j]]),
         modes_v=np.array([[1.0 + 0.0j]]),
-        svd_u=factors.u,
-        svd_sigma=factors.sigma,
+        coeffs=np.array([[1.0 + 0.0j]]),
         observable_dim=1,
-        fit_residual=0.0,
     )
     with pytest.raises(NumericalError):
         predict(model, [1.0], steps=1)
@@ -314,7 +312,7 @@ def test_block_forecast_matches_stepwise_reference_across_blocks():
     model = fit_svd_dmd(snapshot_pairs(traj))
     g0 = traj.states[-1]
     steps = 2 * _PREDICT_BLOCK + 7
-    amps = np.linalg.lstsq(model.modes_v, g0.astype(complex), rcond=None)[0]
+    amps = model.coeffs @ g0
     expected = stepwise_forecast(model.modes_v, model.eigenvalues, amps, steps)
     got = predict(model, g0, steps)
     assert got.shape == expected.shape

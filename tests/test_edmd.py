@@ -3,15 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dmdkit.data import Trajectory, snapshot_pairs
-from dmdkit.dmd import fit_svd_dmd
-from dmdkit.edmd import (
-    edmd_predict,
-    eigenfunction_values,
-    eval_eigenfunction,
-    fit_edmd,
-    lift_snapshots,
-)
+from dmdkit.dmd import eigenfunction_values, fit_svd_dmd, predict
+from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.errors import ConfigError, NumericalError, ShapeError
+from dmdkit.linalg import eig, pinv, svd_truncated
 from dmdkit.observables import CustomDictionary, IdentityDictionary, PolynomialDictionary
 from dmdkit.systems import linear_system, quadratic_system, simulate
 
@@ -28,6 +23,14 @@ def closed_quadratic_dictionary():
 def quadratic_pair(steps=25, x0=(1.0, -0.4)):
     spec = quadratic_system(0.9, 0.5, 1.0, x0=list(x0), steps=steps)
     return snapshot_pairs(simulate(spec))
+
+
+def lifted_basis(pair, dictionary):
+    """U P: the lifted data's kept left singular vectors times the eigenvectors."""
+    lifted = lift_snapshots(pair, dictionary)
+    factors = svd_truncated(lifted.x)
+    k_hat = factors.u.T @ lifted.xp @ (factors.w / factors.sigma)
+    return factors.u @ eig(k_hat).vectors
 
 
 def spectrum_contains(values, expected, tol):
@@ -58,7 +61,7 @@ def test_identity_dictionary_reduces_to_svd_dmd():
     pair = snapshot_pairs(simulate(linear_system(a, [1.0, -0.7], steps=11)))
     model = fit_edmd(pair, IdentityDictionary(2))
     plain = fit_svd_dmd(pair)
-    assert_allclose(model.k_hat, plain.k_hat, atol=1e-12)
+    assert_allclose(model.coeffs, plain.coeffs, atol=1e-12)
     assert_allclose(model.eigenvalues, plain.eigenvalues, atol=1e-8)
 
 def test_quadratic_poly2_spectrum_contains_lift_eigenvalues():
@@ -78,16 +81,19 @@ def test_closed_dictionary_spectrum_is_exact():
     assert np.max(np.abs(model.eigenvalues.imag)) < 1e-12
 
 def test_b_coeffs_invert_eigenvector_basis():
-    model = fit_edmd(quadratic_pair(), closed_quadratic_dictionary())
+    pair = quadratic_pair()
+    model = fit_edmd(pair, closed_quadratic_dictionary())
     r = model.eigenvalues.size
-    assert_allclose(model.b_coeffs @ model.eigen.vectors, np.eye(r), atol=1e-8)
+    # C = B U^T, so C U P = B P
+    basis = lifted_basis(pair, closed_quadratic_dictionary())
+    assert_allclose(model.coeffs @ basis, np.eye(r), atol=1e-8)
 
 def test_observable_expansion_reproduces_training_data():
     pair = quadratic_pair()
     model = fit_edmd(pair, PolynomialDictionary(2, 2))
-    assert model.d_residual <= 1e-10
-    theta = model.dictionary.transform(pair.x)
-    assert_allclose(model.d_coeffs @ theta, pair.x, atol=1e-10)
+    assert model.residuals["observable"] <= 1e-10
+    theta = model.features.transform(pair.x)
+    assert_allclose((model.modes_v @ model.coeffs @ theta).real, pair.x, atol=1e-10)
 
 def test_modes_times_eigenfunctions_equal_observable_expansion():
     pair = quadratic_pair()
@@ -95,7 +101,8 @@ def test_modes_times_eigenfunctions_equal_observable_expansion():
     rng = np.random.default_rng(3)
     z = rng.uniform(-1.0, 1.0, size=(2, 7))
     lhs = model.modes_v @ eigenfunction_values(model, z)
-    rhs = model.d_coeffs @ model.dictionary.transform(z)
+    d_coeffs = pair.x @ pinv(lift_snapshots(pair, model.features).x)
+    rhs = d_coeffs @ model.features.transform(z)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 def test_mode_reconstruction_on_training_columns():
@@ -128,25 +135,25 @@ def test_defective_operator_flags_and_blocks_prediction():
     model = fit_edmd(pair, IdentityDictionary(2))
     assert "eigenvector_basis_singular" in model.flags
     assert model.modes_v is None
-    # pseudoinverse fallback still satisfies B P B = B
-    bp = model.b_coeffs @ model.eigen.vectors
-    assert_allclose(bp @ model.b_coeffs, model.b_coeffs, atol=1e-10)
+    # pseudoinverse fallback still satisfies B P B = B, so C U P C = C
+    bp = model.coeffs @ lifted_basis(pair, IdentityDictionary(2))
+    assert_allclose(bp @ model.coeffs, model.coeffs, atol=1e-10)
     with pytest.raises(NumericalError):
-        edmd_predict(model, [1.0, 0.0], steps=1)
+        predict(model, [1.0, 0.0], steps=1)
 
 def test_predict_quadratic_matches_simulation():
     spec = quadratic_system(0.9, 0.5, 1.0, x0=[1.0, -0.4], steps=25)
     traj = simulate(spec)
     model = fit_edmd(snapshot_pairs(traj), closed_quadratic_dictionary())
-    out = edmd_predict(model, traj.states[0], steps=5)
+    out = predict(model, traj.states[0], steps=5)
     assert_allclose(out, traj.states[1:6], atol=1e-5)
 
 def test_predict_validates_arguments():
     model = fit_edmd(quadratic_pair(), closed_quadratic_dictionary())
     with pytest.raises(ShapeError):
-        edmd_predict(model, [1.0, 2.0, 3.0], steps=1)
+        predict(model, [1.0, 2.0, 3.0], steps=1)
     with pytest.raises(ConfigError):
-        edmd_predict(model, [1.0, -0.4], steps=-2)
+        predict(model, [1.0, -0.4], steps=-2)
 
 def test_eigenfunction_for_decay_rate_is_left_eigenvector_pairing():
     # identity dictionary on diagonal A: the eigenfunction paired with 0.9
@@ -170,13 +177,6 @@ def test_eigenfunction_for_squared_rate_is_x1_squared():
 
 def test_eval_eigenfunction_at_zero_picks_constant_coefficient():
     model = fit_edmd(quadratic_pair(), PolynomialDictionary(2, 2))
-    b_dict = model.b_coeffs @ model.svd_u.T
+    at_zero = eigenfunction_values(model, [0.0, 0.0])
     for i in range(model.eigenvalues.size):
-        assert eval_eigenfunction(model, i, [0.0, 0.0]) == pytest.approx(
-            complex(b_dict[i, 0]), abs=1e-12
-        )
-
-def test_eval_eigenfunction_index_bounds():
-    model = fit_edmd(quadratic_pair(), closed_quadratic_dictionary())
-    with pytest.raises(IndexError):
-        eval_eigenfunction(model, model.eigenvalues.size, [1.0, 1.0])
+        assert at_zero[i] == pytest.approx(complex(model.coeffs[i, 0]), abs=1e-12)

@@ -5,13 +5,8 @@ from numpy.testing import assert_allclose
 from dmdkit.data import SnapshotPair, snapshot_pairs
 from dmdkit.edmd import fit_edmd
 from dmdkit.errors import EmptyRankError
-from dmdkit.kernel_edmd import (
-    eigenfunction_values,
-    fit_kernel_edmd,
-    gram_matrices,
-    kernel_eigenfunction,
-    kernel_predict,
-)
+from dmdkit.dmd import eigenfunction_values, predict
+from dmdkit.kernel_edmd import _gram_basis, fit_kernel_edmd
 from dmdkit.observables import GaussianKernel, PolynomialDictionary, PolynomialKernel
 from dmdkit.systems import linear_system, quadratic_system, rotation_system, simulate
 
@@ -40,6 +35,18 @@ def raw_pair(x, xp):
     x = np.asarray(x, dtype=float)
     return SnapshotPair(x=x, xp=np.asarray(xp, dtype=float),
                         col_times=np.arange(x.shape[1]))
+
+
+def gram_matrices(pair, kernel):
+    """G_ij = k(x_i, x_j) and A_ij = k(x_i, xp_j) over snapshot columns."""
+    return kernel.gram(pair.x, pair.x), kernel.gram(pair.x, pair.xp)
+
+
+def reduced_operator(pair, kernel):
+    """The Gram basis Q, S of G and the reduced operator S^-1 Q^T A Q S^-1."""
+    g_gram, a_gram = gram_matrices(pair, kernel)
+    q, sigma = _gram_basis(g_gram, 1e-10)
+    return q, sigma, (q.T @ a_gram @ q) / sigma[:, None] / sigma[None, :]
 
 
 class DotKernel(PolynomialKernel):
@@ -78,9 +85,10 @@ def test_gram_symmetry_and_positive_semidefiniteness():
 
 def test_gram_factorization_reconstructs_g():
     pair = spiral_pair()
-    model = fit_kernel_edmd(pair, PolynomialKernel(2), rtol=1e-10)
-    g_gram = model.kernel.gram(pair.x, pair.x)
-    recon = model.q_eigvecs @ np.diag(model.sigma ** 2) @ model.q_eigvecs.T
+    g_gram = PolynomialKernel(2).gram(pair.x, pair.x)
+    q, sigma = _gram_basis(g_gram, 1e-10)
+    assert sigma.size == fit_kernel_edmd(pair, PolynomialKernel(2)).eigenvalues.size
+    recon = q @ np.diag(sigma ** 2) @ q.T
     rel = np.linalg.norm(g_gram - recon) / np.linalg.norm(g_gram)
     assert rel < 1e-8
 
@@ -107,9 +115,10 @@ def test_quadratic_kernel_finds_invariant_subspace_rates():
 def test_reduced_operator_eigen_residual():
     pair = spiral_pair()
     model = fit_kernel_edmd(pair, PolynomialKernel(2))
-    # rows of v_inv are left eigenvectors: v_inv K = diag(lambda) v_inv
-    left = model.v_inv
-    res = left @ model.k_hat_u - model.eigenvalues[:, None] * left
+    q, sigma, k_hat_u = reduced_operator(pair, PolynomialKernel(2))
+    # rows of v_inv = C Q S are left eigenvectors: v_inv K = diag(lambda) v_inv
+    left = model.coeffs @ q * sigma[None, :]
+    res = left @ k_hat_u - model.eigenvalues[:, None] * left
     scale = np.maximum(1.0, np.abs(model.eigenvalues)) * np.linalg.norm(left, axis=1)
     assert np.all(np.linalg.norm(res, axis=1) <= 1e-8 * scale)
 
@@ -126,7 +135,9 @@ def test_training_eigenfunctions_match_dual_projection():
     pair = spiral_pair()
     model = fit_kernel_edmd(pair, PolynomialKernel(2))
     phi = eigenfunction_values(model, pair.x)
-    expected = (model.v_inv * model.sigma[None, :]) @ model.q_eigvecs.T
+    q, sigma, _ = reduced_operator(pair, PolynomialKernel(2))
+    v_inv = model.coeffs @ q * sigma[None, :]
+    expected = (v_inv * sigma[None, :]) @ q.T
     assert_allclose(phi, expected, atol=1e-9)
 
 def test_repeated_snapshot_gives_constant_eigenfunction():
@@ -143,8 +154,8 @@ def test_duplicated_column_rank_collapse_and_stable_spectrum():
                        np.hstack([pair.xp, pair.xp[:, :1]]))
     base = fit_kernel_edmd(pair, PolynomialKernel(2))
     dup = fit_kernel_edmd(doubled, PolynomialKernel(2))
-    assert dup.sigma.size < doubled.x.shape[1]
-    assert dup.sigma.size == base.sigma.size
+    assert dup.eigenvalues.size < doubled.x.shape[1]
+    assert dup.eigenvalues.size == base.eigenvalues.size
     assert spectra_gap(dup.eigenvalues, base.eigenvalues) < 1e-8
 
 def test_modes_parallel_to_axes_for_diagonal_system():
@@ -153,7 +164,7 @@ def test_modes_parallel_to_axes_for_diagonal_system():
     model = fit_kernel_edmd(pair, PolynomialKernel(1))
     for rate, axis in ((0.9, 0), (0.5, 1)):
         i = int(np.argmin(np.abs(model.eigenvalues - rate)))
-        mode = model.modes[:, i]
+        mode = model.modes_v[:, i]
         direction = np.abs(mode) / np.linalg.norm(mode)
         assert_allclose(direction, np.eye(2)[axis], atol=1e-8)
 
@@ -163,8 +174,8 @@ def test_rank_one_data_has_single_mode_along_common_direction():
     x = direction * coeffs[None, :-1]
     xp = direction * coeffs[None, 1:]
     model = fit_kernel_edmd(raw_pair(x, xp), DotKernel(1))
-    assert model.sigma.size == 1
-    mode = model.modes[:, 0].real
+    assert model.eigenvalues.size == 1
+    mode = model.modes_v[:, 0].real
     assert_allclose(np.abs(mode / np.linalg.norm(mode)), direction[:, 0], atol=1e-12)
     assert spectra_gap(model.eigenvalues, [0.8]) < 1e-12
 
@@ -172,23 +183,16 @@ def test_mode_reconstruction_of_training_observables():
     pair = spiral_pair()
     model = fit_kernel_edmd(pair, PolynomialKernel(2))
     phi = eigenfunction_values(model, pair.x)
-    recon = (model.modes @ phi).real
+    recon = (model.modes_v @ phi).real
     scale = np.linalg.norm(pair.x, axis=0)
     err = np.linalg.norm(pair.x - recon, axis=0)
     assert np.all(err <= 1e-6 * scale)
-
-def test_kernel_eigenfunction_scalar_and_bounds():
-    model = fit_kernel_edmd(spiral_pair(), PolynomialKernel(1))
-    value = kernel_eigenfunction(model, 0, [1.0, 0.2])
-    assert isinstance(value, complex)
-    with pytest.raises(IndexError):
-        kernel_eigenfunction(model, model.eigenvalues.size, [1.0, 0.2])
 
 def test_kernel_predict_matches_simulation():
     spec = quadratic_system(0.9, 0.5, 1.0, x0=[1.0, -0.4], steps=20)
     traj = simulate(spec)
     model = fit_kernel_edmd(snapshot_pairs(traj), PolynomialKernel(2))
-    out = kernel_predict(model, traj.states[0], steps=5)
+    out = predict(model, traj.states[0], steps=5)
     assert_allclose(out, traj.states[1:6], atol=1e-6)
 
 def test_zero_data_raises_empty_rank():

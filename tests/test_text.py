@@ -162,8 +162,7 @@ def test_pieces_stay_bounded_by_value_count(monkeypatch):
 def dmd_record():
     a = np.array([[0.9, 0.2], [0.0, 0.5]])
     model = fit_svd_dmd(snapshot_pairs(simulate(linear_system(a, [1.0, -0.4], 12))))
-    return ModelRecord(algorithm="dmd", model=model, rtol=1e-10,
-                       residuals={"training": model.fit_residual})
+    return ModelRecord(algorithm="dmd", model=model, rtol=1e-10)
 
 
 def stored_text(path, name, part):
@@ -180,14 +179,14 @@ def test_model_file_matrices_match_per_value_format_with_negative_zero_as_zero(t
     path = tmp_path / "model.json"
     save_model(dataclasses.replace(record, model=model), path)
     for part, values in (("real", real), ("imag", imag)):
-        stored = stored_text(path, "modes_v", part)
+        stored = stored_text(path, "modes", part)
         assert stored == ", ".join(per_value(values + 0.0))
         assert stored.split(", ")[1 if part == "real" else -2] == "0"  # was -0.0
-    stored = json.loads(path.read_text())["matrices"]["modes_v"]
+    stored = json.loads(path.read_text())["matrices"]["modes"]
     assert np.array_equal(np.array(stored["real"], dtype=float), real)
     assert np.array_equal(np.array(stored["imag"], dtype=float), imag)
     # a 1 x 3000 mode matrix does not fit the 3-observable model around it
-    with pytest.raises(DataError, match="modes_v"):
+    with pytest.raises(DataError, match="'modes'"):
         load_model(path)
 
 
@@ -213,7 +212,9 @@ def test_non_finite_matrix_entry_raises_data_error(tmp_path, bad):
 
 
 def test_non_finite_metadata_number_raises_data_error(tmp_path):
-    record = dataclasses.replace(dmd_record(), residuals={"training": float("nan")})
+    record = dmd_record()
+    model = dataclasses.replace(record.model, residuals={"training": float("nan")})
+    record = dataclasses.replace(record, model=model)
     path = tmp_path / "model.json"
     with pytest.raises(DataError, match="non-finite"):
         save_model(record, path)
