@@ -52,10 +52,6 @@ class SvdFactors:
     sigma: np.ndarray
     w: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return int(self.sigma.size)
-
 
 @dataclass(frozen=True)
 class EigenPairs:

@@ -208,13 +208,6 @@ class Kernel:
 
     kind: str = ""
 
-    def __call__(self, a, b) -> float:
-        a = np.asarray(a, dtype=float).ravel()
-        b = np.asarray(b, dtype=float).ravel()
-        if a.shape != b.shape:
-            raise ShapeError(f"kernel arguments differ in shape: {a.shape} vs {b.shape}")
-        return float(self.gram(a[:, None], b[:, None])[0, 0])
-
     def gram(self, a_cols, b_cols) -> np.ndarray:
         """Matrix of k(a_i, b_j) over the columns of the two arguments."""
         raise NotImplementedError

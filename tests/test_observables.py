@@ -74,7 +74,7 @@ def test_weighted_polynomial_factors_the_polynomial_kernel():
                 a = rng.standard_normal(dim)
                 b = rng.standard_normal(dim)
                 lhs = d.transform(a) @ d.transform(b)
-                assert_allclose(lhs, k(a, b), rtol=1e-10)
+                assert_allclose(lhs, k.gram(a[:, None], b[:, None])[0, 0], rtol=1e-10)
 
 
 def test_degree_validation():
@@ -139,17 +139,17 @@ def test_polynomial_kernel_on_orthonormal_columns():
 
 def test_gaussian_kernel_hand_value_and_symmetry():
     k = GaussianKernel(0.5)
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 1.0])
-    assert_allclose(k(a, b), np.exp(-2.0 / 0.25))
-    assert k(a, b) == k(b, a)
+    a = np.array([[1.0], [0.0]])
+    b = np.array([[0.0], [1.0]])
+    assert_allclose(k.gram(a, b), np.exp(-2.0 / 0.25))
+    assert k.gram(a, b) == k.gram(b, a)
 
 
 def test_laplacian_kernel_uses_unsquared_distance():
     k = LaplacianKernel(0.5)
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 1.0])
-    assert_allclose(k(a, b), np.exp(-np.sqrt(2.0) / 0.25))
+    a = np.array([[1.0], [0.0]])
+    b = np.array([[0.0], [1.0]])
+    assert_allclose(k.gram(a, b), np.exp(-np.sqrt(2.0) / 0.25))
 
 
 def test_gaussian_gram_is_positive_semidefinite():
