@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dmdkit.cli import main
 from dmdkit.data import SnapshotPair, snapshot_pairs
@@ -115,6 +115,84 @@ def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, capsys,
     assert main(["spectrum", str(path)]) == 3
     assert capsys.readouterr().err == "error: model file schema_version 2 is not " \
         f"supported (this build reads version {SCHEMA_VERSION})\n"
+
+
+def round_trip(tmp_path, record):
+    path = tmp_path / "model.json"
+    save_model(record, path)
+    return load_model(path)
+
+
+def assert_spectra_equal(loaded, want):
+    assert_array_equal(loaded.eigenvalues, want.eigenvalues)
+    assert_array_equal(loaded.modes_v, want.modes_v)
+    assert_array_equal(loaded.coeffs, want.coeffs)
+    assert loaded.residuals == want.residuals
+
+
+def test_dmd_round_trip_is_exact(tmp_path):
+    record = dmd_record()
+    loaded = round_trip(tmp_path, record)
+    assert loaded.algorithm == "dmd"
+    assert loaded.rtol == record.rtol
+    assert loaded.model.features is None and loaded.model.training_x is None
+    assert_spectra_equal(loaded.model, record.model)
+    assert loaded.model.fit_residual == record.model.fit_residual
+
+
+def test_companion_round_trip_is_exact(tmp_path):
+    record = companion_record()
+    loaded = round_trip(tmp_path, record)
+    assert loaded.algorithm == "companion"
+    assert loaded.model.observable_dim == record.model.observable_dim
+    assert_spectra_equal(loaded.model, record.model)
+
+
+def test_edmd_round_trip_is_exact(tmp_path):
+    record = edmd_record()
+    loaded = round_trip(tmp_path, record)
+    assert loaded.model.features.spec_string() == "poly:2"
+    assert_spectra_equal(loaded.model, record.model)
+    assert loaded.model.lifted_residual == record.model.lifted_residual
+    assert loaded.model.flags == record.model.flags
+
+
+def test_kernel_round_trip_is_exact(tmp_path):
+    record = kernel_record()
+    loaded = round_trip(tmp_path, record)
+    assert loaded.model.features.spec_string() == record.model.features.spec_string()
+    assert_spectra_equal(loaded.model, record.model)
+    assert_array_equal(loaded.model.training_x, record.model.training_x)
+
+
+def test_loaded_dmd_model_predicts_to_machine_precision(tmp_path):
+    record = dmd_record()
+    loaded = round_trip(tmp_path, record)
+    g0 = np.array([0.3, -1.1, 0.7])
+    assert_allclose(
+        predict(loaded.model, g0, 6), predict(record.model, g0, 6),
+        rtol=1e-13, atol=1e-15,
+    )
+
+
+def test_loaded_edmd_model_predicts_to_machine_precision(tmp_path):
+    record = edmd_record()
+    loaded = round_trip(tmp_path, record)
+    z0 = np.array([0.8, -0.3])
+    assert_allclose(
+        predict(loaded.model, z0, 5), predict(record.model, z0, 5),
+        rtol=1e-13, atol=1e-15,
+    )
+
+
+def test_loaded_kernel_model_predicts_to_machine_precision(tmp_path):
+    record = kernel_record()
+    loaded = round_trip(tmp_path, record)
+    z0 = np.array([0.5, 0.1])
+    assert_allclose(
+        predict(loaded.model, z0, 5), predict(record.model, z0, 5),
+        rtol=1e-13, atol=1e-15,
+    )
 
 
 @pytest.mark.parametrize("builder", RECORD_MAKERS)
