@@ -144,9 +144,11 @@ def cmd_fit(args) -> int:
     if args.embed < 1:
         raise ConfigError(f"--embed must be at least 1, got {args.embed}")
     from .dmd import fit_companion
+    from .linalg import check_rtol
     from .model_io import ModelRecord
     from .observables import build_dictionary, parse_kernel
 
+    check_rtol(args.rtol)  # for every fitter: the model file stores it
     trajectories = [load_trajectory(path) for path in args.data]
     first = trajectories[0]
     split = (first.n_states, first.n_inputs, first.n_disturbances)
@@ -237,9 +239,9 @@ def _initial_condition(record: ModelRecord, rows: np.ndarray) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
-    record = load_model(args.model)
     if args.steps < 0:
         raise ConfigError(f"steps must be non-negative, got {args.steps}")
+    record = load_model(args.model)
     from .data import load_rows
 
     g0 = _initial_condition(record, load_rows(args.ic, "initial-condition file"))

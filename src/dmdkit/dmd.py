@@ -17,6 +17,15 @@ fit projects the shifted snapshots onto the dominant left singular subspace
 and eigendecomposes the reduced operator, which is far better behaved on
 noisy or rank-deficient data; there C = inv(P) U^T. EDMD shares that
 truncated SVD, reduced operator and eigenbasis inverse (``_reduced_fit``).
+
+The eigenbasis inverse (``_invert_basis``, shared by SVD DMD, EDMD and
+kernel EDMD) computes inv(P) first and judges the basis by the 1-norm
+condition number kappa_1 = |P|_1 |inv(P)|_1, which costs two column sums
+where the 2-norm kappa_2 costs a full SVD. Since kappa_2 / r <= kappa_1 <=
+r kappa_2 for an r x r basis, the two rules can disagree only when kappa_2
+lies within a factor r of the 1e12 limit. A basis that inv finds exactly
+singular, whose inverse is not finite, or whose kappa_1 passes the limit is
+inverted by pinv and flagged eigenvector_basis_singular.
 """
 
 from __future__ import annotations
@@ -39,8 +48,8 @@ from .linalg import DEFAULT_RTOL, eig, pinv, svd_truncated
 # (condition number below 1e12), so columns are accepted while the smallest
 # singular value stays above 1e-12 times the largest
 _COMPANION_RTOL = 1e-12
-# above this condition number an eigenvector basis is inverted by pinv and
-# the fit is flagged eigenvector_basis_singular
+# above this 1-norm condition number an eigenvector basis is inverted by
+# pinv and the fit is flagged eigenvector_basis_singular
 _BASIS_CONDITION_LIMIT = 1e12
 _ZERO_EIGENVALUE_TOL = 1e-12
 _IMAG_RESIDUE_TOL = 1e-8
@@ -91,17 +100,29 @@ def _lstsq_pinv(m: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(m, rcond=np.finfo(float).eps * max(m.shape))
 
 
-def _eigen_inverse(k: np.ndarray):
-    """eig(k), the inverse of its eigenvector matrix, and the flags it raised.
+def _invert_basis(p: np.ndarray):
+    """The inverse of an eigenvector matrix and the flags its inversion raised.
 
-    A basis whose condition number passes _BASIS_CONDITION_LIMIT is inverted
-    by pinv instead and flagged eigenvector_basis_singular.
+    P falls back to pinv, flagged eigenvector_basis_singular, when inv finds
+    it exactly singular or kappa_1 = |P|_1 |inv(P)|_1 is not at most
+    _BASIS_CONDITION_LIMIT; a non-finite entry of inv(P) makes kappa_1 inf
+    or NaN, so it fails that test too.
     """
+    try:
+        p_inv = np.linalg.inv(p)
+    except np.linalg.LinAlgError:
+        p_inv = None
+    if p_inv is None or not (
+        np.linalg.norm(p, 1) * np.linalg.norm(p_inv, 1) <= _BASIS_CONDITION_LIMIT
+    ):
+        return np.linalg.pinv(p), ("eigenvector_basis_singular",)
+    return p_inv, ()
+
+
+def _eigen_inverse(k: np.ndarray):
+    """eig(k), the inverse of its eigenvector matrix, and the flags it raised."""
     spectrum = eig(k)
-    p = spectrum.vectors
-    if np.linalg.cond(p) > _BASIS_CONDITION_LIMIT:
-        return spectrum, np.linalg.pinv(p), ("eigenvector_basis_singular",)
-    return spectrum, np.linalg.inv(p), ()
+    return (spectrum, *_invert_basis(spectrum.vectors))
 
 
 def _reduced_fit(x: np.ndarray, xp: np.ndarray, rtol: float):

@@ -23,7 +23,7 @@ from .data import SnapshotPair
 # eigenfunction_values is re-exported: the kernel model is a SpectralModel
 from .dmd import SpectralModel, _eigen_inverse, _relative_error, eigenfunction_values  # noqa: F401
 from .errors import EmptyRankError
-from .linalg import DEFAULT_RTOL
+from .linalg import DEFAULT_RTOL, check_rtol
 from .observables import Kernel
 
 
@@ -33,6 +33,7 @@ def _gram_basis(g_gram: np.ndarray, rtol: float):
     Singular values at or below rtol times the largest are dropped (tiny
     negative eigenvalues from roundoff are clipped first).
     """
+    check_rtol(rtol)
     evals, evecs = np.linalg.eigh(g_gram)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]

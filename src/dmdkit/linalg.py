@@ -67,6 +67,12 @@ def spectral_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((-values.imag, -np.abs(values)))
 
 
+def check_rtol(rtol: float) -> None:
+    """Raise ConfigError unless ``0 <= rtol < 1`` (NaN fails too)."""
+    if not 0.0 <= rtol < 1.0:
+        raise ConfigError(f"rtol must lie in [0, 1), got {rtol}")
+
+
 def svd_truncated(m, rtol: float = DEFAULT_RTOL) -> SvdFactors:
     """Thin SVD of ``m`` keeping exactly the singular values above ``rtol * sigma_1``.
 
@@ -84,8 +90,7 @@ def svd_truncated(m, rtol: float = DEFAULT_RTOL) -> SvdFactors:
         If ``m`` is numerically zero, so nothing would be retained.
     """
     arr = _as_matrix(m)
-    if not 0.0 <= rtol < 1.0:
-        raise ConfigError(f"rtol must lie in [0, 1), got {rtol}")
+    check_rtol(rtol)
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
     if s[0] <= 0.0:
         raise EmptyRankError("matrix is zero; no singular values retained")

@@ -97,6 +97,22 @@ def monomial_exponents(input_dim: int, degree: int) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
+def _monomial_parents(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent row and multiplying variable of each monomial after the constant.
+
+    The parent drops one power of the monomial's last nonzero variable, so
+    row i is row parents[i] times variable variables[i]; entry 0 is unused.
+    """
+    index = {tuple(e): i for i, e in enumerate(exps.tolist())}
+    parents = np.zeros(len(exps), dtype=int)
+    variables = np.zeros(len(exps), dtype=int)
+    for i, e in enumerate(exps.tolist()[1:], start=1):
+        var = max(j for j, k in enumerate(e) if k)
+        e[var] -= 1
+        parents[i], variables[i] = index[tuple(e)], var
+    return parents, variables
+
+
 def _monomial_name(exponents) -> str:
     parts = []
     for i, e in enumerate(exponents, start=1):
@@ -113,6 +129,15 @@ class PolynomialDictionary(Dictionary):
     The weighted variant scales each monomial by the square root of its
     multinomial coefficient in the expansion of (1 + a.b)^degree, making the
     dictionary an explicit feature map for the polynomial kernel.
+
+    Monomials are built by recurrence, not by powers: each one after the
+    constant is its parent, the monomial with one power less of its last
+    variable, times that variable. The exponent table is graded by degree,
+    so every parent of a degree-k monomial has degree k - 1, and a whole
+    degree is one gather and one multiply. A degree-k entry is thus a chain
+    of k - 1 rounded products (the first, 1 * x, is exact), within about
+    (k - 1) * 2^-53 relative of the exact monomial, and a column gives the
+    same bits alone or in a batch. The weights are applied last.
     """
 
     kind = "polynomial"
@@ -125,6 +150,8 @@ class PolynomialDictionary(Dictionary):
         self.degree = int(degree)
         self.weighted = bool(weighted)
         self.exponents = exps
+        self._parents, self._variables = _monomial_parents(exps)
+        self._grade_ends = np.searchsorted(exps.sum(axis=1), np.arange(degree + 1), "right")
         if weighted:
             weights = []
             for e in exps:
@@ -137,8 +164,13 @@ class PolynomialDictionary(Dictionary):
             self.weights = np.ones(len(exps))
 
     def _transform_columns(self, cols):
-        powers = cols[None, :, :] ** self.exponents[:, :, None]
-        return self.weights[:, None] * powers.prod(axis=1)
+        out = np.empty((self.size, cols.shape[1]))
+        out[0] = 1.0
+        ends = self._grade_ends
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            np.multiply(out[self._parents[lo:hi]], cols[self._variables[lo:hi]],
+                        out=out[lo:hi])
+        return self.weights[:, None] * out
 
     def spec_string(self):
         return f"{'wpoly' if self.weighted else 'poly'}:{self.degree}"

@@ -677,3 +677,27 @@ def test_predict_to_full_disk_exits_3(capsys, tmp_path):
             cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
     assert proc.returncode == 3
     assert one_error_line(proc.stderr) and "No space left on device" in proc.stderr
+
+
+@pytest.mark.parametrize("rtol", ["2", "nan", "-1"])
+@pytest.mark.parametrize("algo", [
+    ["companion"], ["dmd"], ["edmd", "--dict", "poly:2"],
+    ["kernel-edmd", "--kernel", "gaussian:1"],
+])
+def test_fit_rtol_out_of_range_exits_2_before_reading_data(capsys, tmp_path, algo, rtol):
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", *algo, "--rtol", rtol,
+                                  "--data", str(tmp_path / "missing.csv"),
+                                  "--out", str(model)])
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "rtol must lie in [0, 1)" in err
+    assert not model.exists()
+
+
+def test_predict_negative_steps_exits_2_before_reading_the_model(capsys, tmp_path):
+    code, out, err = run(capsys, ["predict", str(tmp_path / "missing.json"),
+                                  str(tmp_path / "ic.csv"), "-1"])
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "steps must be non-negative" in err

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dmdkit.data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
 from dmdkit.dmd import (
+    _BASIS_CONDITION_LIMIT,
     _PREDICT_BLOCK,
     SpectralModel,
+    _invert_basis,
     _leading_window,
     _spectral_predict,
     eigenfunction_values,
@@ -371,3 +373,58 @@ def test_hankel_rotation_recovery_and_shallow_failure():
     assert spectra_gap(deep.eigenvalues, expected) < 1e-6
     shallow = fit_svd_dmd(snapshot_pairs(delay_embed(traj, 1)))
     assert shallow.eigenvalues.size < 2
+
+
+def kappa_1(p):
+    return np.linalg.norm(p, 1) * np.linalg.norm(np.linalg.inv(p), 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kappa_1_lies_within_a_factor_r_of_kappa_2(seed):
+    # |A|_2 / sqrt(r) <= |A|_1 <= sqrt(r) |A|_2 for r x r A, so
+    # kappa_2 / r <= kappa_1 <= r kappa_2: the 1-norm rule and a 2-norm rule
+    # at the same limit can only differ when kappa_2 is in (1e12 / r, 1e12 r)
+    rng = np.random.default_rng(seed)
+    r = 6
+    p = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    p[:, -1] = p[:, 0] + 1e-6 * p[:, -1]
+    k1, k2 = kappa_1(p), np.linalg.cond(p)
+    assert k2 / r <= k1 <= r * k2
+
+
+def test_basis_flag_follows_kappa_1_where_the_2_norm_rule_would_not():
+    # P = diag(eps, 1, ..., 1) H with H the orthonormal 8 x 8 Hadamard matrix:
+    # kappa_2 = 1/eps, kappa_1 = (7 + eps)/eps, so at eps = 2e-12 the 2-norm
+    # rule would keep inv (5e11) while the 1-norm rule flags (3.5e12)
+    h = np.array([[1.0]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    h /= np.sqrt(8)
+    scale = np.ones(8)
+    scale[0] = 2e-12
+    p = (scale[:, None] * h).astype(complex)
+    assert np.linalg.cond(p) < _BASIS_CONDITION_LIMIT / 1.5
+    assert kappa_1(p) > 3 * _BASIS_CONDITION_LIMIT
+    p_inv, flags = _invert_basis(p)
+    assert flags == ("eigenvector_basis_singular",)
+    assert_array_equal(p_inv, np.linalg.pinv(p))
+
+
+@pytest.mark.parametrize("p", [
+    np.array([[1.0, 1.0], [1.0, 1.0]]),  # exactly singular: inv raises
+    np.array([[1.0, 1.0], [0.0, 1e-14]]),  # nearly singular: kappa_1 ~ 4e14
+    np.array([[1.0, 0.0], [0.0, 1e-320]]),  # subnormal pivot: inv returns NaN
+], ids=["singular", "near-singular", "non-finite-inverse"])
+def test_ill_conditioned_bases_are_flagged_and_pseudo_inverted(p):
+    p = p.astype(complex)
+    p_inv, flags = _invert_basis(p)
+    assert flags == ("eigenvector_basis_singular",)
+    assert np.all(np.isfinite(p_inv))
+    assert_array_equal(p_inv, np.linalg.pinv(p))
+
+
+def test_well_conditioned_basis_is_inverted_by_inv():
+    p = np.array([[1.0, 0.6], [0.0, 0.8]], dtype=complex)
+    p_inv, flags = _invert_basis(p)
+    assert flags == ()
+    assert_array_equal(p_inv, np.linalg.inv(p))

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from dmdkit.data import SnapshotPair, snapshot_pairs
 from dmdkit.edmd import fit_edmd
-from dmdkit.errors import EmptyRankError
+from dmdkit.errors import ConfigError, EmptyRankError
 from dmdkit.dmd import eigenfunction_values, predict
 from dmdkit.kernel_edmd import _gram_basis, fit_kernel_edmd
 from dmdkit.observables import GaussianKernel, PolynomialDictionary, PolynomialKernel
@@ -212,3 +212,10 @@ def test_gaussian_kernel_fit_is_conjugate_symmetric():
     values = model.eigenvalues
     assert spectra_gap(values, np.conj(values)) < 1e-10
     assert np.isfinite(model.fit_residual)
+
+
+@pytest.mark.parametrize("rtol", [-1.0, 1.0, 2.0, float("nan")])
+def test_gram_basis_rejects_rtol_outside_unit_interval(rtol):
+    # the same range svd_truncated enforces for the explicit fits
+    with pytest.raises(ConfigError, match=r"rtol must lie in \[0, 1\)"):
+        _gram_basis(np.eye(3), rtol)

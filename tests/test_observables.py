@@ -6,6 +6,7 @@ weighted dictionary is checked against the kernel it is supposed to factor.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -55,12 +56,34 @@ def test_polynomial_ordering_two_vars_degree_two():
 
 
 def test_polynomial_batch_matches_single_columns():
+    # bit for bit, for poly and wpoly alike
     rng = np.random.default_rng(2)
-    d = PolynomialDictionary(3, 2)
     cols = rng.standard_normal((3, 7))
-    batch = d.transform(cols)
-    for j in range(7):
-        assert_allclose(batch[:, j], d.transform(cols[:, j]))
+    for weighted in (False, True):
+        d = PolynomialDictionary(3, 4, weighted=weighted)
+        batch = d.transform(cols)
+        for j in range(7):
+            assert_array_equal(batch[:, j], d.transform(cols[:, j]))
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_polynomial_lift_within_degree_ulps_of_exact_monomials(degree):
+    # a degree-k monomial is k - 1 rounded products, so every entry lies
+    # within (k - 1) * 2^-53 < degree * 2^-53 relative of the exact value
+    rng = np.random.default_rng(degree)
+    dim = 3
+    cols = rng.choice([-1.0, 1.0], (dim, 4)) * 10.0 ** rng.uniform(-3, 3, (dim, 4))
+    d = PolynomialDictionary(dim, degree)
+    lifted = d.transform(cols)
+    worst = Fraction(0)
+    for j in range(cols.shape[1]):
+        z = [Fraction(v) for v in cols[:, j]]
+        for i, exps in enumerate(d.exponents):
+            exact = Fraction(1)
+            for v, k in zip(z, exps):
+                exact *= v ** int(k)
+            worst = max(worst, abs(Fraction(lifted[i, j]) - exact) / abs(exact))
+    assert worst <= Fraction(degree, 2**53)
 
 
 def test_weighted_polynomial_factors_the_polynomial_kernel():
