@@ -1,9 +1,9 @@
 """Float-to-text conversion shared by every writer in the package.
 
-Model files, trajectory CSVs and CLI output store doubles as ``.17g`` text,
-which round-trips every finite double exactly. CPython spends about a
-microsecond on each ``format(v, ".17g")``, because 17 digits are past the
-fast path of its ``dtoa``, so this module produces the same bytes with
+Trajectory CSVs, CLI output and model-file metadata store doubles as
+``.17g`` text, which round-trips every finite double exactly. CPython spends
+about a microsecond on each ``format(v, ".17g")``, because 17 digits are past
+the fast path of its ``dtoa``, so this module produces the same bytes with
 whole-array numpy arithmetic, in two steps.
 
 Digits. For ``|v|`` in [1e-250, 1e250], ``e = floor(log10|v|)`` and
@@ -68,15 +68,6 @@ def float_texts(values) -> list[str]:
     if not flat.size:
         return []
     return _encode(flat[None, :], ",", "").split(",")
-
-
-def joined_pieces(values, sep: str):
-    """Yield ``sep.join(float_texts(values))`` in pieces of bounded size."""
-    flat = np.asarray(values, dtype=float).ravel()
-    for start in range(0, flat.size, _CHUNK_VALUES):
-        piece = flat[start : start + _CHUNK_VALUES]
-        end = sep if start + piece.size < flat.size else ""
-        yield _encode(piece[None, :], sep, end)
 
 
 def write_rows(handle, table, labels=None) -> None:

@@ -1,7 +1,7 @@
 """Model persistence: structured JSON with explicit real/imaginary arrays.
 
 Every fitter returns a ``SpectralModel``, so every model file has one layout
-(schema version 3). A file carries the algorithm tag, the flags, fit
+(schema version 4). A file carries the algorithm tag, the flags, fit
 metadata (tolerance, embedding depth, augmentation, residuals, observable
 dimension, and the dictionary or kernel spec string as ``features``) and the
 matrices a loaded model reads to print its spectrum, forecast and evaluate
@@ -13,38 +13,39 @@ eigenfunctions (``_LAYOUT``):
   kernel products with;
 * dict_centers (f x n), the centers of an rbf dictionary.
 
-Each matrix is {rows, cols, real, imag} in row-major order, with ``imag``
-left out when every imaginary entry is zero. Floats are written with 17
-significant digits, which round-trips every double exactly: save -> load ->
-save is byte-identical and loaded models reproduce the original predictions
-bit for bit.
+Each matrix is {rows, cols, real, imag}. ``real`` and ``imag`` are base64
+strings of the row-major IEEE-754 binary64 values in little-endian order,
+with ``imag`` left out when every imaginary entry is zero. Decoding bytes
+costs a small fraction of parsing decimal text, and the stored doubles are
+the model's own, so save -> load -> save is byte-identical and loaded models
+reproduce the original predictions bit for bit. The metadata floats stay
+text with 17 significant digits, which round-trips every double exactly.
 
 Reading uses the stdlib json parser with NaN and Infinity refused, then
-checks every field's type, every number's finiteness, and that the matrix
-shapes agree with each other and with the fit metadata, so a damaged file
-raises ``DataError`` rather than failing later or forecasting wrongly.
-Files of any other schema version, older ones included, are refused.
+checks every field's type, every matrix payload's base64 alphabet, padding
+and length, every number's finiteness, and that the matrix shapes agree with
+each other and with the fit metadata, so a damaged file raises ``DataError``
+rather than failing later or forecasting wrongly. Files of any other schema
+version, older ones included, are refused.
 
 The stdlib encoder offers no hook for fixed-precision float text, so writing
-renders the payload here. Each matrix stays a numpy array until ``_text``
-turns its ``real`` or ``imag`` list into text, at most ``_text._CHUNK_VALUES``
-numbers at a time, and the file is written piece by piece rather than built
-as one string.
+renders the payload here, piece by piece.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import float_texts, joined_pieces, write_text_file
+from ._text import float_texts, write_text_file
 from .dmd import SpectralModel
 from .errors import ConfigError, DataError, ShapeError
 from .observables import Dictionary, Kernel, RbfDictionary, build_dictionary, parse_kernel
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # The features each algorithm's model evaluates (None: the state itself).
 _FEATURES = {
@@ -97,7 +98,7 @@ class ModelRecord:
 
 
 def _render(value, indent: int):
-    """Yield the JSON text of ``value`` in pieces; matrices arrive as arrays."""
+    """Yield the JSON text of ``value`` in pieces."""
     if isinstance(value, dict):
         if not value:
             yield "{}"
@@ -109,10 +110,6 @@ def _render(value, indent: int):
             yield from _render(v, indent + 1)
             sep = ",\n"
         yield "\n" + pad + "}"
-    elif isinstance(value, np.ndarray):
-        yield "["
-        yield from joined_pieces(value, ", ")
-        yield "]"
     elif isinstance(value, float):
         if not np.isfinite(value):
             raise DataError("model files cannot encode non-finite numbers")
@@ -125,16 +122,22 @@ def _encode_matrix(m) -> dict:
     m = np.asarray(m)
     if m.ndim == 1:
         m = m[None, :]
-    # Adding +0.0 turns negative zeros into positive ones; "-0" would parse
-    # back as the integer 0 and break byte-identical re-saves.
+    # Adding +0.0 turns negative zeros into positive ones, so the sign of a
+    # zero never decides whether ``imag`` is stored or what a file holds.
     re = np.real(m).astype(float) + 0.0
     im = np.imag(m).astype(float) + 0.0
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise DataError("model matrices must be finite")
-    out = {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "real": re.ravel()}
+    out = {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "real": _packed(re)}
     if np.any(im):
-        out["imag"] = im.ravel()
+        out["imag"] = _packed(im)
     return out
+
+
+def _packed(part: np.ndarray) -> str:
+    """Base64 of ``part``'s row-major little-endian doubles."""
+    raw = np.ascontiguousarray(part, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _count(value, what: str, minimum: int = 0) -> int:
@@ -157,16 +160,20 @@ def _string(value, what: str) -> str:
     return value
 
 
-def _numbers(values, name: str, key: str, count: int) -> np.ndarray:
-    """The list ``values`` as a float array of ``count`` finite entries."""
-    # without a dtype, a string entry shows in arr.dtype; dtype=float would
-    # convert "1.5" silently
-    arr = np.array(values if isinstance(values, list) else None)
-    if arr.dtype.kind not in "iuf" or arr.shape != (count,):
-        raise DataError(f"matrix {name!r} {key} must be a list of {count} numbers")
-    arr = arr.astype(float, copy=False)
+def _numbers(value, name: str, key: str, count: int) -> np.ndarray:
+    """The base64 string ``value`` as a float array of ``count`` finite entries."""
+    if not isinstance(value, str):
+        raise DataError(f"matrix {name!r} {key} must be a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as err:  # binascii.Error, or a non-ASCII character
+        raise DataError(f"matrix {name!r} {key} is not valid base64: {err}") from None
+    if len(raw) != 8 * count:
+        raise DataError(f"matrix {name!r} {key} holds {len(raw)} bytes, not the "
+                        f"{8 * count} of {count} doubles")
+    arr = np.frombuffer(raw, "<f8").astype(float)  # a writable native copy
     if not np.isfinite(arr).all():
-        raise DataError(f"matrix {name!r} {key} has non-finite entries")
+        raise DataError(f"matrix {name!r} {key} has NaN or infinite entries")
     return arr
 
 
@@ -231,7 +238,7 @@ def _arrays_for(model: SpectralModel) -> dict:
 
 
 def save_model(record: ModelRecord, path) -> None:
-    """Write the record as schema-versioned JSON (17 significant digits)."""
+    """Write the record as schema-versioned JSON."""
     model = record.model
     if not isinstance(model.features, _FEATURES[record.algorithm]):
         raise ConfigError(f"a {record.algorithm} record cannot hold "

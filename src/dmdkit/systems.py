@@ -138,7 +138,7 @@ def simulate(spec: SystemSpec) -> Trajectory:
 
     The trajectory has steps + 1 samples and dt = 1. A forced system also
     records its input sequence (the seed lands in the trajectory metadata).
-    Blow-up past 1e12 in any coordinate raises a divergence error.
+    Blow-up past 1e12 or to NaN in any coordinate raises a divergence error.
     """
     samples = spec.steps + 1
     state = spec.initial_state.copy()
@@ -162,11 +162,13 @@ def simulate(spec: SystemSpec) -> Trajectory:
 
     path = np.empty((samples, state.size))
     path[0] = state
-    for t in range(spec.steps):
-        state = step(state, t)
-        if np.max(np.abs(state)) > _DIVERGENCE_LIMIT:
-            raise DivergenceError(f"trajectory diverged at step {t + 1}")
-        path[t + 1] = state
+    # the divergence check reports overflow and inf - inf; warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(spec.steps):
+            state = step(state, t)
+            if not np.max(np.abs(state)) <= _DIVERGENCE_LIMIT:  # NaN fails too
+                raise DivergenceError(f"trajectory diverged at step {t + 1}")
+            path[t + 1] = state
 
     if spec.kind == "rotation" and spec.observe == "first":
         states = path[:, :1]

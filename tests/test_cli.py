@@ -1,3 +1,4 @@
+import base64
 import json
 import subprocess
 import sys
@@ -392,7 +393,7 @@ def test_schema_bump_is_rejected_on_load(capsys, tmp_path):
     model = tmp_path / "model.json"
     run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
     payload = json.loads(model.read_text())
-    payload["schema_version"] = 4
+    payload["schema_version"] = dmdkit.model_io.SCHEMA_VERSION + 1
     model.write_text(json.dumps(payload))
     code, _, err = run(capsys, ["spectrum", str(model)])
     assert code == 3
@@ -403,8 +404,43 @@ def test_schema_bump_is_rejected_on_load(capsys, tmp_path):
     assert code == 3
 
 
+def doubles(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def packed(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _nan_in_modes(payload):
-    payload["matrices"]["modes"]["real"][0] = float("nan")  # dumped as NaN
+    modes = payload["matrices"]["modes"]
+    modes["real"] = packed(np.concatenate([[np.nan], doubles(modes["real"])[1:]]))
+
+
+def _inf_in_coeffs(payload):
+    coeffs = payload["matrices"]["coeffs"]
+    coeffs["real"] = packed(np.concatenate([[np.inf], doubles(coeffs["real"])[1:]]))
+
+
+def _non_alphabet_character(payload):
+    modes = payload["matrices"]["modes"]
+    modes["real"] = "*" + modes["real"][1:]
+
+
+def _one_double_short(payload):
+    coeffs = payload["matrices"]["coeffs"]
+    coeffs["real"] = packed(doubles(coeffs["real"])[:-1])
+
+
+def _bad_padding(payload):
+    modes = payload["matrices"]["modes"]
+    assert modes["real"].endswith("=")  # 4 doubles: 32 bytes, one pad
+    modes["real"] = modes["real"][:-1]
+
+
+def _number_list(payload):
+    modes = payload["matrices"]["modes"]
+    modes["real"] = doubles(modes["real"]).tolist()
 
 
 def _text_row_count(payload):
@@ -418,7 +454,7 @@ def _text_residual(payload):
 def _one_eigenvalue(payload):
     values = payload["matrices"]["eigenvalues"]
     values["cols"] = 1
-    values["real"] = values["real"][:1]
+    values["real"] = packed(doubles(values["real"])[:1])
     values.pop("imag", None)
 
 
@@ -428,6 +464,11 @@ def _wrong_observable_dim(payload):
 
 @pytest.mark.parametrize("damage, named", [
     (_nan_in_modes, "NaN"),
+    (_inf_in_coeffs, "'coeffs' real has NaN or infinite entries"),
+    (_non_alphabet_character, "'modes' real is not valid base64"),
+    (_one_double_short, "'coeffs' real holds"),
+    (_bad_padding, "'modes' real is not valid base64"),
+    (_number_list, "'modes' real must be a base64 string"),
     (_text_row_count, "'coeffs' rows"),
     (_text_residual, "residual 'training'"),
     (_one_eigenvalue, "eigenvalue count"),
@@ -645,6 +686,21 @@ def test_simulate_to_missing_directory_exits_3(capsys, tmp_path):
     assert out == ""
     assert one_error_line(err) and "cannot write trajectory file" in err
     assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize("a, x0", [
+    ("1e300,-1e300;0,0.5", "1e10,1e10"),  # overflows to -inf
+    # inf - inf: NaN with OpenBLAS, whose sum order decides it
+    ("1e300,-1e300,1e300,-1e300;0,0.5,0,0;0,0,0.5,0;0,0,0,0.5", "1e10,1e10,1e10,1e10"),
+])
+def test_diverging_simulation_exits_4_with_one_line(a, x0):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmdkit.cli", "simulate", "--system", "linear",
+         "--a", a, "--x0", x0, "--steps", "3"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "error: trajectory diverged at step 1\n"
 
 
 def test_failed_model_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dmdkit.cli import main
 from dmdkit.data import SnapshotPair, snapshot_pairs
 from dmdkit.dmd import (
+    SpectralModel,
     eigenfunction_values,
     fit_companion,
     fit_svd_dmd,
@@ -108,13 +110,19 @@ def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, capsys,
     assert_array_equal(predict(model, z[:, 0], 7), predict(want, z[:, 0], 7))
     assert_array_equal(eigenfunction_values(model, z), eigenfunction_values(want, z))
     assert_array_equal(full_operator(model), full_operator(want))
-    # the schema-2 layout this replaces is refused, not migrated
+    # the schema-2 and schema-3 layouts this replaces are refused, not migrated
     payload = json.loads(path.read_text())
-    payload["schema_version"] = 2
-    path.write_text(json.dumps(payload))
-    assert main(["spectrum", str(path)]) == 3
-    assert capsys.readouterr().err == "error: model file schema_version 2 is not " \
-        f"supported (this build reads version {SCHEMA_VERSION})\n"
+    for version in (2, 3):
+        payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        assert main(["spectrum", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: model file schema_version {version} " \
+            f"is not supported (this build reads version {SCHEMA_VERSION})\n"
+
+
+def doubles(text):
+    """The doubles a stored ``real`` or ``imag`` string holds."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
 
 
 def round_trip(tmp_path, record):
@@ -268,7 +276,9 @@ def test_real_matrix_with_imaginary_entries_is_rejected(tmp_path):
     payload = json.loads(path.read_text())
     stored = payload["matrices"]["training_x"]
     assert "imag" not in stored
-    stored["imag"] = [0.5] + [0] * (len(stored["real"]) - 1)
+    imag = np.zeros(stored["rows"] * stored["cols"])
+    imag[0] = 0.5
+    stored["imag"] = base64.b64encode(imag.astype("<f8").tobytes()).decode("ascii")
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError, match="training_x"):
         load_model(path)
@@ -316,11 +326,25 @@ def test_file_floats_survive_json_parse_exactly(tmp_path):
     save_model(record, path)
     payload = json.loads(path.read_text())
     stored = payload["matrices"]["coeffs"]
-    coeffs = np.array(stored["real"]) + 1j * np.array(stored["imag"])
-    assert_array_equal(coeffs.reshape(record.model.coeffs.shape), record.model.coeffs)
+    coeffs = np.empty(record.model.coeffs.shape, dtype=complex)
+    coeffs.real.flat = doubles(stored["real"])
+    coeffs.imag.flat = doubles(stored["imag"])
+    assert coeffs.tobytes() == record.model.coeffs.tobytes()
 
 
-# ---------------------------------------------------------------- schema 3
+def test_matrix_payload_is_little_endian_binary64(tmp_path):
+    one = np.array([[1.0]])
+    model = SpectralModel(eigenvalues=np.array([1.0]), modes_v=one, coeffs=one,
+                          observable_dim=1, residuals={"training": 0.0})
+    path = tmp_path / "model.json"
+    save_model(ModelRecord(algorithm="dmd", model=model, rtol=1e-10), path)
+    stored = json.loads(path.read_text())["matrices"]
+    for name in ("eigenvalues", "modes", "coeffs"):
+        assert stored[name] == {"rows": 1, "cols": 1, "real": "AAAAAAAA8D8="}, name
+    assert load_model(path).model.eigenvalues.tolist() == [1.0]
+
+
+# ---------------------------------------------------------------- schema 4
 
 
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)
@@ -334,7 +358,7 @@ def test_imag_is_stored_exactly_when_some_entry_is_nonzero(tmp_path, make_record
     for name, matrix in stored.items():
         assert ("imag" in matrix) == bool(np.any(np.imag(arrays[name]))), name
         if "imag" in matrix:
-            assert any(matrix["imag"])
+            assert np.any(doubles(matrix["imag"]))
 
 
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)
