@@ -6,7 +6,10 @@ to eigenfunction values, phi(z) = C f(z). The features are the state itself
 (both DMD fits), a dictionary lift (EDMD, ``edmd``) or kernel products with
 the training snapshots (kernel EDMD, ``kernel_edmd``). One routine each
 evaluates eigenfunctions, forecasts Re(V Lambda^m C f(z)) and forms the
-one-step map Re(V Lambda C), whatever the fitter.
+one-step map Re(V Lambda C), whatever the fitter. The forecast multiplies
+one fixed table of eigenvalue powers Lambda^1 .. Lambda^b by weights that
+carry Lambda^(jb) for block j, so each block of steps is one matrix product
+(``_spectral_predict`` states its growth bound and tolerance).
 
 Both DMD fits regress a one-step linear operator from snapshot pairs. The
 companion fit works on the longest leading block of snapshot columns that is
@@ -308,19 +311,34 @@ def _discard_imaginary(rows: np.ndarray) -> np.ndarray:
 def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
     """Advance amplitudes through eigenvalue powers, m = 1..steps.
 
-    Powers are built _PREDICT_BLOCK steps at a time by a running product,
-    the same left-to-right multiplications as stepping one at a time, and
-    each block is mapped through the modes by one matrix product.
+    A table T holds Lambda^1 .. Lambda^b (b = _PREDICT_BLOCK, or steps if
+    fewer), built by a left-to-right running product. Block j of the
+    forecast is Re(T W_j) with r x n weights W_j = (V diag(a Lambda^(jb)))^T,
+    each row's imaginary residue judged on its own, and W_(j+1) is
+    Lambda^b W_j; so each block costs one matrix product. Growth bound: when
+    max |lambda| > 1, b is at most 512 / log2 max |lambda|, so no table
+    entry overflows where the running product stays finite. Against
+    step-by-step products the forecast agrees to 1e-12 times its largest
+    entry, and row by row to 1e-13 relative for a growing mode (both stated
+    in tests/test_dmd.py). A forecast too large to allocate is a ConfigError.
     """
-    out = np.empty((steps, modes.shape[0]))
-    state = amplitudes.astype(complex)
-    for start in range(0, steps, _PREDICT_BLOCK):
-        powers = np.empty((min(_PREDICT_BLOCK, steps - start), state.size), dtype=complex)
-        powers[0] = state * values
-        powers[1:] = values
-        np.multiply.accumulate(powers, axis=0, out=powers)
-        state = powers[-1]
-        out[start : start + powers.shape[0]] = _discard_imaginary(powers @ modes.T)
+    try:
+        out = np.empty((steps, modes.shape[0]))
+    except (MemoryError, ValueError):
+        raise ConfigError(f"a forecast of {steps} steps is too large to allocate") from None
+    block = min(_PREDICT_BLOCK, max(steps, 1))
+    top = np.max(np.abs(values), initial=0.0)
+    if top > 1.0:
+        block = min(block, max(1, int(512 / np.log2(top))))
+    table = np.empty((block, values.size), dtype=complex)
+    table[:] = values
+    np.multiply.accumulate(table, axis=0, out=table)
+    weights = (modes * amplitudes).T
+    for start in range(0, steps, block):
+        count = min(block, steps - start)
+        out[start : start + count] = _discard_imaginary(table[:count] @ weights)
+        if start + block < steps:
+            weights = weights * table[-1, :, None]
     return out
 
 

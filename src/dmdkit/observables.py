@@ -10,6 +10,7 @@ explicit and kernelized fits together and is tested as such.
 Spec-string grammar (used by the CLI and model files):
 ``identity`` | ``poly:<degree>`` | ``rbf:<width>:<centers>`` for dictionaries,
 ``poly:<degree>`` | ``gaussian:<sigma>`` | ``laplacian:<sigma>`` for kernels.
+A width or sigma is refused unless its square is a positive finite double.
 """
 
 from __future__ import annotations
@@ -176,6 +177,15 @@ class PolynomialDictionary(Dictionary):
         return f"{'wpoly' if self.weighted else 'poly'}:{self.degree}"
 
 
+def _width(width, what: str) -> float:
+    """A kernel or rbf width whose square is a positive finite double."""
+    width = float(width)
+    if not (width > 0 and 0 < width * width < np.inf):
+        raise ConfigError(
+            f"{what} width must be positive with a positive finite square, got {width}")
+    return width
+
+
 class RbfDictionary(Dictionary):
     """Gaussian bumps exp(-||z - c_j||^2 / width^2) at fixed centers."""
 
@@ -185,12 +195,10 @@ class RbfDictionary(Dictionary):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if centers.size == 0 or not np.all(np.isfinite(centers)):
             raise ShapeError("centers must be a non-empty finite (n_centers, dim) array")
-        if not (np.isfinite(width) and width > 0):
-            raise ConfigError(f"rbf width must be positive, got {width}")
         names = tuple(f"rbf{i}" for i in range(1, len(centers) + 1))
         super().__init__(centers.shape[1], len(centers), names)
         self.centers = centers
-        self.width = float(width)
+        self.width = _width(width, "rbf")
 
     def _transform_columns(self, cols):
         diff = cols[None, :, :] - self.centers[:, :, None]
@@ -284,9 +292,7 @@ class GaussianKernel(Kernel):
     kind = "gaussian"
 
     def __init__(self, sigma: float):
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ConfigError(f"gaussian kernel width must be positive, got {sigma}")
-        self.sigma = float(sigma)
+        self.sigma = _width(sigma, "gaussian kernel")
 
     def gram(self, a_cols, b_cols):
         return np.exp(-_sq_dists(a_cols, b_cols) / self.sigma**2)
@@ -301,9 +307,7 @@ class LaplacianKernel(Kernel):
     kind = "laplacian"
 
     def __init__(self, sigma: float):
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ConfigError(f"laplacian kernel width must be positive, got {sigma}")
-        self.sigma = float(sigma)
+        self.sigma = _width(sigma, "laplacian kernel")
 
     def gram(self, a_cols, b_cols):
         return np.exp(-np.sqrt(_sq_dists(a_cols, b_cols)) / self.sigma**2)

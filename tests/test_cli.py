@@ -491,6 +491,23 @@ def test_damaged_model_file_exits_3_with_one_line(capsys, tmp_path, damage, name
         assert named in err
 
 
+def test_model_file_with_unusable_kernel_width_exits_3(capsys, tmp_path):
+    traj = write_quadratic_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    run(capsys, ["fit", "--algo", "kernel-edmd", "--kernel", "gaussian:1",
+                 "--data", str(traj), "--out", str(model)])
+    payload = json.loads(model.read_text())
+    payload["fit"]["features"] = "gaussian:1e200"
+    model.write_text(json.dumps(payload))
+    ic = tmp_path / "ic.csv"
+    ic.write_text("1,-0.4\n")
+    for argv in (["spectrum", str(model)], ["predict", str(model), str(ic), "3"]):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert one_error_line(err) and "'gaussian:1e200' are unusable" in err
+
+
 def _drop_field(lines, rng):
     row = int(rng.integers(len(lines)))
     fields = lines[row].split(",")
@@ -757,3 +774,34 @@ def test_predict_negative_steps_exits_2_before_reading_the_model(capsys, tmp_pat
     assert code == 2
     assert out == ""
     assert one_error_line(err) and "steps must be non-negative" in err
+
+
+@pytest.mark.parametrize("steps", [10**15, 2**62, 10**30])
+def test_unallocatable_forecast_exits_2_naming_the_step_count(capsys, tmp_path, steps):
+    traj = write_diag_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
+    ic = tmp_path / "ic.csv"
+    ic.write_text("1,1\n")
+    code, out, err = run(capsys, ["predict", str(model), str(ic), str(steps)])
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and f"forecast of {steps} steps" in err
+
+
+@pytest.mark.parametrize("algo, flag, spec", [
+    ("kernel-edmd", "--kernel", "gaussian:1e200"),
+    ("kernel-edmd", "--kernel", "laplacian:1e200"),
+    ("kernel-edmd", "--kernel", "gaussian:1e-200"),
+    ("edmd", "--dict", "rbf:1e200:5"),
+    ("edmd", "--dict", "rbf:1e-200:5"),
+])
+def test_width_without_a_finite_positive_square_exits_2(capsys, tmp_path, algo, flag, spec):
+    traj = write_quadratic_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", algo, flag, spec, "--data", str(traj),
+                                  "--out", str(model)])
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "positive finite square" in err
+    assert not model.exists()

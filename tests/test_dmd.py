@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -335,6 +337,31 @@ def test_imaginary_residue_is_judged_per_row_against_its_own_scale():
             _spectral_predict(modes, values, amps, steps)
         with pytest.raises(NumericalError, match="residue 1.000e-03"):
             stepwise_forecast(modes, values, amps, steps)
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_forty_block_forecast_matches_stepwise_reference(seed):
+    traj = block_rotation_traj(blocks=10, steps=60, seed=seed)
+    model = fit_svd_dmd(snapshot_pairs(traj))
+    g0 = traj.states[-1]
+    steps = 40 * _PREDICT_BLOCK + 3
+    expected = stepwise_forecast(model.modes_v, model.eigenvalues, model.coeffs @ g0, steps)
+    got = predict(model, g0, steps)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+def test_growing_mode_forecast_stays_finite_without_warnings():
+    # 20**256 overflows, so a full 256-row power table would print NaN from
+    # step 237 although every forecast value is finite (1e-300 * 20**400 =
+    # 2.6e220); one more carry after the last block would overflow as well
+    modes = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    values = np.array([20.0, 0.5], dtype=complex)
+    amps = np.array([1e-300, 1.0], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _spectral_predict(modes, values, amps, 400)
+        expected = stepwise_forecast(modes, values, amps, 400)
+    assert np.all(np.isfinite(got))
+    err = np.max(np.abs(got - expected), axis=1)
+    assert np.all(err <= 1e-13 * np.max(np.abs(expected), axis=1))
 
 def test_eigenfunction_functional_equation_on_linear_data():
     a = np.array([[0.9, 0.2], [0.0, 0.5]])
