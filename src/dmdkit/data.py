@@ -3,16 +3,27 @@
 A trajectory stores one sample per row. Snapshot matrices used by the fitting
 routines store one sample per *column*, with the pair (x, xp) aligned so that
 column j of xp is the successor (one sampling step later) of column j of x.
+``snapshot_pairs`` writes each of x and xp in one copy of the trajectory.
 
 CSV format: a header row ``t,x1..xN[,u1..uM][,d1..dK]`` followed by numeric
-rows; time stamps must be uniformly spaced. Floats are written with 17
-significant digits so a save/load round trip is bit-exact.
+rows; time stamps must be uniformly spaced. Files are UTF-8, and one leading
+byte-order mark is dropped. Floats are written with 17 significant digits so
+a save/load round trip is bit-exact.
+
+Reading streams the file: after the header, ``np.loadtxt`` parses the open
+file a line at a time straight into the table, so a load holds the parsed
+doubles, never the CSV text. Only when loadtxt refuses the body (quoted
+fields, ragged or non-numeric rows, ``_`` in numbers) does the reader seek
+back to the first data line and parse again one record at a time; that
+fallback, and the search for a row's line after a non-finite value or a bad
+time step, are the only paths that count lines, so every error names the
+file line it found.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -168,18 +179,25 @@ def snapshot_pairs(traj: Trajectory, augment_inputs: bool = False) -> SnapshotPa
     each column, and xp repeats them unchanged (zero-order hold): column t is
     ``[g_t; u_t; d_t]`` and its successor column is ``[g_{t+1}; u_t; d_t]``.
     """
-    cur = [traj.states[:-1]]
-    nxt = [traj.states[1:]]
+    held = []
     if augment_inputs:
         if traj.inputs is None and traj.disturbances is None:
             raise ConfigError("trajectory has no inputs or disturbances to augment with")
-        for signal in (traj.inputs, traj.disturbances):
-            if signal is not None:
-                cur.append(signal[:-1])
-                nxt.append(signal[:-1])  # held, not advanced
-    x = np.hstack(cur).T
-    xp = np.hstack(nxt).T
+        held = [s[:-1] for s in (traj.inputs, traj.disturbances) if s is not None]
+    x = _sample_columns([traj.states[:-1], *held])
+    xp = _sample_columns([traj.states[1:], *held])  # inputs held, not advanced
     return SnapshotPair(x, xp, np.arange(traj.length - 1), dt=traj.dt)
+
+
+def _sample_columns(blocks: list) -> np.ndarray:
+    """Sample-per-row blocks stacked as one C-ordered sample-per-column matrix.
+
+    Written straight into its final layout, so each snapshot matrix is one
+    copy of the trajectory and SnapshotPair keeps it without another.
+    """
+    out = np.empty((sum(b.shape[1] for b in blocks), blocks[0].shape[0]))
+    np.concatenate([b.T for b in blocks], axis=0, out=out)
+    return out
 
 
 def delay_embed(traj: Trajectory, h: int) -> EmbeddedTrajectory:
@@ -221,6 +239,8 @@ def concat_pairs(pairs: list[SnapshotPair]) -> SnapshotPair:
             raise ShapeError("snapshot pairs have mismatched observable dimensions")
         if p.dt != dt:
             raise ShapeError("snapshot pairs have mismatched sampling intervals")
+    if len(pairs) == 1:
+        return pairs[0]
     return SnapshotPair(
         np.hstack([p.x for p in pairs]),
         np.hstack([p.xp for p in pairs]),
@@ -270,7 +290,8 @@ def load_trajectory(path) -> Trajectory:
     1e-9 relative jitter.
     """
     with _text_file(path, "trajectory file") as handle:
-        reader = csv.reader(handle)
+        # read by readline, not iteration, so handle.tell() stays available
+        reader = csv.reader(iter(handle.readline, ""))
         try:
             header = next(reader)
         except StopIteration:
@@ -278,23 +299,23 @@ def load_trajectory(path) -> Trajectory:
         n_x, n_u, n_d = _parse_header(header, path)
         width = 1 + n_x + n_u + n_d
         first_line = reader.line_num + 1
-        body = handle.read()
-    table = _finite_rows(body, width, first_line, path)
-    if len(table) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
-    t = table[:, 0]
-    dt = float(t[1] - t[0])
-    if dt <= 0:
-        line = _row_line(body, first_line, 1)
-        raise DataError(f"{path}: line {line}: time stamps must be strictly increasing")
-    steps = np.diff(t)
-    jitter = np.abs(steps - dt)
-    worst = int(np.argmax(jitter))
-    if jitter[worst] > _DT_RTOL * abs(dt):
-        raise DataError(
-            f"{path}: line {_row_line(body, first_line, worst + 1)}: time step "
-            f"{float(steps[worst])!r} deviates from dt={dt!r}"
-        )
+        start = handle.tell()
+        table = _finite_rows(handle, start, width, first_line, path)
+        if len(table) < 2:
+            raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
+        t = table[:, 0]
+        dt = float(t[1] - t[0])
+        if dt <= 0:
+            line = _row_line(handle, start, first_line, 1)
+            raise DataError(f"{path}: line {line}: time stamps must be strictly increasing")
+        steps = np.diff(t)
+        jitter = np.abs(steps - dt)
+        worst = int(np.argmax(jitter))
+        if jitter[worst] > _DT_RTOL * abs(dt):
+            raise DataError(
+                f"{path}: line {_row_line(handle, start, first_line, worst + 1)}: time step "
+                f"{float(steps[worst])!r} deviates from dt={dt!r}"
+            )
     states = table[:, 1 : 1 + n_x]
     inputs = table[:, 1 + n_x : 1 + n_x + n_u] if n_u else None
     dists = table[:, 1 + n_x + n_u :] if n_d else None
@@ -309,18 +330,21 @@ def load_rows(path, what: str) -> np.ndarray:
     line, as ``load_trajectory``'s do.
     """
     with _text_file(path, what) as handle:
-        body = handle.read()
-    first = next((fields for fields in csv.reader(io.StringIO(body, newline="")) if fields), None)
-    if first is None:
-        raise DataError(f"{path}: {what} has no data rows")
-    return _finite_rows(body, len(first), 1, path)
+        records = csv.reader(iter(handle.readline, ""))
+        first = next((fields for fields in records if fields), None)
+        if first is None:
+            raise DataError(f"{path}: {what} has no data rows")
+        return _finite_rows(handle, 0, len(first), 1, path)
 
 
 @contextmanager
 def _text_file(path, what: str):
-    """``path`` opened to read as UTF-8 text; failures become one-line DataErrors."""
+    """``path`` opened to read as UTF-8 text; failures become one-line DataErrors.
+
+    A leading byte-order mark is dropped (``utf-8-sig``), and only that one.
+    """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise DataError(f"cannot read {what}: {err}") from err
     with handle:
@@ -330,41 +354,45 @@ def _text_file(path, what: str):
             raise DataError(f"{path}: file is not UTF-8 text ({err.reason})") from None
 
 
-def _finite_rows(body: str, width: int, first_line: int, path) -> np.ndarray:
-    """The rows of ``body``, its lines counted from ``first_line``, as a finite table."""
-    table = _parse_body(body, width)
+def _finite_rows(handle, start, width: int, first_line: int, path) -> np.ndarray:
+    """The rows of ``handle`` from offset ``start`` (file line ``first_line``) as a finite table."""
+    handle.seek(start)
+    table = _parse_body(handle, width)
     if table is None:
-        table = np.array(_parse_rows(body, width, first_line, path)).reshape(-1, width)
+        handle.seek(start)
+        table = np.array(_parse_rows(handle, width, first_line, path)).reshape(-1, width)
     # nan passes every comparison, so a nan time stamp would load
     rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if rows.size:
-        line = _row_line(body, first_line, rows[0])
+        line = _row_line(handle, start, first_line, rows[0])
         raise DataError(f"{path}: line {line}: non-finite value")
     return table
 
 
-def _parse_body(body: str, width: int) -> np.ndarray | None:
-    """The data rows parsed in one pass, or None if the fast parser balks.
+def _parse_body(lines, width: int) -> np.ndarray | None:
+    """The data rows parsed by ``np.loadtxt`` straight from ``lines``, or None if it balks.
 
-    Whatever ``np.loadtxt`` accepts, the row loop below reads into the same
-    doubles; but loadtxt refuses some bodies the loop takes (quoted fields,
-    ``_`` in numbers) and its messages do not name the line, so None sends
-    the body through the loop.
+    ``lines`` is the open file at its first data line, so the CSV text is
+    never held whole: loadtxt reads it a line at a time into the table. Whatever
+    loadtxt accepts, ``_parse_rows`` reads into the same doubles; but
+    loadtxt refuses some bodies that loop takes (quoted fields, ``_`` in
+    numbers) and its messages do not name the line. On None the caller
+    rewinds the file to the first data line, which loadtxt may have read
+    part-way past, and sends it through ``_parse_rows``.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
-            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                               ndmin=2, dtype=float)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
     except (ValueError, UserWarning):
         return None
     return table if table.shape[1] == width else None
 
 
-def _parse_rows(body: str, width: int, first_line: int, path) -> list:
+def _parse_rows(lines, width: int, first_line: int, path) -> list:
     """Parse the data rows one field at a time, naming the first bad line."""
     rows = []
-    reader = csv.reader(io.StringIO(body, newline=""))
+    reader = csv.reader(lines)
     for fields in reader:
         if not fields:
             continue
@@ -383,11 +411,15 @@ def _parse_rows(body: str, width: int, first_line: int, path) -> list:
     return rows
 
 
-def _row_line(body: str, first_line: int, row: int) -> int:
-    """File line of data row ``row`` (0-based); both parsers skip empty lines."""
-    reader = csv.reader(io.StringIO(body, newline=""))
-    lines = [first_line - 1 + reader.line_num for fields in reader if fields]
-    return lines[row]
+def _row_line(handle, start, first_line: int, row: int) -> int:
+    """File line of data row ``row`` (0-based), read again from offset ``start``.
+
+    Both parsers skip empty lines, so this counts only non-empty records.
+    """
+    handle.seek(start)
+    reader = csv.reader(handle)
+    lines = (first_line - 1 + reader.line_num for fields in reader if fields)
+    return next(itertools.islice(lines, row, None))
 
 
 def _is_float(text: str) -> bool:

@@ -48,11 +48,13 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
 
     # raw observables expanded in the dictionary, g(z) =~ D theta(z)
     d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
-    d_residual = _relative_error(pair.x, d_coeffs @ lifted.x)
+    d_residual = _relative_error(pair.x, d_coeffs, lambda cols: lifted.x[:, cols])
     modes_v = None if flags else d_coeffs @ factors.u @ spectrum.vectors
 
-    k_full = factors.u @ k_hat @ factors.u.T
-    lifted_residual = _relative_error(lifted.xp, k_full @ lifted.x)
+    # K = U k_hat U^T applied as (U k_hat)(U^T theta), never formed as f x f
+    lifted_residual = _relative_error(
+        lifted.xp, factors.u @ k_hat, lambda cols: factors.u.T @ lifted.x[:, cols]
+    )
 
     return SpectralModel(
         eigenvalues=spectrum.values,

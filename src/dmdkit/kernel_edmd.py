@@ -61,8 +61,9 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
     spectrum, v_inv, flags = _eigen_inverse(k_hat_u)
 
     modes = (pair.x @ q / sigma[None, :]) @ spectrum.vectors
-    phi_train = (v_inv * sigma[None, :]) @ q.T
-    recon = modes @ (spectrum.values[:, None] * phi_train)
+    # eigenfunction values one step on from the training columns, Lambda inv(V) S Q^T
+    phi_step = spectrum.values[:, None] * (v_inv * sigma[None, :])
+    residual = _relative_error(pair.xp, modes, lambda cols: phi_step @ q[cols].T)
 
     return SpectralModel(
         eigenvalues=spectrum.values,
@@ -72,5 +73,5 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
         features=kernel,
         training_x=pair.x,
         flags=flags,
-        residuals={"training": _relative_error(pair.xp, recon)},
+        residuals={"training": residual},
     )

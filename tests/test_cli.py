@@ -657,6 +657,43 @@ def test_binary_initial_condition_exits_3(capsys, tmp_path):
     assert one_error_line(err) and "not UTF-8" in err
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_data_csv_with_byte_order_mark_fits_as_without(capsys, tmp_path):
+    plain = write_diag_traj(capsys, tmp_path)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(BOM + plain.read_bytes())
+    fits = []
+    for data in (plain, marked):
+        model = tmp_path / f"{data.stem}.json"
+        code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(data),
+                                      "--out", str(model)])
+        assert code == 0, err
+        fits.append((out, json.loads(model.read_text())["matrices"]))
+    assert fits[1] == fits[0]
+    # one mark is dropped, and only one
+    twice = tmp_path / "twice.csv"
+    twice.write_bytes(BOM + marked.read_bytes())
+    code, _, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(twice),
+                                "--out", str(tmp_path / "twice.json")])
+    assert code == 3
+    assert one_error_line(err) and "line 1: header must start with column 't'" in err
+
+
+def test_initial_condition_with_byte_order_mark_predicts_as_without(capsys, tmp_path):
+    traj = write_diag_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
+    plain = tmp_path / "ic.csv"
+    plain.write_text("1,0.5\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(BOM + plain.read_bytes())
+    expected = run(capsys, ["predict", str(model), str(plain), "4"])
+    assert expected[0] == 0
+    assert run(capsys, ["predict", str(model), str(marked), "4"]) == expected
+
+
 def closed_pipe(argv, cwd, lines):
     """Run the CLI with its stdout read for ``lines`` lines, then closed (``| head``)."""
     proc = subprocess.Popen([sys.executable, "-m", "dmdkit.cli", *argv], cwd=cwd,

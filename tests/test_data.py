@@ -6,6 +6,9 @@ against hand-written arrays.
 
 from __future__ import annotations
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -215,9 +218,9 @@ def test_fast_body_parse_matches_per_field_parse(tmp_path):
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
     body = path.read_text().split("\n", 1)[1]
-    fast = _parse_body(body, 4)
+    fast = _parse_body(io.StringIO(body), 4)
     assert fast is not None
-    assert_array_equal(fast, np.array(_parse_rows(body, 4, 2, path)))
+    assert_array_equal(fast, np.array(_parse_rows(io.StringIO(body), 4, 2, path)))
 
 
 def test_load_reads_fields_the_fast_parser_refuses(tmp_path):
@@ -248,6 +251,70 @@ def test_load_header_contract(tmp_path):
     path.write_text("t,u1,x1\n0,1,1\n1,2,2\n")
     with pytest.raises(DataError, match="out of order"):
         load_trajectory(path)
+
+
+def test_load_trajectory_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
+    # the loader parses the open file, never holding its text, so it holds
+    # the table and the states copied out of it
+    traj = Trajectory(dt=0.01, states=np.random.default_rng(33).standard_normal((2001, 200)))
+    path = tmp_path / "wide.csv"
+    save_trajectory(traj, path)
+    table_bytes = 2001 * 201 * 8
+    tracemalloc.start()
+    try:
+        loaded = load_trajectory(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_array_equal(loaded.states, traj.states)
+    # numpy < 1.23 has a pure-Python loadtxt that holds every value as a
+    # Python float before building the table
+    if np.lib.NumpyVersion(np.__version__) >= "1.23.0":
+        assert peak <= 3 * table_bytes, peak / table_bytes
+
+
+# more data rows than one np.loadtxt chunk (50,000 lines)
+LONG_ROWS = 60_000
+
+
+def long_csv_lines():
+    traj = Trajectory(dt=0.5, states=np.random.default_rng(34).standard_normal((LONG_ROWS, 2)))
+    text = io.StringIO()
+    save_trajectory(traj, text)
+    return text.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda fields: [fields[0], "oops", fields[2]], "non-numeric value 'oops'"),
+    (lambda fields: fields + ["9"], "expected 3 fields, got 4"),
+    (lambda fields: ["nan", *fields[1:]], "non-finite value"),
+], ids=["non-numeric", "ragged", "nan-stamp"])
+def test_long_file_names_its_last_line(tmp_path, damage, message):
+    lines = long_csv_lines()
+    lines[-1] = ",".join(damage(lines[-1].split(",")))
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"line {LONG_ROWS + 1}: {message}"):
+        load_trajectory(path)
+
+
+def test_long_file_with_bytes_not_utf8_on_its_last_line_is_refused(tmp_path):
+    # the decoder fails inside np.loadtxt, far past the first read
+    path = tmp_path / "long.csv"
+    path.write_bytes(("\n".join(long_csv_lines()) + "\n").encode() + b"9e9,\xff,1\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_trajectory(path)
+
+
+def test_long_crlf_file_with_blank_line_loads_like_lf(tmp_path):
+    lines = long_csv_lines()
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(("\n".join(lines) + "\n").encode())
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(("\r\n".join([*lines[:30_000], "", *lines[30_000:]]) + "\r\n").encode())
+    expected, loaded = load_trajectory(lf), load_trajectory(crlf)
+    assert loaded.dt == expected.dt
+    assert_array_equal(loaded.states, expected.states)
 
 
 def test_load_requires_two_rows(tmp_path):

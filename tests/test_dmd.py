@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +9,13 @@ from dmdkit.data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
 from dmdkit.dmd import (
     _BASIS_CONDITION_LIMIT,
     _PREDICT_BLOCK,
+    _RESIDUAL_BLOCK,
     SpectralModel,
+    _eigen_inverse,
     _invert_basis,
     _leading_window,
+    _lstsq_pinv,
+    _reduced_fit,
     _spectral_predict,
     eigenfunction_values,
     embedding_sweep,
@@ -26,7 +31,10 @@ from dmdkit.errors import (
     NumericalError,
     ShapeError,
 )
-from dmdkit.linalg import eig, spectral_order, svd_truncated
+from dmdkit.edmd import fit_edmd, lift_snapshots
+from dmdkit.kernel_edmd import _gram_basis, fit_kernel_edmd
+from dmdkit.linalg import DEFAULT_RTOL, eig, spectral_order, svd_truncated
+from dmdkit.observables import build_dictionary, parse_kernel
 from dmdkit.systems import linear_system, rotation_system, simulate
 
 
@@ -244,6 +252,87 @@ def test_training_residual_matches_lstsq_reference(noise):
     assert abs(model.fit_residual - reference) <= 1e-12 * reference + 1e-14
     if noise:
         assert reference > 1e-4  # the noisy case is not another exact fit
+
+
+def relative_error(target, approx):
+    """The one-shot training residual: the whole product formed at once."""
+    return np.linalg.norm(target - approx) / np.linalg.norm(target)
+
+
+def dense_residuals(algo, pair):
+    """Each stored residual of a fit, recomputed with whole-width products."""
+    if algo == "dmd":
+        model = fit_svd_dmd(pair)
+        amps = _lstsq_pinv(model.modes_v) @ pair.x
+        recon = model.modes_v @ (model.eigenvalues[:, None] * amps)
+        return model, {"training": relative_error(pair.xp, recon)}
+    if algo == "edmd":
+        dictionary = build_dictionary("poly:2", pair.n_observables)
+        model = fit_edmd(pair, dictionary)
+        lifted = lift_snapshots(pair, dictionary)
+        factors, k_hat = _reduced_fit(lifted.x, lifted.xp, DEFAULT_RTOL)[:2]
+        d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
+        k_full = factors.u @ k_hat @ factors.u.T
+        return model, {"lifted": relative_error(lifted.xp, k_full @ lifted.x),
+                       "observable": relative_error(pair.x, d_coeffs @ lifted.x)}
+    kernel = parse_kernel("poly:2")
+    model = fit_kernel_edmd(pair, kernel)
+    q, sigma = _gram_basis(kernel.gram(pair.x, pair.x), DEFAULT_RTOL)
+    k_hat_u = (q.T @ kernel.gram(pair.x, pair.xp) @ q) / sigma[:, None] / sigma[None, :]
+    spectrum, v_inv, _ = _eigen_inverse(k_hat_u)
+    phi_train = (v_inv * sigma[None, :]) @ q.T
+    recon = model.modes_v @ (spectrum.values[:, None] * phi_train)
+    return model, {"training": relative_error(pair.xp, recon)}
+
+
+def rotation_pair(columns, noise):
+    states = block_rotation_traj(2, columns, seed=12).states
+    states = states + noise * np.random.default_rng(13).standard_normal(states.shape)
+    return snapshot_pairs(Trajectory(dt=1.0, states=states))
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-2], ids=["exact", "noisy"])
+@pytest.mark.parametrize("columns", [
+    1, _RESIDUAL_BLOCK - 1, _RESIDUAL_BLOCK, _RESIDUAL_BLOCK + 1, 2000,
+])
+@pytest.mark.parametrize("algo", ["dmd", "edmd", "kernel-edmd"])
+def test_blocked_residuals_match_dense_reference(algo, columns, noise):
+    model, reference = dense_residuals(algo, rotation_pair(columns, noise))
+    assert list(model.residuals) == list(reference)
+    for name, value in reference.items():
+        assert abs(model.residuals[name] - value) <= 1e-13, name
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-2], ids=["exact", "noisy"])
+@pytest.mark.parametrize("block", [1, 3, 4, 5])
+def test_blocked_companion_residual_matches_dense_reference(monkeypatch, block, noise):
+    # the companion residual spans only its 4-column window, so the block
+    # is set around the window: many blocks, window - 1, window, window + 1
+    monkeypatch.setattr("dmdkit.dmd._RESIDUAL_BLOCK", block)
+    pair = rotation_pair(2000, noise)
+    model = fit_companion(pair)
+    window = model.eigenvalues.size
+    assert window == 4
+    vander = np.vander(model.eigenvalues, N=window, increasing=True)
+    block_x = pair.x[:, :window]
+    reference = relative_error(block_x, (model.modes_v @ vander).real)
+    assert abs(model.fit_residual - reference) <= 1e-13
+
+
+def test_fit_svd_dmd_peak_memory_is_a_small_multiple_of_the_data():
+    # the residual is formed in column blocks, so no 200 x 2000 complex
+    # product (4 times x's bytes each) is ever held
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((200, 200)) / 15
+    x = rng.standard_normal((200, 2000))
+    pair = SnapshotPair(x, a @ x, np.arange(2000))
+    tracemalloc.start()
+    try:
+        fit_svd_dmd(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.nbytes, peak / x.nbytes
 
 
 def test_zero_eigenvalue_modes_flagged_and_zeroed():
