@@ -13,16 +13,19 @@ a save/load round trip is bit-exact.
 Reading streams the file: after the header, ``np.loadtxt`` parses the open
 file a line at a time straight into the table, so a load holds the parsed
 doubles, never the CSV text. Only when loadtxt refuses the body (quoted
-fields, ragged or non-numeric rows, ``_`` in numbers) does the reader seek
-back to the first data line and parse again one record at a time; that
-fallback, and the search for a row's line after a non-finite value or a bad
-time step, are the only paths that count lines, so every error names the
-file line it found.
+fields, ragged or non-numeric rows, ``_`` in numbers) does the reader check
+that the rest of the file decodes, seek back to the first data line and parse
+again one record at a time; that fallback, and the search for a row's line
+after a non-finite value or a bad time step, are the only paths that count
+lines, so every error names the file line it found, and a file with bytes
+that are not UTF-8 is refused as such whatever row comes first. A stream
+that cannot seek (a pipe) is read into memory whole before it is parsed.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import warnings
 from contextlib import contextmanager
@@ -339,9 +342,11 @@ def load_rows(path, what: str) -> np.ndarray:
 
 @contextmanager
 def _text_file(path, what: str):
-    """``path`` opened to read as UTF-8 text; failures become one-line DataErrors.
+    """``path`` opened to read as UTF-8 text; open, read and decode failures become DataErrors.
 
     A leading byte-order mark is dropped (``utf-8-sig``), and only that one.
+    A stream that cannot seek (a pipe, ``/dev/stdin``) is read whole into
+    memory, since the fallback parse and the line search go back to its start.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -349,9 +354,11 @@ def _text_file(path, what: str):
         raise DataError(f"cannot read {what}: {err}") from err
     with handle:
         try:
-            yield handle
+            yield handle if handle.seekable() else io.StringIO(handle.read(), newline="")
         except UnicodeDecodeError as err:
             raise DataError(f"{path}: file is not UTF-8 text ({err.reason})") from None
+        except OSError as err:
+            raise DataError(f"cannot read {what}: {err}") from err
 
 
 def _finite_rows(handle, start, width: int, first_line: int, path) -> np.ndarray:
@@ -359,6 +366,9 @@ def _finite_rows(handle, start, width: int, first_line: int, path) -> np.ndarray
     handle.seek(start)
     table = _parse_body(handle, width)
     if table is None:
+        # every byte decodes before any row is judged, as when the text was read whole
+        while handle.read(1 << 16):
+            pass
         handle.seek(start)
         table = np.array(_parse_rows(handle, width, first_line, path)).reshape(-1, width)
     # nan passes every comparison, so a nan time stamp would load
@@ -378,12 +388,15 @@ def _parse_body(lines, width: int) -> np.ndarray | None:
     loadtxt refuses some bodies that loop takes (quoted fields, ``_`` in
     numbers) and its messages do not name the line. On None the caller
     rewinds the file to the first data line, which loadtxt may have read
-    part-way past, and sends it through ``_parse_rows``.
+    part-way past, and sends it through ``_parse_rows``. A decode failure
+    is a ValueError too, but it is passed on: the file is not UTF-8.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except UnicodeDecodeError:
+        raise
     except (ValueError, UserWarning):
         return None
     return table if table.shape[1] == width else None

@@ -51,10 +51,8 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
     d_residual = _relative_error(pair.x, d_coeffs, lambda cols: lifted.x[:, cols])
     modes_v = None if flags else d_coeffs @ factors.u @ spectrum.vectors
 
-    # K = U k_hat U^T applied as (U k_hat)(U^T theta), never formed as f x f
-    lifted_residual = _relative_error(
-        lifted.xp, factors.u @ k_hat, lambda cols: factors.u.T @ lifted.x[:, cols]
-    )
+    k_full = factors.u @ k_hat @ factors.u.T
+    lifted_residual = _relative_error(lifted.xp, k_full, lambda cols: lifted.x[:, cols])
 
     return SpectralModel(
         eigenvalues=spectrum.values,

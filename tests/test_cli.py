@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 import subprocess
 import sys
 
@@ -692,6 +693,61 @@ def test_initial_condition_with_byte_order_mark_predicts_as_without(capsys, tmp_
     expected = run(capsys, ["predict", str(model), str(plain), "4"])
     assert expected[0] == 0
     assert run(capsys, ["predict", str(model), str(marked), "4"]) == expected
+
+
+def from_stdin(argv, cwd, data):
+    """Run the CLI in a child whose standard input is a pipe carrying ``data``."""
+    proc = subprocess.run([sys.executable, "-m", "dmdkit.cli", *argv], cwd=cwd,
+                          input=data, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def test_fit_reads_data_from_a_pipe_as_from_a_file(capsys, tmp_path):
+    traj = write_diag_traj(capsys, tmp_path)
+    code, expected, _ = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj),
+                                     "--out", str(tmp_path / "file.json")])
+    assert code == 0
+    code, out, err = from_stdin(["fit", "--algo", "dmd", "--data", "/dev/stdin",
+                                 "--out", "pipe.json"], tmp_path, traj.read_bytes())
+    assert code == 0, err
+    assert out == expected
+    matrices = [json.loads((tmp_path / name).read_text())["matrices"]
+                for name in ("file.json", "pipe.json")]
+    assert matrices[1] == matrices[0]
+
+
+def test_predict_reads_initial_condition_from_a_pipe_as_from_a_file(capsys, tmp_path):
+    traj = write_diag_traj(capsys, tmp_path)
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj),
+                 "--out", str(tmp_path / "model.json")])
+    (tmp_path / "ic.csv").write_text("1,0.5\n")
+    code, expected, _ = run(capsys, ["predict", str(tmp_path / "model.json"),
+                                     str(tmp_path / "ic.csv"), "4"])
+    assert code == 0
+    assert from_stdin(["predict", "model.json", "/dev/stdin", "4"], tmp_path,
+                      b"1,0.5\n") == (0, expected, "")
+
+
+def test_damaged_csv_from_a_pipe_names_its_line(capsys, tmp_path):
+    # the fallback parse and the line search rewind a pipe's text in memory
+    traj = write_diag_traj(capsys, tmp_path)
+    lines = traj.read_text().splitlines()
+    lines[5] = "oops," + lines[5].split(",", 1)[1]
+    code, out, err = from_stdin(["fit", "--algo", "dmd", "--data", "/dev/stdin",
+                                 "--out", "pipe.json"], tmp_path,
+                                ("\n".join(lines) + "\n").encode())
+    assert (code, out) == (3, "")
+    assert one_error_line(err) and "line 6: non-numeric value 'oops'" in err
+    assert not (tmp_path / "pipe.json").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs Linux /proc")
+def test_unreadable_data_file_exits_3_as_a_read_error(capsys, tmp_path):
+    # opening succeeds; reading from offset 0 fails with EIO
+    code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", "/proc/self/mem",
+                                  "--out", str(tmp_path / "model.json")])
+    assert (code, out) == (3, "")
+    assert one_error_line(err) and "cannot read trajectory file" in err
 
 
 def closed_pipe(argv, cwd, lines):

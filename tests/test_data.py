@@ -19,6 +19,7 @@ from dmdkit.data import (
     Trajectory,
     concat_pairs,
     delay_embed,
+    load_rows,
     load_trajectory,
     save_trajectory,
     snapshot_pairs,
@@ -304,6 +305,20 @@ def test_long_file_with_bytes_not_utf8_on_its_last_line_is_refused(tmp_path):
     path.write_bytes(("\n".join(long_csv_lines()) + "\n").encode() + b"9e9,\xff,1\n")
     with pytest.raises(DataError, match="not UTF-8"):
         load_trajectory(path)
+
+
+@pytest.mark.parametrize("rows", [10, LONG_ROWS])
+def test_bytes_not_utf8_are_reported_before_an_earlier_bad_field(tmp_path, rows):
+    # the whole text decodes before any row is judged, whether the bad bytes
+    # are read with the bad field or far past it
+    lines = long_csv_lines()[: rows + 1]
+    lines[2] = "1,oops,2"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode() + b"9e9,\xff,1\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_trajectory(path)
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_rows(path, "rows file")
 
 
 def test_long_crlf_file_with_blank_line_loads_like_lf(tmp_path):
