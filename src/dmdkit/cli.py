@@ -162,18 +162,25 @@ def cmd_fit(args) -> int:
         f"{pair.n_columns} column pairs"
     )
 
-    if args.algo == "companion":
-        model = fit_companion(pair)
-    elif args.algo == "dmd":
-        model = fit_svd_dmd(pair, rtol=args.rtol)
-    elif args.algo == "edmd":
-        dictionary = build_dictionary(args.dict, pair.n_observables, snapshots=pair.x)
-        model = fit_edmd(pair, dictionary, rtol=args.rtol)
-    else:
-        model = fit_kernel_edmd(pair, parse_kernel(args.kernel), rtol=args.rtol)
+    try:  # a Gram matrix, lift or SVD that cannot be allocated is a usage error
+        if args.algo == "companion":
+            model = fit_companion(pair)
+        elif args.algo == "dmd":
+            model = fit_svd_dmd(pair, rtol=args.rtol)
+        elif args.algo == "edmd":
+            dictionary = build_dictionary(args.dict, pair.n_observables, snapshots=pair.x)
+            model = fit_edmd(pair, dictionary, rtol=args.rtol)
+        else:
+            model = fit_kernel_edmd(pair, parse_kernel(args.kernel), rtol=args.rtol)
+    except MemoryError as err:
+        raise ConfigError(f"a {args.algo} fit of {pair.n_observables} observables x "
+                          f"{pair.n_columns} column pairs is too large to allocate: "
+                          f"{str(err) or 'out of memory'}") from None
 
     for flag in model.flags:
         _note(f"note: {flag}")
+    if "training" not in model.residuals:
+        _note("note: no modes, so training_residual is the lifted residual")
 
     record = ModelRecord(
         algorithm=args.algo,

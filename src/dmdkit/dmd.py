@@ -9,9 +9,10 @@ evaluates eigenfunctions, forecasts Re(V Lambda^m C f(z)) and forms the
 one-step map Re(V Lambda C), whatever the fitter. The forecast multiplies
 one fixed table of eigenvalue powers Lambda^1 .. Lambda^b by weights that
 carry Lambda^(jb) for block j, so each block of steps is one matrix product
-(``_spectral_predict`` states its growth bound and tolerance). Training
-residuals are summed over blocks of snapshot columns (``_relative_error``),
-within 1e-13 absolute of the one-shot product.
+(``_spectral_predict`` states its growth bound and tolerance). Every fitter's
+training residual is that map's one-step defect ||xp - Re(V Lambda C) F|| /
+||xp|| on its training features F (x, its lift, or the Gram matrix of x),
+summed over column blocks within 1e-13 absolute of the one-shot product.
 
 Both DMD fits regress a one-step linear operator from snapshot pairs. The
 companion fit works on the longest leading block of snapshot columns that is
@@ -35,7 +36,7 @@ inverted by pinv and flagged eigenvector_basis_singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class SpectralModel:
     invert (see flags). ``features`` is None for the identity (DMD), a
     ``Dictionary`` (EDMD) or a ``Kernel`` evaluated against the
     ``training_x`` columns (kernel EDMD). ``residuals`` holds the fit's
-    residuals by name, the training residual first.
+    residuals by name, the training residual (none without modes) first.
     """
 
     eigenvalues: np.ndarray
@@ -88,7 +89,7 @@ class SpectralModel:
 
     @property
     def fit_residual(self) -> float:
-        """The training residual: EDMD's lifted residual, else the reconstruction one."""
+        """The training residual, or EDMD's lifted residual when it has no modes."""
         return next(iter(self.residuals.values()))
 
     @property
@@ -97,23 +98,29 @@ class SpectralModel:
         return self.residuals["lifted"]
 
 
-def _relative_error(target: np.ndarray, left: np.ndarray, right, real: bool = False) -> float:
-    """||target - left R||_F / ||target||_F, the product formed in column blocks.
+def _relative_error(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """||target - left right||_F / ||target||_F, the product formed in column blocks.
 
-    ``right(cols)`` returns the columns ``cols`` (a slice) of the right
-    factor R, so only _RESIDUAL_BLOCK columns of R and of left R exist at
-    a time; the squared norm of the difference is summed over the blocks.
-    With ``real`` only the real part of left R is compared. Against the
-    one-shot product the result agrees to 1e-13 absolute (stated in
-    tests/test_dmd.py).
+    Only _RESIDUAL_BLOCK columns of left right exist at a time; the squared
+    norm of the difference is summed over the blocks. Against the one-shot
+    product the result agrees to 1e-13 absolute (stated in tests/test_dmd.py).
     """
     total = 0.0
     for start in range(0, target.shape[1], _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
-        approx = left @ right(cols)
-        total += np.linalg.norm(target[:, cols] - (approx.real if real else approx)) ** 2
+        total += np.linalg.norm(target[:, cols] - left @ right[:, cols]) ** 2
     denom = np.linalg.norm(target)
     return float(np.sqrt(total) / (denom if denom > 0 else 1.0))
+
+
+def _with_training_residual(model, xp, features, **others) -> SpectralModel:
+    """The model with residuals {training, **others}, where training is
+    ||xp - Re(V Lambda C) F||_F / ||xp||_F over the training features F (the
+    ``_feature_columns`` of x), left out when the model has no modes."""
+    training = {}
+    if model.modes_v is not None:
+        training["training"] = _relative_error(xp, full_operator(model), features)
+    return replace(model, residuals={**training, **others})
 
 
 def _lstsq_pinv(m: np.ndarray) -> np.ndarray:
@@ -184,8 +191,8 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
     representation, so that case is rejected in favor of the SVD fit, as is
     a leading block cut short of the rank by ill-conditioning. The modes
     are snapshot combinations, x[:, :window] inv(T) with T[i, j] =
-    lambda_i**j, and the training residual is how well modes @ T rebuilds
-    the block.
+    lambda_i**j, and C = pinv(V). The training residual is the model's
+    one-step defect ||xp - Re(V Lambda C) x|| / ||xp|| over every column.
     """
     x, xp = pair.x, pair.xp
     if x.shape[1] < 2:
@@ -222,15 +229,13 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
         )
     # row-major, like a loaded model's, so both evaluate bit for bit alike
     modes = np.ascontiguousarray(np.linalg.solve(vander.T, block.T.astype(complex)).T)
-    return SpectralModel(
+    model = SpectralModel(
         eigenvalues=values,
         modes_v=modes,
         coeffs=_lstsq_pinv(modes),
         observable_dim=pair.n_observables,
-        residuals={
-            "training": _relative_error(block, modes, lambda cols: vander[:, cols], real=True)
-        },
     )
+    return _with_training_residual(model, xp, x)
 
 
 def _mode_columns(xp, factors, values, vectors):
@@ -247,8 +252,8 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel
 
     The reduced operator U^T xp W inv(Sigma) is eigendecomposed; modes are
     lifted back to observable space, and eigenfunctions are inv(P) U^T z.
-    The training residual is the relative error of the spectral
-    reconstruction of xp on the training columns.
+    The training residual is the model's one-step defect
+    ||xp - Re(V Lambda C) x|| / ||xp||.
     """
     factors, _, spectrum, p_inv, basis_flags = _reduced_fit(pair.x, pair.xp, rtol)
     modes, has_zero = _mode_columns(pair.xp, factors, spectrum.values, spectrum.vectors)
@@ -258,20 +263,14 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel
         flags.append("degenerate_single_column")
     if has_zero:
         flags.append("zero_eigenvalue_modes")
-
-    # rank r throughout: V (lambda * (pinv(V) x)), never the n x n V pinv(V)
-    modes_pinv = _lstsq_pinv(modes)
-    residual = _relative_error(
-        pair.xp, modes, lambda cols: spectrum.values[:, None] * (modes_pinv @ pair.x[:, cols])
-    )
-    return SpectralModel(
+    model = SpectralModel(
         eigenvalues=spectrum.values,
         modes_v=modes,
         coeffs=p_inv @ factors.u.T,
         observable_dim=pair.n_observables,
         flags=(*flags, *basis_flags),
-        residuals={"training": residual},
     )
+    return _with_training_residual(model, pair.xp, pair.x)
 
 
 def _feature_columns(model: SpectralModel, cols: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ see the span assumption fail rather than silently trusting the spectrum.
 from __future__ import annotations
 
 from .data import SnapshotPair
-from .dmd import SpectralModel, _reduced_fit, _relative_error
+from .dmd import SpectralModel, _reduced_fit, _relative_error, _with_training_residual
 from .errors import ShapeError
 from .linalg import DEFAULT_RTOL
 from .observables import Dictionary
@@ -40,26 +40,24 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
              rtol: float = DEFAULT_RTOL) -> SpectralModel:
     """Regress the lifted one-step operator and map its spectrum to state space.
 
-    Residuals: ``lifted`` is the one-step defect U K U^T theta(x) against
-    theta(xp), ``observable`` how well D theta(x) rebuilds x.
+    Residuals: ``training`` is ||xp - Re(V Lambda C) theta(x)|| / ||xp||
+    (none when the modes are None), ``lifted`` the one-step defect U K U^T
+    theta(x) against theta(xp), ``observable`` how well D theta(x) rebuilds x.
     """
     lifted = lift_snapshots(pair, dictionary)
     factors, k_hat, spectrum, b_coeffs, flags = _reduced_fit(lifted.x, lifted.xp, rtol)
 
     # raw observables expanded in the dictionary, g(z) =~ D theta(z)
     d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
-    d_residual = _relative_error(pair.x, d_coeffs, lambda cols: lifted.x[:, cols])
-    modes_v = None if flags else d_coeffs @ factors.u @ spectrum.vectors
-
-    k_full = factors.u @ k_hat @ factors.u.T
-    lifted_residual = _relative_error(lifted.xp, k_full, lambda cols: lifted.x[:, cols])
-
-    return SpectralModel(
+    model = SpectralModel(
         eigenvalues=spectrum.values,
-        modes_v=modes_v,
+        modes_v=None if flags else d_coeffs @ factors.u @ spectrum.vectors,
         coeffs=b_coeffs @ factors.u.T,
         observable_dim=pair.n_observables,
         features=dictionary,
         flags=flags,
-        residuals={"lifted": lifted_residual, "observable": d_residual},
     )
+    k_full = factors.u @ k_hat @ factors.u.T
+    return _with_training_residual(model, pair.xp, lifted.x,
+                                   lifted=_relative_error(lifted.xp, k_full, lifted.x),
+                                   observable=_relative_error(pair.x, d_coeffs, lifted.x))

@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SnapshotPair
+from .dmd import SpectralModel, _eigen_inverse, _with_training_residual
 # eigenfunction_values is re-exported: the kernel model is a SpectralModel
-from .dmd import SpectralModel, _eigen_inverse, _relative_error, eigenfunction_values  # noqa: F401
+from .dmd import eigenfunction_values  # noqa: F401
 from .errors import EmptyRankError
 from .linalg import DEFAULT_RTOL, check_rtol
 from .observables import Kernel
@@ -54,24 +55,21 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
 
     G is factored by ``_gram_basis``, and the reduced operator's
     eigenstructure gives eigenvalues, modes, and the dual rows for
-    eigenfunctions.
+    eigenfunctions. Column j of G is the kernel row of training column j,
+    so the training residual is ||xp - Re(V Lambda C) G|| / ||xp||.
     """
-    q, sigma = _gram_basis(kernel.gram(pair.x, pair.x), rtol)
+    g_gram = kernel.gram(pair.x, pair.x)
+    q, sigma = _gram_basis(g_gram, rtol)
     k_hat_u = (q.T @ kernel.gram(pair.x, pair.xp) @ q) / sigma[:, None] / sigma[None, :]
     spectrum, v_inv, flags = _eigen_inverse(k_hat_u)
 
-    modes = (pair.x @ q / sigma[None, :]) @ spectrum.vectors
-    # eigenfunction values one step on from the training columns, Lambda inv(V) S Q^T
-    phi_step = spectrum.values[:, None] * (v_inv * sigma[None, :])
-    residual = _relative_error(pair.xp, modes, lambda cols: phi_step @ q[cols].T)
-
-    return SpectralModel(
+    model = SpectralModel(
         eigenvalues=spectrum.values,
-        modes_v=modes,
+        modes_v=(pair.x @ q / sigma[None, :]) @ spectrum.vectors,
         coeffs=v_inv @ (q.T / sigma[:, None]),
         observable_dim=pair.n_observables,
         features=kernel,
         training_x=pair.x,
         flags=flags,
-        residuals={"training": residual},
     )
+    return _with_training_residual(model, pair.xp, g_gram)

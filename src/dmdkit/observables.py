@@ -138,14 +138,24 @@ class PolynomialDictionary(Dictionary):
     degree is one gather and one multiply. A degree-k entry is thus a chain
     of k - 1 rounded products (the first, 1 * x, is exact), within about
     (k - 1) * 2^-53 relative of the exact monomial, and a column gives the
-    same bits alone or in a batch. The weights are applied last.
+    same bits alone or in a batch. The weights are applied last. A
+    dictionary whose size x n exponents and 2 x size x ``columns`` lifted
+    pair cannot be allocated is refused before it is built.
     """
 
     kind = "polynomial"
 
-    def __init__(self, input_dim: int, degree: int, weighted: bool = False):
+    def __init__(self, input_dim: int, degree: int, weighted: bool = False,
+                 columns: int = 0):
         if not isinstance(degree, (int, np.integer)) or degree < 1:
             raise ConfigError(f"polynomial degree must be an integer >= 1, got {degree}")
+        size = comb(input_dim + degree, degree)
+        try:  # the exponent table and a lifted pair, tried before any exponent is built
+            np.empty((size, input_dim + 2 * columns))
+        except (MemoryError, ValueError, OverflowError):
+            raise ConfigError(f"a degree-{degree} polynomial dictionary on {input_dim} states "
+                              f"has {size} monomials, too many to allocate for {columns} "
+                              "snapshot columns") from None
         exps = monomial_exponents(input_dim, degree)
         super().__init__(input_dim, len(exps), tuple(_monomial_name(e) for e in exps))
         self.degree = int(degree)
@@ -359,7 +369,9 @@ def build_dictionary(spec: str, input_dim: int, snapshots=None) -> Dictionary:
     if head in ("poly", "wpoly"):
         (_, deg) = _split_spec(spec, 2, f"{head}:<degree>")
         degree = _parse_number(deg, spec, integer=True)
-        return PolynomialDictionary(input_dim, degree, weighted=(head == "wpoly"))
+        columns = 0 if snapshots is None else np.shape(snapshots)[1]
+        return PolynomialDictionary(input_dim, degree, weighted=(head == "wpoly"),
+                                    columns=columns)
     if head == "rbf":
         (_, width, count) = _split_spec(spec, 3, "rbf:<width>:<centers>")
         if snapshots is None:

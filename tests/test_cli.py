@@ -611,6 +611,22 @@ def test_fit_quadratic_edmd_eigenvalue_081_present(capsys, tmp_path):
     assert min(abs(r[1] - 0.81) for r in rows) < 1e-6
 
 
+def test_edmd_fit_without_modes_reports_its_lifted_residual(capsys, tmp_path):
+    # x -> shift map with a defective operator: the eigenvector basis is singular
+    data = tmp_path / "shift.csv"
+    data.write_text("t,x1,x2\n0,0,1\n1,1,0\n2,0,0\n")
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", "edmd", "--dict", "identity",
+                                  "--data", str(data), "--out", str(model)])
+    assert code == 0
+    assert "note: eigenvector_basis_singular" in err
+    assert "note: no modes, so training_residual is the lifted residual" in err
+    residuals = json.loads(model.read_text())["fit"]["residuals"]
+    assert list(residuals) == ["lifted", "observable"]
+    _, rows = csv_rows(out)
+    assert all(row[3] == float(residuals["lifted"]) for row in rows)
+
+
 def one_error_line(err):
     """One ``error:`` line, after any progress notes, and no traceback."""
     lines = err.splitlines()
@@ -898,3 +914,49 @@ def test_width_without_a_finite_positive_square_exits_2(capsys, tmp_path, algo, 
     assert out == ""
     assert one_error_line(err) and "positive finite square" in err
     assert not model.exists()
+
+
+def under_address_limit(argv, cwd, limit=1 << 30):
+    """Run the CLI in a child whose address space is capped at ``limit`` bytes.
+
+    An allocation past the cap fails at once, so a test of an oversize fit
+    asks for no real memory. One BLAS thread keeps the library's own
+    buffers well inside the cap.
+    """
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard})); "
+            "from dmdkit.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_oversize_polynomial_dictionary_is_refused_before_it_is_built(tmp_path):
+    # poly:4 on 200 states has comb(204, 4) = 70,058,751 monomials; their
+    # exponents alone take longer to enumerate than any test timeout
+    traj = write_block_rotation_traj(tmp_path, blocks=100, steps=40, seed=0)
+    code, out, err = under_address_limit(
+        ["fit", "--algo", "edmd", "--dict", "poly:4", "--data", str(traj),
+         "--out", "model.json"], tmp_path)
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "70058751 monomials" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_fit_that_cannot_be_allocated_exits_2(capsys, tmp_path):
+    # the 30,000 x 30,000 Gram matrix alone needs 6.7 GiB
+    code, _, _ = run(capsys, ["simulate", "--system", "rotation", "--theta", "0.5",
+                              "--steps", "30000", "--out", str(tmp_path / "rot.csv")])
+    assert code == 0
+    code, out, err = under_address_limit(
+        ["fit", "--algo", "kernel-edmd", "--kernel", "gaussian:1", "--data", "rot.csv",
+         "--out", "model.json"], tmp_path)
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "kernel-edmd fit" in err and "too large to allocate" in err
+    assert not (tmp_path / "model.json").exists()

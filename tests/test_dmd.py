@@ -11,10 +11,8 @@ from dmdkit.dmd import (
     _PREDICT_BLOCK,
     _RESIDUAL_BLOCK,
     SpectralModel,
-    _eigen_inverse,
     _invert_basis,
     _leading_window,
-    _lstsq_pinv,
     _reduced_fit,
     _spectral_predict,
     eigenfunction_values,
@@ -32,7 +30,7 @@ from dmdkit.errors import (
     ShapeError,
 )
 from dmdkit.edmd import fit_edmd, lift_snapshots
-from dmdkit.kernel_edmd import _gram_basis, fit_kernel_edmd
+from dmdkit.kernel_edmd import fit_kernel_edmd
 from dmdkit.linalg import DEFAULT_RTOL, eig, spectral_order, svd_truncated
 from dmdkit.observables import build_dictionary, parse_kernel
 from dmdkit.systems import linear_system, rotation_system, simulate
@@ -236,9 +234,10 @@ def test_modes_match_eigenvectors_of_nondiagonal_a():
 
 @pytest.mark.parametrize("noise", [0.0, 1e-3, 1e-1])
 def test_training_residual_matches_lstsq_reference(noise):
-    # the fit takes amplitudes from pinv(modes); lstsq(rcond=None) is the
-    # reference. They agree to 1e-12 relative, or 1e-14 absolute where the
-    # residual is itself roundoff (exact data).
+    # at full rank with no zero eigenvalue the map Re(V Lambda C) is xp
+    # pinv(x), so the training residual is that of the least-squares map
+    # lstsq(x^T, xp^T). They agree to 1e-12 relative, or 1e-14 absolute where
+    # the residual is itself roundoff (exact data).
     rng = np.random.default_rng(11)
     a = rng.standard_normal((6, 6))
     a *= 0.95 / np.max(np.abs(np.linalg.eigvals(a)))
@@ -246,12 +245,23 @@ def test_training_residual_matches_lstsq_reference(noise):
     states = states + noise * rng.standard_normal(states.shape)
     pair = snapshot_pairs(Trajectory(dt=1.0, states=states))
     model = fit_svd_dmd(pair)
-    amps = np.linalg.lstsq(model.modes_v, pair.x.astype(complex), rcond=None)[0]
-    recon = model.modes_v @ (model.eigenvalues[:, None] * amps)
-    reference = np.linalg.norm(pair.xp - recon) / np.linalg.norm(pair.xp)
+    assert model.eigenvalues.size == 6 and not model.flags
+    a_ls = np.linalg.lstsq(pair.x.T, pair.xp.T, rcond=None)[0].T
+    reference = relative_error(pair.xp, a_ls @ pair.x)
     assert abs(model.fit_residual - reference) <= 1e-12 * reference + 1e-14
     if noise:
         assert reference > 1e-4  # the noisy case is not another exact fit
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_svd_dmd_training_residual_is_exact_below_full_rank(columns):
+    # rank = columns < 4 states: the stored map is exact on the training
+    # columns, so the residual is roundoff whatever the rank
+    pair = rotation_pair(columns, 0.0)
+    model = fit_svd_dmd(pair)
+    assert model.eigenvalues.size == columns
+    assert np.max(np.abs(full_operator(model) @ pair.x - pair.xp)) < 1e-14
+    assert model.residuals["training"] < 1e-14
 
 
 def relative_error(target, approx):
@@ -259,30 +269,32 @@ def relative_error(target, approx):
     return np.linalg.norm(target - approx) / np.linalg.norm(target)
 
 
-def dense_residuals(algo, pair):
-    """Each stored residual of a fit, recomputed with whole-width products."""
-    if algo == "dmd":
-        model = fit_svd_dmd(pair)
-        amps = _lstsq_pinv(model.modes_v) @ pair.x
-        recon = model.modes_v @ (model.eigenvalues[:, None] * amps)
-        return model, {"training": relative_error(pair.xp, recon)}
-    if algo == "edmd":
+def one_shot_residuals(algo, pair):
+    """Each stored residual of a fit, recomputed with whole-width products.
+
+    The training residual goes through the public model, Re(V Lambda C) F
+    with F the fit's training features: x, its lift, or its Gram matrix.
+    """
+    others = {}
+    if algo == "companion":
+        model, features = fit_companion(pair), pair.x
+    elif algo == "dmd":
+        model, features = fit_svd_dmd(pair), pair.x
+    elif algo == "edmd":
         dictionary = build_dictionary("poly:2", pair.n_observables)
         model = fit_edmd(pair, dictionary)
         lifted = lift_snapshots(pair, dictionary)
+        features = model.features.transform(pair.x)
         factors, k_hat = _reduced_fit(lifted.x, lifted.xp, DEFAULT_RTOL)[:2]
         d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
         k_full = factors.u @ k_hat @ factors.u.T
-        return model, {"lifted": relative_error(lifted.xp, k_full @ lifted.x),
-                       "observable": relative_error(pair.x, d_coeffs @ lifted.x)}
-    kernel = parse_kernel("poly:2")
-    model = fit_kernel_edmd(pair, kernel)
-    q, sigma = _gram_basis(kernel.gram(pair.x, pair.x), DEFAULT_RTOL)
-    k_hat_u = (q.T @ kernel.gram(pair.x, pair.xp) @ q) / sigma[:, None] / sigma[None, :]
-    spectrum, v_inv, _ = _eigen_inverse(k_hat_u)
-    phi_train = (v_inv * sigma[None, :]) @ q.T
-    recon = model.modes_v @ (spectrum.values[:, None] * phi_train)
-    return model, {"training": relative_error(pair.xp, recon)}
+        others = {"lifted": relative_error(lifted.xp, k_full @ lifted.x),
+                  "observable": relative_error(pair.x, d_coeffs @ lifted.x)}
+    else:
+        model = fit_kernel_edmd(pair, parse_kernel("poly:2"))
+        features = model.features.gram(model.training_x, pair.x)
+    training = relative_error(pair.xp, full_operator(model) @ features)
+    return model, {"training": training, **others}
 
 
 def rotation_pair(columns, noise):
@@ -292,12 +304,14 @@ def rotation_pair(columns, noise):
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-2], ids=["exact", "noisy"])
-@pytest.mark.parametrize("columns", [
-    1, _RESIDUAL_BLOCK - 1, _RESIDUAL_BLOCK, _RESIDUAL_BLOCK + 1, 2000,
+@pytest.mark.parametrize("algo,columns", [
+    (algo, columns)
+    for algo in ("companion", "dmd", "edmd", "kernel-edmd")
+    for columns in (1, _RESIDUAL_BLOCK - 1, _RESIDUAL_BLOCK, _RESIDUAL_BLOCK + 1, 2000)
+    if (algo, columns) != ("companion", 1)  # a companion fit needs 2 columns
 ])
-@pytest.mark.parametrize("algo", ["dmd", "edmd", "kernel-edmd"])
 def test_blocked_residuals_match_dense_reference(algo, columns, noise):
-    model, reference = dense_residuals(algo, rotation_pair(columns, noise))
+    model, reference = one_shot_residuals(algo, rotation_pair(columns, noise))
     assert list(model.residuals) == list(reference)
     for name, value in reference.items():
         assert abs(model.residuals[name] - value) <= 1e-13, name
@@ -306,17 +320,14 @@ def test_blocked_residuals_match_dense_reference(algo, columns, noise):
 @pytest.mark.parametrize("noise", [0.0, 1e-2], ids=["exact", "noisy"])
 @pytest.mark.parametrize("block", [1, 3, 4, 5])
 def test_blocked_companion_residual_matches_dense_reference(monkeypatch, block, noise):
-    # the companion residual spans only its 4-column window, so the block
-    # is set around the window: many blocks, window - 1, window, window + 1
+    # blocks of 1, 3, 4 and 5 columns, so the last one is short or full; the
+    # reference is what predict makes of each training column one step on
     monkeypatch.setattr("dmdkit.dmd._RESIDUAL_BLOCK", block)
     pair = rotation_pair(2000, noise)
     model = fit_companion(pair)
-    window = model.eigenvalues.size
-    assert window == 4
-    vander = np.vander(model.eigenvalues, N=window, increasing=True)
-    block_x = pair.x[:, :window]
-    reference = relative_error(block_x, (model.modes_v @ vander).real)
-    assert abs(model.fit_residual - reference) <= 1e-13
+    assert model.eigenvalues.size == 4
+    step = np.column_stack([predict(model, pair.x[:, j], 1)[0] for j in range(2000)])
+    assert abs(model.fit_residual - relative_error(pair.xp, step)) <= 1e-13
 
 
 def test_fit_svd_dmd_peak_memory_is_a_small_multiple_of_the_data():
