@@ -182,6 +182,11 @@ def snapshot_pairs(traj: Trajectory, augment_inputs: bool = False) -> SnapshotPa
     each column, and xp repeats them unchanged (zero-order hold): column t is
     ``[g_t; u_t; d_t]`` and its successor column is ``[g_{t+1}; u_t; d_t]``.
     """
+    if traj.length < 2:
+        raise ShapeError(
+            f"trajectory has fewer than 2 samples to pair: it has {traj.length} "
+            "(a depth-h delay embedding of T samples has T - h + 1)"
+        )
     held = []
     if augment_inputs:
         if traj.inputs is None and traj.disturbances is None:

@@ -15,14 +15,16 @@ training residual is that map's one-step defect ||xp - Re(V Lambda C) F|| /
 summed over column blocks within 1e-13 absolute of the one-shot product.
 
 Both DMD fits regress a one-step linear operator from snapshot pairs. The
-companion fit works on the longest leading block of snapshot columns that is
-numerically independent and expresses the next snapshot as a combination of
-those columns; its eigenvalue problem is the companion matrix of the
-regression coefficients, and C is the pseudoinverse of its modes. The SVD
-fit projects the shifted snapshots onto the dominant left singular subspace
-and eigendecomposes the reduced operator, which is far better behaved on
-noisy or rank-deficient data; there C = inv(P) U^T. EDMD shares that
-truncated SVD, reduced operator and eigenbasis inverse (``_reduced_fit``).
+companion fit (Rowley et al. 2009) needs a Krylov sequence x_(j+1) = K x_j,
+consecutive samples of one trajectory. It expresses the successor of the
+leading k = min(n, m) columns as their combination, found from one SVD of
+those columns, which must be well conditioned; its eigenvalue problem is the
+companion matrix of the regression coefficients, and C is the pseudoinverse
+of its modes. The SVD fit projects the shifted snapshots onto the dominant
+left singular subspace and eigendecomposes the reduced operator, which is far
+better behaved on noisy or rank-deficient data; there C = inv(P) U^T. EDMD
+shares that truncated SVD, reduced operator and eigenbasis inverse
+(``_reduced_fit``).
 
 The eigenbasis inverse (``_invert_basis``, shared by SVD DMD, EDMD and
 kernel EDMD) computes inv(P) first and judges the basis by the 1-norm
@@ -44,15 +46,13 @@ from .data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
 from .errors import (
     ConditioningError,
     ConfigError,
-    EmptyRankError,
     NumericalError,
     ShapeError,
 )
-from .linalg import DEFAULT_RTOL, eig, pinv, svd_truncated
+from .linalg import DEFAULT_RTOL, eig, svd_truncated
 
-# companion precondition: the regression block must be well conditioned
-# (condition number below 1e12), so columns are accepted while the smallest
-# singular value stays above 1e-12 times the largest
+# companion precondition: the leading k = min(n, m) snapshot columns must be
+# well conditioned, all k singular values above 1e-12 times the largest
 _COMPANION_RTOL = 1e-12
 # above this 1-norm condition number an eigenvector basis is inverted by
 # pinv and the fit is flagged eigenvector_basis_singular
@@ -164,64 +164,44 @@ def _reduced_fit(x: np.ndarray, xp: np.ndarray, rtol: float):
     return (factors, k_hat, *_eigen_inverse(k_hat))
 
 
-def _leading_window(x: np.ndarray) -> int:
-    """Largest j such that the first j columns are numerically independent.
-
-    Adding a column never raises the smallest singular value nor lowers the
-    largest (interlacing), so once a prefix is ill-conditioned every longer
-    one is too, and the boundary is found by bisection.
-    """
-    good, bad = 0, min(x.shape) + 1
-    while bad - good > 1:
-        j = (good + bad) // 2
-        s = np.linalg.svd(x[:, :j], compute_uv=False)
-        if s[-1] > _COMPANION_RTOL * s[0]:
-            good = j
-        else:
-            bad = j
-    return good
-
-
 def fit_companion(pair: SnapshotPair) -> SpectralModel:
-    """Regress the successor of the leading independent snapshot block.
+    """Regress the successor of the leading k = min(n, m) snapshot columns.
 
-    The block's next snapshot is written as x@c by least squares; the
-    companion matrix of c carries the eigenvalues. Data whose matrix is
-    rank-deficient (rank below both dimensions) loses information in this
-    representation, so that case is rejected in favor of the SVD fit, as is
-    a leading block cut short of the rank by ill-conditioning. The modes
-    are snapshot combinations, x[:, :window] inv(T) with T[i, j] =
-    lambda_i**j, and C = pinv(V). The training residual is the model's
-    one-step defect ||xp - Re(V Lambda C) x|| / ||xp|| over every column.
+    Those columns must chain as samples of one trajectory (column j + 1 of x
+    is column j of xp), else they are no Krylov sequence and a ConfigError
+    points to fit_svd_dmd. One truncated SVD of x[:, :k] gives the least
+    squares c with x[:, :k] c = xp[:, k - 1], whose companion matrix carries
+    the eigenvalues; a block with fewer than k singular values above
+    _COMPANION_RTOL times the largest (rank-deficient or ill-conditioned
+    data, which would give a wrong spectrum) is refused for the SVD fit. The
+    modes are x[:, :k] inv(T) with T[i, j] = lambda_i**j, and C = pinv(V).
+    The training residual is the model's one-step defect
+    ||xp - Re(V Lambda C) x|| / ||xp|| over every column.
     """
     x, xp = pair.x, pair.xp
     if x.shape[1] < 2:
         raise ShapeError("companion fit needs at least 2 snapshot columns")
-    s_all = np.linalg.svd(x, compute_uv=False)
-    if s_all[0] <= 0.0:
-        raise EmptyRankError("snapshot matrix is identically zero")
-    rank = int(np.count_nonzero(s_all > _COMPANION_RTOL * s_all[0]))
-    if rank < min(x.shape):
-        raise ConditioningError(
-            f"snapshot matrix is numerically rank-deficient (rank {rank} of "
-            f"{x.shape[0]}x{x.shape[1]}); use fit_svd_dmd instead"
+    k = min(x.shape)
+    if not np.array_equal(xp[:, : k - 1], x[:, 1:k]):
+        raise ConfigError(
+            "companion fit needs consecutive samples of one trajectory, but "
+            f"the leading {k} snapshot pairs do not chain (x_(j+1) differs from "
+            "the successor of x_j); use fit_svd_dmd instead"
         )
-    window = _leading_window(x)
-    # Columns of a Krylov sequence that depend on a prefix stay in its span,
-    # so a prefix shorter than the rank means conditioning, not dependence,
-    # cut the window; its companion matrix would give a wrong spectrum.
-    if window < rank:
+    block = x[:, :k]
+    factors = svd_truncated(block, _COMPANION_RTOL)
+    if factors.sigma.size < k:
         raise ConditioningError(
-            f"leading snapshot columns become ill-conditioned after {window} of "
-            f"rank {rank}; use fit_svd_dmd instead"
+            f"leading {k} snapshot columns are ill-conditioned: rank "
+            f"{factors.sigma.size} of {x.shape[0]}x{k}, short of rank {k}; "
+            "use fit_svd_dmd instead"
         )
-    block = x[:, :window]
-    coeffs = pinv(block, rtol=_COMPANION_RTOL) @ xp[:, window - 1]
-    c_matrix = np.zeros((window, window))
-    c_matrix[1:, :-1] = np.eye(window - 1)
+    coeffs = (factors.w / factors.sigma) @ factors.u.T @ xp[:, k - 1]
+    c_matrix = np.zeros((k, k))
+    c_matrix[1:, :-1] = np.eye(k - 1)
     c_matrix[:, -1] = coeffs
     values = eig(c_matrix).values
-    vander = np.vander(values, N=window, increasing=True)
+    vander = np.vander(values, N=k, increasing=True)
     if np.linalg.cond(vander) > 1e12:
         raise NumericalError(
             "Vandermonde matrix is numerically singular (repeated or "

@@ -25,6 +25,8 @@ if TYPE_CHECKING:
     from .observables import PolynomialDictionary
 
 _DIVERGENCE_LIMIT = 1e12
+# largest input scale whose draw range [-scale, scale] has a finite width
+_MAX_INPUT_SCALE = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,16 @@ def _vector(x0, name="initial state") -> np.ndarray:
     return arr
 
 
+def _matrix(m, name: str) -> np.ndarray:
+    arr = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError(f"{name} must be a finite matrix")
+    return arr
+
+
 def linear_system(a, x0, steps: int) -> SystemSpec:
     """x+ = A x."""
-    a = np.asarray(a, dtype=float)
+    a = _matrix(a, "A")
     x0 = _vector(x0)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != x0.size:
         raise ShapeError(f"A must be square and match x0; got {a.shape} vs {x0.size}")
@@ -108,8 +117,8 @@ def quadratic_system(mu: float, lam: float, c: float, x0, steps: int) -> SystemS
 def forced_linear_system(a, b_in, x0, steps: int, input_seed: int = 0,
                          input_hold: int = 5, input_scale: float = 1.0) -> SystemSpec:
     """x+ = A x + B u with a seeded piecewise-constant pseudo-random input."""
-    a = np.asarray(a, dtype=float)
-    b_in = np.asarray(b_in, dtype=float)
+    a = _matrix(a, "A")
+    b_in = _matrix(b_in, "B")
     if b_in.ndim == 1:
         b_in = b_in[:, None]
     x0 = _vector(x0)
@@ -119,6 +128,12 @@ def forced_linear_system(a, b_in, x0, steps: int, input_seed: int = 0,
         raise ShapeError(f"B rows must match the state dimension {x0.size}")
     if input_hold < 1:
         raise ConfigError(f"input_hold must be >= 1, got {input_hold}")
+    if input_seed < 0:
+        raise ConfigError(f"input_seed must be >= 0, got {input_seed}")
+    if not 0.0 <= input_scale <= _MAX_INPUT_SCALE:  # NaN fails too
+        raise ConfigError(
+            f"input_scale must lie in [0, {_MAX_INPUT_SCALE:.6g}], got {input_scale}"
+        )
     _check_steps(steps)
     return SystemSpec(kind="forced_linear", initial_state=x0, steps=int(steps),
                       a=a, b_in=b_in, input_seed=int(input_seed),

@@ -236,6 +236,26 @@ def test_companion_ill_conditioned_window_exits_4_without_model(capsys, tmp_path
     assert not model.exists()
 
 
+def test_companion_fit_of_two_trajectories_exits_2_without_model(capsys, tmp_path):
+    paths = []
+    for name, x0 in (("a.csv", "1,1,1,1"), ("b.csv", "1,-2,0.5,3")):
+        path = tmp_path / name
+        code, _, _ = run(capsys, [
+            "simulate", "--system", "linear", "--a", "0.9,0,0,0;0,0.7,0,0;0,0,0.5,0;0,0,0,0.3",
+            "--x0", x0, "--steps", "3", "--out", str(path),
+        ])
+        assert code == 0
+        paths += ["--data", str(path)]
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", "companion", *paths, "--out", str(model)])
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "one trajectory" in errors[0]
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 def test_edmd_cli_round_trip_tracks_simulation(capsys, tmp_path):
     traj = write_quadratic_traj(capsys, tmp_path)
     model = tmp_path / "model.json"
@@ -329,6 +349,33 @@ def test_embedded_model_of_forced_data_predicts(capsys, tmp_path, augment):
     _, forecast = csv_rows(out)
     # step m holds the window (x_m, x_m+1), states block first
     assert_allclose(np.array(forecast)[:, 3:5], np.array(rows)[2:5, 1:3], atol=1e-8)
+
+
+def test_embedding_as_deep_as_the_trajectory_exits_3(capsys, tmp_path):
+    traj = write_diag_traj(capsys, tmp_path)
+    code, _, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--embed", "21",
+                                "--out", str(tmp_path / "m.json")])
+    assert code == 3
+    assert "fewer than 2 samples to pair" in err
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--input-scale", "nan"], 2),
+    (["--input-scale", "inf"], 2),
+    (["--input-scale", "-1"], 2),
+    (["--input-scale", "1e308"], 2),
+    (["--input-seed", "-1"], 2),
+    (["--a", "nan,0;0,0.5"], 3),
+    (["--b", "1;inf"], 3),
+], ids=["scale-nan", "scale-inf", "scale-negative", "scale-overflow", "seed-negative",
+        "a-nan", "b-inf"])
+def test_bad_forced_linear_flags_exit_with_one_line(capsys, flags, expected):
+    argv = ["simulate", "--system", "forced-linear", "--a", "0.9,0;0,0.5", "--b", "1;0.5",
+            "--x0", "1,1", "--steps", "5"]
+    code, out, err = run(capsys, argv + flags)  # a later flag overrides an earlier one
+    assert code == expected
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dmdkit.data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
+from dmdkit.data import (
+    SnapshotPair,
+    Trajectory,
+    concat_pairs,
+    delay_embed,
+    snapshot_pairs,
+)
 from dmdkit.dmd import (
     _BASIS_CONDITION_LIMIT,
     _PREDICT_BLOCK,
     _RESIDUAL_BLOCK,
     SpectralModel,
     _invert_basis,
-    _leading_window,
     _reduced_fit,
     _spectral_predict,
     eigenfunction_values,
@@ -33,7 +38,12 @@ from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.kernel_edmd import fit_kernel_edmd
 from dmdkit.linalg import DEFAULT_RTOL, eig, spectral_order, svd_truncated
 from dmdkit.observables import build_dictionary, parse_kernel
-from dmdkit.systems import linear_system, rotation_system, simulate
+from dmdkit.systems import (
+    forced_linear_system,
+    linear_system,
+    rotation_system,
+    simulate,
+)
 
 
 def spectra_gap(found, expected):
@@ -127,35 +137,44 @@ def test_companion_rank_deficient_rows_advises_svd():
 def test_companion_refuses_krylov_window_shorter_than_rank():
     # 200 states x 300 steps has full row rank, but its leading Krylov columns
     # turn ill-conditioned before column 200; the window's spectrum is wrong
-    pair = snapshot_pairs(block_rotation_traj(blocks=100, steps=300, seed=0))
-    with pytest.raises(ConditioningError, match="rank 200") as err:
+    for seed in range(6):
+        pair = snapshot_pairs(block_rotation_traj(blocks=100, steps=300, seed=seed))
+        with pytest.raises(ConditioningError, match="rank 200") as err:
+            fit_companion(pair)
+        assert "svd" in str(err.value).lower()
+
+def test_companion_refuses_pairs_of_two_trajectories():
+    # a stable system, yet the pairs of two runs do not chain into one Krylov
+    # sequence; regressing them as one gave |lambda| near 3
+    a = np.diag([0.9, 0.7, 0.5, 0.3])
+    pair = concat_pairs([linear_pair(a, x0, steps=3) for x0 in
+                         ([1.0, 1.0, 1.0, 1.0], [1.0, -2.0, 0.5, 3.0])])
+    with pytest.raises(ConfigError, match="one trajectory") as err:
         fit_companion(pair)
-    assert "svd" in str(err.value).lower()
+    assert "fit_svd_dmd" in str(err.value)
 
-def linear_scan_window(x):
-    """One SVD per prefix, stopping at the first ill-conditioned one."""
-    window = 0
-    for j in range(1, min(x.shape) + 1):
-        s = np.linalg.svd(x[:, :j], compute_uv=False)
-        if s[-1] <= 1e-12 * s[0]:
-            break
-        window = j
-    return window
+@pytest.mark.parametrize("hold", [1, 50])
+def test_companion_with_held_inputs_needs_them_constant_over_the_window(hold):
+    # an augmented column is [x_t; u_t] and its successor [x_t+1; u_t], so the
+    # pairs chain only while the input holds its value
+    spec = forced_linear_system(np.diag([0.9, 0.5]), [1.0, 0.5], [1.0, -1.0],
+                                steps=20, input_seed=1, input_hold=hold)
+    pair = snapshot_pairs(simulate(spec), augment_inputs=True)
+    if hold == 1:
+        with pytest.raises(ConfigError, match="one trajectory"):
+            fit_companion(pair)
+    else:
+        fit = fit_companion(pair)
+        assert spectra_gap(fit.eigenvalues, [1.0, 0.9, 0.5]) < 1e-8
 
-@pytest.mark.parametrize("seed", range(6))
-def test_leading_window_bisection_matches_linear_scan(seed):
-    # 200 states x 300 steps: conditioning cuts the window short of 200
-    x = snapshot_pairs(block_rotation_traj(blocks=100, steps=300, seed=seed)).x
-    window = _leading_window(x)
-    assert window == linear_scan_window(x)
-    assert 0 < window < 200
-    # 3 blocks seen through 40 mixed observables: columns 7 on are dependent
-    rng = np.random.default_rng(seed)
-    low = snapshot_pairs(block_rotation_traj(blocks=3, steps=30, seed=seed)).x
-    mixed = rng.standard_normal((40, 6)) @ low
-    assert _leading_window(mixed) == linear_scan_window(mixed) == 6
-    mixed[:, 0] = 0.0
-    assert _leading_window(mixed) == linear_scan_window(mixed) == 0
+def test_companion_fits_a_growing_series_whose_window_is_well_conditioned():
+    # all 89 columns have condition number near 3.6e15, but the 2-column
+    # window the fit regresses on is well conditioned
+    t = np.arange(90.0)
+    pair = snapshot_pairs(Trajectory(dt=1.0, states=np.column_stack([1.5**t, 0.5**t])))
+    fit = fit_companion(pair)
+    assert_allclose(fit.eigenvalues, [1.5, 0.5], rtol=0, atol=1e-14)
+    assert fit.residuals["training"] < 1e-14
 
 def test_svd_dmd_exact_recovery_random_stable():
     rng = np.random.default_rng(11)
