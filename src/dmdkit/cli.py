@@ -149,14 +149,7 @@ def cmd_fit(args) -> int:
     from .observables import build_dictionary, parse_kernel
 
     check_rtol(args.rtol)  # for every fitter: the model file stores it
-    trajectories = [load_trajectory(path) for path in args.data]
-    first = trajectories[0]
-    split = (first.n_states, first.n_inputs, first.n_disturbances)
-    pairs = []
-    for traj in trajectories:
-        work = delay_embed(traj, args.embed) if args.embed > 1 else traj
-        pairs.append(snapshot_pairs(work, augment_inputs=args.augment_inputs))
-    pair = concat_pairs(pairs)
+    pair, split = _training_pair(args)
     _note(
         f"fit {args.algo}: {pair.n_observables} observables x "
         f"{pair.n_columns} column pairs"
@@ -176,6 +169,7 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"a {args.algo} fit of {pair.n_observables} observables x "
                           f"{pair.n_columns} column pairs is too large to allocate: "
                           f"{str(err) or 'out of memory'}") from None
+    del pair  # the model keeps what it needs of the data; saving it needs none
 
     for flag in model.flags:
         _note(f"note: {flag}")
@@ -200,6 +194,20 @@ def cmd_fit(args) -> int:
     sys.stdout.write("index,re,im,training_residual\n")
     write_rows(sys.stdout, table + 0.0, labels=np.arange(table.shape[0]))
     return 0
+
+
+def _training_pair(args):
+    """The snapshot pairs of all ``--data`` files as one, and the first file's split.
+
+    The trajectories are dropped on return, so the fit holds the data once."""
+    trajectories = [load_trajectory(path) for path in args.data]
+    first = trajectories[0]
+    split = (first.n_states, first.n_inputs, first.n_disturbances)
+    pairs = []
+    for traj in trajectories:
+        work = delay_embed(traj, args.embed) if args.embed > 1 else traj
+        pairs.append(snapshot_pairs(work, augment_inputs=args.augment_inputs))
+    return concat_pairs(pairs), split
 
 
 # ------------------------------------------------------------------ spectrum

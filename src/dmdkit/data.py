@@ -3,7 +3,9 @@
 A trajectory stores one sample per row. Snapshot matrices used by the fitting
 routines store one sample per *column*, with the pair (x, xp) aligned so that
 column j of xp is the successor (one sampling step later) of column j of x.
-``snapshot_pairs`` writes each of x and xp in one copy of the trajectory.
+Without held inputs, ``snapshot_pairs`` writes the trajectory once as an
+n x T sample-per-column matrix, and x and xp are its overlapping read-only
+windows of columns 0..T-2 and 1..T-1, so a fit holds one copy of the data.
 
 CSV format: a header row ``t,x1..xN[,u1..uM][,d1..dK]`` followed by numeric
 rows; time stamps must be uniformly spaced. Files are UTF-8, and one leading
@@ -56,9 +58,10 @@ def _as_samples(value, name: str) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+    """A read-only view of ``arr``; the caller's array stays writable."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class Trajectory:
         states = _as_samples(self.states, "states")
         if states.shape[0] < self._min_length:
             raise ShapeError(f"a trajectory needs at least {self._min_length} samples")
-        object.__setattr__(self, "states", _freeze(states))
+        object.__setattr__(self, "states", _freeze(np.ascontiguousarray(states)))
         for name in ("inputs", "disturbances"):
             value = getattr(self, name)
             if value is None:
@@ -103,7 +106,7 @@ class Trajectory:
                 raise ShapeError(
                     f"{name} has {value.shape[0]} samples, states has {states.shape[0]}"
                 )
-            object.__setattr__(self, name, _freeze(value))
+            object.__setattr__(self, name, _freeze(np.ascontiguousarray(value)))
 
     @property
     def length(self) -> int:
@@ -142,7 +145,9 @@ class SnapshotPair:
 
     ``x`` and ``xp`` are (n_obs, m) with column j of ``xp`` the one-step
     successor of column j of ``x``. ``col_times`` records the source sample
-    index of each x column.
+    index of each x column. Both are kept as read-only views of what they
+    were given, without a contiguous copy, so they may overlap: for one
+    trajectory ``snapshot_pairs`` makes them two windows of one matrix.
     """
 
     x: np.ndarray
@@ -181,27 +186,31 @@ def snapshot_pairs(traj: Trajectory, augment_inputs: bool = False) -> SnapshotPa
     With ``augment_inputs`` the current input and disturbance are appended to
     each column, and xp repeats them unchanged (zero-order hold): column t is
     ``[g_t; u_t; d_t]`` and its successor column is ``[g_{t+1}; u_t; d_t]``.
+    Without them x and xp are the windows ``cols[:, :-1]`` and ``cols[:, 1:]``
+    of one sample-per-column copy ``cols`` of the states.
     """
     if traj.length < 2:
         raise ShapeError(
             f"trajectory has fewer than 2 samples to pair: it has {traj.length} "
             "(a depth-h delay embedding of T samples has T - h + 1)"
         )
-    held = []
-    if augment_inputs:
-        if traj.inputs is None and traj.disturbances is None:
-            raise ConfigError("trajectory has no inputs or disturbances to augment with")
-        held = [s[:-1] for s in (traj.inputs, traj.disturbances) if s is not None]
+    times = np.arange(traj.length - 1)
+    if not augment_inputs:
+        cols = _sample_columns([traj.states])
+        return SnapshotPair(cols[:, :-1], cols[:, 1:], times, dt=traj.dt)
+    if traj.inputs is None and traj.disturbances is None:
+        raise ConfigError("trajectory has no inputs or disturbances to augment with")
+    held = [s[:-1] for s in (traj.inputs, traj.disturbances) if s is not None]
     x = _sample_columns([traj.states[:-1], *held])
     xp = _sample_columns([traj.states[1:], *held])  # inputs held, not advanced
-    return SnapshotPair(x, xp, np.arange(traj.length - 1), dt=traj.dt)
+    return SnapshotPair(x, xp, times, dt=traj.dt)
 
 
 def _sample_columns(blocks: list) -> np.ndarray:
     """Sample-per-row blocks stacked as one C-ordered sample-per-column matrix.
 
-    Written straight into its final layout, so each snapshot matrix is one
-    copy of the trajectory and SnapshotPair keeps it without another.
+    Written straight into its final layout, so each matrix is one copy of
+    the trajectory and SnapshotPair keeps it, or its windows, without another.
     """
     out = np.empty((sum(b.shape[1] for b in blocks), blocks[0].shape[0]))
     np.concatenate([b.T for b in blocks], axis=0, out=out)

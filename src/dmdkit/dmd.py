@@ -167,9 +167,9 @@ def _reduced_fit(x: np.ndarray, xp: np.ndarray, rtol: float):
 def fit_companion(pair: SnapshotPair) -> SpectralModel:
     """Regress the successor of the leading k = min(n, m) snapshot columns.
 
-    Those columns must chain as samples of one trajectory (column j + 1 of x
-    is column j of xp), else they are no Krylov sequence and a ConfigError
-    points to fit_svd_dmd. One truncated SVD of x[:, :k] gives the least
+    Every pair must chain as samples of one trajectory (column j + 1 of x is
+    column j of xp), else the pairs are no Krylov sequence and a ConfigError
+    points to the SVD fit. One truncated SVD of x[:, :k] gives the least
     squares c with x[:, :k] c = xp[:, k - 1], whose companion matrix carries
     the eigenvalues; a block with fewer than k singular values above
     _COMPANION_RTOL times the largest (rank-deficient or ill-conditioned
@@ -182,11 +182,11 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
     if x.shape[1] < 2:
         raise ShapeError("companion fit needs at least 2 snapshot columns")
     k = min(x.shape)
-    if not np.array_equal(xp[:, : k - 1], x[:, 1:k]):
+    if not np.array_equal(xp[:, :-1], x[:, 1:]):
         raise ConfigError(
             "companion fit needs consecutive samples of one trajectory, but "
-            f"the leading {k} snapshot pairs do not chain (x_(j+1) differs from "
-            "the successor of x_j); use fit_svd_dmd instead"
+            "the snapshot pairs do not chain (x_(j+1) differs from the "
+            "successor of x_j); use --algo dmd (fit_svd_dmd) instead"
         )
     block = x[:, :k]
     factors = svd_truncated(block, _COMPANION_RTOL)
@@ -194,7 +194,7 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
         raise ConditioningError(
             f"leading {k} snapshot columns are ill-conditioned: rank "
             f"{factors.sigma.size} of {x.shape[0]}x{k}, short of rank {k}; "
-            "use fit_svd_dmd instead"
+            "use --algo dmd (fit_svd_dmd) instead"
         )
     coeffs = (factors.w / factors.sigma) @ factors.u.T @ xp[:, k - 1]
     c_matrix = np.zeros((k, k))
@@ -250,6 +250,7 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel
         observable_dim=pair.n_observables,
         flags=(*flags, *basis_flags),
     )
+    del factors  # w is as large as x; the residual's blocks need not sit on it
     return _with_training_residual(model, pair.xp, pair.x)
 
 

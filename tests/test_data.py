@@ -46,6 +46,20 @@ def test_trajectory_arrays_are_immutable():
         traj.states[0, 0] = 9.0
 
 
+def test_containers_leave_the_callers_arrays_writable():
+    # each container freezes a view of its own, not the array it was given
+    a = np.arange(6.0).reshape(3, 2)
+    traj = Trajectory(dt=1.0, states=a)
+    a[0, 0] = 1.0
+    assert not traj.states.flags.writeable
+    x, xp, times = np.ones((2, 3)), np.zeros((2, 3)), np.arange(3)
+    pair = SnapshotPair(x, xp, times)
+    x[0, 0] = xp[0, 0] = 2.0
+    times[0] = 5
+    assert not (pair.x.flags.writeable or pair.xp.flags.writeable
+                or pair.col_times.flags.writeable)
+
+
 def test_scalar_states_become_column():
     traj = Trajectory(dt=1.0, states=[1.0, 2.0, 3.0])
     assert traj.states.shape == (3, 1)
@@ -64,6 +78,18 @@ def test_snapshot_pairs_alignment_and_count():
         assert_array_equal(pair.x[:, j], states[j])
         assert_array_equal(pair.xp[:, j], states[j + 1])
     assert_array_equal(pair.col_times, [0, 1, 2, 3])
+
+
+def test_snapshot_pairs_of_one_trajectory_share_one_matrix():
+    # x and xp are windows of one sample-per-column copy, read-only, with the
+    # bytes the two separate copies held
+    states = np.random.default_rng(5).standard_normal((7, 3))
+    pair = snapshot_pairs(Trajectory(dt=1.0, states=states))
+    assert np.shares_memory(pair.x, pair.xp)
+    assert not np.shares_memory(pair.x, states)
+    assert not (pair.x.flags.writeable or pair.xp.flags.writeable)
+    assert pair.x.tobytes() == np.ascontiguousarray(states[:-1].T).tobytes()
+    assert pair.xp.tobytes() == np.ascontiguousarray(states[1:].T).tobytes()
 
 
 def test_snapshot_pairs_augmented_layout_holds_inputs():

@@ -153,14 +153,16 @@ def test_companion_refuses_pairs_of_two_trajectories():
         fit_companion(pair)
     assert "fit_svd_dmd" in str(err.value)
 
-@pytest.mark.parametrize("hold", [1, 50])
+@pytest.mark.parametrize("hold", [1, 5, 50])
 def test_companion_with_held_inputs_needs_them_constant_over_the_window(hold):
     # an augmented column is [x_t; u_t] and its successor [x_t+1; u_t], so the
-    # pairs chain only while the input holds its value
+    # pairs chain only while the input holds its value; every pair is checked,
+    # so a change after the 3-column window the fit regresses on (hold 5)
+    # is refused too
     spec = forced_linear_system(np.diag([0.9, 0.5]), [1.0, 0.5], [1.0, -1.0],
                                 steps=20, input_seed=1, input_hold=hold)
     pair = snapshot_pairs(simulate(spec), augment_inputs=True)
-    if hold == 1:
+    if hold < 20:
         with pytest.raises(ConfigError, match="one trajectory"):
             fit_companion(pair)
     else:
