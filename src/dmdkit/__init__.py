@@ -34,8 +34,8 @@ _EXPORTS = {
     "model_io": ("SCHEMA_VERSION", "ModelRecord", "load_model", "save_model"),
     "observables": (
         "CustomDictionary", "Dictionary", "GaussianKernel", "IdentityDictionary",
-        "Kernel", "LaplacianKernel", "PolynomialDictionary", "PolynomialKernel",
-        "RbfDictionary", "build_dictionary", "parse_kernel", "strided_centers",
+        "Kernel", "KernelDictionary", "LaplacianKernel", "PolynomialDictionary",
+        "PolynomialKernel", "build_dictionary", "parse_kernel", "strided_centers",
     ),
     "systems": (
         "ExactLift", "SystemSpec", "exact_lift_oracle", "forced_linear_system",

@@ -238,7 +238,7 @@ def _initial_condition(record: ModelRecord, rows: np.ndarray) -> np.ndarray:
     and disturbances, each block ordered oldest to newest; other models take
     rows of states only.
     """
-    h, dim = record.embed_h, record.model.observable_dim
+    h, dim = record.embed_h, record.model.features.input_dim
     if rows.shape[0] != h:
         raise DataError(f"model needs {h} history row{'s' * (h > 1)}, got {rows.shape[0]}")
     split = (rows.shape[1], 0, 0)  # states only: the rows stack as they are

@@ -2,9 +2,10 @@
 
 Every fit in the package ends in one ``SpectralModel``: eigenvalues Lambda,
 modes V in observable space, and a complex map C from a feature vector f(z)
-to eigenfunction values, phi(z) = C f(z). The features are the state itself
-(both DMD fits), a dictionary lift (EDMD, ``edmd``) or kernel products with
-the training snapshots (kernel EDMD, ``kernel_edmd``). One routine each
+to eigenfunction values, phi(z) = C f(z). The feature map f is always a
+``Dictionary``: the identity (both DMD fits), a lift (EDMD, ``edmd``) or
+kernel sections at the training snapshots (kernel EDMD, ``kernel_edmd``),
+and the state dimension is its ``input_dim``. One routine each
 evaluates eigenfunctions, forecasts Re(V Lambda^m C f(z)) and forms the
 one-step map Re(V Lambda C), whatever the fitter. The forecast multiplies
 one fixed table of eigenvalue powers Lambda^1 .. Lambda^b by weights that
@@ -43,13 +44,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    NumericalError,
-    ShapeError,
-)
+from .errors import ConditioningError, ConfigError, NumericalError, ShapeError
 from .linalg import DEFAULT_RTOL, eig, svd_truncated
+from .observables import Dictionary, IdentityDictionary
 
 # companion precondition: the leading k = min(n, m) snapshot columns must be
 # well conditioned, all k singular values above 1e-12 times the largest
@@ -72,18 +69,15 @@ class SpectralModel:
     ``coeffs`` (r x f) maps a feature vector to the r eigenfunction values
     and ``modes_v`` (n x r) maps those back to the n observables; EDMD leaves
     the modes None when its eigenvector basis was too ill conditioned to
-    invert (see flags). ``features`` is None for the identity (DMD), a
-    ``Dictionary`` (EDMD) or a ``Kernel`` evaluated against the
-    ``training_x`` columns (kernel EDMD). ``residuals`` holds the fit's
-    residuals by name, the training residual (none without modes) first.
+    invert (see flags). ``features`` is the feature map f, whose
+    ``input_dim`` is n. ``residuals`` holds the fit's residuals by name, the
+    training residual (none without modes) first.
     """
 
     eigenvalues: np.ndarray
     modes_v: np.ndarray | None
     coeffs: np.ndarray
-    observable_dim: int
-    features: object = None
-    training_x: np.ndarray | None = None
+    features: Dictionary
     flags: tuple = ()
     residuals: dict = field(default_factory=dict)
 
@@ -115,8 +109,8 @@ def _relative_error(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
 
 def _with_training_residual(model, xp, features, **others) -> SpectralModel:
     """The model with residuals {training, **others}, where training is
-    ||xp - Re(V Lambda C) F||_F / ||xp||_F over the training features F (the
-    ``_feature_columns`` of x), left out when the model has no modes."""
+    ||xp - Re(V Lambda C) F||_F / ||xp||_F over the training features F (f of
+    x), left out when the model has no modes."""
     training = {}
     if model.modes_v is not None:
         training["training"] = _relative_error(xp, full_operator(model), features)
@@ -213,7 +207,7 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
         eigenvalues=values,
         modes_v=modes,
         coeffs=_lstsq_pinv(modes),
-        observable_dim=pair.n_observables,
+        features=IdentityDictionary(pair.n_observables),
     )
     return _with_training_residual(model, xp, x)
 
@@ -247,33 +241,16 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel
         eigenvalues=spectrum.values,
         modes_v=modes,
         coeffs=p_inv @ factors.u.T,
-        observable_dim=pair.n_observables,
+        features=IdentityDictionary(pair.n_observables),
         flags=(*flags, *basis_flags),
     )
     del factors  # w is as large as x; the residual's blocks need not sit on it
     return _with_training_residual(model, pair.xp, pair.x)
 
 
-def _feature_columns(model: SpectralModel, cols: np.ndarray) -> np.ndarray:
-    """f(z) for each column z: the state, its dictionary lift, or its kernel row."""
-    if model.features is None:
-        return cols
-    if model.training_x is not None:
-        return model.features.gram(model.training_x, cols)
-    return model.features.transform(cols)
-
-
 def eigenfunction_values(model: SpectralModel, z) -> np.ndarray:
     """Eigenfunction values C f(z); columns of z give columns of phi."""
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    cols = z[:, None] if single else z
-    if cols.shape[0] != model.observable_dim:
-        raise ShapeError(
-            f"z has dimension {cols.shape[0]}, model expects {model.observable_dim}"
-        )
-    phi = model.coeffs @ _feature_columns(model, cols)
-    return phi[:, 0] if single else phi
+    return model.coeffs @ model.features.transform(z)
 
 
 def _modes(model: SpectralModel) -> np.ndarray:

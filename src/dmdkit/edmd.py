@@ -53,7 +53,6 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
         eigenvalues=spectrum.values,
         modes_v=None if flags else d_coeffs @ factors.u @ spectrum.vectors,
         coeffs=b_coeffs @ factors.u.T,
-        observable_dim=pair.n_observables,
         features=dictionary,
         flags=flags,
     )

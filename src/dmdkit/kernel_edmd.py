@@ -11,8 +11,8 @@ tight tolerance; other kernels follow the same algebra.
 Eigenfunctions are evaluated through the dual eigenvector rows (the inverse
 of the eigenvector matrix), which is what makes the one-step eigenfunction
 relation hold on invariant data when the reduced operator is not normal. The
-model's features are kernel products with the training snapshots, and its
-map is C = inv(V) S^-1 Q^T.
+model's features are a ``KernelDictionary``, the kernel sections at the
+training snapshots, and its map is C = inv(V) S^-1 Q^T.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .dmd import SpectralModel, _eigen_inverse, _with_training_residual
 from .dmd import eigenfunction_values  # noqa: F401
 from .errors import EmptyRankError
 from .linalg import DEFAULT_RTOL, check_rtol
-from .observables import Kernel
+from .observables import Kernel, KernelDictionary
 
 
 def _gram_basis(g_gram: np.ndarray, rtol: float):
@@ -67,9 +67,7 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
         eigenvalues=spectrum.values,
         modes_v=(pair.x @ q / sigma[None, :]) @ spectrum.vectors,
         coeffs=v_inv @ (q.T / sigma[:, None]),
-        observable_dim=pair.n_observables,
-        features=kernel,
-        training_x=pair.x,
+        features=KernelDictionary(kernel, pair.x),
         flags=flags,
     )
     return _with_training_residual(model, pair.xp, g_gram)

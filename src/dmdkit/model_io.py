@@ -1,17 +1,20 @@
 """Model persistence: structured JSON with explicit real/imaginary arrays.
 
 Every fitter returns a ``SpectralModel``, so every model file has one layout
-(schema version 4). A file carries the algorithm tag, the flags, fit
+(schema version 5). A file carries the algorithm tag, the flags, fit
 metadata (tolerance, embedding depth, augmentation, residuals, observable
-dimension, and the dictionary or kernel spec string as ``features``) and the
-matrices a loaded model reads to print its spectrum, forecast and evaluate
-eigenfunctions (``_LAYOUT``):
+dimension, and the feature map's spec string as ``features``: ``identity``
+for DMD) and the matrices a loaded model reads to print its spectrum,
+forecast and evaluate eigenfunctions (``_LAYOUT``):
 
 * eigenvalues (r), modes (n x r; absent when an EDMD eigenvector basis was
   singular) and coeffs (r x f), the map from features to eigenfunctions;
-* training_x (n x f), the training snapshots a kernel model's features are
-  kernel products with;
-* dict_centers (f x n), the centers of an rbf dictionary.
+* points (n x f), the points of a ``KernelDictionary``: kernel EDMD's
+  training snapshots or an rbf dictionary's centers.
+
+A loaded model's features are the kernel sections at ``points`` when the
+file has them and the dictionary its spec builds otherwise; loading refuses
+features of a type its algorithm tag does not take, as saving does.
 
 Each matrix is {rows, cols, real, imag}. ``real`` and ``imag`` are base64
 strings of the row-major IEEE-754 binary64 values in little-endian order,
@@ -43,16 +46,17 @@ import numpy as np
 from ._text import float_texts, write_text_file
 from .dmd import SpectralModel
 from .errors import ConfigError, DataError, ShapeError
-from .observables import Dictionary, Kernel, RbfDictionary, build_dictionary, parse_kernel
+from .observables import (Dictionary, IdentityDictionary, KernelDictionary,
+                          build_dictionary, parse_kernel)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
-# The features each algorithm's model evaluates (None: the state itself).
+# The feature map each algorithm's model evaluates.
 _FEATURES = {
-    "companion": type(None),
-    "dmd": type(None),
+    "companion": IdentityDictionary,
+    "dmd": IdentityDictionary,
     "edmd": Dictionary,
-    "kernel-edmd": Kernel,
+    "kernel-edmd": KernelDictionary,
 }
 
 # Stored matrices, in file order: name -> (rows, cols, complex). A letter is a
@@ -62,8 +66,7 @@ _LAYOUT = {
     "eigenvalues": (1, "r", True),
     "modes": ("n", "r", True),
     "coeffs": ("r", "f", True),
-    "training_x": ("n", "f", False),
-    "dict_centers": ("f", "n", False),
+    "points": ("n", "f", False),
 }
 _DIMENSIONS = {
     "r": "eigenvalue count",
@@ -227,32 +230,33 @@ def _decode_matrices(matrices: dict, dims: dict, required: set) -> dict:
 
 def _arrays_for(model: SpectralModel) -> dict:
     """The model's matrices by stored name; None marks one the file leaves out."""
-    features = model.features
     return {
         "eigenvalues": model.eigenvalues,
         "modes": model.modes_v,
         "coeffs": model.coeffs,
-        "training_x": model.training_x,
-        "dict_centers": features.centers if isinstance(features, RbfDictionary) else None,
+        "points": getattr(model.features, "points", None),
     }
+
+
+def _check_features(algorithm: str, features, error) -> None:
+    if not isinstance(features, _FEATURES[algorithm]):
+        raise error(f"a {algorithm} model cannot hold "
+                    f"{type(features).__name__} features")
 
 
 def save_model(record: ModelRecord, path) -> None:
     """Write the record as schema-versioned JSON."""
     model = record.model
-    if not isinstance(model.features, _FEATURES[record.algorithm]):
-        raise ConfigError(f"a {record.algorithm} record cannot hold "
-                          f"{type(model.features).__name__} features")
+    _check_features(record.algorithm, model.features, ConfigError)
     arrays = _arrays_for(model)
     fit_meta = {
         "rtol": float(record.rtol),
         "embed_h": int(record.embed_h),
         "augment_inputs": bool(record.augment_inputs),
         "residuals": {str(k): float(v) for k, v in model.residuals.items()},
-        "observable_dim": int(model.observable_dim),
+        "observable_dim": model.features.input_dim,
+        "features": model.features.spec_string(),
     }
-    if model.features is not None:
-        fit_meta["features"] = model.features.spec_string()
     if record.base_split is not None:
         fit_meta["base_split"] = [int(v) for v in record.base_split]
     payload = {
@@ -293,22 +297,18 @@ def _refuse_constant(token: str):
     raise DataError(f"model file contains {token}; every number must be finite")
 
 
-def _features(algorithm: str, fit_meta: dict, n: int, m: dict):
-    """The dictionary or kernel the model's features come from; None for DMD."""
-    if _FEATURES[algorithm] is type(None):
-        return None
+def _features(algorithm: str, fit_meta: dict, n: int, m: dict) -> Dictionary:
+    """The model's feature map: kernel sections at the stored points when
+    there are any, else the dictionary its spec builds on n states."""
     spec = _string(_require(fit_meta, "features", "fit"), "features")
-    if algorithm == "edmd" and spec.startswith("rbf:") and "dict_centers" not in m:
-        raise DataError("model file is missing matrix key 'dict_centers'")
     try:
-        if algorithm == "kernel-edmd":
-            return parse_kernel(spec)
-        if spec.startswith("rbf:"):
-            dictionary = RbfDictionary(m["dict_centers"], float(spec.split(":")[1]))
+        if "points" in m:
+            dictionary = KernelDictionary(parse_kernel(spec), m["points"])
         else:
             dictionary = build_dictionary(spec, n)
-    except (ConfigError, ShapeError, ValueError) as err:
+    except (ConfigError, ShapeError) as err:
         raise DataError(f"model file features {spec!r} are unusable: {err}") from None
+    _check_features(algorithm, dictionary, DataError)
     if dictionary.size != m["coeffs"].shape[1]:
         raise DataError(
             f"model file features {spec!r} have {dictionary.size} entries, "
@@ -360,10 +360,8 @@ def load_model(path) -> ModelRecord:
     n = _count(_require(fit_meta, "observable_dim", "fit"), "observable_dim", 1)
     dims = {"n": n}
     required = {"eigenvalues", "coeffs"}
-    if _FEATURES[algorithm] is type(None):
-        dims["f"] = n  # the features are the state
     if algorithm == "kernel-edmd":
-        required.add("training_x")
+        required.add("points")
     if "eigenvector_basis_singular" not in flags:
         required.add("modes")
     m = _decode_matrices(matrices, dims, required)
@@ -371,9 +369,7 @@ def load_model(path) -> ModelRecord:
         eigenvalues=m["eigenvalues"],
         modes_v=m.get("modes"),
         coeffs=m["coeffs"],
-        observable_dim=n,
         features=_features(algorithm, fit_meta, n, m),
-        training_x=m.get("training_x") if algorithm == "kernel-edmd" else None,
         flags=flags,
         residuals=residuals,
     )

@@ -1,16 +1,22 @@
 """Observable dictionaries and kernels for lifted regression.
 
-A dictionary maps a state vector to a vector of observables; fitting code
-applies it columnwise to snapshot matrices. Kernels evaluate inner products of
-implicitly lifted vectors, so an n-snapshot problem never forms the lifted
-matrix. The weighted polynomial dictionary is built so that
+A dictionary maps a state vector to a vector of features; fitting code
+applies it columnwise to snapshot matrices. Every fitted model holds one:
+the identity (DMD), an explicit lift (EDMD) or kernel sections k(p_j, .) at
+fixed points (``KernelDictionary``: kernel EDMD's training snapshots, or the
+centers of an rbf dictionary). Kernels evaluate inner products of implicitly
+lifted vectors, so an n-snapshot problem never forms the lifted matrix. The
+weighted polynomial dictionary is built so that
 ``theta_w(a) . theta_w(b) == (1 + a.b) ** degree`` exactly, which ties the
 explicit and kernelized fits together and is tested as such.
 
-Spec-string grammar (used by the CLI and model files):
+Spec-string grammar (used by the CLI and model files), parsed only here:
 ``identity`` | ``poly:<degree>`` | ``rbf:<width>:<centers>`` for dictionaries,
 ``poly:<degree>`` | ``gaussian:<sigma>`` | ``laplacian:<sigma>`` for kernels.
-A width or sigma is refused unless its square is a positive finite double.
+``rbf:<width>:<centers>`` is Gaussian sections at strided training columns,
+so its dictionary's spec string is its kernel's, ``gaussian:<width>``, like
+every ``KernelDictionary``'s. A width or sigma is refused unless its square
+is a positive finite double.
 """
 
 from __future__ import annotations
@@ -187,38 +193,6 @@ class PolynomialDictionary(Dictionary):
         return f"{'wpoly' if self.weighted else 'poly'}:{self.degree}"
 
 
-def _width(width, what: str) -> float:
-    """A kernel or rbf width whose square is a positive finite double."""
-    width = float(width)
-    if not (width > 0 and 0 < width * width < np.inf):
-        raise ConfigError(
-            f"{what} width must be positive with a positive finite square, got {width}")
-    return width
-
-
-class RbfDictionary(Dictionary):
-    """Gaussian bumps exp(-||z - c_j||^2 / width^2) at fixed centers."""
-
-    kind = "rbf"
-
-    def __init__(self, centers, width: float):
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        if centers.size == 0 or not np.all(np.isfinite(centers)):
-            raise ShapeError("centers must be a non-empty finite (n_centers, dim) array")
-        names = tuple(f"rbf{i}" for i in range(1, len(centers) + 1))
-        super().__init__(centers.shape[1], len(centers), names)
-        self.centers = centers
-        self.width = _width(width, "rbf")
-
-    def _transform_columns(self, cols):
-        diff = cols[None, :, :] - self.centers[:, :, None]
-        sq = np.einsum("kdm,kdm->km", diff, diff)
-        return np.exp(-sq / self.width**2)
-
-    def spec_string(self):
-        return f"rbf:{self.width:.17g}:{self.size}"
-
-
 class CustomDictionary(Dictionary):
     """A user-supplied list of (name, callable) scalar observables."""
 
@@ -289,6 +263,15 @@ class PolynomialKernel(Kernel):
         return PolynomialDictionary(input_dim, self.degree, weighted=True)
 
 
+def _width(width, what: str) -> float:
+    """A kernel width whose square is a positive finite double."""
+    width = float(width)
+    if not (width > 0 and 0 < width * width < np.inf):
+        raise ConfigError(
+            f"{what} width must be positive with a positive finite square, got {width}")
+    return width
+
+
 def _sq_dists(a_cols, b_cols):
     a = np.asarray(a_cols, dtype=float)
     b = np.asarray(b_cols, dtype=float)
@@ -324,6 +307,32 @@ class LaplacianKernel(Kernel):
 
     def spec_string(self):
         return f"laplacian:{self.sigma:.17g}"
+
+
+class KernelDictionary(Dictionary):
+    """Kernel sections k(p_j, .) at fixed points p_j, the columns of ``points``.
+
+    Kernel EDMD's features are its training snapshots' sections, and an rbf
+    dictionary is Gaussian sections at strided centers. The spec string is
+    the kernel's; the points are data, stored beside it.
+    """
+
+    kind = "kernel"
+
+    def __init__(self, kernel: Kernel, points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.size == 0 or not np.all(np.isfinite(points)):
+            raise ShapeError("points must be a non-empty finite (dim, n_points) array")
+        names = tuple(f"k{j}" for j in range(1, points.shape[1] + 1))
+        super().__init__(points.shape[0], points.shape[1], names)
+        self.kernel = kernel
+        self.points = points
+
+    def _transform_columns(self, cols):
+        return self.kernel.gram(self.points, cols)
+
+    def spec_string(self):
+        return self.kernel.spec_string()
 
 
 # --------------------------------------------------------------- spec parsing
@@ -376,6 +385,7 @@ def build_dictionary(spec: str, input_dim: int, snapshots=None) -> Dictionary:
         (_, width, count) = _split_spec(spec, 3, "rbf:<width>:<centers>")
         if snapshots is None:
             raise ConfigError("rbf dictionary needs training snapshots to pick centers")
+        kernel = GaussianKernel(_parse_number(width, spec))
         centers = strided_centers(snapshots, _parse_number(count, spec, integer=True))
-        return RbfDictionary(centers, _parse_number(width, spec))
+        return KernelDictionary(kernel, centers.T)
     raise ConfigError(f"unknown dictionary kind '{head}' in spec '{spec}'")

@@ -542,6 +542,14 @@ def _wrong_observable_dim(payload):
     payload["fit"]["observable_dim"] = 3
 
 
+def _no_features(payload):
+    del payload["fit"]["features"]
+
+
+def _polynomial_features(payload):
+    payload["fit"]["features"] = "poly:1"
+
+
 @pytest.mark.parametrize("damage, named", [
     (_nan_in_modes, "NaN"),
     (_inf_in_coeffs, "'coeffs' real has NaN or infinite entries"),
@@ -553,6 +561,8 @@ def _wrong_observable_dim(payload):
     (_text_residual, "residual 'training'"),
     (_one_eigenvalue, "eigenvalue count"),
     (_wrong_observable_dim, "observable dimension"),
+    (_no_features, "missing fit key 'features'"),
+    (_polynomial_features, "a dmd model cannot hold PolynomialDictionary features"),
 ])
 def test_damaged_model_file_exits_3_with_one_line(capsys, tmp_path, damage, named):
     traj = write_diag_traj(capsys, tmp_path)

@@ -37,7 +37,7 @@ from dmdkit.errors import (
 from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.kernel_edmd import fit_kernel_edmd
 from dmdkit.linalg import DEFAULT_RTOL, eig, spectral_order, svd_truncated
-from dmdkit.observables import build_dictionary, parse_kernel
+from dmdkit.observables import IdentityDictionary, build_dictionary, parse_kernel
 from dmdkit.systems import (
     forced_linear_system,
     linear_system,
@@ -105,7 +105,8 @@ def test_companion_structure():
     assert fit.modes_v.shape == (3, k) and fit.coeffs.shape == (k, 3)
     # the eigenfunction map is the pseudoinverse of the modes
     assert_allclose(fit.coeffs @ fit.modes_v, np.eye(k), atol=1e-10)
-    assert fit.features is None and fit.residuals["training"] < 1e-12
+    assert isinstance(fit.features, IdentityDictionary)
+    assert fit.residuals["training"] < 1e-12
 
 def test_companion_modes_reconstruct_snapshots():
     a = np.diag([0.9, 0.5])
@@ -313,7 +314,7 @@ def one_shot_residuals(algo, pair):
                   "observable": relative_error(pair.x, d_coeffs @ lifted.x)}
     else:
         model = fit_kernel_edmd(pair, parse_kernel("poly:2"))
-        features = model.features.gram(model.training_x, pair.x)
+        features = model.features.transform(pair.x)
     training = relative_error(pair.xp, full_operator(model) @ features)
     return model, {"training": training, **others}
 
@@ -413,7 +414,7 @@ def test_predict_rejects_inconsistent_complex_output():
         eigenvalues=np.array([1.0j]),
         modes_v=np.array([[1.0 + 0.0j]]),
         coeffs=np.array([[1.0 + 0.0j]]),
-        observable_dim=1,
+        features=IdentityDictionary(1),
     )
     with pytest.raises(NumericalError):
         predict(model, [1.0], steps=1)

@@ -29,8 +29,11 @@ from dmdkit.model_io import (
 from dmdkit.observables import (
     CustomDictionary,
     PolynomialDictionary,
+    GaussianKernel,
+    IdentityDictionary,
+    KernelDictionary,
     PolynomialKernel,
-    RbfDictionary,
+    build_dictionary,
     strided_centers,
 )
 from dmdkit.systems import quadratic_system, simulate
@@ -80,7 +83,7 @@ def edmd_record(dictionary=None):
 
 def rbf_record():
     centers = strided_centers(quadratic_pair().x, 6)
-    return edmd_record(RbfDictionary(centers, 0.7))
+    return edmd_record(KernelDictionary(GaussianKernel(0.7), centers.T))
 
 
 def kernel_record():
@@ -88,7 +91,7 @@ def kernel_record():
     return ModelRecord(algorithm="kernel-edmd", model=model, rtol=1e-10)
 
 
-RECORD_MAKERS = [dmd_record, companion_record, edmd_record, kernel_record]
+RECORD_MAKERS = [dmd_record, companion_record, edmd_record, kernel_record, rbf_record]
 
 
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)
@@ -99,20 +102,20 @@ def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, capsys,
     loaded = load_model(path)
     assert (loaded.algorithm, loaded.rtol) == (record.algorithm, record.rtol)
     model, want = loaded.model, record.model
-    assert (model.observable_dim, model.flags) == (want.observable_dim, want.flags)
+    assert model.features.input_dim == want.features.input_dim
+    assert model.flags == want.flags
     assert model.residuals == want.residuals
     assert type(model.features) is type(want.features)
-    if want.features is not None:
-        assert model.features.spec_string() == want.features.spec_string()
+    assert model.features.spec_string() == want.features.spec_string()
     for name, value in _arrays_for(want).items():
         assert_array_equal(_arrays_for(model)[name], value, err_msg=name)
-    z = np.random.default_rng(41).uniform(-1.0, 1.0, (model.observable_dim, 3))
+    z = np.random.default_rng(41).uniform(-1.0, 1.0, (model.features.input_dim, 3))
     assert_array_equal(predict(model, z[:, 0], 7), predict(want, z[:, 0], 7))
     assert_array_equal(eigenfunction_values(model, z), eigenfunction_values(want, z))
     assert_array_equal(full_operator(model), full_operator(want))
-    # the schema-2 and schema-3 layouts this replaces are refused, not migrated
+    # the schema-2, -3 and -4 layouts this replaces are refused, not migrated
     payload = json.loads(path.read_text())
-    for version in (2, 3):
+    for version in (2, 3, 4):
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))
         assert main(["spectrum", str(path)]) == 3
@@ -143,7 +146,8 @@ def test_dmd_round_trip_is_exact(tmp_path):
     loaded = round_trip(tmp_path, record)
     assert loaded.algorithm == "dmd"
     assert loaded.rtol == record.rtol
-    assert loaded.model.features is None and loaded.model.training_x is None
+    assert isinstance(loaded.model.features, IdentityDictionary)
+    assert _arrays_for(loaded.model)["points"] is None
     assert_spectra_equal(loaded.model, record.model)
     assert loaded.model.fit_residual == record.model.fit_residual
 
@@ -152,7 +156,7 @@ def test_companion_round_trip_is_exact(tmp_path):
     record = companion_record()
     loaded = round_trip(tmp_path, record)
     assert loaded.algorithm == "companion"
-    assert loaded.model.observable_dim == record.model.observable_dim
+    assert loaded.model.features.input_dim == record.model.features.input_dim
     assert_spectra_equal(loaded.model, record.model)
 
 
@@ -170,7 +174,7 @@ def test_kernel_round_trip_is_exact(tmp_path):
     loaded = round_trip(tmp_path, record)
     assert loaded.model.features.spec_string() == record.model.features.spec_string()
     assert_spectra_equal(loaded.model, record.model)
-    assert_array_equal(loaded.model.training_x, record.model.training_x)
+    assert_array_equal(loaded.model.features.points, record.model.features.points)
 
 
 def test_loaded_dmd_model_predicts_to_machine_precision(tmp_path):
@@ -218,9 +222,9 @@ def test_rbf_centers_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(record, path)
     loaded = load_model(path)
-    assert isinstance(loaded.model.features, RbfDictionary)
-    assert loaded.model.features.width == 0.7
-    assert_array_equal(loaded.model.features.centers, record.model.features.centers)
+    assert isinstance(loaded.model.features, KernelDictionary)
+    assert loaded.model.features.kernel.sigma == 0.7
+    assert_array_equal(loaded.model.features.points, record.model.features.points)
     z = np.array([0.4, -0.2])
     assert_array_equal(
         loaded.model.features.transform(z), record.model.features.transform(z)
@@ -274,13 +278,13 @@ def test_real_matrix_with_imaginary_entries_is_rejected(tmp_path):
     path = tmp_path / "model.json"
     save_model(kernel_record(), path)
     payload = json.loads(path.read_text())
-    stored = payload["matrices"]["training_x"]
+    stored = payload["matrices"]["points"]
     assert "imag" not in stored
     imag = np.zeros(stored["rows"] * stored["cols"])
     imag[0] = 0.5
     stored["imag"] = base64.b64encode(imag.astype("<f8").tobytes()).decode("ascii")
     path.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match="training_x"):
+    with pytest.raises(DataError, match="points"):
         load_model(path)
 
 
@@ -311,9 +315,28 @@ def test_unknown_algorithm_tag_is_refused():
         ModelRecord(algorithm="pod", model=None, rtol=1e-10)
 
 
+@pytest.mark.parametrize("make_record, damage, named", [
+    (kernel_record, lambda p: p["matrices"].pop("points"), "missing matrix key 'points'"),
+    (rbf_record, lambda p: p["matrices"].pop("points"), "unknown dictionary kind 'gaussian'"),
+    (edmd_record, lambda p: p["fit"].update(features="gaussian:1"), "unknown dictionary"),
+    (kernel_record, lambda p: p.update(algorithm="dmd"), "dmd model cannot hold Kernel"),
+    (edmd_record, lambda p: p.update(algorithm="companion"),
+     "companion model cannot hold PolynomialDictionary"),
+], ids=["kernel-without-points", "rbf-without-points", "kernel-spec-without-points",
+        "kernel-as-dmd", "poly-as-companion"])
+def test_loaded_features_must_fit_the_file(tmp_path, make_record, damage, named):
+    path = tmp_path / "model.json"
+    save_model(make_record(), path)
+    payload = json.loads(path.read_text())
+    damage(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=named):
+        load_model(path)
+
+
 def test_record_features_must_match_algorithm(tmp_path):
     kernel_model = kernel_record().model
-    for algorithm in ("dmd", "companion", "edmd"):
+    for algorithm in ("dmd", "companion"):
         record = ModelRecord(algorithm=algorithm, model=kernel_model, rtol=1e-10)
         with pytest.raises(ConfigError, match=algorithm):
             save_model(record, tmp_path / "model.json")
@@ -335,7 +358,7 @@ def test_file_floats_survive_json_parse_exactly(tmp_path):
 def test_matrix_payload_is_little_endian_binary64(tmp_path):
     one = np.array([[1.0]])
     model = SpectralModel(eigenvalues=np.array([1.0]), modes_v=one, coeffs=one,
-                          observable_dim=1, residuals={"training": 0.0})
+                          features=IdentityDictionary(1), residuals={"training": 0.0})
     path = tmp_path / "model.json"
     save_model(ModelRecord(algorithm="dmd", model=model, rtol=1e-10), path)
     stored = json.loads(path.read_text())["matrices"]
@@ -366,7 +389,7 @@ def test_fit_only_matrices_are_not_stored(tmp_path, make_record):
     path = tmp_path / "model.json"
     save_model(make_record(), path)
     stored = json.loads(path.read_text())["matrices"]
-    assert set(stored) <= {"eigenvalues", "modes", "coeffs", "training_x", "dict_centers"}
+    assert set(stored) <= {"eigenvalues", "modes", "coeffs", "points"}
 
 
 def test_complex_matrix_without_imag_loads_as_complex(tmp_path):
@@ -395,7 +418,7 @@ def test_version_1_file_is_refused_with_exit_3(tmp_path, capsys, make_record):
 DAMAGES = [None, "x", ["x"], [], {}, -1, 1e300, True]
 
 
-@pytest.mark.parametrize("make_record", RECORD_MAKERS + [rbf_record])
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
 def test_damaged_fields_raise_data_error(tmp_path, make_record):
     # every damage either still reads as a valid file (a missing imag list,
     # say) or raises DataError; no other exception may escape the loader,

@@ -18,10 +18,10 @@ from dmdkit.observables import (
     CustomDictionary,
     GaussianKernel,
     IdentityDictionary,
+    KernelDictionary,
     LaplacianKernel,
     PolynomialDictionary,
     PolynomialKernel,
-    RbfDictionary,
     build_dictionary,
     monomial_exponents,
     parse_kernel,
@@ -109,16 +109,23 @@ def test_degree_validation():
 
 def test_rbf_dictionary_shape_and_finiteness_at_zero():
     centers = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    d = RbfDictionary(centers, width=0.7)
+    d = KernelDictionary(GaussianKernel(0.7), centers.T)
     theta = d.transform(np.zeros(2))
     assert theta.shape == (3,)
     assert np.all(np.isfinite(theta))
     assert_allclose(theta[0], 1.0)  # at its own center
+    # exp(-||z - c||^2 / w^2) from direct differences. The kernel forms
+    # ||z||^2 + ||c||^2 - 2 z.c, rounded to about 4 eps (||z||^2 + ||c||^2)
+    # <= 4 eps 8 here, so after dividing by w^2 = 0.49 the values agree
+    # within 1e-13 absolute.
+    z = np.random.default_rng(3).uniform(-2.0, 2.0, (2, 50))
+    direct = np.exp(-np.sum((z[None, :, :] - centers[:, :, None]) ** 2, axis=1) / 0.49)
+    assert_allclose(d.transform(z), direct, rtol=0.0, atol=1e-13)
 
 
 def test_rbf_width_must_be_positive():
     with pytest.raises(ConfigError):
-        RbfDictionary(np.zeros((2, 2)), width=0.0)
+        build_dictionary("rbf:0:2", 2, snapshots=np.zeros((2, 2)))
 
 
 def test_strided_centers_deterministic_and_bounded():
@@ -210,7 +217,9 @@ def test_build_dictionary_from_specs():
     assert w.weighted
     snaps = np.arange(12.0).reshape(2, 6)
     r = build_dictionary("rbf:0.5:3", 2, snapshots=snaps)
-    assert isinstance(r, RbfDictionary) and r.size == 3
+    assert isinstance(r, KernelDictionary) and r.size == 3
+    assert r.spec_string() == "gaussian:0.5"
+    assert_array_equal(r.points, snaps[:, [0, 2, 5]])
 
 
 @pytest.mark.parametrize(
