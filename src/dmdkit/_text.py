@@ -1,10 +1,10 @@
 """Float-to-text conversion shared by every writer in the package.
 
-Trajectory CSVs, CLI output and model-file metadata store doubles as
-``.17g`` text, which round-trips every finite double exactly. CPython spends
-about a microsecond on each ``format(v, ".17g")``, because 17 digits are past
-the fast path of its ``dtoa``, so this module produces the same bytes with
-whole-array numpy arithmetic, in two steps.
+Trajectory CSVs and CLI output store doubles as ``.17g`` text, which
+round-trips every finite double exactly. CPython spends about a microsecond
+on each ``format(v, ".17g")``, because 17 digits are past the fast path of
+its ``dtoa``, so ``write_rows`` produces the same bytes with whole-array
+numpy arithmetic, in two steps.
 
 Digits. For ``|v|`` in [1e-250, 1e250], ``e = floor(log10|v|)`` and
 ``|v| * 10**(16 - e)`` is formed as a double-double: Dekker's exact product
@@ -60,14 +60,6 @@ _NEAR_HALF = 0.5 - 2.0**-30
 _LOWEST, _HIGHEST = 1e-250, 1e250
 # Labels are printed as floats, which hold every integer below this exactly.
 _MAX_LABEL = 2**53
-
-
-def float_texts(values) -> list[str]:
-    """``format(v, ".17g")`` for every entry of ``values``, in C order."""
-    flat = np.asarray(values, dtype=float).ravel()
-    if not flat.size:
-        return []
-    return _encode(flat[None, :], ",", "").split(",")
 
 
 def write_rows(handle, table, labels=None) -> None:

@@ -21,8 +21,8 @@ strings of the row-major IEEE-754 binary64 values in little-endian order,
 with ``imag`` left out when every imaginary entry is zero. Decoding bytes
 costs a small fraction of parsing decimal text, and the stored doubles are
 the model's own, so save -> load -> save is byte-identical and loaded models
-reproduce the original predictions bit for bit. The metadata floats stay
-text with 17 significant digits, which round-trips every double exactly.
+reproduce the original predictions bit for bit. The metadata floats are
+the stdlib encoder's shortest round-trip text, which reads back exactly.
 
 Reading uses the stdlib json parser with NaN and Infinity refused, then
 checks every field's type, every matrix payload's base64 alphabet, padding
@@ -30,9 +30,6 @@ and length, every number's finiteness, and that the matrix shapes agree with
 each other and with the fit metadata, so a damaged file raises ``DataError``
 rather than failing later or forecasting wrongly. Files of any other schema
 version, older ones included, are refused.
-
-The stdlib encoder offers no hook for fixed-precision float text, so writing
-renders the payload here, piece by piece.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import float_texts, write_text_file
+from ._text import write_text_file
 from .dmd import SpectralModel
 from .errors import ConfigError, DataError, ShapeError
 from .observables import (Dictionary, IdentityDictionary, KernelDictionary,
@@ -95,30 +92,6 @@ class ModelRecord:
                 f"unknown algorithm tag {self.algorithm!r}; expected one of "
                 f"{', '.join(_FEATURES)}"
             )
-
-
-# ------------------------------------------------------------ text rendering
-
-
-def _render(value, indent: int):
-    """Yield the JSON text of ``value`` in pieces."""
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        pad = "  " * indent
-        sep = "{\n"
-        for k, v in value.items():
-            yield f"{sep}{pad}  {json.dumps(str(k))}: "
-            yield from _render(v, indent + 1)
-            sep = ",\n"
-        yield "\n" + pad + "}"
-    elif isinstance(value, float):
-        if not np.isfinite(value):
-            raise DataError("model files cannot encode non-finite numbers")
-        yield float_texts(value + 0.0)[0]
-    else:  # strings, integers, booleans and the flag and split lists
-        yield json.dumps(value)
 
 
 def _encode_matrix(m) -> dict:
@@ -250,7 +223,7 @@ def save_model(record: ModelRecord, path) -> None:
     _check_features(record.algorithm, model.features, ConfigError)
     arrays = _arrays_for(model)
     fit_meta = {
-        "rtol": float(record.rtol),
+        "rtol": float(record.rtol) + 0.0,  # never "-0.0"
         "embed_h": int(record.embed_h),
         "augment_inputs": bool(record.augment_inputs),
         "residuals": {str(k): float(v) for k, v in model.residuals.items()},
@@ -271,7 +244,10 @@ def save_model(record: ModelRecord, path) -> None:
     }
 
     def write(handle):
-        handle.writelines(_render(payload, 0))
+        try:
+            json.dump(payload, handle, indent=2, allow_nan=False)
+        except ValueError:  # write_text_file cleans up after DataError, not this
+            raise DataError("model files cannot encode non-finite numbers") from None
         handle.write("\n")
 
     write_text_file(path, "model file", write)

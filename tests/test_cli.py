@@ -921,14 +921,12 @@ def test_diverging_simulation_exits_4_with_one_line(a, x0):
 def test_failed_model_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
     traj = write_diag_traj(capsys, tmp_path)
     model = tmp_path / "model.json"
-    render = dmdkit.model_io._render
 
-    def full_disk(value, indent):
-        pieces = render(value, indent)
-        yield next(pieces)
+    def full_disk(payload, handle, **options):
+        handle.write("{\n")  # the disk fills after the first piece
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(dmdkit.model_io, "_render", full_disk)
+    monkeypatch.setattr(dmdkit.model_io.json, "dump", full_disk)
     code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj),
                                   "--out", str(model)])
     assert code == 3

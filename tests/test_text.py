@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dmdkit import _text
-from dmdkit._text import float_texts, write_rows
+from dmdkit._text import write_rows
 from dmdkit.data import Trajectory, save_trajectory, snapshot_pairs
 from dmdkit.dmd import fit_svd_dmd
 from dmdkit.errors import DataError
@@ -39,6 +39,16 @@ def edge_and_random_values(count=20000, seed=7):
 
 def per_value(values):
     return [format(float(v), ".17g") for v in values]
+
+
+def float_texts(values):
+    """The fields ``write_rows`` writes for ``values`` as one row, in C order."""
+    flat = np.asarray(values, dtype=float).ravel()
+    if not flat.size:
+        return []
+    out = io.StringIO()
+    write_rows(out, flat[None, :])
+    return out.getvalue().removesuffix("\n").split(",")
 
 
 def test_float_texts_match_per_value_format_and_keep_negative_zero():
