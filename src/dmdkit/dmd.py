@@ -150,12 +150,14 @@ def _eigen_inverse(k: np.ndarray):
 def _reduced_fit(x: np.ndarray, xp: np.ndarray, rtol: float):
     """Truncated SVD of x, reduced operator U^T xp W inv(Sigma), its eigenbasis.
 
-    Returns the SVD factors, the reduced operator, and what ``_eigen_inverse``
-    returns for it.
+    Returns the SVD factors, the n x r product xp W inv(Sigma) (formed once;
+    no r x m product is), the reduced operator U^T times it, and what
+    ``_eigen_inverse`` returns for that.
     """
     factors = svd_truncated(x, rtol)
-    k_hat = factors.u.T @ xp @ (factors.w / factors.sigma)
-    return (factors, k_hat, *_eigen_inverse(k_hat))
+    shifted = xp @ (factors.w / factors.sigma)
+    k_hat = factors.u.T @ shifted
+    return (factors, shifted, k_hat, *_eigen_inverse(k_hat))
 
 
 def fit_companion(pair: SnapshotPair) -> SpectralModel:
@@ -212,9 +214,10 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
     return _with_training_residual(model, xp, x)
 
 
-def _mode_columns(xp, factors, values, vectors):
-    """Observable-space modes (1/lambda) xp W inv(Sigma) p, zero-lambda flagged."""
-    base = xp @ (factors.w / factors.sigma) @ vectors
+def _mode_columns(shifted, values, vectors):
+    """Observable-space modes (1/lambda) xp W inv(Sigma) p, zero-lambda flagged,
+    from ``shifted`` = xp W inv(Sigma)."""
+    base = shifted @ vectors
     modes = np.zeros(base.shape, dtype=complex)
     alive = np.abs(values) > _ZERO_EIGENVALUE_TOL
     modes[:, alive] = base[:, alive] / values[alive]
@@ -229,8 +232,8 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel
     The training residual is the model's one-step defect
     ||xp - Re(V Lambda C) x|| / ||xp||.
     """
-    factors, _, spectrum, p_inv, basis_flags = _reduced_fit(pair.x, pair.xp, rtol)
-    modes, has_zero = _mode_columns(pair.xp, factors, spectrum.values, spectrum.vectors)
+    factors, shifted, _, spectrum, p_inv, basis_flags = _reduced_fit(pair.x, pair.xp, rtol)
+    modes, has_zero = _mode_columns(shifted, spectrum.values, spectrum.vectors)
 
     flags = []
     if pair.x.shape[1] == 1:

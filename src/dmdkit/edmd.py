@@ -45,7 +45,7 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
     theta(x) against theta(xp), ``observable`` how well D theta(x) rebuilds x.
     """
     lifted = lift_snapshots(pair, dictionary)
-    factors, k_hat, spectrum, b_coeffs, flags = _reduced_fit(lifted.x, lifted.xp, rtol)
+    factors, _, k_hat, spectrum, b_coeffs, flags = _reduced_fit(lifted.x, lifted.xp, rtol)
 
     # raw observables expanded in the dictionary, g(z) =~ D theta(z)
     d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T

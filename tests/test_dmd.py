@@ -307,7 +307,7 @@ def one_shot_residuals(algo, pair):
         model = fit_edmd(pair, dictionary)
         lifted = lift_snapshots(pair, dictionary)
         features = model.features.transform(pair.x)
-        factors, k_hat = _reduced_fit(lifted.x, lifted.xp, DEFAULT_RTOL)[:2]
+        factors, _, k_hat = _reduced_fit(lifted.x, lifted.xp, DEFAULT_RTOL)[:3]
         d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
         k_full = factors.u @ k_hat @ factors.u.T
         others = {"lifted": relative_error(lifted.xp, k_full @ lifted.x),
@@ -354,7 +354,9 @@ def test_blocked_companion_residual_matches_dense_reference(monkeypatch, block, 
 
 def test_fit_svd_dmd_peak_memory_is_a_small_multiple_of_the_data():
     # the residual is formed in column blocks, so no 200 x 2000 complex
-    # product (4 times x's bytes each) is ever held
+    # product (4 times x's bytes each) is ever held; and xp W inv(Sigma) is
+    # formed once, with no r x m product, which took the peak from 3.2 to 2.5
+    # times x's bytes
     rng = np.random.default_rng(14)
     a = rng.standard_normal((200, 200)) / 15
     x = rng.standard_normal((200, 2000))
@@ -365,7 +367,7 @@ def test_fit_svd_dmd_peak_memory_is_a_small_multiple_of_the_data():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * x.nbytes, peak / x.nbytes
+    assert peak <= 2.9 * x.nbytes, peak / x.nbytes
 
 
 def test_zero_eigenvalue_modes_flagged_and_zeroed():
