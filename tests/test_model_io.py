@@ -28,12 +28,11 @@ from dmdkit.model_io import (
 )
 from dmdkit.observables import (
     CustomDictionary,
-    PolynomialDictionary,
     GaussianKernel,
     IdentityDictionary,
     KernelDictionary,
+    PolynomialDictionary,
     PolynomialKernel,
-    build_dictionary,
     strided_centers,
 )
 from dmdkit.systems import quadratic_system, simulate
