@@ -11,8 +11,9 @@ weighted polynomial dictionary is built so that
 explicit and kernelized fits together and is tested as such.
 
 Spec-string grammar (used by the CLI and model files), parsed only here:
-``identity`` | ``poly:<degree>`` | ``rbf:<width>:<centers>`` for dictionaries,
-``poly:<degree>`` | ``gaussian:<sigma>`` | ``laplacian:<sigma>`` for kernels.
+``identity`` | ``poly:<degree>`` | ``wpoly:<degree>`` | ``rbf:<width>:<centers>``
+for dictionaries (``wpoly`` is the weighted polynomial one), ``poly:<degree>`` |
+``gaussian:<sigma>`` | ``laplacian:<sigma>`` for kernels.
 ``rbf:<width>:<centers>`` is Gaussian sections at strided training columns,
 so its dictionary's spec string is its kernel's, ``gaussian:<width>``, like
 every ``KernelDictionary``'s. A width or sigma is refused unless its square
@@ -21,7 +22,7 @@ is a positive finite double.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -44,8 +45,6 @@ def _as_columns(z, input_dim: int) -> tuple[np.ndarray, bool]:
 class Dictionary:
     """Base class: a named, fixed-size family of scalar observables."""
 
-    kind: str = ""
-
     def __init__(self, input_dim: int, size: int, names: tuple[str, ...]):
         if input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
@@ -63,13 +62,11 @@ class Dictionary:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise ConfigError(f"{self.kind} dictionaries have no spec-string form")
+        raise ConfigError(f"{type(self).__name__} has no spec-string form")
 
 
 class IdentityDictionary(Dictionary):
     """The state coordinates themselves (no constant)."""
-
-    kind = "identity"
 
     def __init__(self, input_dim: int):
         names = tuple(f"x{i}" for i in range(1, input_dim + 1))
@@ -82,74 +79,62 @@ class IdentityDictionary(Dictionary):
         return "identity"
 
 
-def monomial_exponents(input_dim: int, degree: int) -> np.ndarray:
-    """All exponent tuples with total degree <= degree.
+def _monomials(input_dim: int, degree: int):
+    """Names, exponents, parents, variables, counts and grade ends of all
+    monomials of total degree <= degree, built in one pass.
 
-    Ordered by total degree, then lexicographically descending within a
-    degree with x1 ranked highest: for two variables and degree 2 that is
-    1, x1, x2, x1^2, x1*x2, x2^2.
+    Degree k is each degree-(k - 1) monomial times its last variable, then
+    times each later one: graded, then lexicographically descending with x1
+    highest, the order of ``itertools.combinations_with_replacement``. Row i
+    is row parents[i] times variable variables[i] (entry 0 is unused),
+    counts[i] its multinomial coefficient in (1 + a.b)^degree, exact below
+    its cap of 2^1024, and ends[k] is one past the last row of degree k.
     """
-
-    def grade(nvars, total):
-        if nvars == 1:
-            return [(total,)]
-        out = []
-        for first in range(total, -1, -1):
-            out.extend((first,) + rest for rest in grade(nvars - 1, total - first))
-        return out
-
-    rows = []
-    for total in range(degree + 1):
-        rows.extend(grade(input_dim, total))
-    return np.array(rows, dtype=int)
-
-
-def _monomial_parents(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parent row and multiplying variable of each monomial after the constant.
-
-    The parent drops one power of the monomial's last nonzero variable, so
-    row i is row parents[i] times variable variables[i]; entry 0 is unused.
-    """
-    index = {tuple(e): i for i, e in enumerate(exps.tolist())}
-    parents = np.zeros(len(exps), dtype=int)
-    variables = np.zeros(len(exps), dtype=int)
-    for i, e in enumerate(exps.tolist()[1:], start=1):
-        var = max(j for j, k in enumerate(e) if k)
-        e[var] -= 1
-        parents[i], variables[i] = index[tuple(e)], var
-    return parents, variables
-
-
-def _monomial_name(exponents) -> str:
-    parts = []
-    for i, e in enumerate(exponents, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts) if parts else "1"
+    names, powers = [""], [0]  # the constant is named at the end
+    parents, variables, counts, ends = [0], [0], [1], [0, 1]
+    cap = 2**1024  # no double holds it, so a weighted dictionary with it is refused
+    for k in range(1, degree + 1):
+        for p in range(ends[-2], ends[-1]):
+            for v in range(variables[p], input_dim):
+                # the power of v, and the parent's name less any factor of v
+                power = powers[p] + 1 if v == variables[p] else 1
+                stem = names[p].rpartition("*")[0] if power > 1 else names[p]
+                factor = f"x{v + 1}" if power == 1 else f"x{v + 1}^{power}"
+                names.append(f"{stem}*{factor}" if stem else factor)
+                powers.append(power)
+                parents.append(p)
+                variables.append(v)
+                counts.append(min(counts[p] * (degree - k + 1) // power, cap))
+        ends.append(len(names))
+    names[0] = "1"
+    parents, variables, ends = np.array(parents), np.array(variables), np.array(ends[1:])
+    exps = np.zeros((len(names), input_dim), dtype=int)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        exps[lo:hi] = exps[parents[lo:hi]]
+        exps[np.arange(lo, hi), variables[lo:hi]] += 1
+    return tuple(names), exps, parents, variables, counts, ends
 
 
 class PolynomialDictionary(Dictionary):
     """Monomials of total degree <= degree, optionally multinomially weighted.
 
-    The weighted variant scales each monomial by the square root of its
-    multinomial coefficient in the expansion of (1 + a.b)^degree, making the
-    dictionary an explicit feature map for the polynomial kernel.
+    Names, exponents, parents and multinomial counts come from one pass of
+    ``_monomials``. The weighted variant (spec ``wpoly``) scales each
+    monomial by the square root of its count, its coefficient in (1 + a.b)^degree,
+    making the dictionary an explicit feature map for the polynomial kernel.
+    It is refused when a count does not convert to a finite double.
 
-    Monomials are built by recurrence, not by powers: each one after the
+    Monomials are lifted by recurrence, not by powers: each one after the
     constant is its parent, the monomial with one power less of its last
-    variable, times that variable. The exponent table is graded by degree,
-    so every parent of a degree-k monomial has degree k - 1, and a whole
-    degree is one gather and one multiply. A degree-k entry is thus a chain
-    of k - 1 rounded products (the first, 1 * x, is exact), within about
-    (k - 1) * 2^-53 relative of the exact monomial, and a column gives the
-    same bits alone or in a batch. The weights are applied last. A
-    dictionary whose size x n exponents and 2 x size x ``columns`` lifted
-    pair cannot be allocated is refused before it is built.
+    variable, times that variable. Every parent of a degree-k monomial has
+    degree k - 1, so a whole degree is one gather and one multiply. A
+    degree-k entry is thus a chain of k - 1 rounded products (the first,
+    1 * x, is exact), within about (k - 1) * 2^-53 relative of the exact
+    monomial, and a column gives the same bits alone or in a batch. The
+    weights are applied last. A dictionary whose size x n exponents and
+    2 x size x ``columns`` lifted pair cannot be allocated is refused before
+    it is built.
     """
-
-    kind = "polynomial"
 
     def __init__(self, input_dim: int, degree: int, weighted: bool = False,
                  columns: int = 0):
@@ -162,23 +147,19 @@ class PolynomialDictionary(Dictionary):
             raise ConfigError(f"a degree-{degree} polynomial dictionary on {input_dim} states "
                               f"has {size} monomials, too many to allocate for {columns} "
                               "snapshot columns") from None
-        exps = monomial_exponents(input_dim, degree)
-        super().__init__(input_dim, len(exps), tuple(_monomial_name(e) for e in exps))
+        names, exps, self._parents, self._variables, counts, self._grade_ends = \
+            _monomials(input_dim, degree)
+        super().__init__(input_dim, len(names), names)
         self.degree = int(degree)
         self.weighted = bool(weighted)
         self.exponents = exps
-        self._parents, self._variables = _monomial_parents(exps)
-        self._grade_ends = np.searchsorted(exps.sum(axis=1), np.arange(degree + 1), "right")
+        self.weights = np.ones(len(names))
         if weighted:
-            weights = []
-            for e in exps:
-                rest = factorial(degree - int(e.sum()))
-                for k in e:
-                    rest *= factorial(int(k))
-                weights.append(np.sqrt(factorial(degree) / rest))
-            self.weights = np.array(weights)
-        else:
-            self.weights = np.ones(len(exps))
+            try:
+                self.weights = np.sqrt(np.array(counts, dtype=float))
+            except OverflowError:
+                raise ConfigError(f"weighted degree-{degree} monomials on {input_dim} states "
+                                  "have weights too large for a double") from None
 
     def _transform_columns(self, cols):
         out = np.empty((self.size, cols.shape[1]))
@@ -195,8 +176,6 @@ class PolynomialDictionary(Dictionary):
 
 class CustomDictionary(Dictionary):
     """A user-supplied list of (name, callable) scalar observables."""
-
-    kind = "custom"
 
     def __init__(self, input_dim: int, functions):
         functions = list(functions)
@@ -230,8 +209,6 @@ def strided_centers(snapshots, n_centers: int) -> np.ndarray:
 class Kernel:
     """Base class: inner products of implicitly lifted vectors."""
 
-    kind: str = ""
-
     def gram(self, a_cols, b_cols) -> np.ndarray:
         """Matrix of k(a_i, b_j) over the columns of the two arguments."""
         raise NotImplementedError
@@ -242,8 +219,6 @@ class Kernel:
 
 class PolynomialKernel(Kernel):
     """k(a, b) = (1 + a.b) ** degree."""
-
-    kind = "polynomial"
 
     def __init__(self, degree: int):
         if not isinstance(degree, (int, np.integer)) or degree < 1:
@@ -282,8 +257,6 @@ def _sq_dists(a_cols, b_cols):
 class GaussianKernel(Kernel):
     """k(a, b) = exp(-||a - b||^2 / sigma^2)."""
 
-    kind = "gaussian"
-
     def __init__(self, sigma: float):
         self.sigma = _width(sigma, "gaussian kernel")
 
@@ -296,8 +269,6 @@ class GaussianKernel(Kernel):
 
 class LaplacianKernel(Kernel):
     """k(a, b) = exp(-||a - b|| / sigma^2), the unsquared-distance variant."""
-
-    kind = "laplacian"
 
     def __init__(self, sigma: float):
         self.sigma = _width(sigma, "laplacian kernel")
@@ -316,8 +287,6 @@ class KernelDictionary(Dictionary):
     dictionary is Gaussian sections at strided centers. The spec string is
     the kernel's; the points are data, stored beside it.
     """
-
-    kind = "kernel"
 
     def __init__(self, kernel: Kernel, points):
         points = np.asarray(points, dtype=float)

@@ -33,15 +33,18 @@ _MAX_INPUT_SCALE = np.finfo(float).max / 2
 class SystemSpec:
     """A benchmark system plus the simulation request (initial state, steps).
 
-    Use the factory functions (``linear_system`` etc.) rather than filling
-    fields by hand; they validate the per-kind parameters.
+    ``a`` is the step matrix of a linear, forced linear or rotation system
+    (a rotation by theta is stored as its matrix). ``observe`` applies to a
+    rotation only, ``mu``, ``lam`` and ``c`` to the quadratic system, and
+    ``b_in`` and ``input_*`` to the forced one. Use the factory functions
+    (``linear_system`` etc.) rather than filling fields by hand; they
+    validate the per-kind parameters.
     """
 
     kind: str
     initial_state: np.ndarray
     steps: int
     a: np.ndarray | None = None
-    theta: float | None = None
     observe: str = "full"
     mu: float | None = None
     lam: float | None = None
@@ -95,8 +98,9 @@ def rotation_system(theta: float, steps: int, x0=(1.0, 0.0), observe: str = "ful
     if x0.size != 2:
         raise ShapeError("rotation state is 2-dimensional")
     _check_steps(steps)
+    c, s = np.cos(float(theta)), np.sin(float(theta))
     return SystemSpec(kind="rotation", initial_state=x0, steps=int(steps),
-                      theta=float(theta), observe=observe)
+                      a=np.array([[c, -s], [s, c]]), observe=observe)
 
 
 def quadratic_system(mu: float, lam: float, c: float, x0, steps: int) -> SystemSpec:
@@ -160,12 +164,8 @@ def simulate(spec: SystemSpec) -> Trajectory:
     inputs = None
     meta = {"system": spec.kind}
 
-    if spec.kind == "linear":
+    if spec.kind in ("linear", "rotation"):
         step = lambda x, t: spec.a @ x
-    elif spec.kind == "rotation":
-        rot = np.array([[np.cos(spec.theta), -np.sin(spec.theta)],
-                        [np.sin(spec.theta), np.cos(spec.theta)]])
-        step = lambda x, t: rot @ x
     elif spec.kind == "quadratic_invariant":
         step = lambda x, t: np.array([spec.mu * x[0], spec.lam * x[1] + spec.c * x[0] ** 2])
     elif spec.kind == "forced_linear":
@@ -216,13 +216,10 @@ def _poly_pow(p: dict, n: int, nvars: int) -> dict:
 def _map_polynomials(spec: SystemSpec) -> list[dict]:
     """Each state coordinate of the map as a polynomial in the current state."""
     d = spec.state_dim
-    if spec.kind == "linear":
+    if spec.kind == "rotation" and spec.observe != "full":
+        raise ConfigError("the lift oracle needs the full rotation state")
+    if spec.kind in ("linear", "rotation"):
         a = spec.a
-    elif spec.kind == "rotation":
-        if spec.observe != "full":
-            raise ConfigError("the lift oracle needs the full rotation state")
-        a = np.array([[np.cos(spec.theta), -np.sin(spec.theta)],
-                      [np.sin(spec.theta), np.cos(spec.theta)]])
     elif spec.kind == "quadratic_invariant":
         return [
             {(1, 0): spec.mu},

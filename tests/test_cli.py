@@ -1035,6 +1035,26 @@ def test_oversize_polynomial_dictionary_is_refused_before_it_is_built(tmp_path):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_weighted_dictionary_with_weights_past_the_double_range_exits_2(capsys, tmp_path):
+    # wpoly:1100 on one state has the weight sqrt(comb(1100, 550)), and
+    # comb(1100, 550) ~ 1e329 is no double; wpoly:200's largest count,
+    # comb(200, 100) ~ 9e58, is
+    traj = tmp_path / "one.csv"
+    code, _, _ = run(capsys, ["simulate", "--system", "linear", "--a", "0.9", "--x0", "1",
+                              "--steps", "20", "--out", str(traj)])
+    assert code == 0
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", "edmd", "--dict", "wpoly:1100",
+                                  "--data", str(traj), "--out", str(model)])
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "too large for a double" in err
+    assert not model.exists()
+    code, _, _ = run(capsys, ["fit", "--algo", "edmd", "--dict", "wpoly:200",
+                              "--data", str(traj), "--out", str(model)])
+    assert code == 0 and model.exists()
+
+
 def test_fit_that_cannot_be_allocated_exits_2(capsys, tmp_path):
     # the 30,000 x 30,000 Gram matrix alone needs 6.7 GiB
     code, _, _ = run(capsys, ["simulate", "--system", "rotation", "--theta", "0.5",

@@ -6,8 +6,10 @@ weighted dictionary is checked against the kernel it is supposed to factor.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
-from math import comb
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from dmdkit.observables import (
     PolynomialDictionary,
     PolynomialKernel,
     build_dictionary,
-    monomial_exponents,
     parse_kernel,
     strided_centers,
 )
@@ -45,14 +46,41 @@ def test_polynomial_count_matches_binomial_identity():
             assert d.size == comb(dim + degree, degree)
 
 
-def test_polynomial_ordering_two_vars_degree_two():
-    d = PolynomialDictionary(2, 2)
-    assert_array_equal(
-        d.exponents, [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
-    )
-    assert d.names == ("1", "x1", "x2", "x1^2", "x1*x2", "x2^2")
-    theta = d.transform(np.array([2.0, 3.0]))
-    assert_allclose(theta, [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
+@pytest.mark.parametrize("degree", range(1, 6))
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_polynomial_dictionary_matches_references(dim, degree):
+    # references that share nothing with the one-pass builder: the order of
+    # combinations_with_replacement (for two variables and degree 2: 1, x1,
+    # x2, x1^2, x1*x2, x2^2), names formatted from each exponent row, and
+    # weights sqrt(d! / ((d - |e|)! prod e_i!)) from factorials
+    exps = [[combo.count(i) for i in range(dim)] for k in range(degree + 1)
+            for combo in combinations_with_replacement(range(dim), k)]
+    names = tuple("*".join(f"x{i}" if e == 1 else f"x{i}^{e}"
+                           for i, e in enumerate(row, start=1) if e) or "1" for row in exps)
+    weights = [np.sqrt(factorial(degree) / (factorial(degree - sum(row))
+                                            * prod(factorial(e) for e in row)))
+               for row in exps]
+    plain = PolynomialDictionary(dim, degree)
+    weighted = PolynomialDictionary(dim, degree, weighted=True)
+    assert_array_equal(plain.exponents, exps)
+    assert plain.names == weighted.names == names
+    assert_array_equal(plain.weights, 1.0)
+    assert_array_equal(weighted.weights, weights)
+    # these coordinates' monomials up to degree 5 are exact doubles
+    z = np.array([2.0, 3.0, -0.5, 1.5, -1.25])[:dim]
+    assert_array_equal(plain.transform(z), [np.prod(z ** np.array(row)) for row in exps])
+
+
+def test_polynomial_dictionary_build_peak_is_bounded():
+    # the build holds the exponent table, one degree's gather of it and a few
+    # per-monomial lists, about 2.5x the table in all
+    tracemalloc.start()
+    try:
+        d = PolynomialDictionary(20, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * d.exponents.nbytes, peak / d.exponents.nbytes
 
 
 def test_polynomial_batch_matches_single_columns():
@@ -150,6 +178,8 @@ def test_custom_dictionary_named_functions():
     )
     assert d.names == ("1", "x1", "x1^2")
     assert_allclose(d.transform(np.array([3.0, 5.0])), [1.0, 3.0, 9.0])
+    with pytest.raises(ConfigError, match="CustomDictionary"):
+        d.spec_string()
 
 
 def test_dictionary_dimension_mismatch():
