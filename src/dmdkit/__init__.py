@@ -30,7 +30,9 @@ _EXPORTS = {
         "DmdkitError", "EmptyRankError", "NumericalError", "ShapeError",
     ),
     "kernel_edmd": ("fit_kernel_edmd",),
-    "linalg": ("DEFAULT_RTOL", "EigenPairs", "SvdFactors", "eig", "pinv", "svd_truncated"),
+    "linalg": (
+        "DEFAULT_RTOL", "EigenPairs", "SvdFactors", "conjugate_pairs", "eig", "svd_truncated",
+    ),
     "model_io": ("SCHEMA_VERSION", "ModelRecord", "load_model", "save_model"),
     "observables": (
         "CustomDictionary", "Dictionary", "GaussianKernel", "IdentityDictionary",

@@ -7,13 +7,23 @@ to eigenfunction values, phi(z) = C f(z). The feature map f is always a
 kernel sections at the training snapshots (kernel EDMD, ``kernel_edmd``),
 and the state dimension is its ``input_dim``. One routine each
 evaluates eigenfunctions, forecasts Re(V Lambda^m C f(z)) and forms the
-one-step map Re(V Lambda C), whatever the fitter. The forecast multiplies
-one fixed table of eigenvalue powers Lambda^1 .. Lambda^b by weights that
-carry Lambda^(jb) for block j, so each block of steps is one matrix product
-(``_spectral_predict`` states its growth bound and tolerance). Every fitter's
-training residual is that map's one-step defect ||xp - Re(V Lambda C) F|| /
-||xp|| on its training features F (x, its lift, or the Gram matrix of x),
-summed over column blocks within 1e-13 absolute of the one-shot product.
+one-step map Re(V Lambda C), whatever the fitter.
+
+A real map's eigenvalues, modes and eigenfunctions come in conjugate pairs,
+and every fit ends in ``_finish_fit``, which makes the model exactly
+conjugate-closed (``conjugate_slots``): a real eigenvalue's mode column and
+C row are real, and a lower pair member's are the exact conjugates of its
+upper member's. The forecast runs over the real eigenvalues and the upper
+members only, with the upper amplitudes doubled, so it needs no imaginary
+residue check: each block of steps is Re(T W) = Re(T) Re(W) - Im(T) Im(W),
+one real product of a fixed table T of eigenvalue powers Lambda^1 ..
+Lambda^b with weights W that carry Lambda^(jb) for block j
+(``_spectral_predict`` states its growth bound and tolerance). ``predict``
+refuses with a NumericalError a model that is not exactly closed, which
+only a hand-built one can be. Every fitter's training residual is the
+one-step defect ||xp - Re(V Lambda C) F|| / ||xp|| of the closed model on
+its training features F (x, its lift, or the Gram matrix of x), summed over
+column blocks within 1e-13 absolute of the one-shot product.
 
 Both DMD fits regress a one-step linear operator from snapshot pairs. The
 companion fit (Rowley et al. 2009) needs a Krylov sequence x_(j+1) = K x_j,
@@ -45,7 +55,7 @@ import numpy as np
 
 from .data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
 from .errors import ConditioningError, ConfigError, NumericalError, ShapeError
-from .linalg import DEFAULT_RTOL, eig, svd_truncated
+from .linalg import DEFAULT_RTOL, conjugate_pairs, eig, svd_truncated
 from .observables import Dictionary, IdentityDictionary
 
 # companion precondition: the leading k = min(n, m) snapshot columns must be
@@ -55,7 +65,6 @@ _COMPANION_RTOL = 1e-12
 # pinv and the fit is flagged eigenvector_basis_singular
 _BASIS_CONDITION_LIMIT = 1e12
 _ZERO_EIGENVALUE_TOL = 1e-12
-_IMAG_RESIDUE_TOL = 1e-8
 # forecast steps advanced per block in _spectral_predict
 _PREDICT_BLOCK = 256
 # snapshot columns per block of a training residual in _relative_error
@@ -71,7 +80,8 @@ class SpectralModel:
     the modes None when its eigenvector basis was too ill conditioned to
     invert (see flags). ``features`` is the feature map f, whose
     ``input_dim`` is n. ``residuals`` holds the fit's residuals by name, the
-    training residual (none without modes) first.
+    training residual (none without modes) first. Fitted and loaded models
+    are exactly conjugate-closed (see ``conjugate_slots``).
     """
 
     eigenvalues: np.ndarray
@@ -107,12 +117,34 @@ def _relative_error(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     return float(np.sqrt(total) / (denom if denom > 0 else 1.0))
 
 
-def _with_training_residual(model, xp, features, **others) -> SpectralModel:
-    """The model with residuals {training, **others}, where training is
-    ||xp - Re(V Lambda C) F||_F / ||xp||_F over the training features F (f of
-    x), left out when the model has no modes."""
+def _close_rows(rows: np.ndarray, real, upper, lower) -> None:
+    """Make ``rows`` (one row per eigenvalue) exactly conjugate-closed in place:
+    real rows real, each lower row the conjugate of its upper row."""
+    rows[real] = rows[real].real
+    rows[lower] = np.conj(rows[upper])
+
+
+def _finish_fit(model, xp, features, **others) -> SpectralModel:
+    """The model made exactly conjugate-closed, with residuals {training, **others}.
+
+    Signed zeros are made +0.0, as a model file stores them, so a loaded
+    model holds the fitted one's exact values. The modes and coeffs are
+    changed in place: each fitter hands over arrays of its own. training is
+    ||xp - Re(V Lambda C) F||_F / ||xp||_F over the training features F (f
+    of x), left out when the model has no modes.
+    """
+    slots = conjugate_pairs(model.eigenvalues)
+    coeffs = np.asarray(model.coeffs, dtype=complex)
+    coeffs += 0.0
+    _close_rows(coeffs, *slots)
+    modes = model.modes_v
+    if modes is not None:
+        modes = np.asarray(modes, dtype=complex)
+        modes += 0.0
+        _close_rows(modes.T, *slots)
+    model = replace(model, modes_v=modes, coeffs=coeffs)
     training = {}
-    if model.modes_v is not None:
+    if modes is not None:
         training["training"] = _relative_error(xp, full_operator(model), features)
     return replace(model, residuals={**training, **others})
 
@@ -211,7 +243,7 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
         coeffs=_lstsq_pinv(modes),
         features=IdentityDictionary(pair.n_observables),
     )
-    return _with_training_residual(model, xp, x)
+    return _finish_fit(model, xp, x)
 
 
 def _mode_columns(shifted, values, vectors):
@@ -248,7 +280,7 @@ def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel
         flags=(*flags, *basis_flags),
     )
     del factors  # w is as large as x; the residual's blocks need not sit on it
-    return _with_training_residual(model, pair.xp, pair.x)
+    return _finish_fit(model, pair.xp, pair.x)
 
 
 def eigenfunction_values(model: SpectralModel, z) -> np.ndarray:
@@ -274,32 +306,35 @@ def full_operator(model: SpectralModel) -> np.ndarray:
     return ((_modes(model) * model.eigenvalues) @ model.coeffs).real
 
 
-def _discard_imaginary(rows: np.ndarray) -> np.ndarray:
-    """Real part of each forecast row, checking its imaginary residue.
-
-    Each row is judged against its own scale, max(1, max |Re|), and the
-    first row over the tolerance raises.
+def conjugate_slots(model: SpectralModel):
+    """``conjugate_pairs`` of the model's eigenvalues, checked against its
+    modes and coeffs: a real eigenvalue's column and row must be real and
+    each lower one the exact conjugate of its upper one, else NumericalError.
     """
-    scale = np.maximum(1.0, np.max(np.abs(rows.real), axis=1, initial=0.0))
-    residue = np.max(np.abs(rows.imag), axis=1, initial=0.0)
-    bad = np.flatnonzero(residue > _IMAG_RESIDUE_TOL * scale)
-    if bad.size:
-        raise NumericalError(
-            f"prediction has imaginary residue {residue[bad[0]]:.3e}; the spectrum "
-            "is not conjugate-consistent with real data"
-        )
-    return rows.real
+    real, upper, lower = conjugate_pairs(model.eigenvalues)
+    for name, rows in (("coeffs", model.coeffs), ("modes", model.modes_v)):
+        if rows is None:
+            continue
+        rows = rows if name == "coeffs" else rows.T
+        low, up = rows[lower], rows[upper]  # parts compared apart: faster than complex ==
+        if (rows[real].imag.any() or not (low.real == up.real).all()
+                or not (low.imag == -up.imag).all()):
+            raise NumericalError(
+                f"model {name} are not conjugate-closed; the model is not "
+                "conjugate-consistent with real data"
+            )
+    return real, upper, lower
 
 
 def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
-    """Advance amplitudes through eigenvalue powers, m = 1..steps.
+    """Real part of amplitudes advanced through eigenvalue powers, m = 1..steps.
 
     A table T holds Lambda^1 .. Lambda^b (b = _PREDICT_BLOCK, or steps if
     fewer), built by a left-to-right running product. Block j of the
-    forecast is Re(T W_j) with r x n weights W_j = (V diag(a Lambda^(jb)))^T,
-    each row's imaginary residue judged on its own, and W_(j+1) is
-    Lambda^b W_j; so each block costs one matrix product. Growth bound: when
-    max |lambda| > 1, b is at most 512 / log2 max |lambda|, so no table
+    forecast is Re(T W_j) = Re(T) Re(W_j) - Im(T) Im(W_j), one real product
+    of [Re T, -Im T] with [Re W_j; Im W_j], where W_j = (V diag(a
+    Lambda^(jb)))^T is r x n, and W_(j+1) is Lambda^b W_j. Growth bound:
+    when max |lambda| > 1, b is at most 512 / log2 max |lambda|, so no table
     entry overflows where the running product stays finite. Against
     step-by-step products the forecast agrees to 1e-12 times its largest
     entry, and row by row to 1e-13 relative for a growing mode (both stated
@@ -316,22 +351,33 @@ def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
     table = np.empty((block, values.size), dtype=complex)
     table[:] = values
     np.multiply.accumulate(table, axis=0, out=table)
+    powers = np.concatenate([table.real, -table.imag], axis=1)
     weights = (modes * amplitudes).T
     for start in range(0, steps, block):
         count = min(block, steps - start)
-        out[start : start + count] = _discard_imaginary(table[:count] @ weights)
+        np.matmul(powers[:count], np.concatenate([weights.real, weights.imag]),
+                  out=out[start : start + count])
         if start + block < steps:
             weights = weights * table[-1, :, None]
     return out
 
 
 def predict(model: SpectralModel, z0, steps: int) -> np.ndarray:
-    """Spectral forecast g_m = Re(V Lambda^m C f(z0)) of the observables, m = 1..steps."""
+    """Spectral forecast g_m = Re(V Lambda^m C f(z0)) of the observables, m = 1..steps.
+
+    The conjugate-closed model (see ``conjugate_slots``) is forecast over its
+    real eigenvalues and the upper member of each pair, whose amplitude is
+    doubled: the lower member adds the conjugate of the upper one's term.
+    """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps}")
     modes = _modes(model)
-    phi0 = eigenfunction_values(model, np.asarray(z0, dtype=float).ravel())
-    return _spectral_predict(modes, model.eigenvalues, phi0, steps)
+    conjugate_slots(model)
+    values = np.asarray(model.eigenvalues, dtype=complex)
+    keep = values.imag >= 0  # the real eigenvalues and the upper members
+    phi0 = model.coeffs[keep] @ model.features.transform(np.asarray(z0, dtype=float).ravel())
+    phi0[values[keep].imag > 0] *= 2.0
+    return _spectral_predict(modes[:, keep], values[keep], phi0, steps)
 
 
 def embedding_sweep(traj: Trajectory, depths, rtol: float = DEFAULT_RTOL):

@@ -15,7 +15,7 @@ see the span assumption fail rather than silently trusting the spectrum.
 from __future__ import annotations
 
 from .data import SnapshotPair
-from .dmd import SpectralModel, _reduced_fit, _relative_error, _with_training_residual
+from .dmd import SpectralModel, _finish_fit, _reduced_fit, _relative_error
 from .errors import ShapeError
 from .linalg import DEFAULT_RTOL
 from .observables import Dictionary
@@ -57,6 +57,6 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
         flags=flags,
     )
     k_full = factors.u @ k_hat @ factors.u.T
-    return _with_training_residual(model, pair.xp, lifted.x,
-                                   lifted=_relative_error(lifted.xp, k_full, lifted.x),
-                                   observable=_relative_error(pair.x, d_coeffs, lifted.x))
+    return _finish_fit(model, pair.xp, lifted.x,
+                       lifted=_relative_error(lifted.xp, k_full, lifted.x),
+                       observable=_relative_error(pair.x, d_coeffs, lifted.x))

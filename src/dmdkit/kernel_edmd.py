@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SnapshotPair
-from .dmd import SpectralModel, _eigen_inverse, _with_training_residual
+from .dmd import SpectralModel, _eigen_inverse, _finish_fit
 # eigenfunction_values is re-exported: the kernel model is a SpectralModel
 from .dmd import eigenfunction_values  # noqa: F401
 from .errors import EmptyRankError
@@ -70,4 +70,4 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
         features=KernelDictionary(kernel, pair.x),
         flags=flags,
     )
-    return _with_training_residual(model, pair.xp, g_gram)
+    return _finish_fit(model, pair.xp, g_gram)

@@ -1,7 +1,7 @@
-"""Model persistence: structured JSON with explicit real/imaginary arrays.
+"""Model persistence: structured JSON with base64 matrices in pair form.
 
 Every fitter returns a ``SpectralModel``, so every model file has one layout
-(schema version 5). A file carries the algorithm tag, the flags, fit
+(schema version 6). A file carries the algorithm tag, the flags, fit
 metadata (tolerance, embedding depth, augmentation, residuals, observable
 dimension, and the feature map's spec string as ``features``: ``identity``
 for DMD) and the matrices a loaded model reads to print its spectrum,
@@ -24,6 +24,14 @@ the model's own, so save -> load -> save is byte-identical and loaded models
 reproduce the original predictions bit for bit. The metadata floats are
 the stdlib encoder's shortest round-trip text, which reads back exactly.
 
+A fitted model is exactly conjugate-closed (see ``dmd.conjugate_slots``),
+so its modes and coeffs are stored real, in pair form: the column of modes
+(row of coeffs) of a real eigenvalue holds its vector, an upper pair
+member's slot holds the real part of its vector and its lower partner's
+slot the imaginary part. The loader rebuilds the complex matrices from the
+stored eigenvalues and refuses a list that is not closed under
+conjugation.
+
 Reading uses the stdlib json parser with NaN and Infinity refused, then
 checks every field's type, every matrix payload's base64 alphabet, padding
 and length, every number's finiteness, and that the matrix shapes agree with
@@ -41,12 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import write_text_file
-from .dmd import SpectralModel
-from .errors import ConfigError, DataError, ShapeError
+from .dmd import SpectralModel, conjugate_slots
+from .errors import ConfigError, DataError, NumericalError, ShapeError
+from .linalg import conjugate_pairs
 from .observables import (Dictionary, IdentityDictionary, KernelDictionary,
                           build_dictionary, parse_kernel)
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # The feature map each algorithm's model evaluates.
 _FEATURES = {
@@ -58,11 +67,12 @@ _FEATURES = {
 
 # Stored matrices, in file order: name -> (rows, cols, complex). A letter is a
 # size every matrix of the file must agree on (see _DIMENSIONS); a row count
-# of 1 marks a vector, which loads as 1-D.
+# of 1 marks a vector, which loads as 1-D. modes and coeffs are stored real,
+# in pair form.
 _LAYOUT = {
     "eigenvalues": (1, "r", True),
-    "modes": ("n", "r", True),
-    "coeffs": ("r", "f", True),
+    "modes": ("n", "r", False),
+    "coeffs": ("r", "f", False),
     "points": ("n", "f", False),
 }
 _DIMENSIONS = {
@@ -102,8 +112,6 @@ def _encode_matrix(m) -> dict:
     # zero never decides whether ``imag`` is stored or what a file holds.
     re = np.real(m).astype(float) + 0.0
     im = np.imag(m).astype(float) + 0.0
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise DataError("model matrices must be finite")
     out = {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "real": _packed(re)}
     if np.any(im):
         out["imag"] = _packed(im)
@@ -211,6 +219,24 @@ def _arrays_for(model: SpectralModel) -> dict:
     }
 
 
+def _pair_form(rows: np.ndarray, upper, lower) -> np.ndarray:
+    """Real rows (one per eigenvalue) holding conjugate-closed complex ``rows``:
+    the real part, with each lower row replaced by its upper row's imaginary
+    part."""
+    out = rows.real.copy()
+    out[lower] = rows.imag[upper]
+    return out
+
+
+def _from_pair_form(stored: np.ndarray, upper, lower) -> np.ndarray:
+    """The complex rows whose pair form is ``stored``, in ``stored``'s layout."""
+    out = stored.astype(complex)
+    out.real[lower] = stored[upper]
+    out.imag[upper] = stored[lower]
+    out.imag[lower] = -stored[lower]
+    return out
+
+
 def _check_features(algorithm: str, features, error) -> None:
     if not isinstance(features, _FEATURES[algorithm]):
         raise error(f"a {algorithm} model cannot hold "
@@ -222,6 +248,12 @@ def save_model(record: ModelRecord, path) -> None:
     model = record.model
     _check_features(record.algorithm, model.features, ConfigError)
     arrays = _arrays_for(model)
+    if not all(np.isfinite(value).all() for value in arrays.values() if value is not None):
+        raise DataError("model matrices must be finite")
+    _, upper, lower = conjugate_slots(model)
+    arrays["coeffs"] = _pair_form(model.coeffs, upper, lower)
+    if model.modes_v is not None:
+        arrays["modes"] = _pair_form(model.modes_v.T, upper, lower).T
     fit_meta = {
         "rtol": float(record.rtol) + 0.0,  # never "-0.0"
         "embed_h": int(record.embed_h),
@@ -341,10 +373,17 @@ def load_model(path) -> ModelRecord:
     if "eigenvector_basis_singular" not in flags:
         required.add("modes")
     m = _decode_matrices(matrices, dims, required)
+    try:
+        _, upper, lower = conjugate_pairs(m["eigenvalues"])
+    except NumericalError as err:
+        raise DataError(f"model file {err}") from None
+    modes = m.get("modes")
+    if modes is not None:
+        modes = _from_pair_form(modes.T, upper, lower).T
     model = SpectralModel(
         eigenvalues=m["eigenvalues"],
-        modes_v=m.get("modes"),
-        coeffs=m["coeffs"],
+        modes_v=modes,
+        coeffs=_from_pair_form(m["coeffs"], upper, lower),
         features=_features(algorithm, fit_meta, n, m),
         flags=flags,
         residuals=residuals,

@@ -538,6 +538,12 @@ def _one_eigenvalue(payload):
     values.pop("imag", None)
 
 
+def _unpaired_eigenvalue(payload):
+    values = payload["matrices"]["eigenvalues"]
+    assert "imag" not in values  # a diagonal system's spectrum is real
+    values["imag"] = packed([0.25] + [0.0] * (values["cols"] - 1))
+
+
 def _wrong_observable_dim(payload):
     payload["fit"]["observable_dim"] = 3
 
@@ -560,6 +566,7 @@ def _polynomial_features(payload):
     (_text_row_count, "'coeffs' rows"),
     (_text_residual, "residual 'training'"),
     (_one_eigenvalue, "eigenvalue count"),
+    (_unpaired_eigenvalue, "eigenvalues are not closed under conjugation"),
     (_wrong_observable_dim, "observable dimension"),
     (_no_features, "missing fit key 'features'"),
     (_polynomial_features, "a dmd model cannot hold PolynomialDictionary features"),
@@ -1003,18 +1010,25 @@ def test_width_without_a_finite_positive_square_exits_2(capsys, tmp_path, algo, 
     assert not model.exists()
 
 
-def under_address_limit(argv, cwd, limit=1 << 30):
+def under_address_limit(argv, cwd, limit=1 << 30, above_loaded=False):
     """Run the CLI in a child whose address space is capped at ``limit`` bytes.
 
-    An allocation past the cap fails at once, so a test of an oversize fit
-    asks for no real memory. One BLAS thread keeps the library's own
-    buffers well inside the cap.
+    With ``above_loaded`` the cap is ``limit`` bytes above the child's size
+    once it has imported the CLI (read from /proc). An allocation past the
+    cap fails at once, so a test of an oversize fit asks for no real memory.
+    One BLAS thread keeps the library's own buffers well inside the cap.
     """
     resource = pytest.importorskip("resource")
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    code = ("import resource, sys; "
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard})); "
-            "from dmdkit.cli import main; sys.exit(main(sys.argv[1:]))")
+    base = "0"
+    if above_loaded:
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status to read the process size from")
+        base = ("next(int(line.split()[1]) * 1024 for line in open('/proc/self/status') "
+                "if line.startswith('VmSize:'))")
+    code = ("import resource, sys; from dmdkit.cli import main; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({base} + {limit}, {hard})); "
+            "sys.exit(main(sys.argv[1:]))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
@@ -1066,4 +1080,32 @@ def test_fit_that_cannot_be_allocated_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert one_error_line(err) and "kernel-edmd fit" in err and "too large to allocate" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """600 samples of 1,200 observables, small integers (1.4 MB of text)."""
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    values = np.random.default_rng(0).integers(0, 10, (600, 1200))
+    with open(path, "w") as handle:
+        handle.write("t," + ",".join(f"x{i + 1}" for i in range(1200)) + "\n")
+        for k, row in enumerate(values):
+            handle.write(f"{k}," + ",".join(map(str, row)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("margin_mb", [45, 55, 65])
+def test_svd_that_leaves_openblas_no_buffer_exits_2(tmp_path, wide_csv, margin_mb):
+    # Capped 45-65 MB above the loaded CLI, numpy finds room for the SVD's
+    # arrays but OpenBLAS none for its own buffer; without the reservation
+    # in svd_truncated, OpenBLAS prints "Memory allocation still failed
+    # after 10 retries" and ends the process with exit 1
+    code, out, err = under_address_limit(
+        ["fit", "--algo", "dmd", "--data", str(wide_csv), "--out", "model.json"],
+        tmp_path, limit=margin_mb << 20, above_loaded=True)
+    assert "OpenBLAS" not in err
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "the SVD of a 1200 x 599 matrix needs" in err
     assert not (tmp_path / "model.json").exists()

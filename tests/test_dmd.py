@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dmdkit.dmd import (
     _invert_basis,
     _reduced_fit,
     _spectral_predict,
+    conjugate_slots,
     eigenfunction_values,
     embedding_sweep,
     fit_companion,
@@ -36,7 +38,7 @@ from dmdkit.errors import (
 )
 from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.kernel_edmd import fit_kernel_edmd
-from dmdkit.linalg import DEFAULT_RTOL, eig, spectral_order, svd_truncated
+from dmdkit.linalg import DEFAULT_RTOL, conjugate_pairs, eig, spectral_order, svd_truncated
 from dmdkit.observables import IdentityDictionary, build_dictionary, parse_kernel
 from dmdkit.systems import (
     forced_linear_system,
@@ -224,13 +226,40 @@ def test_eigenvector_residual_invariant():
         vectors = eig(k_hat).vectors
         assert_allclose(left @ vectors, np.eye(vectors.shape[0]), atol=1e-8)
 
+def pair_count_of_exactly_closed(model):
+    """Assert the model is exactly conjugate-closed; return its pair count.
+
+    A real eigenvalue's mode column and coeffs row are real, and each lower
+    pair member's are the exact conjugates of its upper member's, signed
+    zeros aside (a model file stores +0.0 for -0.0).
+    """
+    real, upper, lower = conjugate_pairs(model.eigenvalues)
+    rows = [model.coeffs] + ([] if model.modes_v is None else [model.modes_v.T])
+    for part in rows:
+        assert not np.any(part[real].imag)
+        assert np.array_equal(part[lower], np.conj(part[upper]))
+        kept = part[np.concatenate([real, upper])].view(float)
+        assert not np.signbit(kept[kept == 0]).any()
+    return upper.size
+
+
 def test_conjugate_symmetry_of_real_fits():
     rng = np.random.default_rng(17)
+    pairs = 0
     for _ in range(8):
         x = rng.standard_normal((3, 10))
         xp = rng.standard_normal((3, 10))
-        values = fit_svd_dmd(raw_pair(x, xp)).eigenvalues
-        assert spectra_gap(values, np.conj(values)) < 1e-10
+        model = fit_svd_dmd(raw_pair(x, xp))
+        assert spectra_gap(model.eigenvalues, np.conj(model.eigenvalues)) < 1e-10
+        pairs += pair_count_of_exactly_closed(model)
+        a = rng.standard_normal((4, 4))
+        a *= 0.95 / np.max(np.abs(np.linalg.eigvals(a)))
+        pair = linear_pair(a, rng.standard_normal(4), steps=12)
+        pairs += pair_count_of_exactly_closed(fit_companion(pair))
+        pairs += pair_count_of_exactly_closed(fit_edmd(pair, build_dictionary("poly:2", 4)))
+        pairs += pair_count_of_exactly_closed(
+            fit_kernel_edmd(pair, parse_kernel("gaussian:2")))
+    assert pairs > 40  # most of these fits have conjugate pairs
 
 def test_companion_and_svd_agree_on_full_column_rank_data():
     rng = np.random.default_rng(23)
@@ -447,20 +476,38 @@ def test_block_forecast_matches_stepwise_reference_across_blocks():
     # stated tolerance: 1e-12 relative to the largest forecast entry
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-def test_imaginary_residue_is_judged_per_row_against_its_own_scale():
-    # Re = 1e6 * 0.5**m shrinks while the imaginary residue stays 1e-3, so
-    # rows 1-3 pass (scale >= 1.25e5) and row 4 (scale 6.25e4) fails; a scale
-    # taken over the whole block would let every row pass
-    modes = np.array([[1.0, 1.0]], dtype=complex)
-    values = np.array([0.5, 1.0], dtype=complex)
-    amps = np.array([1e6, 1e-3j])
-    out = _spectral_predict(modes, values, amps, 3)
-    assert_allclose(out[:, 0], 1e6 * 0.5 ** np.arange(1, 4), rtol=1e-15)
-    for steps in (4, 2 * _PREDICT_BLOCK + 1):
-        with pytest.raises(NumericalError, match="residue 1.000e-03"):
-            _spectral_predict(modes, values, amps, steps)
-        with pytest.raises(NumericalError, match="residue 1.000e-03"):
-            stepwise_forecast(modes, values, amps, steps)
+def test_predict_refuses_a_model_whose_modes_or_coeffs_are_not_conjugate():
+    model = fit_svd_dmd(snapshot_pairs(block_rotation_traj(blocks=2, steps=30, seed=1)))
+    real, upper, lower = conjugate_pairs(model.eigenvalues)
+    assert real.size == 0 and upper.size == 2
+    g0 = np.array([1.0, 0.5, -0.3, 0.2])
+    forecast = predict(model, g0, 5)
+    # the forecast over the upper members with doubled amplitudes is the
+    # real part of the forecast over every eigenvalue
+    full = np.array([(model.modes_v * model.eigenvalues ** m) @ (model.coeffs @ g0)
+                     for m in range(1, 6)])
+    assert np.max(np.abs(full.imag)) <= 1e-14
+    assert_allclose(forecast, full.real, rtol=0, atol=1e-13)
+
+    def broken(modes=None, coeffs=None):
+        return replace(model, modes_v=model.modes_v if modes is None else modes,
+                       coeffs=model.coeffs if coeffs is None else coeffs)
+
+    nudged_modes = model.modes_v.copy()
+    nudged_modes[0, lower[0]] += 1e-12
+    swapped_coeffs = model.coeffs.copy()
+    swapped_coeffs[lower[1]] = model.coeffs[upper[1]]
+    with_real = fit_svd_dmd(linear_pair(np.diag([0.9, 0.5]), [1.0, 1.0], steps=9))
+    tinted = with_real.coeffs.copy()
+    tinted[0, 0] += 1e-300j
+    for bad, name in ((broken(modes=nudged_modes), "modes"),
+                      (broken(coeffs=swapped_coeffs), "coeffs"),
+                      (replace(with_real, coeffs=tinted), "coeffs")):
+        with pytest.raises(NumericalError, match=f"model {name} are not conjugate-closed"):
+            predict(bad, np.ones(bad.features.input_dim), 3)
+        with pytest.raises(NumericalError, match="not conjugate-closed"):
+            conjugate_slots(bad)
+
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_forty_block_forecast_matches_stepwise_reference(seed):

@@ -7,6 +7,7 @@ from dmdkit.edmd import fit_edmd
 from dmdkit.errors import ConfigError, EmptyRankError
 from dmdkit.dmd import eigenfunction_values, predict
 from dmdkit.kernel_edmd import _gram_basis, fit_kernel_edmd
+from dmdkit.linalg import conjugate_pairs
 from dmdkit.observables import GaussianKernel, PolynomialDictionary, PolynomialKernel
 from dmdkit.systems import linear_system, quadratic_system, rotation_system, simulate
 
@@ -227,6 +228,13 @@ def test_gaussian_kernel_fit_is_conjugate_symmetric():
     values = model.eigenvalues
     assert spectra_gap(values, np.conj(values)) < 1e-10
     assert np.isfinite(model.fit_residual)
+    # exactly closed: real eigenvalues have real modes and coeffs rows, and
+    # each lower pair member's are the exact conjugates of its upper one's
+    real, upper, lower = conjugate_pairs(values)
+    assert upper.size > 0
+    for rows in (model.coeffs, model.modes_v.T):
+        assert not np.any(rows[real].imag)
+        assert np.array_equal(rows[lower], np.conj(rows[upper]))
 
 
 @pytest.mark.parametrize("rtol", [-1.0, 1.0, 2.0, float("nan")])

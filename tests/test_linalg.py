@@ -2,7 +2,7 @@
 
 Expected values come from independent constructions: truncated-SVD ranks from
 explicit low-rank factor products, eigenvalues from a hand-factored
-characteristic polynomial, pseudoinverses from the four Penrose conditions.
+characteristic polynomial, conjugate pairs from spectra built pair by pair.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dmdkit.errors import ConfigError, EmptyRankError, ShapeError
-from dmdkit.linalg import DEFAULT_RTOL, eig, pinv, spectral_order, svd_truncated
+from dmdkit.errors import ConfigError, EmptyRankError, NumericalError, ShapeError
+from dmdkit.linalg import DEFAULT_RTOL, conjugate_pairs, eig, spectral_order, svd_truncated
 
 # ---------------------------------------------------------------- svd_truncated
 
@@ -129,26 +129,57 @@ def test_spectral_order_magnitude_then_imag():
     assert_allclose(vals[idx], [2.0, np.exp(0.3j), np.exp(-0.3j), 0.5])
 
 
-# ------------------------------------------------------------------------- pinv
+# -------------------------------------------------------------- conjugate_pairs
 
 
-def test_pinv_diagonal_with_zero_row():
-    assert_allclose(pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
+def assert_pairs_cover(values, real, upper, lower):
+    assert sorted([*real, *upper, *lower]) == list(range(len(values)))
+    assert np.all(values[real].imag == 0) and np.all(values[upper].imag > 0)
+    assert np.array_equal(values[lower], np.conj(values[upper]))
+    assert list(upper) == sorted(upper)
 
 
-def test_pinv_penrose_conditions():
-    rng = np.random.default_rng(23)
-    for shape in [(2, 3), (6, 4), (5, 5)]:
-        m = rng.standard_normal(shape)
-        p = pinv(m)
-        assert_allclose(m @ p @ m, m, atol=1e-10)
-        assert_allclose(p @ m @ p, p, atol=1e-10)
-        assert_allclose((m @ p).T, m @ p, atol=1e-10)
-        assert_allclose((p @ m).T, p @ m, atol=1e-10)
+def test_conjugate_pairs_of_a_unit_modulus_spectrum_interleave():
+    # every |lambda| ties at 1 (up to rounding), so the order by descending
+    # modulus, then imaginary part, need not put a pair's members side by side
+    upper_values = np.exp(1j * np.array([2.0, 1.1]))
+    values = np.array([*upper_values, 1.0, -1.0, *np.conj(upper_values[::-1])])
+    real, upper, lower = conjugate_pairs(values)
+    assert (list(real), list(upper), list(lower)) == ([2, 3], [0, 1], [5, 4])
+    a = np.zeros((8, 8))
+    for i, t in enumerate([0.3, 1.1, 2.0]):
+        a[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    a[6, 6], a[7, 7] = 1.0, -1.0
+    values = eig(a).values
+    real, upper, lower = conjugate_pairs(values)
+    assert_pairs_cover(values, real, upper, lower)
+    assert np.any(lower != upper + 1)  # here at least one pair is split
 
 
-def test_pinv_consistent_with_truncation():
-    # Rank-deficient input: pinv inverts only the retained part.
-    m = np.diag([1.0, 1e-14])
-    p = pinv(m, rtol=1e-10)
-    assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
+def test_conjugate_pairs_match_exact_duplicates_copy_by_copy():
+    a = 0.5 + 0.25j
+    values = np.array([a, np.conj(a), 0.1, a, np.conj(a), np.conj(a), a])
+    real, upper, lower = conjugate_pairs(values)
+    assert_pairs_cover(values, real, upper, lower)
+    # the k-th copy of a, counted by index, pairs with the k-th copy of conj(a)
+    assert (list(real), list(upper), list(lower)) == ([2], [0, 3, 6], [1, 4, 5])
+
+
+def test_conjugate_pairs_of_an_all_real_spectrum():
+    for values in (np.array([0.9, -0.5, 0.0, 0.9]), np.array([0.9, -0.0j, 0.5])):
+        real, upper, lower = conjugate_pairs(values)
+        assert list(real) == [0, 1, 2, 3][:values.size]
+        assert upper.size == lower.size == 0
+
+
+@pytest.mark.parametrize("values", [
+    [1j],
+    [0.5 + 0.1j, 0.5 - 0.1000000001j],
+    [0.5 + 0.1j, 0.5 - 0.1j, 0.5 + 0.1j],
+    [0.5 + 0.1j, 0.5 - 0.1j, 0.2 - 0.1j],
+    [complex(np.nan, 1.0), complex(np.nan, -1.0)],
+    [complex(0.3, np.nan)],
+], ids=["lone", "inexact", "odd-copies", "wrong-partner", "nan-real", "nan-imag"])
+def test_conjugate_pairs_refuse_a_list_not_closed_under_conjugation(values):
+    with pytest.raises(NumericalError, match="not closed under conjugation"):
+        conjugate_pairs(np.array(values))

@@ -19,6 +19,7 @@ from dmdkit.dmd import (
 from dmdkit.edmd import fit_edmd
 from dmdkit.errors import ConfigError, DataError, DmdkitError
 from dmdkit.kernel_edmd import fit_kernel_edmd
+from dmdkit.linalg import conjugate_pairs
 from dmdkit.model_io import (
     SCHEMA_VERSION,
     ModelRecord,
@@ -112,9 +113,9 @@ def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, capsys,
     assert_array_equal(predict(model, z[:, 0], 7), predict(want, z[:, 0], 7))
     assert_array_equal(eigenfunction_values(model, z), eigenfunction_values(want, z))
     assert_array_equal(full_operator(model), full_operator(want))
-    # the schema-2, -3 and -4 layouts this replaces are refused, not migrated
+    # the schema-2, -3, -4 and -5 layouts this replaces are refused, not migrated
     payload = json.loads(path.read_text())
-    for version in (2, 3, 4):
+    for version in (2, 3, 4, 5):
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))
         assert main(["spectrum", str(path)]) == 3
@@ -348,10 +349,17 @@ def test_file_floats_survive_json_parse_exactly(tmp_path):
     save_model(record, path)
     payload = json.loads(path.read_text())
     stored = payload["matrices"]["coeffs"]
-    coeffs = np.empty(record.model.coeffs.shape, dtype=complex)
-    coeffs.real.flat = doubles(stored["real"])
-    coeffs.imag.flat = doubles(stored["imag"])
-    assert coeffs.tobytes() == record.model.coeffs.tobytes()
+    # pair form: real rows as they are, an upper row's real part in its own
+    # slot and its imaginary part in its lower partner's slot
+    _, upper, lower = conjugate_pairs(record.model.eigenvalues)
+    assert upper.size > 0
+    coeffs = record.model.coeffs
+    want = coeffs.real.copy()
+    want[lower] = coeffs.imag[upper]
+    assert "imag" not in stored
+    assert doubles(stored["real"]).tobytes() == want.tobytes()
+    loaded = load_model(path).model.coeffs
+    assert loaded.tobytes() == coeffs.tobytes()
 
 
 def test_matrix_payload_is_little_endian_binary64(tmp_path):
@@ -366,7 +374,7 @@ def test_matrix_payload_is_little_endian_binary64(tmp_path):
     assert load_model(path).model.eigenvalues.tolist() == [1.0]
 
 
-# ---------------------------------------------------------------- schema 4
+# ---------------------------------------------------------------- schema 6
 
 
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)
@@ -377,10 +385,56 @@ def test_imag_is_stored_exactly_when_some_entry_is_nonzero(tmp_path, make_record
     stored = json.loads(path.read_text())["matrices"]
     arrays = _arrays_for(record.model)
     assert set(stored) == {name for name, value in arrays.items() if value is not None}
-    for name, matrix in stored.items():
+    for name in {"eigenvalues", "points"} & set(stored):
+        matrix = stored[name]
         assert ("imag" in matrix) == bool(np.any(np.imag(arrays[name]))), name
         if "imag" in matrix:
             assert np.any(doubles(matrix["imag"]))
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_modes_and_coeffs_are_stored_real_in_pair_form(tmp_path, make_record):
+    record = make_record()
+    path = tmp_path / "model.json"
+    save_model(record, path)
+    stored = json.loads(path.read_text())["matrices"]
+    model = record.model
+    r, n, f = model.eigenvalues.size, model.features.input_dim, model.features.size
+    for name, count in (("modes", n * r), ("coeffs", r * f)):
+        assert "imag" not in stored[name], name
+        assert doubles(stored[name]["real"]).size == count, name
+    assert doubles(stored["eigenvalues"]["real"]).size == r
+
+
+def test_all_real_spectrum_has_no_imag_in_the_file(tmp_path):
+    pair = quadratic_pair()
+    model = fit_svd_dmd(pair)
+    assert not np.any(model.eigenvalues.imag)
+    path = tmp_path / "model.json"
+    save_model(ModelRecord(algorithm="dmd", model=model, rtol=1e-10), path)
+    stored = json.loads(path.read_text())["matrices"]
+    assert not any("imag" in matrix for matrix in stored.values())
+    loaded = load_model(path).model
+    assert_array_equal(loaded.modes_v, model.modes_v)
+    assert_array_equal(loaded.coeffs, model.coeffs)
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_eigenvalues_not_closed_under_conjugation_exit_3(tmp_path, capsys, make_record):
+    path = tmp_path / "model.json"
+    save_model(make_record(), path)
+    payload = json.loads(path.read_text())
+    values = payload["matrices"]["eigenvalues"]
+    imag = np.zeros(values["cols"]) if "imag" not in values else doubles(values["imag"]).copy()
+    imag[0] += 0.125  # no other eigenvalue is the conjugate of the new first one
+    values["imag"] = base64.b64encode(imag.astype("<f8").tobytes()).decode("ascii")
+    path.write_text(json.dumps(payload))
+    ic = tmp_path / "ic.csv"
+    ic.write_text(",".join(["0.5"] * payload["fit"]["observable_dim"]) + "\n")
+    for argv in (["spectrum", str(path)], ["predict", str(path), str(ic), "2"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: model file eigenvalues are not closed " \
+            "under conjugation, as the spectrum of a real map must be\n"
 
 
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)
@@ -395,10 +449,12 @@ def test_complex_matrix_without_imag_loads_as_complex(tmp_path):
     path = tmp_path / "model.json"
     save_model(dmd_record(), path)
     payload = json.loads(path.read_text())
-    payload["matrices"]["modes"].pop("imag", None)
+    payload["matrices"]["eigenvalues"].pop("imag", None)
     path.write_text(json.dumps(payload))
-    modes = load_model(path).model.modes_v
-    assert modes.dtype == complex and not np.any(modes.imag)
+    model = load_model(path).model
+    # an all-real spectrum reads every pair-form slot as a real vector
+    for matrix in (model.eigenvalues, model.modes_v, model.coeffs):
+        assert matrix.dtype == complex and not np.any(matrix.imag)
 
 
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)

@@ -174,17 +174,24 @@ def test_model_file_matrices_match_per_value_format_with_negative_zero_as_zero(t
     real = edge_and_random_values(count=3000)
     imag = -real[::-1]
     record = dmd_record()
-    model = dataclasses.replace(record.model, modes_v=(real + 1j * imag)[None, :])
+    # one conjugate pair per value: upper members at even slots, so the pair
+    # form of the 1 x 2k mode row interleaves the real and imaginary parts
+    upper = real + 1j * imag
+    modes = np.column_stack([upper, np.conj(upper)]).reshape(1, -1)
+    values = np.tile([0.5 + 0.25j, 0.5 - 0.25j], real.size)
+    model = dataclasses.replace(record.model, eigenvalues=values, modes_v=modes,
+                                coeffs=np.zeros((values.size, 2), dtype=complex))
     path = tmp_path / "model.json"
     save_model(dataclasses.replace(record, model=model), path)
     stored = json.loads(path.read_text())["matrices"]["modes"]
-    for part, values in (("real", real), ("imag", imag)):
-        bits = np.frombuffer(base64.b64decode(stored[part]), "<u8")
-        assert np.signbit(values).any() and np.signbit(values[values == 0]).any()
+    assert "imag" not in stored
+    bits = np.frombuffer(base64.b64decode(stored["real"]), "<u8").reshape(-1, 2)
+    for part, column in ((real, 0), (imag, 1)):
+        assert np.signbit(part).any() and np.signbit(part[part == 0]).any()
         # the stored bits are the model's, except that -0.0 is stored as +0.0
-        assert np.array_equal(bits, (values + 0.0).astype("<f8").view("<u8"))
-        assert not np.signbit(bits.view("<f8")[values == 0]).any()
-    # a 1 x 3000 mode matrix does not fit the 3-observable model around it
+        assert np.array_equal(bits[:, column], (part + 0.0).astype("<f8").view("<u8"))
+        assert not np.signbit(bits[:, column].view("<f8")[part == 0]).any()
+    # a 1 x 2k mode matrix does not fit the 2-observable model around it
     with pytest.raises(DataError, match="'modes'"):
         load_model(path)
 
