@@ -18,7 +18,7 @@ cols = [np.array([1.0, 0.2])]
 for _ in range(11):
     cols.append(rot @ cols[-1])
 states = np.column_stack(cols)
-pair = SnapshotPair(states[:, :-1], states[:, 1:], np.arange(states.shape[1] - 1))
+pair = SnapshotPair(states[:, :-1], states[:, 1:])
 
 for degree in (1, 2, 3):
     kernel = PolynomialKernel(degree)

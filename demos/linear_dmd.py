@@ -20,7 +20,7 @@ cols = [x0]
 for _ in range(4 * n - 1):
     cols.append(a @ cols[-1])
 states = np.column_stack(cols)
-pair = SnapshotPair(states[:, :-1], states[:, 1:], np.arange(states.shape[1] - 1))
+pair = SnapshotPair(states[:, :-1], states[:, 1:])
 
 model = fit_svd_dmd(pair)
 

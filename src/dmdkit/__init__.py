@@ -17,8 +17,8 @@ from importlib import import_module
 # (PEP 562), so a caller pays only for the modules it touches.
 _EXPORTS = {
     "data": (
-        "EmbeddedTrajectory", "SnapshotPair", "Trajectory", "concat_pairs",
-        "delay_embed", "load_trajectory", "save_trajectory", "snapshot_pairs",
+        "SnapshotPair", "Trajectory", "concat_pairs", "delay_embed", "load_trajectory",
+        "save_trajectory", "snapshot_pairs",
     ),
     "dmd": (
         "SpectralModel", "eigenfunction_values", "embedding_sweep", "fit_companion",

@@ -149,13 +149,11 @@ def cmd_fit(args) -> int:
     from .observables import build_dictionary, parse_kernel
 
     check_rtol(args.rtol)  # for every fitter: the model file stores it
-    pair, split = _training_pair(args)
-    _note(
-        f"fit {args.algo}: {pair.n_observables} observables x "
-        f"{pair.n_columns} column pairs"
-    )
-
-    try:  # a Gram matrix, lift or SVD that cannot be allocated is a usage error
+    size = "the data in " + ", ".join(args.data)  # until the pair's shape is known
+    try:  # data, a Gram matrix, lift or SVD that cannot be allocated is a usage error
+        pair, split = _training_pair(args)
+        size = f"{pair.n_observables} observables x {pair.n_columns} column pairs"
+        _note(f"fit {args.algo}: {size}")
         if args.algo == "companion":
             model = fit_companion(pair)
         elif args.algo == "dmd":
@@ -166,8 +164,7 @@ def cmd_fit(args) -> int:
         else:
             model = fit_kernel_edmd(pair, parse_kernel(args.kernel), rtol=args.rtol)
     except MemoryError as err:
-        raise ConfigError(f"a {args.algo} fit of {pair.n_observables} observables x "
-                          f"{pair.n_columns} column pairs is too large to allocate: "
+        raise ConfigError(f"a {args.algo} fit of {size} is too large to allocate: "
                           f"{str(err) or 'out of memory'}") from None
     del pair  # the model keeps what it needs of the data; saving it needs none
 

@@ -76,26 +76,19 @@ class Trajectory:
         Observed state sequence, T >= 2. A 1-D array is taken as scalar samples.
     inputs, disturbances : array_like, shape (T, n), optional
         Exogenous signals sampled at the same instants.
-    meta : dict
-        Free-form notes on where the data came from (e.g. the seed of a
-        generated input signal). Ignored by comparisons.
     """
 
     dt: float
     states: np.ndarray
     inputs: np.ndarray | None = None
     disturbances: np.ndarray | None = None
-    meta: dict = field(default_factory=dict, compare=False)
-
-    # embedded trajectories may collapse to a single window
-    _min_length = 2
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ShapeError(f"dt must be a positive finite number, got {self.dt}")
         states = _as_samples(self.states, "states")
-        if states.shape[0] < self._min_length:
-            raise ShapeError(f"a trajectory needs at least {self._min_length} samples")
+        if states.shape[0] < 2:
+            raise ShapeError("a trajectory needs at least 2 samples")
         object.__setattr__(self, "states", _freeze(np.ascontiguousarray(states)))
         for name in ("inputs", "disturbances"):
             value = getattr(self, name)
@@ -126,34 +119,19 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class EmbeddedTrajectory(Trajectory):
-    """Trajectory of stacked delay windows ``(g_t, ..., g_{t+h-1})``, oldest first.
-
-    The state/input/disturbance fields hold the stacked windows, so every
-    routine that accepts a Trajectory (snapshot_pairs in particular) applies
-    unchanged; ``depth_h`` records the embedding depth.
-    """
-
-    depth_h: int = 1
-
-    _min_length = 1
-
-
-@dataclass(frozen=True)
 class SnapshotPair:
     """Column-aligned snapshot matrices for regression.
 
     ``x`` and ``xp`` are (n_obs, m) with column j of ``xp`` the one-step
-    successor of column j of ``x``. ``col_times`` records the source sample
-    index of each x column. Both are kept as read-only views of what they
-    were given, without a contiguous copy, so they may overlap: for one
-    trajectory ``snapshot_pairs`` makes them two windows of one matrix.
+    successor of column j of ``x``; ``dt`` (keyword-only) is the sampling
+    interval. Both are kept as read-only views of what they were given,
+    without a contiguous copy, so they may overlap: for one trajectory
+    ``snapshot_pairs`` makes them two windows of one matrix.
     """
 
     x: np.ndarray
     xp: np.ndarray
-    col_times: np.ndarray
-    dt: float = 1.0
+    dt: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -164,12 +142,8 @@ class SnapshotPair:
             raise ShapeError(f"xp shape {xp.shape} does not match x shape {x.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xp))):
             raise ShapeError("snapshot matrices contain non-finite entries")
-        times = np.asarray(self.col_times, dtype=int)
-        if times.shape != (x.shape[1],):
-            raise ShapeError("col_times must have one entry per column")
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "xp", _freeze(xp))
-        object.__setattr__(self, "col_times", _freeze(times))
 
     @property
     def n_observables(self) -> int:
@@ -189,21 +163,15 @@ def snapshot_pairs(traj: Trajectory, augment_inputs: bool = False) -> SnapshotPa
     Without them x and xp are the windows ``cols[:, :-1]`` and ``cols[:, 1:]``
     of one sample-per-column copy ``cols`` of the states.
     """
-    if traj.length < 2:
-        raise ShapeError(
-            f"trajectory has fewer than 2 samples to pair: it has {traj.length} "
-            "(a depth-h delay embedding of T samples has T - h + 1)"
-        )
-    times = np.arange(traj.length - 1)
     if not augment_inputs:
         cols = _sample_columns([traj.states])
-        return SnapshotPair(cols[:, :-1], cols[:, 1:], times, dt=traj.dt)
+        return SnapshotPair(cols[:, :-1], cols[:, 1:], dt=traj.dt)
     if traj.inputs is None and traj.disturbances is None:
         raise ConfigError("trajectory has no inputs or disturbances to augment with")
     held = [s[:-1] for s in (traj.inputs, traj.disturbances) if s is not None]
     x = _sample_columns([traj.states[:-1], *held])
     xp = _sample_columns([traj.states[1:], *held])  # inputs held, not advanced
-    return SnapshotPair(x, xp, times, dt=traj.dt)
+    return SnapshotPair(x, xp, dt=traj.dt)
 
 
 def _sample_columns(blocks: list) -> np.ndarray:
@@ -217,16 +185,20 @@ def _sample_columns(blocks: list) -> np.ndarray:
     return out
 
 
-def delay_embed(traj: Trajectory, h: int) -> EmbeddedTrajectory:
+def delay_embed(traj: Trajectory, h: int) -> Trajectory:
     """Stack sliding windows of depth ``h`` (oldest sample first in each window).
 
-    A length-T trajectory yields T - h + 1 windows; states, inputs, and
-    disturbances are embedded over the same windows.
+    A length-T trajectory yields T - h + 1 windows, so h must be below T for
+    two of them to pair; states, inputs, and disturbances are embedded over
+    the same windows.
     """
     if not isinstance(h, (int, np.integer)) or h < 1:
         raise ShapeError(f"embedding depth must be an integer >= 1, got {h}")
-    if h > traj.length:
-        raise ShapeError(f"embedding depth {h} exceeds trajectory length {traj.length}")
+    if h >= traj.length:
+        raise ShapeError(
+            f"trajectory has fewer than 2 samples to pair: a depth-{h} delay embedding "
+            f"of {traj.length} samples has T - h + 1 = {traj.length - h + 1}"
+        )
 
     def stack(signal):
         if signal is None:
@@ -235,13 +207,11 @@ def delay_embed(traj: Trajectory, h: int) -> EmbeddedTrajectory:
         idx = np.arange(count)[:, None] + np.arange(h)[None, :]
         return signal[idx].reshape(count, h * signal.shape[1])
 
-    return EmbeddedTrajectory(
+    return Trajectory(
         dt=traj.dt,
         states=stack(traj.states),
         inputs=stack(traj.inputs),
         disturbances=stack(traj.disturbances),
-        meta=dict(traj.meta),
-        depth_h=int(h),
     )
 
 
@@ -261,7 +231,6 @@ def concat_pairs(pairs: list[SnapshotPair]) -> SnapshotPair:
     return SnapshotPair(
         np.hstack([p.x for p in pairs]),
         np.hstack([p.xp for p in pairs]),
-        np.concatenate([p.col_times for p in pairs]),
         dt=dt,
     )
 
@@ -336,8 +305,7 @@ def load_trajectory(path) -> Trajectory:
     states = table[:, 1 : 1 + n_x]
     inputs = table[:, 1 + n_x : 1 + n_x + n_u] if n_u else None
     dists = table[:, 1 + n_x + n_u :] if n_d else None
-    return Trajectory(dt=dt, states=states, inputs=inputs, disturbances=dists,
-                      meta={"source": str(path)})
+    return Trajectory(dt=dt, states=states, inputs=inputs, disturbances=dists)
 
 
 def load_rows(path, what: str) -> np.ndarray:

@@ -31,7 +31,6 @@ def lift_snapshots(pair: SnapshotPair, dictionary: Dictionary) -> SnapshotPair:
     return SnapshotPair(
         x=dictionary.transform(pair.x),
         xp=dictionary.transform(pair.xp),
-        col_times=pair.col_times,
         dt=pair.dt,
     )
 

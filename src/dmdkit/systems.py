@@ -156,13 +156,12 @@ def simulate(spec: SystemSpec) -> Trajectory:
     """Iterate the map for ``spec.steps`` transitions and record observations.
 
     The trajectory has steps + 1 samples and dt = 1. A forced system also
-    records its input sequence (the seed lands in the trajectory metadata).
+    records its input sequence, drawn from ``spec.input_seed``.
     Blow-up past 1e12 or to NaN in any coordinate raises a divergence error.
     """
     samples = spec.steps + 1
     state = spec.initial_state.copy()
     inputs = None
-    meta = {"system": spec.kind}
 
     if spec.kind in ("linear", "rotation"):
         step = lambda x, t: spec.a @ x
@@ -171,7 +170,6 @@ def simulate(spec: SystemSpec) -> Trajectory:
     elif spec.kind == "forced_linear":
         inputs = _piecewise_constant_inputs(spec, samples)
         step = lambda x, t: spec.a @ x + spec.b_in @ inputs[t]
-        meta["input_seed"] = spec.input_seed
     else:
         raise ConfigError(f"unknown system kind {spec.kind!r}")
 
@@ -189,7 +187,7 @@ def simulate(spec: SystemSpec) -> Trajectory:
         states = path[:, :1]
     else:
         states = path
-    return Trajectory(dt=1.0, states=states, inputs=inputs, meta=meta)
+    return Trajectory(dt=1.0, states=states, inputs=inputs)
 
 
 # ---------------------------------------------------------- exact lift oracle

@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# End-to-end smoke test of the `dmdkit` command: every subcommand, the CSV
+# variants a fit must read alike (CRLF, byte-order mark, a pipe), the exit
+# codes of refused inputs, and that failed fits leave no model file.
+#
+# Run it in an empty scratch directory with `dmdkit` on PATH (the installed
+# console script, or a shim that runs `python -m dmdkit.cli`); `python` must
+# import numpy. It writes its files into the current directory and stops at
+# the first failing command:
+#
+#     cd "$(mktemp -d)" && bash /path/to/dmdkit/tests/cli_smoke.sh
+set -eo pipefail
+
+dmdkit simulate --system rotation --theta 0.5 --steps 5
+dmdkit simulate --system rotation --theta 0.5 --steps 20 --out rot.csv
+dmdkit fit --algo dmd --data rot.csv --out model.json > fit.csv
+awk -F, 'NR > 1 { rows++; if (!($4 < 1e-10)) bad = 1 } END { exit bad || !rows }' fit.csv
+grep '"schema_version": 6' model.json
+sed 's/"schema_version": 6/"schema_version": 5/' model.json > model5.json
+status=0; dmdkit spectrum model5.json || status=$?; test "$status" -eq 3
+dmdkit spectrum model.json > spectrum.csv
+sed 's/$/\r/' rot.csv > rot-crlf.csv
+{ printf '\xef\xbb\xbf'; cat rot.csv; } > rot-bom.csv
+for copy in crlf bom; do
+  dmdkit fit --algo dmd --data rot-$copy.csv --out model-$copy.json
+  dmdkit spectrum model-$copy.json | cmp - spectrum.csv
+done
+cat rot.csv | dmdkit fit --algo dmd --data /dev/stdin --out model-pipe.json
+dmdkit spectrum model-pipe.json | cmp - spectrum.csv
+python -c 'import base64, json, numpy as np; m = json.load(open("model.json"))["matrices"]["eigenvalues"]; values = np.frombuffer(base64.b64decode(m["real"]), "<f8").reshape(m["rows"], m["cols"]); rows = open("spectrum.csv").read().splitlines()[1:]; assert values.size == len(rows) > 0, (values.size, rows)'
+echo "1,0" > ic.csv
+dmdkit predict model.json ic.csv 5
+dmdkit predict model.json ic.csv 3000 > forecast.csv
+test "$(wc -l < forecast.csv)" -eq 3001
+status=0; dmdkit predict model.json ic.csv 1000000000000000 || status=$?; test "$status" -eq 2
+dmdkit fit --algo companion --data rot.csv --out companion.json
+dmdkit predict companion.json ic.csv 5
+dmdkit simulate --system rotation --theta 0.5 --steps 1 --out rot1.csv
+status=0; dmdkit fit --algo companion --data rot1.csv --data rot1.csv --out two.json || status=$?; test "$status" -eq 2
+dmdkit simulate --system linear --a "0.9,0;0,0.5" --x0 1,1 --steps 10 --out a.csv
+dmdkit simulate --system linear --a "0.7,0;0,0.2" --x0 1,1 --steps 10 --out b.csv
+status=0; dmdkit fit --algo companion --data a.csv --data b.csv --out ab.json 2> ab.err || status=$?; test "$status" -eq 2
+grep -- '--algo dmd' ab.err
+test ! -e ab.json
+status=0; dmdkit simulate --system forced-linear --a 0.9 --b 1 --x0 1 --steps 3 --input-scale nan || status=$?; test "$status" -eq 2
+dmdkit fit --algo edmd --dict poly:3 --data rot.csv --out edmd.json
+dmdkit predict edmd.json ic.csv 5
+dmdkit fit --algo edmd --dict wpoly:3 --data rot.csv --out wpoly.json
+grep '"features": "wpoly:3"' wpoly.json
+dmdkit predict wpoly.json ic.csv 5
+dmdkit simulate --system linear --a 0.9 --x0 1 --steps 20 --out one.csv
+status=0; dmdkit fit --algo edmd --dict wpoly:1100 --data one.csv --out wide.json || status=$?; test "$status" -eq 2
+test ! -e wide.json
+dmdkit fit --algo edmd --dict rbf:1:8 --data rot.csv --out rbf.json
+dmdkit predict rbf.json ic.csv 5
+dmdkit fit --algo kernel-edmd --kernel gaussian:1 --data rot.csv --out kernel.json
+dmdkit predict kernel.json ic.csv 5

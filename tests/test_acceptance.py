@@ -50,7 +50,7 @@ def linear_pair(a, x0, length):
     for _ in range(length - 1):
         cols.append(a @ cols[-1])
     states = np.column_stack(cols)
-    return SnapshotPair(states[:, :-1], states[:, 1:], np.arange(length - 1))
+    return SnapshotPair(states[:, :-1], states[:, 1:])
 
 
 def seeded_linear_problems():

@@ -1109,3 +1109,18 @@ def test_svd_that_leaves_openblas_no_buffer_exits_2(tmp_path, wide_csv, margin_m
     assert out == ""
     assert one_error_line(err) and "the SVD of a 1200 x 599 matrix needs" in err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("margin_mb", [6, 10])
+def test_data_that_cannot_be_allocated_exits_2(tmp_path, wide_csv, margin_mb):
+    # Capped 6 MB above the loaded CLI, np.loadtxt cannot grow its table;
+    # at 10 MB the table loads but its contiguous copy of the states does not
+    # fit. The pair's shape is not known yet, so the message names the file
+    code, out, err = under_address_limit(
+        ["fit", "--algo", "dmd", "--data", str(wide_csv), "--out", "model.json"],
+        tmp_path, limit=margin_mb << 20, above_loaded=True)
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "too large to allocate" in err
+    assert f"a dmd fit of the data in {wide_csv}" in err
+    assert not (tmp_path / "model.json").exists()

@@ -14,7 +14,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dmdkit.data import (
-    EmbeddedTrajectory,
     SnapshotPair,
     Trajectory,
     concat_pairs,
@@ -52,12 +51,10 @@ def test_containers_leave_the_callers_arrays_writable():
     traj = Trajectory(dt=1.0, states=a)
     a[0, 0] = 1.0
     assert not traj.states.flags.writeable
-    x, xp, times = np.ones((2, 3)), np.zeros((2, 3)), np.arange(3)
-    pair = SnapshotPair(x, xp, times)
+    x, xp = np.ones((2, 3)), np.zeros((2, 3))
+    pair = SnapshotPair(x, xp)
     x[0, 0] = xp[0, 0] = 2.0
-    times[0] = 5
-    assert not (pair.x.flags.writeable or pair.xp.flags.writeable
-                or pair.col_times.flags.writeable)
+    assert not (pair.x.flags.writeable or pair.xp.flags.writeable)
 
 
 def test_scalar_states_become_column():
@@ -77,7 +74,6 @@ def test_snapshot_pairs_alignment_and_count():
     for j in range(4):
         assert_array_equal(pair.x[:, j], states[j])
         assert_array_equal(pair.xp[:, j], states[j + 1])
-    assert_array_equal(pair.col_times, [0, 1, 2, 3])
 
 
 def test_snapshot_pairs_of_one_trajectory_share_one_matrix():
@@ -111,9 +107,18 @@ def test_snapshot_pairs_augment_requires_signals():
 
 def test_snapshot_pair_validation():
     with pytest.raises(ShapeError):
-        SnapshotPair(np.ones((2, 3)), np.ones((2, 2)), np.arange(3))
-    with pytest.raises(ShapeError):
-        SnapshotPair(np.ones((2, 3)), np.ones((2, 3)), np.arange(2))
+        SnapshotPair(np.ones((2, 3)), np.ones((2, 2)))
+
+
+def test_snapshot_pair_takes_dt_by_keyword_only():
+    # a third positional argument (the old column-index array) is refused,
+    # not taken as dt
+    x, xp = np.ones((2, 3)), np.zeros((2, 3))
+    with pytest.raises(TypeError):
+        SnapshotPair(x, xp, np.arange(3))
+    with pytest.raises(TypeError):
+        SnapshotPair(x, xp, 0.5)
+    assert SnapshotPair(x, xp, dt=0.5).dt == 0.5
 
 
 # ----------------------------------------------------------------- delay_embed
@@ -124,11 +129,9 @@ def test_delay_embed_window_count_and_content():
     states = np.linspace(0.0, 1.0, 100)
     traj = Trajectory(dt=1.0, states=states)
     emb = delay_embed(traj, 10)
-    assert isinstance(emb, EmbeddedTrajectory)
     assert emb.states.shape == (91, 10)
     for i in (0, 37, 90):
         assert_array_equal(emb.states[i], states[i : i + 10])
-    assert emb.depth_h == 10
 
 
 def test_delay_embed_windows_overlap():
@@ -161,10 +164,13 @@ def test_delay_embed_depth_one_is_identity_for_pairing():
 
 
 def test_delay_embed_depth_bounds():
+    # depth T - 1 leaves the two windows of one pair; depth T and beyond
+    # leave fewer, and are refused by the message snapshot_pairs' callers see
     traj = Trajectory(dt=1.0, states=np.arange(4.0))
-    assert delay_embed(traj, 4).states.shape == (1, 4)
-    with pytest.raises(ShapeError):
-        delay_embed(traj, 5)
+    assert delay_embed(traj, 3).states.shape == (2, 3)
+    for h in (4, 5):
+        with pytest.raises(ShapeError, match="fewer than 2 samples to pair"):
+            delay_embed(traj, h)
     with pytest.raises(ShapeError):
         delay_embed(traj, 0)
 

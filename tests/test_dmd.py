@@ -78,8 +78,7 @@ def block_rotation_traj(blocks, steps, seed):
 
 def raw_pair(x, xp):
     x = np.asarray(x, dtype=float)
-    return SnapshotPair(x=x, xp=np.asarray(xp, dtype=float),
-                        col_times=np.arange(x.shape[1]))
+    return SnapshotPair(x=x, xp=np.asarray(xp, dtype=float))
 
 
 def test_companion_scalar_series():
@@ -389,7 +388,7 @@ def test_fit_svd_dmd_peak_memory_is_a_small_multiple_of_the_data():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((200, 200)) / 15
     x = rng.standard_normal((200, 2000))
-    pair = SnapshotPair(x, a @ x, np.arange(2000))
+    pair = SnapshotPair(x, a @ x)
     tracemalloc.start()
     try:
         fit_svd_dmd(pair)

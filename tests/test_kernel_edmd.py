@@ -34,8 +34,7 @@ def spiral_pair(steps=11):
 
 def raw_pair(x, xp):
     x = np.asarray(x, dtype=float)
-    return SnapshotPair(x=x, xp=np.asarray(xp, dtype=float),
-                        col_times=np.arange(x.shape[1]))
+    return SnapshotPair(x=x, xp=np.asarray(xp, dtype=float))
 
 
 def gram_matrices(pair, kernel):

@@ -48,7 +48,7 @@ def linear_pair(n=3, steps=12, seed=5):
     for _ in range(steps):
         cols.append(a @ cols[-1])
     states = np.column_stack(cols)
-    return SnapshotPair(states[:, :-1], states[:, 1:], np.arange(steps))
+    return SnapshotPair(states[:, :-1], states[:, 1:])
 
 
 def quadratic_pair(steps=25):
@@ -62,7 +62,7 @@ def spiral_pair(steps=11):
     for _ in range(steps):
         cols.append(rot @ cols[-1])
     states = np.column_stack(cols)
-    return SnapshotPair(states[:, :-1], states[:, 1:], np.arange(steps))
+    return SnapshotPair(states[:, :-1], states[:, 1:])
 
 
 def dmd_record():
