@@ -170,8 +170,6 @@ def cmd_fit(args) -> int:
 
     for flag in model.flags:
         _note(f"note: {flag}")
-    if "training" not in model.residuals:
-        _note("note: no modes, so training_residual is the lifted residual")
 
     record = ModelRecord(
         algorithm=args.algo,

@@ -44,7 +44,10 @@ where the 2-norm kappa_2 costs a full SVD. Since kappa_2 / r <= kappa_1 <=
 r kappa_2 for an r x r basis, the two rules can disagree only when kappa_2
 lies within a factor r of the 1e12 limit. A basis that inv finds exactly
 singular, whose inverse is not finite, or whose kappa_1 passes the limit is
-inverted by pinv and flagged eigenvector_basis_singular.
+inverted by pinv and flagged eigenvector_basis_singular. No fitter's modes
+need that inverse, so every model keeps its modes and its training residual
+whatever the flags; ``predict`` refuses a flagged model with a
+NumericalError, since its eigenfunctions are not defined.
 """
 
 from __future__ import annotations
@@ -76,16 +79,15 @@ class SpectralModel:
     """Eigenvalues, modes and the feature-to-eigenfunction map of a fit.
 
     ``coeffs`` (r x f) maps a feature vector to the r eigenfunction values
-    and ``modes_v`` (n x r) maps those back to the n observables; EDMD leaves
-    the modes None when its eigenvector basis was too ill conditioned to
-    invert (see flags). ``features`` is the feature map f, whose
-    ``input_dim`` is n. ``residuals`` holds the fit's residuals by name, the
-    training residual (none without modes) first. Fitted and loaded models
-    are exactly conjugate-closed (see ``conjugate_slots``).
+    and ``modes_v`` (n x r) maps those back to the n observables.
+    ``features`` is the feature map f, whose ``input_dim`` is n.
+    ``residuals`` holds the fit's residuals by name, ``training`` first.
+    Fitted and loaded models are exactly conjugate-closed (see
+    ``conjugate_slots``).
     """
 
     eigenvalues: np.ndarray
-    modes_v: np.ndarray | None
+    modes_v: np.ndarray
     coeffs: np.ndarray
     features: Dictionary
     flags: tuple = ()
@@ -93,8 +95,8 @@ class SpectralModel:
 
     @property
     def fit_residual(self) -> float:
-        """The training residual, or EDMD's lifted residual when it has no modes."""
-        return next(iter(self.residuals.values()))
+        """The training residual ||xp - Re(V Lambda C) F|| / ||xp||."""
+        return self.residuals["training"]
 
     @property
     def lifted_residual(self) -> float:
@@ -131,22 +133,18 @@ def _finish_fit(model, xp, features, **others) -> SpectralModel:
     model holds the fitted one's exact values. The modes and coeffs are
     changed in place: each fitter hands over arrays of its own. training is
     ||xp - Re(V Lambda C) F||_F / ||xp||_F over the training features F (f
-    of x), left out when the model has no modes.
+    of x).
     """
     slots = conjugate_pairs(model.eigenvalues)
     coeffs = np.asarray(model.coeffs, dtype=complex)
     coeffs += 0.0
     _close_rows(coeffs, *slots)
-    modes = model.modes_v
-    if modes is not None:
-        modes = np.asarray(modes, dtype=complex)
-        modes += 0.0
-        _close_rows(modes.T, *slots)
+    modes = np.asarray(model.modes_v, dtype=complex)
+    modes += 0.0
+    _close_rows(modes.T, *slots)
     model = replace(model, modes_v=modes, coeffs=coeffs)
-    training = {}
-    if modes is not None:
-        training["training"] = _relative_error(xp, full_operator(model), features)
-    return replace(model, residuals={**training, **others})
+    training = _relative_error(xp, full_operator(model), features)
+    return replace(model, residuals={"training": training, **others})
 
 
 def _lstsq_pinv(m: np.ndarray) -> np.ndarray:
@@ -288,22 +286,13 @@ def eigenfunction_values(model: SpectralModel, z) -> np.ndarray:
     return model.coeffs @ model.features.transform(z)
 
 
-def _modes(model: SpectralModel) -> np.ndarray:
-    if model.modes_v is None:
-        raise NumericalError(
-            "modes are unavailable (eigenvector basis was numerically "
-            "singular); prediction is not defined"
-        )
-    return model.modes_v
-
-
 def full_operator(model: SpectralModel) -> np.ndarray:
     """The one-step map Re(V Lambda C) from features to observables.
 
     For SVD DMD on exact data this is the system matrix; in general it is
     xp pinv(x) less the part carried by zero eigenvalues.
     """
-    return ((_modes(model) * model.eigenvalues) @ model.coeffs).real
+    return ((model.modes_v * model.eigenvalues) @ model.coeffs).real
 
 
 def conjugate_slots(model: SpectralModel):
@@ -313,8 +302,6 @@ def conjugate_slots(model: SpectralModel):
     """
     real, upper, lower = conjugate_pairs(model.eigenvalues)
     for name, rows in (("coeffs", model.coeffs), ("modes", model.modes_v)):
-        if rows is None:
-            continue
         rows = rows if name == "coeffs" else rows.T
         low, up = rows[lower], rows[upper]  # parts compared apart: faster than complex ==
         if (rows[real].imag.any() or not (low.real == up.real).all()
@@ -371,13 +358,17 @@ def predict(model: SpectralModel, z0, steps: int) -> np.ndarray:
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps}")
-    modes = _modes(model)
+    if "eigenvector_basis_singular" in model.flags:
+        raise NumericalError(
+            "model is flagged eigenvector_basis_singular; its eigenfunctions "
+            "are not defined, so neither is its forecast"
+        )
     conjugate_slots(model)
     values = np.asarray(model.eigenvalues, dtype=complex)
     keep = values.imag >= 0  # the real eigenvalues and the upper members
     phi0 = model.coeffs[keep] @ model.features.transform(np.asarray(z0, dtype=float).ravel())
     phi0[values[keep].imag > 0] *= 2.0
-    return _spectral_predict(modes[:, keep], values[keep], phi0, steps)
+    return _spectral_predict(model.modes_v[:, keep], values[keep], phi0, steps)
 
 
 def embedding_sweep(traj: Trajectory, depths, rtol: float = DEFAULT_RTOL):

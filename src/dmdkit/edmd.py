@@ -39,9 +39,9 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
              rtol: float = DEFAULT_RTOL) -> SpectralModel:
     """Regress the lifted one-step operator and map its spectrum to state space.
 
-    Residuals: ``training`` is ||xp - Re(V Lambda C) theta(x)|| / ||xp||
-    (none when the modes are None), ``lifted`` the one-step defect U K U^T
-    theta(x) against theta(xp), ``observable`` how well D theta(x) rebuilds x.
+    Residuals: ``training`` is ||xp - Re(V Lambda C) theta(x)|| / ||xp||,
+    ``lifted`` the one-step defect U K U^T theta(x) against theta(xp),
+    ``observable`` how well D theta(x) rebuilds x.
     """
     lifted = lift_snapshots(pair, dictionary)
     factors, _, k_hat, spectrum, b_coeffs, flags = _reduced_fit(lifted.x, lifted.xp, rtol)
@@ -50,7 +50,7 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
     d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
     model = SpectralModel(
         eigenvalues=spectrum.values,
-        modes_v=None if flags else d_coeffs @ factors.u @ spectrum.vectors,
+        modes_v=d_coeffs @ factors.u @ spectrum.vectors,
         coeffs=b_coeffs @ factors.u.T,
         features=dictionary,
         flags=flags,

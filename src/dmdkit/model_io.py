@@ -7,8 +7,8 @@ dimension, and the feature map's spec string as ``features``: ``identity``
 for DMD) and the matrices a loaded model reads to print its spectrum,
 forecast and evaluate eigenfunctions (``_LAYOUT``):
 
-* eigenvalues (r), modes (n x r; absent when an EDMD eigenvector basis was
-  singular) and coeffs (r x f), the map from features to eigenfunctions;
+* eigenvalues (r), modes (n x r) and coeffs (r x f), the map from features
+  to eigenfunctions;
 * points (n x f), the points of a ``KernelDictionary``: kernel EDMD's
   training snapshots or an rbf dictionary's centers.
 
@@ -252,8 +252,7 @@ def save_model(record: ModelRecord, path) -> None:
         raise DataError("model matrices must be finite")
     _, upper, lower = conjugate_slots(model)
     arrays["coeffs"] = _pair_form(model.coeffs, upper, lower)
-    if model.modes_v is not None:
-        arrays["modes"] = _pair_form(model.modes_v.T, upper, lower).T
+    arrays["modes"] = _pair_form(model.modes_v.T, upper, lower).T
     fit_meta = {
         "rtol": float(record.rtol) + 0.0,  # never "-0.0"
         "embed_h": int(record.embed_h),
@@ -367,22 +366,17 @@ def load_model(path) -> ModelRecord:
 
     n = _count(_require(fit_meta, "observable_dim", "fit"), "observable_dim", 1)
     dims = {"n": n}
-    required = {"eigenvalues", "coeffs"}
+    required = {"eigenvalues", "modes", "coeffs"}
     if algorithm == "kernel-edmd":
         required.add("points")
-    if "eigenvector_basis_singular" not in flags:
-        required.add("modes")
     m = _decode_matrices(matrices, dims, required)
     try:
         _, upper, lower = conjugate_pairs(m["eigenvalues"])
     except NumericalError as err:
         raise DataError(f"model file {err}") from None
-    modes = m.get("modes")
-    if modes is not None:
-        modes = _from_pair_form(modes.T, upper, lower).T
     model = SpectralModel(
         eigenvalues=m["eigenvalues"],
-        modes_v=modes,
+        modes_v=_from_pair_form(m["modes"].T, upper, lower).T,
         coeffs=_from_pair_form(m["coeffs"], upper, lower),
         features=_features(algorithm, fit_meta, n, m),
         flags=flags,

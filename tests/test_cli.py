@@ -707,20 +707,33 @@ def test_fit_quadratic_edmd_eigenvalue_081_present(capsys, tmp_path):
     assert min(abs(r[1] - 0.81) for r in rows) < 1e-6
 
 
-def test_edmd_fit_without_modes_reports_its_lifted_residual(capsys, tmp_path):
+@pytest.mark.parametrize("algo", [["dmd"], ["edmd", "--dict", "identity"]],
+                         ids=["dmd", "edmd"])
+def test_singular_basis_fit_keeps_modes_and_refuses_predict(capsys, tmp_path, algo):
     # x -> shift map with a defective operator: the eigenvector basis is singular
     data = tmp_path / "shift.csv"
     data.write_text("t,x1,x2\n0,0,1\n1,1,0\n2,0,0\n")
     model = tmp_path / "model.json"
-    code, out, err = run(capsys, ["fit", "--algo", "edmd", "--dict", "identity",
+    code, out, err = run(capsys, ["fit", "--algo", *algo,
                                   "--data", str(data), "--out", str(model)])
     assert code == 0
     assert "note: eigenvector_basis_singular" in err
-    assert "note: no modes, so training_residual is the lifted residual" in err
+    assert "no modes" not in err
     residuals = json.loads(model.read_text())["fit"]["residuals"]
-    assert list(residuals) == ["lifted", "observable"]
+    assert list(residuals)[0] == "training"
     _, rows = csv_rows(out)
-    assert all(row[3] == float(residuals["lifted"]) for row in rows)
+    assert all(row[3] == float(residuals["training"]) for row in rows)
+    # the map sends (0, 1) to (1, 0), which no spectral forecast can give here
+    ic = tmp_path / "ic.csv"
+    ic.write_text("0,1\n")
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "2"])
+    assert code == 4
+    assert out == ""
+    assert one_error_line(err) and len(err.splitlines()) == 1
+    assert "eigenvector_basis_singular" in err
+    code, out, _ = run(capsys, ["spectrum", str(model)])
+    assert code == 0
+    assert len(csv_rows(out)[1]) == 2
 
 
 def one_error_line(err):

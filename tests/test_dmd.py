@@ -233,8 +233,7 @@ def pair_count_of_exactly_closed(model):
     zeros aside (a model file stores +0.0 for -0.0).
     """
     real, upper, lower = conjugate_pairs(model.eigenvalues)
-    rows = [model.coeffs] + ([] if model.modes_v is None else [model.modes_v.T])
-    for part in rows:
+    for part in (model.coeffs, model.modes_v.T):
         assert not np.any(part[real].imag)
         assert np.array_equal(part[lower], np.conj(part[upper]))
         kept = part[np.concatenate([real, upper])].view(float)
@@ -406,8 +405,10 @@ def test_zero_eigenvalue_modes_flagged_and_zeroed():
     assert "zero_eigenvalue_modes" in model.flags
     assert_allclose(np.abs(model.eigenvalues), 0.0, rtol=0, atol=1e-12)
     assert_allclose(model.modes_v, 0.0, rtol=0, atol=0)
-    out = predict(model, [1.0, 0.0], steps=2)
-    assert_allclose(out, 0.0, rtol=0, atol=0)
+    # the zero forecast would be wrong: the map sends (0, 1) to (1, 0)
+    assert "eigenvector_basis_singular" in model.flags
+    with pytest.raises(NumericalError, match="eigenvector_basis_singular"):
+        predict(model, [0.0, 1.0], steps=2)
 
 def test_predict_diagonal_two_steps():
     model = fit_svd_dmd(linear_pair(np.diag([0.9, 0.5]), [1.0, 1.0], steps=9))

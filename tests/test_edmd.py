@@ -134,7 +134,11 @@ def test_defective_operator_flags_and_blocks_prediction():
     pair = snapshot_pairs(Trajectory(dt=1.0, states=states))
     model = fit_edmd(pair, IdentityDictionary(2))
     assert "eigenvector_basis_singular" in model.flags
-    assert model.modes_v is None
+    # the modes D U P need no inverse of P, so the model keeps them, and with
+    # them its one-step defect: the fit cannot reproduce xp at all
+    assert model.modes_v.shape == (2, model.eigenvalues.size)
+    assert list(model.residuals)[0] == "training"
+    assert model.fit_residual == pytest.approx(1.0, abs=1e-12)
     # pseudoinverse fallback still satisfies B P B = B, so C U P C = C
     bp = model.coeffs @ lifted_basis(pair, IdentityDictionary(2))
     assert_allclose(bp @ model.coeffs, model.coeffs, atol=1e-10)

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dmdkit.cli import main
 from dmdkit.data import SnapshotPair, snapshot_pairs
 from dmdkit.edmd import fit_edmd
-from dmdkit.errors import ConfigError, EmptyRankError
+from dmdkit.errors import ConfigError, EmptyRankError, NumericalError
 from dmdkit.dmd import eigenfunction_values, predict
 from dmdkit.kernel_edmd import _gram_basis, fit_kernel_edmd
 from dmdkit.linalg import conjugate_pairs
+from dmdkit.model_io import ModelRecord, save_model
 from dmdkit.observables import GaussianKernel, PolynomialDictionary, PolynomialKernel
 from dmdkit.systems import linear_system, quadratic_system, rotation_system, simulate
 
@@ -234,6 +238,26 @@ def test_gaussian_kernel_fit_is_conjugate_symmetric():
     for rows in (model.coeffs, model.modes_v.T):
         assert not np.any(rows[real].imag)
         assert np.array_equal(rows[lower], np.conj(rows[upper]))
+
+
+def test_predict_refuses_a_kernel_model_flagged_singular(tmp_path, capsys):
+    traj = simulate(rotation_system(0.5, steps=40))
+    model = fit_kernel_edmd(snapshot_pairs(traj), GaussianKernel(1.0))
+    assert "eigenvector_basis_singular" not in model.flags
+    flagged = replace(model, flags=(*model.flags, "eigenvector_basis_singular"))
+    predict(model, traj.states[0], 3)
+    with pytest.raises(NumericalError, match="eigenvector_basis_singular"):
+        predict(flagged, traj.states[0], 3)
+    # the same through the command line, after a save and load
+    path = tmp_path / "model.json"
+    save_model(ModelRecord(algorithm="kernel-edmd", model=flagged, rtol=1e-10), path)
+    ic = tmp_path / "ic.csv"
+    ic.write_text(",".join(map(str, traj.states[0])) + "\n")
+    assert main(["predict", str(path), str(ic), "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "eigenvector_basis_singular" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("rtol", [-1.0, 1.0, 2.0, float("nan")])

@@ -94,6 +94,14 @@ def kernel_record():
 RECORD_MAKERS = [dmd_record, companion_record, edmd_record, kernel_record, rbf_record]
 
 
+def singular_edmd_record():
+    """EDMD of the shift map x -> (x2, 0), whose eigenvector basis is singular."""
+    pair = SnapshotPair(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]]))
+    model = fit_edmd(pair, IdentityDictionary(2))
+    assert "eigenvector_basis_singular" in model.flags
+    return ModelRecord(algorithm="edmd", model=model, rtol=1e-10)
+
+
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)
 def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, capsys, make_record):
     record = make_record()
@@ -207,7 +215,7 @@ def test_loaded_kernel_model_predicts_to_machine_precision(tmp_path):
     )
 
 
-@pytest.mark.parametrize("builder", RECORD_MAKERS)
+@pytest.mark.parametrize("builder", [*RECORD_MAKERS, singular_edmd_record])
 def test_save_load_save_is_byte_identical(tmp_path, builder):
     record = builder()
     first = tmp_path / "a.json"
@@ -322,8 +330,12 @@ def test_unknown_algorithm_tag_is_refused():
     (kernel_record, lambda p: p.update(algorithm="dmd"), "dmd model cannot hold Kernel"),
     (edmd_record, lambda p: p.update(algorithm="companion"),
      "companion model cannot hold PolynomialDictionary"),
+    (dmd_record, lambda p: p["matrices"].pop("modes"), "missing matrix key 'modes'"),
+    (singular_edmd_record, lambda p: p["matrices"].pop("modes"),
+     "missing matrix key 'modes'"),
 ], ids=["kernel-without-points", "rbf-without-points", "kernel-spec-without-points",
-        "kernel-as-dmd", "poly-as-companion"])
+        "kernel-as-dmd", "poly-as-companion", "dmd-without-modes",
+        "singular-edmd-without-modes"])
 def test_loaded_features_must_fit_the_file(tmp_path, make_record, damage, named):
     path = tmp_path / "model.json"
     save_model(make_record(), path)
