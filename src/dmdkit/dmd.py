@@ -9,45 +9,49 @@ and the state dimension is its ``input_dim``. One routine each
 evaluates eigenfunctions, forecasts Re(V Lambda^m C f(z)) and forms the
 one-step map Re(V Lambda C), whatever the fitter.
 
-A real map's eigenvalues, modes and eigenfunctions come in conjugate pairs,
-and every fit ends in ``_finish_fit``, which makes the model exactly
-conjugate-closed (``conjugate_slots``): a real eigenvalue's mode column and
-C row are real, and a lower pair member's are the exact conjugates of its
-upper member's. The forecast runs over the real eigenvalues and the upper
-members only, with the upper amplitudes doubled, so it needs no imaginary
-residue check: each block of steps is Re(T W) = Re(T) Re(W) - Im(T) Im(W),
-one real product of a fixed table T of eigenvalue powers Lambda^1 ..
-Lambda^b with weights W that carry Lambda^(jb) for block j
-(``_spectral_predict`` states its growth bound and tolerance). ``predict``
-refuses with a NumericalError a model that is not exactly closed, which
-only a hand-built one can be. Every fitter's training residual is the
-one-step defect ||xp - Re(V Lambda C) F|| / ||xp|| of the closed model on
-its training features F (x, its lift, or the Gram matrix of x), summed over
-column blocks within 1e-13 absolute of the one-shot product.
+A real map's eigenvalues, modes and eigenfunctions come in conjugate pairs.
+Every fit ends in ``_finish_fit``, which passes its modes and C through the
+pair form a model file stores and back (``_pair_form``, ``_from_pair_form``),
+so the model is exactly conjugate-closed: a real eigenvalue's mode column
+and C row are real, and a lower pair member's are the exact conjugates of
+its upper member's. ``conjugate_slots`` checks that round trip, and
+``predict`` refuses a (hand-built) model that fails it. The forecast runs
+over the real eigenvalues and the upper members only, with the upper
+amplitudes doubled, so it needs no imaginary residue check: each block of
+steps is Re(T W) = Re(T) Re(W) - Im(T) Im(W), one real product of a fixed
+table T of eigenvalue powers Lambda^1 .. Lambda^b with weights W that carry
+Lambda^(jb) for block j (``_spectral_predict`` states its growth bound and
+tolerance). Every fitter's training residual is the one-step defect
+||xp - Re(V Lambda C) F|| / ||xp|| of the closed model on its training
+features F (x, its lift, or the Gram matrix of x), summed over column
+blocks within 1e-13 absolute of the one-shot product.
 
-Both DMD fits regress a one-step linear operator from snapshot pairs. The
-companion fit (Rowley et al. 2009) needs a Krylov sequence x_(j+1) = K x_j,
-consecutive samples of one trajectory. It expresses the successor of the
-leading k = min(n, m) columns as their combination, found from one SVD of
-those columns, which must be well conditioned; its eigenvalue problem is the
-companion matrix of the regression coefficients, and C is the pseudoinverse
-of its modes. The SVD fit projects the shifted snapshots onto the dominant
-left singular subspace and eigendecomposes the reduced operator, which is far
-better behaved on noisy or rank-deficient data; there C = inv(P) U^T. EDMD
-shares that truncated SVD, reduced operator and eigenbasis inverse
-(``_reduced_fit``).
+The companion fit (Rowley et al. 2009) needs a Krylov sequence x_(j+1) =
+K x_j, consecutive samples of one trajectory. It expresses the successor of
+the leading k = min(n, m) columns as their combination, found from one SVD
+of those columns, which must be well conditioned; its eigenvalue problem is
+the companion matrix of the regression coefficients, and C = pinv(V).
 
-The eigenbasis inverse (``_invert_basis``, shared by SVD DMD, EDMD and
-kernel EDMD) computes inv(P) first and judges the basis by the 1-norm
-condition number kappa_1 = |P|_1 |inv(P)|_1, which costs two column sums
-where the 2-norm kappa_2 costs a full SVD. Since kappa_2 / r <= kappa_1 <=
-r kappa_2 for an r x r basis, the two rules can disagree only when kappa_2
-lies within a factor r of the 1e12 limit. A basis that inv finds exactly
-singular, whose inverse is not finite, or whose kappa_1 passes the limit is
-inverted by pinv and flagged eigenvector_basis_singular. No fitter's modes
-need that inverse, so every model keeps its modes and its training residual
-whatever the flags; ``predict`` refuses a flagged model with a
-NumericalError, since its eigenfunctions are not defined.
+SVD DMD, EDMD and kernel EDMD are one construction (``_projected_fit``):
+each eigendecomposes a reduced operator K^ = P Lambda inv(P) on a feature
+subspace, with C = inv(P) R and V = M P, where R maps features to subspace
+coordinates and M maps those to the observables. Only the basis differs:
+the leading left singular vectors U of x (SVD DMD: R = U^T, M = xp W
+inv(Sigma), modes divided by lambda) or of the lift theta(x) (EDMD: R =
+U^T, M = x W inv(Sigma)), or the Gram factor G = Q S^2 Q^T (kernel EDMD:
+R = inv(S) Q^T, M = x Q inv(S)).
+
+The eigenbasis inverse (``_invert_basis``) computes inv(P) first and judges
+the basis by the 1-norm condition number kappa_1 = |P|_1 |inv(P)|_1, which
+costs two column sums where the 2-norm kappa_2 costs a full SVD. Since
+kappa_2 / r <= kappa_1 <= r kappa_2 for an r x r basis, the two rules can
+disagree only when kappa_2 lies within a factor r of the 1e12 limit. A
+basis that inv finds exactly singular, whose inverse is not finite, or
+whose kappa_1 passes the limit is inverted by pinv and flagged
+eigenvector_basis_singular. The modes need no inverse, so such a model
+keeps its modes and training residual, but its eigenfunctions are not
+defined: ``eigenfunction_values``, ``full_operator`` and ``predict`` refuse
+it with a NumericalError.
 """
 
 from __future__ import annotations
@@ -119,31 +123,49 @@ def _relative_error(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     return float(np.sqrt(total) / (denom if denom > 0 else 1.0))
 
 
-def _close_rows(rows: np.ndarray, real, upper, lower) -> None:
-    """Make ``rows`` (one row per eigenvalue) exactly conjugate-closed in place:
-    real rows real, each lower row the conjugate of its upper row."""
-    rows[real] = rows[real].real
-    rows[lower] = np.conj(rows[upper])
+def _pair_form(rows: np.ndarray, upper, lower) -> np.ndarray:
+    """Real rows (one per eigenvalue) holding conjugate-closed complex ``rows``,
+    in ``rows``' layout: the real part, with each lower row replaced by its
+    upper row's imaginary part, and every zero +0.0, as a model file stores it."""
+    out = rows.real.copy(order="K")
+    out[lower] = rows.imag[upper]
+    out += 0.0
+    return out
+
+
+def _from_pair_form(stored: np.ndarray, upper, lower) -> np.ndarray:
+    """The complex rows whose pair form is ``stored``, in ``stored``'s layout."""
+    out = stored.astype(complex)
+    out.real[lower] = stored[upper]
+    out.imag[upper] = stored[lower]
+    out.imag[lower] = -stored[lower]
+    return out
+
+
+def _closed(rows: np.ndarray, upper, lower) -> np.ndarray:
+    """``rows`` through the pair form and back: real rows real, each lower row
+    the conjugate of its upper row, exactly as a model file rebuilds them."""
+    return _from_pair_form(_pair_form(rows, upper, lower), upper, lower)
+
+
+def _one_step(model: SpectralModel) -> np.ndarray:
+    """Re(V Lambda C), whatever the model's flags."""
+    return ((model.modes_v * model.eigenvalues) @ model.coeffs).real
 
 
 def _finish_fit(model, xp, features, **others) -> SpectralModel:
     """The model made exactly conjugate-closed, with residuals {training, **others}.
 
-    Signed zeros are made +0.0, as a model file stores them, so a loaded
-    model holds the fitted one's exact values. The modes and coeffs are
-    changed in place: each fitter hands over arrays of its own. training is
+    Modes and coeffs, complex arrays of the fitter's own, are overwritten
+    with their round trip through the pair form (``_closed``), so a loaded
+    model holds the fitted one's exact values. training is
     ||xp - Re(V Lambda C) F||_F / ||xp||_F over the training features F (f
-    of x).
+    of x); a flagged fit stores it too.
     """
-    slots = conjugate_pairs(model.eigenvalues)
-    coeffs = np.asarray(model.coeffs, dtype=complex)
-    coeffs += 0.0
-    _close_rows(coeffs, *slots)
-    modes = np.asarray(model.modes_v, dtype=complex)
-    modes += 0.0
-    _close_rows(modes.T, *slots)
-    model = replace(model, modes_v=modes, coeffs=coeffs)
-    training = _relative_error(xp, full_operator(model), features)
+    _, upper, lower = conjugate_pairs(model.eigenvalues)
+    for rows in (model.coeffs, model.modes_v.T):
+        rows[...] = _closed(rows, upper, lower)
+    training = _relative_error(xp, _one_step(model), features)
     return replace(model, residuals={"training": training, **others})
 
 
@@ -171,23 +193,30 @@ def _invert_basis(p: np.ndarray):
     return p_inv, ()
 
 
-def _eigen_inverse(k: np.ndarray):
-    """eig(k), the inverse of its eigenvector matrix, and the flags it raised."""
-    spectrum = eig(k)
-    return (spectrum, *_invert_basis(spectrum.vectors))
+def _projected_fit(k_hat, reduce, mode_base, features, xp, train, exact=False,
+                   flags=(), **residuals) -> SpectralModel:
+    """The model of a reduced operator K^ = P Lambda inv(P) on a feature subspace.
 
-
-def _reduced_fit(x: np.ndarray, xp: np.ndarray, rtol: float):
-    """Truncated SVD of x, reduced operator U^T xp W inv(Sigma), its eigenbasis.
-
-    Returns the SVD factors, the n x r product xp W inv(Sigma) (formed once;
-    no r x m product is), the reduced operator U^T times it, and what
-    ``_eigen_inverse`` returns for that.
+    ``reduce`` (r x f) maps a feature vector to subspace coordinates, so
+    C = inv(P) reduce; ``mode_base`` (n x r) maps subspace coordinates to
+    the observables, so V = mode_base P. With ``exact`` (SVD DMD) the modes
+    are mode_base P / lambda, and those of |lambda| <= _ZERO_EIGENVALUE_TOL
+    are zero and flagged zero_eigenvalue_modes. The fit ends in
+    ``_finish_fit`` over the training features ``train``.
     """
-    factors = svd_truncated(x, rtol)
-    shifted = xp @ (factors.w / factors.sigma)
-    k_hat = factors.u.T @ shifted
-    return (factors, shifted, k_hat, *_eigen_inverse(k_hat))
+    spectrum = eig(k_hat)
+    p_inv, basis_flags = _invert_basis(spectrum.vectors)
+    modes = mode_base @ spectrum.vectors
+    if exact:
+        alive = np.abs(spectrum.values) > _ZERO_EIGENVALUE_TOL
+        np.divide(modes, spectrum.values, out=modes, where=alive)
+        if not alive.all():
+            modes[:, ~alive] = 0.0
+            flags = (*flags, "zero_eigenvalue_modes")
+    model = SpectralModel(spectrum.values, modes, p_inv @ reduce, features,
+                          flags=(*flags, *basis_flags))
+    del spectrum, p_inv  # r x r complex each; the residual need not sit on them
+    return _finish_fit(model, xp, train, **residuals)
 
 
 def fit_companion(pair: SnapshotPair) -> SpectralModel:
@@ -244,45 +273,35 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
     return _finish_fit(model, xp, x)
 
 
-def _mode_columns(shifted, values, vectors):
-    """Observable-space modes (1/lambda) xp W inv(Sigma) p, zero-lambda flagged,
-    from ``shifted`` = xp W inv(Sigma)."""
-    base = shifted @ vectors
-    modes = np.zeros(base.shape, dtype=complex)
-    alive = np.abs(values) > _ZERO_EIGENVALUE_TOL
-    modes[:, alive] = base[:, alive] / values[alive]
-    return modes, bool(np.any(~alive))
-
-
 def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel:
     """Project the shift operator onto the leading singular subspace.
 
-    The reduced operator U^T xp W inv(Sigma) is eigendecomposed; modes are
-    lifted back to observable space, and eigenfunctions are inv(P) U^T z.
+    The reduced operator U^T xp W inv(Sigma) is eigendecomposed; the modes
+    are xp W inv(Sigma) P / lambda, and eigenfunctions are inv(P) U^T z.
     The training residual is the model's one-step defect
     ||xp - Re(V Lambda C) x|| / ||xp||.
     """
-    factors, shifted, _, spectrum, p_inv, basis_flags = _reduced_fit(pair.x, pair.xp, rtol)
-    modes, has_zero = _mode_columns(shifted, spectrum.values, spectrum.vectors)
+    factors = svd_truncated(pair.x, rtol)
+    shifted = pair.xp @ (factors.w / factors.sigma)  # formed once; no r x m product is
+    u_t = factors.u.T
+    del factors  # w is as large as x; eig and the residual need not sit on it
+    flags = ("degenerate_single_column",) if pair.x.shape[1] == 1 else ()
+    return _projected_fit(u_t @ shifted, u_t, shifted, IdentityDictionary(pair.n_observables),
+                          pair.xp, pair.x, exact=True, flags=flags)
 
-    flags = []
-    if pair.x.shape[1] == 1:
-        flags.append("degenerate_single_column")
-    if has_zero:
-        flags.append("zero_eigenvalue_modes")
-    model = SpectralModel(
-        eigenvalues=spectrum.values,
-        modes_v=modes,
-        coeffs=p_inv @ factors.u.T,
-        features=IdentityDictionary(pair.n_observables),
-        flags=(*flags, *basis_flags),
-    )
-    del factors  # w is as large as x; the residual's blocks need not sit on it
-    return _finish_fit(model, pair.xp, pair.x)
+
+def _require_basis(model: SpectralModel) -> None:
+    """NumericalError for a model flagged eigenvector_basis_singular."""
+    if "eigenvector_basis_singular" in model.flags:
+        raise NumericalError(
+            "model is flagged eigenvector_basis_singular; its eigenfunctions "
+            "are not defined, so neither are its forecast and one-step map"
+        )
 
 
 def eigenfunction_values(model: SpectralModel, z) -> np.ndarray:
     """Eigenfunction values C f(z); columns of z give columns of phi."""
+    _require_basis(model)
     return model.coeffs @ model.features.transform(z)
 
 
@@ -292,20 +311,18 @@ def full_operator(model: SpectralModel) -> np.ndarray:
     For SVD DMD on exact data this is the system matrix; in general it is
     xp pinv(x) less the part carried by zero eigenvalues.
     """
-    return ((model.modes_v * model.eigenvalues) @ model.coeffs).real
+    _require_basis(model)
+    return _one_step(model)
 
 
 def conjugate_slots(model: SpectralModel):
     """``conjugate_pairs`` of the model's eigenvalues, checked against its
-    modes and coeffs: a real eigenvalue's column and row must be real and
-    each lower one the exact conjugate of its upper one, else NumericalError.
+    modes and coeffs: each must equal its own round trip through the pair
+    form (``_closed``), else NumericalError.
     """
     real, upper, lower = conjugate_pairs(model.eigenvalues)
-    for name, rows in (("coeffs", model.coeffs), ("modes", model.modes_v)):
-        rows = rows if name == "coeffs" else rows.T
-        low, up = rows[lower], rows[upper]  # parts compared apart: faster than complex ==
-        if (rows[real].imag.any() or not (low.real == up.real).all()
-                or not (low.imag == -up.imag).all()):
+    for name, rows in (("coeffs", model.coeffs), ("modes", model.modes_v.T)):
+        if not np.array_equal(rows, _closed(rows, upper, lower)):
             raise NumericalError(
                 f"model {name} are not conjugate-closed; the model is not "
                 "conjugate-consistent with real data"
@@ -358,11 +375,7 @@ def predict(model: SpectralModel, z0, steps: int) -> np.ndarray:
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps}")
-    if "eigenvector_basis_singular" in model.flags:
-        raise NumericalError(
-            "model is flagged eigenvector_basis_singular; its eigenfunctions "
-            "are not defined, so neither is its forecast"
-        )
+    _require_basis(model)
     conjugate_slots(model)
     values = np.asarray(model.eigenvalues, dtype=complex)
     keep = values.imag >= 0  # the real eigenvalues and the upper members

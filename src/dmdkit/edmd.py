@@ -1,11 +1,14 @@
 """Extended DMD: regression on dictionary-lifted snapshots.
 
 The snapshot pair is pushed through a dictionary theta and the one-step
-operator is regressed on the lifted data with the SVD fit's machinery
-(``dmd._reduced_fit``). The inverse eigenvector rows B give eigenfunctions
-phi(z) = B U^T theta(z), so the model's map is C = B U^T; D expands the raw
-observables in the dictionary, and the modes V = D U P let predictions run
-in the original coordinates.
+operator is projected onto the dominant left singular subspace U of the
+lifted data, theta(x) = U Sigma W^T, as SVD DMD projects the raw snapshots
+(``dmd._projected_fit``). The reduced operator U^T theta(xp) W inv(Sigma) =
+P Lambda inv(P) gives eigenfunctions phi(z) = inv(P) U^T theta(z), so the
+model's map is C = inv(P) U^T. The raw observables expand in the dictionary
+as g(z) =~ D theta(z) with D = x W inv(Sigma) U^T, and the modes are
+V = x W inv(Sigma) P, which is D U P with U^T U = I, so predictions run in
+the original coordinates.
 
 When the dictionary does not close under the dynamics the fit cannot be
 exact; the ``lifted`` residual reports the one-step defect so callers can
@@ -15,9 +18,9 @@ see the span assumption fail rather than silently trusting the spectrum.
 from __future__ import annotations
 
 from .data import SnapshotPair
-from .dmd import SpectralModel, _finish_fit, _reduced_fit, _relative_error
+from .dmd import SpectralModel, _projected_fit, _relative_error
 from .errors import ShapeError
-from .linalg import DEFAULT_RTOL
+from .linalg import DEFAULT_RTOL, svd_truncated
 from .observables import Dictionary
 
 
@@ -40,22 +43,15 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
     """Regress the lifted one-step operator and map its spectrum to state space.
 
     Residuals: ``training`` is ||xp - Re(V Lambda C) theta(x)|| / ||xp||,
-    ``lifted`` the one-step defect U K U^T theta(x) against theta(xp),
+    ``lifted`` the one-step defect U K^ U^T theta(x) against theta(xp),
     ``observable`` how well D theta(x) rebuilds x.
     """
     lifted = lift_snapshots(pair, dictionary)
-    factors, _, k_hat, spectrum, b_coeffs, flags = _reduced_fit(lifted.x, lifted.xp, rtol)
-
-    # raw observables expanded in the dictionary, g(z) =~ D theta(z)
-    d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
-    model = SpectralModel(
-        eigenvalues=spectrum.values,
-        modes_v=d_coeffs @ factors.u @ spectrum.vectors,
-        coeffs=b_coeffs @ factors.u.T,
-        features=dictionary,
-        flags=flags,
+    factors = svd_truncated(lifted.x, rtol)
+    k_hat = factors.u.T @ (lifted.xp @ (factors.w / factors.sigma))
+    x_w = pair.x @ (factors.w / factors.sigma)  # g(z) =~ D theta(z), D = x_w U^T
+    return _projected_fit(
+        k_hat, factors.u.T, x_w, dictionary, pair.xp, lifted.x,
+        lifted=_relative_error(lifted.xp, factors.u @ k_hat @ factors.u.T, lifted.x),
+        observable=_relative_error(pair.x, x_w @ factors.u.T, lifted.x),
     )
-    k_full = factors.u @ k_hat @ factors.u.T
-    return _finish_fit(model, pair.xp, lifted.x,
-                       lifted=_relative_error(lifted.xp, k_full, lifted.x),
-                       observable=_relative_error(pair.x, d_coeffs, lifted.x))

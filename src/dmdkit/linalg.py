@@ -1,10 +1,14 @@
 """Dense linear-algebra kernels with fixed truncation and ordering conventions.
 
-Every fitting routine in the package funnels through these three operations,
-so rank decisions, eigenvalue ordering, and eigenvector normalization are made
-in exactly one place:
+Every fitting routine in the package funnels its eigenvalue problems through
+``eig``, and every SVD-based one its rank decision through
+``svd_truncated``, so these conventions hold for every fit:
 
 * singular values are retained while ``sigma_i > rtol * sigma_1`` (strict);
+  kernel EDMD, which factors a Gram matrix with ``eigh`` instead, makes its
+  own cut (``kernel_edmd._gram_basis``: the same relative rule on the
+  square roots of the Gram eigenvalues, plus an absolute floor of m eps
+  times the largest one for an m x m Gram matrix);
 * eigenvalues are sorted by descending magnitude, ties broken by descending
   imaginary part, so the upper-half-plane member of a conjugate pair comes
   first, though not always next to its partner: eigenvalues of equal modulus

@@ -28,7 +28,9 @@ A fitted model is exactly conjugate-closed (see ``dmd.conjugate_slots``),
 so its modes and coeffs are stored real, in pair form: the column of modes
 (row of coeffs) of a real eigenvalue holds its vector, an upper pair
 member's slot holds the real part of its vector and its lower partner's
-slot the imaginary part. The loader rebuilds the complex matrices from the
+slot the imaginary part. ``dmd`` owns the pair form (``dmd._pair_form``
+and ``dmd._from_pair_form``, whose round trip closes every fit); this
+module only calls them. The loader rebuilds the complex matrices from the
 stored eigenvalues and refuses a list that is not closed under
 conjugation.
 
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import write_text_file
-from .dmd import SpectralModel, conjugate_slots
+from .dmd import SpectralModel, _from_pair_form, _pair_form, conjugate_slots
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .linalg import conjugate_pairs
 from .observables import (Dictionary, IdentityDictionary, KernelDictionary,
@@ -217,24 +219,6 @@ def _arrays_for(model: SpectralModel) -> dict:
         "coeffs": model.coeffs,
         "points": getattr(model.features, "points", None),
     }
-
-
-def _pair_form(rows: np.ndarray, upper, lower) -> np.ndarray:
-    """Real rows (one per eigenvalue) holding conjugate-closed complex ``rows``:
-    the real part, with each lower row replaced by its upper row's imaginary
-    part."""
-    out = rows.real.copy()
-    out[lower] = rows.imag[upper]
-    return out
-
-
-def _from_pair_form(stored: np.ndarray, upper, lower) -> np.ndarray:
-    """The complex rows whose pair form is ``stored``, in ``stored``'s layout."""
-    out = stored.astype(complex)
-    out.real[lower] = stored[upper]
-    out.imag[upper] = stored[lower]
-    out.imag[lower] = -stored[lower]
-    return out
 
 
 def _check_features(algorithm: str, features, error) -> None:

@@ -18,8 +18,9 @@ from dmdkit.dmd import (
     _PREDICT_BLOCK,
     _RESIDUAL_BLOCK,
     SpectralModel,
+    _from_pair_form,
     _invert_basis,
-    _reduced_fit,
+    _pair_form,
     _spectral_predict,
     conjugate_slots,
     eigenfunction_values,
@@ -241,6 +242,21 @@ def pair_count_of_exactly_closed(model):
     return upper.size
 
 
+def test_pair_form_round_trip_closes_rows_and_stores_plus_zeros():
+    # rows of a real eigenvalue, an upper and its lower member; the round
+    # trip keeps the real row's real part and the upper row, and makes the
+    # lower row the upper one's conjugate, with every stored zero +0.0
+    _, upper, lower = conjugate_pairs(np.array([0.5, 0.9 + 0.1j, 0.9 - 0.1j]))
+    rows = np.empty((3, 2), dtype=complex)
+    rows.real = [[-0.0, 1.0], [-0.0, 3.0], [9.0, 9.0]]
+    rows.imag = [[1.0, 0.0], [2.0, -0.0], [9.0, 9.0]]
+    stored = _pair_form(rows, upper, lower)
+    assert_array_equal(stored, [[0.0, 1.0], [0.0, 3.0], [2.0, 0.0]])
+    assert not np.signbit(stored).any()
+    closed = _from_pair_form(stored, upper, lower)
+    assert_array_equal(closed, [[0.0, 1.0], [2.0j, 3.0], [-2.0j, 3.0]])
+    assert not np.signbit(closed[:2].view(float)).any()
+
 def test_conjugate_symmetry_of_real_fits():
     rng = np.random.default_rng(17)
     pairs = 0
@@ -334,7 +350,8 @@ def one_shot_residuals(algo, pair):
         model = fit_edmd(pair, dictionary)
         lifted = lift_snapshots(pair, dictionary)
         features = model.features.transform(pair.x)
-        factors, _, k_hat = _reduced_fit(lifted.x, lifted.xp, DEFAULT_RTOL)[:3]
+        factors = svd_truncated(lifted.x, DEFAULT_RTOL)
+        k_hat = factors.u.T @ lifted.xp @ (factors.w / factors.sigma)
         d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
         k_full = factors.u @ k_hat @ factors.u.T
         others = {"lifted": relative_error(lifted.xp, k_full @ lifted.x),
@@ -409,6 +426,29 @@ def test_zero_eigenvalue_modes_flagged_and_zeroed():
     assert "eigenvector_basis_singular" in model.flags
     with pytest.raises(NumericalError, match="eigenvector_basis_singular"):
         predict(model, [0.0, 1.0], steps=2)
+
+@pytest.mark.parametrize("fit", [fit_svd_dmd, lambda pair: fit_edmd(pair, IdentityDictionary(2))],
+                         ids=["dmd", "edmd-identity"])
+def test_singular_basis_model_refuses_eigenfunctions_and_one_step_map(fit):
+    # the shift pair's map is [[0, 1], [0, 0]]; the pinv fallback's
+    # eigenfunctions break phi(xp) = Lambda phi(x), and its map is zero
+    states = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    pair = snapshot_pairs(Trajectory(dt=1.0, states=states))
+    model = fit(pair)
+    assert "eigenvector_basis_singular" in model.flags
+    assert model.fit_residual == pytest.approx(1.0, abs=1e-12)  # stored though flagged
+    for call in (lambda: eigenfunction_values(model, pair.x),
+                 lambda: full_operator(model),
+                 lambda: predict(model, [0.0, 1.0], steps=1)):
+        with pytest.raises(NumericalError, match="eigenvector_basis_singular"):
+            call()
+    # an unflagged model of the same fitter answers with the plain products
+    fine = fit(linear_pair(np.array([[0.7, 0.2], [0.1, 0.5]]), [1.0, -1.0], steps=9))
+    assert fine.flags == ()
+    assert_array_equal(eigenfunction_values(fine, pair.x),
+                       fine.coeffs @ fine.features.transform(pair.x))
+    assert_array_equal(full_operator(fine),
+                       ((fine.modes_v * fine.eigenvalues) @ fine.coeffs).real)
 
 def test_predict_diagonal_two_steps():
     model = fit_svd_dmd(linear_pair(np.diag([0.9, 0.5]), [1.0, 1.0], steps=9))

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dmdkit.data import Trajectory, snapshot_pairs
-from dmdkit.dmd import eigenfunction_values, fit_svd_dmd, predict
+from dataclasses import replace
+
+from dmdkit.data import Trajectory, concat_pairs, snapshot_pairs
+from dmdkit.dmd import _finish_fit, eigenfunction_values, fit_svd_dmd, predict
 from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.errors import ConfigError, NumericalError, ShapeError
 from dmdkit.linalg import eig, svd_truncated
-from dmdkit.observables import CustomDictionary, IdentityDictionary, PolynomialDictionary
+from dmdkit.observables import (CustomDictionary, IdentityDictionary, PolynomialDictionary,
+                                build_dictionary)
 from dmdkit.systems import linear_system, quadratic_system, simulate
 
 
@@ -31,6 +34,17 @@ def lifted_basis(pair, dictionary):
     factors = svd_truncated(lifted.x)
     k_hat = factors.u.T @ lifted.xp @ (factors.w / factors.sigma)
     return factors.u @ eig(k_hat).vectors
+
+
+def rotation_pair(seed):
+    """Eight 30-step runs of three seeded planar rotation blocks (6 states)."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((6, 6))
+    for k, theta in enumerate(rng.uniform(0.2, np.pi - 0.2, 3)):
+        c, s = np.cos(theta), np.sin(theta)
+        a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+    return concat_pairs([snapshot_pairs(simulate(linear_system(a, rng.uniform(-1.5, 1.5, 6), 30)))
+                         for _ in range(8)])
 
 
 def spectrum_contains(values, expected, tol):
@@ -104,6 +118,28 @@ def test_modes_times_eigenfunctions_equal_observable_expansion():
     d_coeffs = pair.x @ np.linalg.pinv(lift_snapshots(pair, model.features).x, rcond=1e-10)
     rhs = d_coeffs @ model.features.transform(z)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
+
+@pytest.mark.parametrize("system,spec,steps", [
+    ("quadratic", "poly:2", 200), ("quadratic", "poly:3", 200), ("rotation", "poly:4", 2000),
+])
+def test_modes_equal_the_explicit_d_u_p_product(system, spec, steps):
+    # V = x W inv(Sigma) P is D U P, D = x W inv(Sigma) U^T, regrouped
+    # (U^T U = I): with K^ grouped as the fit groups it, the modes agree to
+    # 1e-14 of max |V| and the forecasts to 1e-13 of their largest entry
+    pair = quadratic_pair() if system == "quadratic" else rotation_pair(seed=3)
+    dictionary = build_dictionary(spec, pair.n_observables)
+    model = fit_edmd(pair, dictionary)
+    lifted = lift_snapshots(pair, dictionary)
+    factors = svd_truncated(lifted.x)
+    k_hat = factors.u.T @ (lifted.xp @ (factors.w / factors.sigma))
+    d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
+    explicit = d_coeffs @ factors.u @ eig(k_hat).vectors
+    assert model.flags == ()
+    assert np.max(np.abs(model.modes_v - explicit)) <= 1e-14 * np.max(np.abs(model.modes_v))
+    reference = _finish_fit(replace(model, modes_v=explicit), pair.xp, lifted.x)
+    z0 = pair.x[:, -1]
+    expected = predict(reference, z0, steps)
+    assert np.max(np.abs(predict(model, z0, steps) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 def test_mode_reconstruction_on_training_columns():
     pair = quadratic_pair()
