@@ -26,20 +26,17 @@ tolerance). Every fitter's training residual is the one-step defect
 features F (x, its lift, or the Gram matrix of x), summed over column
 blocks within 1e-13 absolute of the one-shot product.
 
-The companion fit (Rowley et al. 2009) needs a Krylov sequence x_(j+1) =
-K x_j, consecutive samples of one trajectory. It expresses the successor of
-the leading k = min(n, m) columns as their combination, found from one SVD
-of those columns, which must be well conditioned; its eigenvalue problem is
-the companion matrix of the regression coefficients, and C = pinv(V).
-
-SVD DMD, EDMD and kernel EDMD are one construction (``_projected_fit``):
-each eigendecomposes a reduced operator K^ = P Lambda inv(P) on a feature
+All four fitters are one construction (``_projected_fit``): each
+eigendecomposes a reduced operator K^ = P Lambda inv(P) on a feature
 subspace, with C = inv(P) R and V = M P, where R maps features to subspace
 coordinates and M maps those to the observables. Only the basis differs:
-the leading left singular vectors U of x (SVD DMD: R = U^T, M = xp W
-inv(Sigma), modes divided by lambda) or of the lift theta(x) (EDMD: R =
-U^T, M = x W inv(Sigma)), or the Gram factor G = Q S^2 Q^T (kernel EDMD:
-R = inv(S) Q^T, M = x Q inv(S)).
+the leading k = min(n, m) Krylov columns x_k = x[:, :k] of one trajectory
+(companion, Rowley et al. 2009: K^ is the companion matrix of the least
+squares successor of x_k, R = pinv(x_k), M = x_k), the leading left
+singular vectors U of x (SVD DMD: R = U^T, M = xp W inv(Sigma), modes
+divided by lambda) or of the lift theta(x) (EDMD: R = U^T, M = x W
+inv(Sigma)), or the Gram factor G = Q S^2 Q^T (kernel EDMD: R = inv(S)
+Q^T, M = x Q inv(S)).
 
 The eigenbasis inverse (``_invert_basis``) computes inv(P) first and judges
 the basis by the 1-norm condition number kappa_1 = |P|_1 |inv(P)|_1, which
@@ -169,11 +166,6 @@ def _finish_fit(model, xp, features, **others) -> SpectralModel:
     return replace(model, residuals={"training": training, **others})
 
 
-def _lstsq_pinv(m: np.ndarray) -> np.ndarray:
-    """Pseudoinverse with the cutoff lstsq(rcond=None) applies, at a fraction of its cost."""
-    return np.linalg.pinv(m, rcond=np.finfo(float).eps * max(m.shape))
-
-
 def _invert_basis(p: np.ndarray):
     """The inverse of an eigenvector matrix and the flags its inversion raised.
 
@@ -220,18 +212,18 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, train, exact=False,
 
 
 def fit_companion(pair: SnapshotPair) -> SpectralModel:
-    """Regress the successor of the leading k = min(n, m) snapshot columns.
+    """Project the shift operator onto the Krylov columns x_k = x[:, :k], k = min(n, m).
 
     Every pair must chain as samples of one trajectory (column j + 1 of x is
     column j of xp), else the pairs are no Krylov sequence and a ConfigError
-    points to the SVD fit. One truncated SVD of x[:, :k] gives the least
-    squares c with x[:, :k] c = xp[:, k - 1], whose companion matrix carries
-    the eigenvalues; a block with fewer than k singular values above
-    _COMPANION_RTOL times the largest (rank-deficient or ill-conditioned
-    data, which would give a wrong spectrum) is refused for the SVD fit. The
-    modes are x[:, :k] inv(T) with T[i, j] = lambda_i**j, and C = pinv(V).
-    The training residual is the model's one-step defect
-    ||xp - Re(V Lambda C) x|| / ||xp|| over every column.
+    points to the SVD fit; so does a ConditioningError unless x_k has k
+    singular values above _COMPANION_RTOL times the largest (rank-deficient
+    or ill-conditioned data would give a wrong spectrum). The reduced
+    operator is the companion matrix of c = pinv(x_k) xp[:, k - 1], where
+    pinv(x_k) = W inv(Sigma) U^T comes from one truncated SVD of x_k, and
+    the fit is ``_projected_fit`` with R = pinv(x_k) and M = x_k, so
+    V = x_k P and C = inv(P) pinv(x_k) = pinv(x_k P). The training residual
+    is ||xp - Re(V Lambda C) x|| / ||xp|| over every column.
     """
     x, xp = pair.x, pair.xp
     if x.shape[1] < 2:
@@ -251,26 +243,12 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
             f"{factors.sigma.size} of {x.shape[0]}x{k}, short of rank {k}; "
             "use --algo dmd (fit_svd_dmd) instead"
         )
-    coeffs = (factors.w / factors.sigma) @ factors.u.T @ xp[:, k - 1]
+    block_pinv = (factors.w / factors.sigma) @ factors.u.T
     c_matrix = np.zeros((k, k))
     c_matrix[1:, :-1] = np.eye(k - 1)
-    c_matrix[:, -1] = coeffs
-    values = eig(c_matrix).values
-    vander = np.vander(values, N=k, increasing=True)
-    if np.linalg.cond(vander) > 1e12:
-        raise NumericalError(
-            "Vandermonde matrix is numerically singular (repeated or "
-            "clustered eigenvalues); modes are not recoverable"
-        )
-    # row-major, like a loaded model's, so both evaluate bit for bit alike
-    modes = np.ascontiguousarray(np.linalg.solve(vander.T, block.T.astype(complex)).T)
-    model = SpectralModel(
-        eigenvalues=values,
-        modes_v=modes,
-        coeffs=_lstsq_pinv(modes),
-        features=IdentityDictionary(pair.n_observables),
-    )
-    return _finish_fit(model, xp, x)
+    c_matrix[:, -1] = block_pinv @ xp[:, k - 1]
+    return _projected_fit(c_matrix, block_pinv, block,
+                          IdentityDictionary(pair.n_observables), xp, x)
 
 
 def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel:

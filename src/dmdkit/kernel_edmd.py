@@ -1,12 +1,13 @@
 """Kernelized EDMD: the lifted regression without the lifted matrix.
 
-Two n-by-n Gram matrices summarize everything the explicit fit would compute
-in dictionary space: G holds kernel products among the snapshots and A-hat
-holds products against the shifted snapshots. Eigendecomposing G = Q S^2 Q^T
-recovers the singular structure of the implicit lifted data, and the reduced
-operator S^-1 Q^T A Q S^-1 equals the explicit one exactly. With the
-polynomial kernel this is checked against the weighted explicit dictionary to
-tight tolerance; other kernels follow the same algebra.
+Two m-by-m Gram matrices of the m snapshot pairs summarize all the explicit
+fit computes in dictionary space: G holds kernel products among the
+snapshots and A-hat holds products against the shifted snapshots.
+Eigendecomposing G = Q S^2 Q^T recovers the singular structure of the
+implicit lifted data, and the reduced operator S^-1 Q^T A Q S^-1 equals the
+explicit one exactly. With the polynomial kernel this is checked against the
+weighted explicit dictionary to tight tolerance; other kernels follow the
+same algebra.
 
 The fit is ``dmd._projected_fit`` with the Gram factor as its basis: the
 model's features are a ``KernelDictionary`` (the kernel sections at the
@@ -17,7 +18,7 @@ Q^T A Q scaled by S^-1 on both sides: regrouped as (Q S^-1)^T (A (Q S^-1)),
 a 400-column Gaussian (width 2) fit of two rotation blocks moved its
 eigenvalues by up to 9e-6. The rank cut is made here (``_gram_basis``), not
 by ``linalg.svd_truncated``: a kept eigenvalue of G must pass the relative
-cut on S and an absolute floor of n eps times the largest.
+cut on S and an absolute floor of m eps times the largest.
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ from .observables import Kernel, KernelDictionary
 def _gram_basis(g_gram: np.ndarray, rtol: float):
     """Kept eigenvectors Q and singular values S of G = Q S^2 Q^T, S descending.
 
-    Singular values at or below rtol times the largest are dropped (tiny
-    negative eigenvalues from roundoff are clipped first).
+    For an m x m G, an eigenvalue is kept when it is above m eps times the
+    largest and its singular value above rtol times the largest (roundoff
+    negatives are clipped first). That floor often sets the rank: on 2,000
+    columns of a 4-state double rotation, Gaussian kernel sigma 1, exact or
+    with 1e-3 noise, the default rtol alone kept 5 to 7 times as many.
     """
     check_rtol(rtol)
     evals, evecs = np.linalg.eigh(g_gram)

@@ -330,13 +330,14 @@ def load_model(path) -> ModelRecord:
         raise DataError(f"unknown algorithm tag {algorithm!r:.40} in model file")
     fit_meta = _section(payload, "fit")
     matrices = _section(payload, "matrices")
-    flags = payload.get("flags", [])
+    flags = _require(payload, "flags", "top-level")
     if not isinstance(flags, list):
         raise DataError("model file 'flags' must be a list")
     flags = tuple(_string(flag, "flag") for flag in flags)
     residuals = _require(fit_meta, "residuals", "fit")
     if not isinstance(residuals, dict):
         raise DataError("model file 'residuals' must be a JSON object")
+    _require(residuals, "training", "residuals")
     residuals = {k: _number(v, f"residual {k!r}") for k, v in residuals.items()}
     augment = _require(fit_meta, "augment_inputs", "fit")
     if not isinstance(augment, bool):

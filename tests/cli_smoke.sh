@@ -55,13 +55,17 @@ dmdkit fit --algo edmd --dict rbf:1:8 --data rot.csv --out rbf.json
 dmdkit predict rbf.json ic.csv 5
 dmdkit fit --algo kernel-edmd --kernel gaussian:1 --data rot.csv --out kernel.json
 dmdkit predict kernel.json ic.csv 5
-# The shift map (x1, x2) -> (x2, 0) has a singular eigenvector basis: its SVD
-# DMD and EDMD fits save a model flagged so, and predict refuses it (exit 4)
+# The shift map (x1, x2) -> (x2, 0) has a singular eigenvector basis: its
+# companion, SVD DMD and EDMD fits save a model flagged so, whose spectrum
+# prints, and predict refuses it (exit 4)
 printf 't,x1,x2\n0,0,1\n1,1,0\n2,0,0\n' > shift.csv
 echo "0,1" > shift-ic.csv
 dmdkit fit --algo dmd --data shift.csv --out shift-dmd.json
 dmdkit fit --algo edmd --dict identity --data shift.csv --out shift-edmd.json
-for model in shift-dmd shift-edmd; do
+dmdkit fit --algo companion --data shift.csv --out shift-companion.json 2> shift-companion.err
+grep 'note: eigenvector_basis_singular' shift-companion.err
+dmdkit spectrum shift-companion.json
+for model in shift-dmd shift-edmd shift-companion; do
   status=0; dmdkit predict $model.json shift-ic.csv 2 > $model.csv || status=$?; test "$status" -eq 4
   test ! -s $model.csv
 done

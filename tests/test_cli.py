@@ -707,8 +707,8 @@ def test_fit_quadratic_edmd_eigenvalue_081_present(capsys, tmp_path):
     assert min(abs(r[1] - 0.81) for r in rows) < 1e-6
 
 
-@pytest.mark.parametrize("algo", [["dmd"], ["edmd", "--dict", "identity"]],
-                         ids=["dmd", "edmd"])
+@pytest.mark.parametrize("algo", [["companion"], ["dmd"], ["edmd", "--dict", "identity"]],
+                         ids=["companion", "dmd", "edmd"])
 def test_singular_basis_fit_keeps_modes_and_refuses_predict(capsys, tmp_path, algo):
     # x -> shift map with a defective operator: the eigenvector basis is singular
     data = tmp_path / "shift.csv"
@@ -734,6 +734,26 @@ def test_singular_basis_fit_keeps_modes_and_refuses_predict(capsys, tmp_path, al
     code, out, _ = run(capsys, ["spectrum", str(model)])
     assert code == 0
     assert len(csv_rows(out)[1]) == 2
+
+
+def test_flagged_model_without_flags_key_exits_3(capsys, tmp_path):
+    # without its flags the shift map's model would forecast (0, 0) from (0, 1)
+    data = tmp_path / "shift.csv"
+    data.write_text("t,x1,x2\n0,0,1\n1,1,0\n2,0,0\n")
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, ["fit", "--algo", "edmd", "--dict", "identity",
+                              "--data", str(data), "--out", str(model)])
+    assert code == 0
+    payload = json.loads(model.read_text())
+    assert payload.pop("flags") == ["eigenvector_basis_singular"]
+    model.write_text(json.dumps(payload))
+    ic = tmp_path / "ic.csv"
+    ic.write_text("0,1\n")
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "2"])
+    assert code == 3
+    assert out == ""
+    assert one_error_line(err) and len(err.splitlines()) == 1
+    assert "'flags'" in err
 
 
 def one_error_line(err):

@@ -115,10 +115,12 @@ def test_companion_modes_reconstruct_snapshots():
     pair = linear_pair(a, [1.0, 1.0], steps=9)
     fit = fit_companion(pair)
     modes = fit.modes_v
-    # data decomposes as x_j = sum_i lambda_i^j v_i over the window
+    # data decomposes as x_j = sum_i lambda_i^j a_i v_i over the window, with
+    # amplitudes a = C x_0
     window = fit.eigenvalues.size
     vander = np.vander(fit.eigenvalues, N=window, increasing=True)
-    assert_allclose(modes @ vander, pair.x[:, :window], atol=1e-12)
+    amplitudes = fit.coeffs @ pair.x[:, 0]
+    assert_allclose((modes * amplitudes) @ vander, pair.x[:, :window], atol=1e-12)
     # diagonal A: each mode is parallel to a coordinate axis
     for col, axis in ((0, 0), (1, 1)):
         direction = modes[:, col] / np.linalg.norm(modes[:, col])
@@ -427,11 +429,14 @@ def test_zero_eigenvalue_modes_flagged_and_zeroed():
     with pytest.raises(NumericalError, match="eigenvector_basis_singular"):
         predict(model, [0.0, 1.0], steps=2)
 
-@pytest.mark.parametrize("fit", [fit_svd_dmd, lambda pair: fit_edmd(pair, IdentityDictionary(2))],
-                         ids=["dmd", "edmd-identity"])
+@pytest.mark.parametrize("fit", [fit_companion, fit_svd_dmd,
+                                 lambda pair: fit_edmd(pair, IdentityDictionary(2))],
+                         ids=["companion", "dmd", "edmd-identity"])
 def test_singular_basis_model_refuses_eigenfunctions_and_one_step_map(fit):
     # the shift pair's map is [[0, 1], [0, 0]]; the pinv fallback's
-    # eigenfunctions break phi(xp) = Lambda phi(x), and its map is zero
+    # eigenfunctions break phi(xp) = Lambda phi(x), and its map is zero. The
+    # pairs chain and their Krylov block has rank 2, so the companion fit
+    # reaches the same singular basis
     states = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     pair = snapshot_pairs(Trajectory(dt=1.0, states=states))
     model = fit(pair)

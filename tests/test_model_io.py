@@ -262,13 +262,25 @@ def test_schema_version_mismatch_names_both_versions(tmp_path):
     assert str(SCHEMA_VERSION) in str(err.value)
 
 
-def test_missing_top_level_key_is_reported(tmp_path):
+@pytest.mark.parametrize("key", ["matrices", "flags"])
+def test_missing_top_level_key_is_reported(tmp_path, key):
     path = tmp_path / "model.json"
     save_model(dmd_record(), path)
     payload = json.loads(path.read_text())
-    del payload["matrices"]
+    del payload[key]
     path.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match="matrices"):
+    with pytest.raises(DataError, match=f"top-level key '{key}'"):
+        load_model(path)
+
+
+def test_missing_training_residual_is_reported(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(edmd_record(), path)
+    payload = json.loads(path.read_text())
+    del payload["fit"]["residuals"]["training"]
+    assert payload["fit"]["residuals"]  # the lifted residual stays
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="residuals key 'training'"):
         load_model(path)
 
 
