@@ -151,7 +151,7 @@ def cmd_fit(args) -> int:
     check_rtol(args.rtol)  # for every fitter: the model file stores it
     size = "the data in " + ", ".join(args.data)  # until the pair's shape is known
     try:  # data, a Gram matrix, lift or SVD that cannot be allocated is a usage error
-        pair, split = _training_pair(args)
+        pair, inputs = _training_pair(args)
         size = f"{pair.n_observables} observables x {pair.n_columns} column pairs"
         _note(f"fit {args.algo}: {size}")
         if args.algo == "companion":
@@ -176,8 +176,7 @@ def cmd_fit(args) -> int:
         model=model,
         rtol=args.rtol,
         embed_h=args.embed,
-        augment_inputs=args.augment_inputs,
-        base_split=split,
+        inputs=inputs,
     )
     save_model(record, args.out)
     _note(f"wrote model to {args.out}")
@@ -192,17 +191,17 @@ def cmd_fit(args) -> int:
 
 
 def _training_pair(args):
-    """The snapshot pairs of all ``--data`` files as one, and the first file's split.
+    """The snapshot pairs of all ``--data`` files as one, and their held-input count.
 
+    The count is the first file's input columns with ``--augment-inputs``, else 0.
     The trajectories are dropped on return, so the fit holds the data once."""
     trajectories = [load_trajectory(path) for path in args.data]
-    first = trajectories[0]
-    split = (first.n_states, first.n_inputs, first.n_disturbances)
+    inputs = trajectories[0].n_inputs if args.augment_inputs else 0
     pairs = []
     for traj in trajectories:
         work = delay_embed(traj, args.embed) if args.embed > 1 else traj
         pairs.append(snapshot_pairs(work, augment_inputs=args.augment_inputs))
-    return concat_pairs(pairs), split
+    return concat_pairs(pairs), inputs
 
 
 # ------------------------------------------------------------------ spectrum
@@ -229,23 +228,17 @@ def _initial_condition(record: ModelRecord, rows: np.ndarray) -> np.ndarray:
 
     A model takes embed_h consecutive rows, oldest first, and restacks them
     the way the training pipeline did. Models fit with --augment-inputs take
-    whole data rows and stack the states block first, then the held inputs
-    and disturbances, each block ordered oldest to newest; other models take
-    rows of states only.
+    whole data rows (states, then inputs) and split each at width - inputs:
+    the states block comes first, then the held inputs, each ordered oldest
+    to newest; other models take rows of states only.
     """
     h, dim = record.embed_h, record.model.features.input_dim
     if rows.shape[0] != h:
         raise DataError(f"model needs {h} history row{'s' * (h > 1)}, got {rows.shape[0]}")
-    split = (rows.shape[1], 0, 0)  # states only: the rows stack as they are
-    if record.augment_inputs and record.base_split:
-        split = record.base_split
-    ends = np.cumsum((0, *split))
-    if rows.shape[1] != ends[-1]:
-        raise DataError(f"history rows have {rows.shape[1]} values, expected {ends[-1]}")
-    g0 = np.concatenate([rows[:, a:b].reshape(-1) for a, b in zip(ends[:-1], ends[1:])])
-    if g0.size != dim:
-        raise DataError(f"initial condition has {g0.size} values, model expects {dim}")
-    return g0
+    if rows.size != dim:
+        raise DataError(f"history rows have {rows.shape[1]} values, expected {dim // h}")
+    cut = rows.shape[1] - record.inputs
+    return np.concatenate([rows[:, :cut].reshape(-1), rows[:, cut:].reshape(-1)])
 
 
 def cmd_predict(args) -> int:
@@ -312,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--augment-inputs",
         action="store_true",
-        help="append held inputs and disturbances to each snapshot",
+        help="append the held inputs (the u and d columns) to each snapshot",
     )
     fit.add_argument("--rtol", type=float, default=1e-10)
     fit.add_argument("--out", required=True, help="model file to write")

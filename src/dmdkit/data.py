@@ -8,9 +8,11 @@ n x T sample-per-column matrix, and x and xp are its overlapping read-only
 windows of columns 0..T-2 and 1..T-1, so a fit holds one copy of the data.
 
 CSV format: a header row ``t,x1..xN[,u1..uM][,d1..dK]`` followed by numeric
-rows; time stamps must be uniformly spaced. Files are UTF-8, and one leading
-byte-order mark is dropped. Floats are written with 17 significant digits so
-a save/load round trip is bit-exact.
+rows; time stamps must be uniformly spaced. The ``d`` columns are read as
+further inputs after the ``u`` columns, so a trajectory holds one block of
+held signals, and it is written back with every held column named ``u``.
+Files are UTF-8, and one leading byte-order mark is dropped. Floats are
+written with 17 significant digits so a save/load round trip is bit-exact.
 
 Reading streams the file: after the header, ``np.loadtxt`` parses the open
 file a line at a time straight into the table, so a load holds the parsed
@@ -66,7 +68,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled trajectory with optional inputs and disturbances.
+    """Uniformly sampled trajectory with optional held inputs.
 
     Parameters
     ----------
@@ -74,14 +76,13 @@ class Trajectory:
         Sampling interval, strictly positive.
     states : array_like, shape (T, n_states)
         Observed state sequence, T >= 2. A 1-D array is taken as scalar samples.
-    inputs, disturbances : array_like, shape (T, n), optional
+    inputs : array_like, shape (T, n_inputs), optional
         Exogenous signals sampled at the same instants.
     """
 
     dt: float
     states: np.ndarray
     inputs: np.ndarray | None = None
-    disturbances: np.ndarray | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -90,16 +91,13 @@ class Trajectory:
         if states.shape[0] < 2:
             raise ShapeError("a trajectory needs at least 2 samples")
         object.__setattr__(self, "states", _freeze(np.ascontiguousarray(states)))
-        for name in ("inputs", "disturbances"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = _as_samples(value, name)
-            if value.shape[0] != states.shape[0]:
+        if self.inputs is not None:
+            inputs = _as_samples(self.inputs, "inputs")
+            if inputs.shape[0] != states.shape[0]:
                 raise ShapeError(
-                    f"{name} has {value.shape[0]} samples, states has {states.shape[0]}"
+                    f"inputs has {inputs.shape[0]} samples, states has {states.shape[0]}"
                 )
-            object.__setattr__(self, name, _freeze(np.ascontiguousarray(value)))
+            object.__setattr__(self, "inputs", _freeze(np.ascontiguousarray(inputs)))
 
     @property
     def length(self) -> int:
@@ -112,10 +110,6 @@ class Trajectory:
     @property
     def n_inputs(self) -> int:
         return 0 if self.inputs is None else int(self.inputs.shape[1])
-
-    @property
-    def n_disturbances(self) -> int:
-        return 0 if self.disturbances is None else int(self.disturbances.shape[1])
 
 
 @dataclass(frozen=True)
@@ -157,20 +151,20 @@ class SnapshotPair:
 def snapshot_pairs(traj: Trajectory, augment_inputs: bool = False) -> SnapshotPair:
     """Build the (x, xp) snapshot pair from a trajectory.
 
-    With ``augment_inputs`` the current input and disturbance are appended to
-    each column, and xp repeats them unchanged (zero-order hold): column t is
-    ``[g_t; u_t; d_t]`` and its successor column is ``[g_{t+1}; u_t; d_t]``.
-    Without them x and xp are the windows ``cols[:, :-1]`` and ``cols[:, 1:]``
+    With ``augment_inputs`` the current input is appended to each column, and
+    xp repeats it unchanged (zero-order hold): column t is ``[g_t; u_t]`` and
+    its successor column is ``[g_{t+1}; u_t]``.
+    Without it x and xp are the windows ``cols[:, :-1]`` and ``cols[:, 1:]``
     of one sample-per-column copy ``cols`` of the states.
     """
     if not augment_inputs:
         cols = _sample_columns([traj.states])
         return SnapshotPair(cols[:, :-1], cols[:, 1:], dt=traj.dt)
-    if traj.inputs is None and traj.disturbances is None:
-        raise ConfigError("trajectory has no inputs or disturbances to augment with")
-    held = [s[:-1] for s in (traj.inputs, traj.disturbances) if s is not None]
-    x = _sample_columns([traj.states[:-1], *held])
-    xp = _sample_columns([traj.states[1:], *held])  # inputs held, not advanced
+    if traj.inputs is None:
+        raise ConfigError("trajectory has no inputs to augment with")
+    held = traj.inputs[:-1]
+    x = _sample_columns([traj.states[:-1], held])
+    xp = _sample_columns([traj.states[1:], held])  # inputs held, not advanced
     return SnapshotPair(x, xp, dt=traj.dt)
 
 
@@ -189,8 +183,7 @@ def delay_embed(traj: Trajectory, h: int) -> Trajectory:
     """Stack sliding windows of depth ``h`` (oldest sample first in each window).
 
     A length-T trajectory yields T - h + 1 windows, so h must be below T for
-    two of them to pair; states, inputs, and disturbances are embedded over
-    the same windows.
+    two of them to pair; states and inputs are embedded over the same windows.
     """
     if not isinstance(h, (int, np.integer)) or h < 1:
         raise ShapeError(f"embedding depth must be an integer >= 1, got {h}")
@@ -211,7 +204,6 @@ def delay_embed(traj: Trajectory, h: int) -> Trajectory:
         dt=traj.dt,
         states=stack(traj.states),
         inputs=stack(traj.inputs),
-        disturbances=stack(traj.disturbances),
     )
 
 
@@ -242,8 +234,8 @@ def _header_columns(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
 
-def _parse_header(fields: list[str], path) -> tuple[int, int, int]:
-    """Validate the header and return (n_states, n_inputs, n_disturbances)."""
+def _parse_header(fields: list[str], path) -> tuple[int, int]:
+    """Validate the header and return (n_states, n_inputs), counting d columns as inputs."""
     names = [f.strip() for f in fields]
     if not names or names[0] != "t":
         raise DataError(f"{path}: line 1: header must start with column 't'")
@@ -265,7 +257,7 @@ def _parse_header(fields: list[str], path) -> tuple[int, int, int]:
             )
     if counts["x"] == 0:
         raise DataError(f"{path}: line 1: no state columns (x1..xN) found")
-    return counts["x"], counts["u"], counts["d"]
+    return counts["x"], counts["u"] + counts["d"]
 
 
 def load_trajectory(path) -> Trajectory:
@@ -282,8 +274,8 @@ def load_trajectory(path) -> Trajectory:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        n_x, n_u, n_d = _parse_header(header, path)
-        width = 1 + n_x + n_u + n_d
+        n_x, n_u = _parse_header(header, path)
+        width = 1 + n_x + n_u
         first_line = reader.line_num + 1
         start = handle.tell()
         table = _finite_rows(handle, start, width, first_line, path)
@@ -302,10 +294,8 @@ def load_trajectory(path) -> Trajectory:
                 f"{path}: line {_row_line(handle, start, first_line, worst + 1)}: time step "
                 f"{float(steps[worst])!r} deviates from dt={dt!r}"
             )
-    states = table[:, 1 : 1 + n_x]
-    inputs = table[:, 1 + n_x : 1 + n_x + n_u] if n_u else None
-    dists = table[:, 1 + n_x + n_u :] if n_d else None
-    return Trajectory(dt=dt, states=states, inputs=inputs, disturbances=dists)
+    inputs = table[:, 1 + n_x :] if n_u else None
+    return Trajectory(dt=dt, states=table[:, 1 : 1 + n_x], inputs=inputs)
 
 
 def load_rows(path, what: str) -> np.ndarray:
@@ -439,9 +429,9 @@ def save_trajectory(traj: Trajectory, path) -> None:
 def _write_trajectory(traj: Trajectory, handle) -> None:
     header = ["t"] + _header_columns("x", traj.n_states)
     header += _header_columns("u", traj.n_inputs)
-    header += _header_columns("d", traj.n_disturbances)
     handle.write(",".join(header) + "\n")
     # arange(T) * dt gives the same doubles as i * dt for each row i
     columns = [np.arange(traj.length) * traj.dt, traj.states]
-    columns += [s for s in (traj.inputs, traj.disturbances) if s is not None]
+    if traj.inputs is not None:
+        columns.append(traj.inputs)
     write_rows(handle, np.column_stack(columns))

@@ -1,11 +1,12 @@
 """Model persistence: structured JSON with base64 matrices in pair form.
 
 Every fitter returns a ``SpectralModel``, so every model file has one layout
-(schema version 6). A file carries the algorithm tag, the flags, fit
-metadata (tolerance, embedding depth, augmentation, residuals, observable
-dimension, and the feature map's spec string as ``features``: ``identity``
-for DMD) and the matrices a loaded model reads to print its spectrum,
-forecast and evaluate eigenfunctions (``_LAYOUT``):
+(schema version 7). A file carries the algorithm tag, the flags, fit
+metadata (tolerance, embedding depth, residuals, observable dimension, the
+feature map's spec string as ``features``: ``identity`` for DMD, and
+``inputs``, the held-input columns of one data row, 0 unless the model was
+fitted with ``--augment-inputs``) and the matrices a loaded model reads to
+print its spectrum, forecast and evaluate eigenfunctions (``_LAYOUT``):
 
 * eigenvalues (r), modes (n x r) and coeffs (r x f), the map from features
   to eigenfunctions;
@@ -36,10 +37,11 @@ conjugation.
 
 Reading uses the stdlib json parser with NaN and Infinity refused, then
 checks every field's type, every matrix payload's base64 alphabet, padding
-and length, every number's finiteness, and that the matrix shapes agree with
-each other and with the fit metadata, so a damaged file raises ``DataError``
-rather than failing later or forecasting wrongly. Files of any other schema
-version, older ones included, are refused.
+and length, every number's finiteness, that the observable is ``embed_h``
+rows of at least one state and ``inputs`` inputs, and that the matrix shapes
+agree with each other and with the fit metadata, so a damaged file raises
+``DataError`` rather than failing later or forecasting wrongly. Files of any
+other schema version, older ones included, are refused.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .linalg import conjugate_pairs
 from .observables import (Dictionary, IdentityDictionary, KernelDictionary,
                           build_dictionary, parse_kernel)
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 # The feature map each algorithm's model evaluates.
 _FEATURES = {
@@ -92,11 +94,9 @@ class ModelRecord:
     model: SpectralModel
     rtol: float
     embed_h: int = 1
-    augment_inputs: bool = False
-    # Column split (n_states, n_inputs, n_disturbances) of one raw data row,
-    # recorded so embedded or augmented models can rebuild their stacked
-    # observable from plain history rows at prediction time.
-    base_split: tuple | None = None
+    # Held inputs at the end of each data row, 0 unless fitted with
+    # --augment-inputs, so predict can restack plain history rows.
+    inputs: int = 0
 
     def __post_init__(self):
         if self.algorithm not in _FEATURES:
@@ -240,13 +240,11 @@ def save_model(record: ModelRecord, path) -> None:
     fit_meta = {
         "rtol": float(record.rtol) + 0.0,  # never "-0.0"
         "embed_h": int(record.embed_h),
-        "augment_inputs": bool(record.augment_inputs),
+        "inputs": int(record.inputs),
         "residuals": {str(k): float(v) for k, v in model.residuals.items()},
         "observable_dim": model.features.input_dim,
         "features": model.features.spec_string(),
     }
-    if record.base_split is not None:
-        fit_meta["base_split"] = [int(v) for v in record.base_split]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": record.algorithm,
@@ -339,17 +337,12 @@ def load_model(path) -> ModelRecord:
         raise DataError("model file 'residuals' must be a JSON object")
     _require(residuals, "training", "residuals")
     residuals = {k: _number(v, f"residual {k!r}") for k, v in residuals.items()}
-    augment = _require(fit_meta, "augment_inputs", "fit")
-    if not isinstance(augment, bool):
-        raise DataError(f"model file augment_inputs must be true or false, "
-                        f"got {augment!r:.40}")
-    split = fit_meta.get("base_split")
-    if split is not None:
-        if not isinstance(split, list) or len(split) != 3:
-            raise DataError("model file 'base_split' must list 3 column counts")
-        split = tuple(_count(v, "base_split entry") for v in split)
-
+    h = _count(_require(fit_meta, "embed_h", "fit"), "embed_h", 1)
+    inputs = _count(_require(fit_meta, "inputs", "fit"), "inputs")
     n = _count(_require(fit_meta, "observable_dim", "fit"), "observable_dim", 1)
+    if n % h or n // h <= inputs:
+        raise DataError(f"model file observable_dim {n} is not embed_h {h} x "
+                        f"(states + {inputs} inputs) with at least one state")
     dims = {"n": n}
     required = {"eigenvalues", "modes", "coeffs"}
     if algorithm == "kernel-edmd":
@@ -371,7 +364,6 @@ def load_model(path) -> ModelRecord:
         algorithm=algorithm,
         model=model,
         rtol=_number(_require(fit_meta, "rtol", "fit"), "rtol"),
-        embed_h=_count(_require(fit_meta, "embed_h", "fit"), "embed_h", 1),
-        augment_inputs=augment,
-        base_split=split,
+        embed_h=h,
+        inputs=inputs,
     )

@@ -149,7 +149,7 @@ def _piecewise_constant_inputs(spec: SystemSpec, samples: int) -> np.ndarray:
     n_u = spec.b_in.shape[1]
     blocks = -(-samples // spec.input_hold)  # ceil
     levels = rng.uniform(-spec.input_scale, spec.input_scale, size=(blocks, n_u))
-    return np.repeat(levels, spec.input_hold, axis=0)[:samples]
+    return np.repeat(levels, min(spec.input_hold, samples), axis=0)[:samples]
 
 
 def simulate(spec: SystemSpec) -> Trajectory:
@@ -157,23 +157,28 @@ def simulate(spec: SystemSpec) -> Trajectory:
 
     The trajectory has steps + 1 samples and dt = 1. A forced system also
     records its input sequence, drawn from ``spec.input_seed``.
-    Blow-up past 1e12 or to NaN in any coordinate raises a divergence error.
+    Blow-up past 1e12 or to NaN in any coordinate raises a divergence error;
+    a trajectory too large to allocate is a ConfigError.
     """
     samples = spec.steps + 1
     state = spec.initial_state.copy()
     inputs = None
+    try:  # the path first, so its size is refused before any input is drawn
+        path = np.empty((samples, state.size))
+        if spec.kind == "forced_linear":
+            inputs = _piecewise_constant_inputs(spec, samples)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"a trajectory of {spec.steps} steps is too large to allocate") from None
 
     if spec.kind in ("linear", "rotation"):
         step = lambda x, t: spec.a @ x
     elif spec.kind == "quadratic_invariant":
         step = lambda x, t: np.array([spec.mu * x[0], spec.lam * x[1] + spec.c * x[0] ** 2])
     elif spec.kind == "forced_linear":
-        inputs = _piecewise_constant_inputs(spec, samples)
         step = lambda x, t: spec.a @ x + spec.b_in @ inputs[t]
     else:
         raise ConfigError(f"unknown system kind {spec.kind!r}")
 
-    path = np.empty((samples, state.size))
     path[0] = state
     # the divergence check reports overflow and inf - inf; warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,9 +15,9 @@ dmdkit simulate --system rotation --theta 0.5 --steps 5
 dmdkit simulate --system rotation --theta 0.5 --steps 20 --out rot.csv
 dmdkit fit --algo dmd --data rot.csv --out model.json > fit.csv
 awk -F, 'NR > 1 { rows++; if (!($4 < 1e-10)) bad = 1 } END { exit bad || !rows }' fit.csv
-grep '"schema_version": 6' model.json
-sed 's/"schema_version": 6/"schema_version": 5/' model.json > model5.json
-status=0; dmdkit spectrum model5.json || status=$?; test "$status" -eq 3
+grep '"schema_version": 7' model.json
+sed 's/"schema_version": 7/"schema_version": 6/' model.json > model6.json
+status=0; dmdkit spectrum model6.json || status=$?; test "$status" -eq 3
 dmdkit spectrum model.json > spectrum.csv
 sed 's/$/\r/' rot.csv > rot-crlf.csv
 { printf '\xef\xbb\xbf'; cat rot.csv; } > rot-bom.csv
@@ -43,6 +43,14 @@ status=0; dmdkit fit --algo companion --data a.csv --data b.csv --out ab.json 2>
 grep -- '--algo dmd' ab.err
 test ! -e ab.json
 status=0; dmdkit simulate --system forced-linear --a 0.9 --b 1 --x0 1 --steps 3 --input-scale nan || status=$?; test "$status" -eq 2
+# an input hold far beyond the steps is one level; a step count past the
+# address space exits 2 and writes nothing
+dmdkit simulate --system forced-linear --a 0.9 --b 1 --x0 1 --steps 5 --input-hold 99999999999999999999 > held.csv
+test "$(sed 1d held.csv | cut -d, -f3 | sort -u | wc -l)" -eq 1
+for system in "linear" "forced-linear --b 1"; do
+  status=0; dmdkit simulate --system $system --a 0.5 --x0 1 --steps 100000000000000000000 > huge.csv || status=$?; test "$status" -eq 2
+  test ! -s huge.csv
+done
 dmdkit fit --algo edmd --dict poly:3 --data rot.csv --out edmd.json
 dmdkit predict edmd.json ic.csv 5
 dmdkit fit --algo edmd --dict wpoly:3 --data rot.csv --out wpoly.json

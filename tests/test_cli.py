@@ -383,6 +383,58 @@ def test_embedded_model_of_forced_data_predicts(capsys, tmp_path, augment):
     assert_allclose(np.array(forecast)[:, 3:5], np.array(rows)[2:5, 1:3], atol=1e-8)
 
 
+def write_u_and_d_traj(capsys, tmp_path):
+    """A forced-linear CSV with two held columns, the second renamed d1."""
+    path = tmp_path / "u.csv"
+    code, _, _ = run(capsys, [
+        "simulate", "--system", "forced-linear", "--a", "0.9,0.1;0,0.5",
+        "--b", "1,0.3;0.5,-1", "--x0", "1,0.5", "--steps", "40", "--out", str(path),
+    ])
+    assert code == 0
+    text = path.read_text()
+    assert text.startswith("t,x1,x2,u1,u2\n")
+    mixed = tmp_path / "ud.csv"
+    mixed.write_text(text.replace("u2", "d1", 1))
+    return path, mixed
+
+
+def test_u_and_d_columns_fit_like_all_u_columns(capsys, tmp_path):
+    # d columns are further inputs: the fit and its model file are the same
+    # bytes as for the table with every held column named u
+    outputs = []
+    for traj in write_u_and_d_traj(capsys, tmp_path):
+        model = tmp_path / f"{traj.stem}.json"
+        code, out, err = run(capsys, ["fit", "--algo", "dmd", "--augment-inputs",
+                                      "--data", str(traj), "--out", str(model)])
+        assert code == 0, err
+        outputs.append((out, model.read_bytes()))
+    assert outputs[0] == outputs[1]
+    fit_meta = json.loads(outputs[0][1])["fit"]
+    assert fit_meta["inputs"] == 2 and fit_meta["observable_dim"] == 4
+    assert not {"augment_inputs", "base_split"} & set(fit_meta)
+
+
+def test_embedded_augmented_model_of_u_and_d_data_predicts_from_data_rows(capsys, tmp_path):
+    # history rows are whole data rows (states, then u and d); the held block
+    # of the observable is ordered by time, u and d together
+    _, traj = write_u_and_d_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, ["fit", "--algo", "dmd", "--embed", "2", "--augment-inputs",
+                                "--data", str(traj), "--out", str(model)])
+    assert code == 0, err
+    assert json.loads(model.read_text())["fit"]["inputs"] == 2
+    _, rows = csv_rows(traj.read_text())
+    history = np.array(rows)[:2, 1:]
+    ic = tmp_path / "ic.csv"
+    ic.write_text("".join(",".join(format(v, ".17g") for v in row) + "\n" for row in history))
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "3"])
+    assert code == 0, err
+    forecast = np.array(csv_rows(out)[1])
+    # the inputs hold for 5 samples, so steps 1-3 see the history's levels
+    assert_allclose(forecast[:, 3:5], np.array(rows)[2:5, 1:3], atol=1e-10)
+    assert_allclose(forecast[:, 5:], np.tile(history[:, 2:].reshape(-1), (3, 1)), atol=1e-10)
+
+
 def test_embedding_as_deep_as_the_trajectory_exits_3(capsys, tmp_path):
     traj = write_diag_traj(capsys, tmp_path)
     code, _, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--embed", "21",
@@ -1023,6 +1075,30 @@ def test_unallocatable_forecast_exits_2_naming_the_step_count(capsys, tmp_path, 
     assert code == 2
     assert out == ""
     assert one_error_line(err) and f"forecast of {steps} steps" in err
+
+
+@pytest.mark.parametrize("system", [["linear"], ["forced-linear", "--b", "1"]])
+def test_unallocatable_trajectory_exits_2_naming_the_step_count(capsys, system):
+    # past the address space, so no memory is committed; the forced input
+    # draw must not fail first
+    steps = 10**20
+    code, out, err = run(capsys, ["simulate", "--system", *system, "--a", "0.5",
+                                  "--x0", "1", "--steps", str(steps)])
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err)
+    assert f"a trajectory of {steps} steps is too large to allocate" in err
+
+
+@pytest.mark.parametrize("hold", ["99999999999999999999", "1000000000000000000"])
+def test_input_hold_far_beyond_the_steps_is_one_level(capsys, hold):
+    code, out, err = run(capsys, ["simulate", "--system", "forced-linear", "--a", "0.9",
+                                  "--b", "1", "--x0", "1", "--steps", "5",
+                                  "--input-hold", hold])
+    assert code == 0, err
+    header, rows = csv_rows(out)
+    assert header == ["t", "x1", "u1"] and len(rows) == 6
+    assert len({row[2] for row in rows}) == 1
 
 
 @pytest.mark.parametrize("algo, flag, spec", [

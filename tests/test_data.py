@@ -89,14 +89,21 @@ def test_snapshot_pairs_of_one_trajectory_share_one_matrix():
 
 
 def test_snapshot_pairs_augmented_layout_holds_inputs():
-    # Hand-built: column t is [x_t; u_t; d_t], successor is [x_{t+1}; u_t; d_t].
+    # Hand-built: column t is [x_t; u_t], successor is [x_{t+1}; u_t], with
+    # every held column of u_t in one block
     states = np.array([[1.0], [2.0], [4.0]])
-    inputs = np.array([[10.0], [20.0], [30.0]])
-    dists = np.array([[-1.0], [-2.0], [-3.0]])
-    traj = Trajectory(dt=1.0, states=states, inputs=inputs, disturbances=dists)
+    inputs = np.array([[10.0, -1.0], [20.0, -2.0], [30.0, -3.0]])
+    traj = Trajectory(dt=1.0, states=states, inputs=inputs)
     pair = snapshot_pairs(traj, augment_inputs=True)
     assert_array_equal(pair.x, [[1.0, 2.0], [10.0, 20.0], [-1.0, -2.0]])
     assert_array_equal(pair.xp, [[2.0, 4.0], [10.0, 20.0], [-1.0, -2.0]])
+
+
+def test_trajectory_has_one_held_block():
+    with pytest.raises(TypeError):
+        Trajectory(dt=1.0, states=[[1.0], [2.0]], disturbances=[[1.0], [2.0]])
+    traj = Trajectory(dt=1.0, states=[[1.0], [2.0]], inputs=[[3.0], [4.0]])
+    assert not hasattr(traj, "disturbances") and not hasattr(traj, "n_disturbances")
 
 
 def test_snapshot_pairs_augment_requires_signals():
@@ -203,16 +210,35 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     traj = Trajectory(
         dt=0.125,
         states=rng.standard_normal((17, 3)),
-        inputs=rng.standard_normal((17, 2)),
-        disturbances=rng.standard_normal((17, 1)),
+        inputs=rng.standard_normal((17, 3)),
     )
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
+    assert path.read_text().splitlines()[0] == "t,x1,x2,x3,u1,u2,u3"
     loaded = load_trajectory(path)
     assert loaded.dt == traj.dt
     assert_array_equal(loaded.states, traj.states)
     assert_array_equal(loaded.inputs, traj.inputs)
-    assert_array_equal(loaded.disturbances, traj.disturbances)
+
+
+def test_d_columns_load_as_further_inputs(tmp_path):
+    # the header rule stays (u columns, then d columns); both are one held
+    # block, written back with every column named u
+    path = tmp_path / "ud.csv"
+    path.write_text("t,x1,x2,u1,d1,d2\n0,1,2,3,4,5\n1,6,7,8,9,10\n2,11,12,13,14,15\n")
+    traj = load_trajectory(path)
+    assert (traj.n_states, traj.n_inputs) == (2, 3)
+    table = np.arange(1.0, 16.0).reshape(3, 5)
+    assert_array_equal(traj.states, table[:, :2])
+    assert_array_equal(traj.inputs, table[:, 2:])
+    out = io.StringIO()
+    save_trajectory(traj, out)
+    assert out.getvalue().splitlines()[0] == "t,x1,x2,u1,u2,u3"
+    path.write_text("t,x1,d1\n0,1,2\n1,3,4\n")
+    assert_array_equal(load_trajectory(path).inputs, [[2.0], [4.0]])
+    path.write_text("t,x1,d1,u1\n0,1,2,3\n1,3,4,5\n")
+    with pytest.raises(DataError, match="out of order"):
+        load_trajectory(path)
 
 
 def test_load_names_line_of_ragged_row(tmp_path):

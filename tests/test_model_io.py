@@ -121,9 +121,9 @@ def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, capsys,
     assert_array_equal(predict(model, z[:, 0], 7), predict(want, z[:, 0], 7))
     assert_array_equal(eigenfunction_values(model, z), eigenfunction_values(want, z))
     assert_array_equal(full_operator(model), full_operator(want))
-    # the schema-2, -3, -4 and -5 layouts this replaces are refused, not migrated
+    # the schema-2 to -6 layouts this replaces are refused, not migrated
     payload = json.loads(path.read_text())
-    for version in (2, 3, 4, 5):
+    for version in (2, 3, 4, 5, 6):
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))
         assert main(["spectrum", str(path)]) == 3
@@ -260,6 +260,29 @@ def test_schema_version_mismatch_names_both_versions(tmp_path):
     with pytest.raises(DataError, match="99") as err:
         load_model(path)
     assert str(SCHEMA_VERSION) in str(err.value)
+
+
+@pytest.mark.parametrize("embed_h, inputs, loads", [
+    (1, 0, True),
+    (1, 2, True),
+    (3, 0, True),
+    (1, 3, False),  # no state column left
+    (1, 10**30, False),
+    (3, 1, False),  # one column per row, and it is an input
+    (2, 0, False),  # 3 observables are not 2 rows
+])
+def test_inputs_count_must_leave_a_state_column(tmp_path, capsys, embed_h, inputs, loads):
+    path = tmp_path / "model.json"
+    save_model(ModelRecord(algorithm="dmd", model=dmd_record().model, rtol=1e-10,
+                           embed_h=embed_h, inputs=inputs), path)
+    assert json.loads(path.read_text())["fit"]["observable_dim"] == 3
+    if loads:
+        record = load_model(path)
+        assert (record.embed_h, record.inputs) == (embed_h, inputs)
+        return
+    assert main(["spectrum", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file observable_dim 3 is not ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key", ["matrices", "flags"])

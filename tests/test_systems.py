@@ -66,6 +66,32 @@ def test_forced_inputs_recorded_consistently_with_dynamics():
         expected = a @ traj.states[t] + b @ traj.inputs[t]
         assert_allclose(traj.states[t + 1], expected, rtol=0, atol=1e-13)
 
+def test_input_hold_past_the_samples_is_one_level():
+    # every hold up to the step count repeats its levels as before, and a
+    # hold far beyond it gives the one level a hold of steps + 1 gives
+    a, b = 0.8 * np.eye(2), np.array([[1.0], [0.5]])
+    samples = 31
+    for hold in range(1, samples + 1):
+        levels = np.random.default_rng(7).uniform(-1.0, 1.0, (-(-samples // hold), 1))
+        spec = forced_linear_system(a, b, [0.0, 0.0], steps=samples - 1, input_seed=7,
+                                    input_hold=hold)
+        want = np.repeat(levels, hold, axis=0)[:samples]
+        assert simulate(spec).inputs.tobytes() == want.tobytes()
+    far = simulate(forced_linear_system(a, b, [0.0, 0.0], steps=samples - 1, input_seed=7,
+                                        input_hold=10**20))
+    assert np.all(far.inputs == far.inputs[0])
+    assert far.inputs.tobytes() == want.tobytes()
+
+@pytest.mark.parametrize("make_spec", [
+    lambda steps: linear_system([[0.5]], [1.0], steps),
+    lambda steps: forced_linear_system([[0.5]], [[1.0]], [1.0], steps),
+], ids=["linear", "forced-linear"])
+def test_unallocatable_trajectory_is_a_config_error_naming_the_steps(make_spec):
+    # past the address space: refused before anything is committed
+    steps = 10**20
+    with pytest.raises(ConfigError, match=f"a trajectory of {steps} steps is too large"):
+        simulate(make_spec(steps))
+
 @pytest.mark.parametrize("bad", [0, -3, 2.5])
 def test_step_count_validation(bad):
     with pytest.raises(ConfigError):
