@@ -25,10 +25,10 @@ scientific form (``%g`` uses it below 1e-4 and from 1e17 on) followed by the
 separator. Every byte ``%g`` would not print (trailing zeros, unused prefix
 and exponent bytes) is NUL, and one ``bytes.translate`` deletes them all.
 
-Blocks holding nan or inf are formatted one value at a time, so they still
-print ``nan`` and ``inf``. The sign of zero is kept: ``-0.0`` becomes
-``"-0"``. Writers that must not emit ``"-0"`` add ``+ 0.0`` to their array
-first.
+Entries holding nan or inf are laid out as zero, then their ``%.17g`` name
+(``nan``, ``inf``, ``-inf``) replaces the prefix word and the digit words are
+cleared. The sign of zero is kept: ``-0.0`` becomes ``"-0"``. Writers that
+must not emit ``"-0"`` add ``+ 0.0`` to their array first.
 
 Whole tables are formatted in pieces of at most ``_CHUNK_ROWS`` rows and
 ``_CHUNK_VALUES`` numbers, so the working arrays stay a few megabytes
@@ -81,18 +81,13 @@ def write_rows(handle, table, labels=None) -> None:
         block = table[start : start + step]
         if labels is not None:
             block = np.column_stack([labels[start : start + step], block])
-        handle.write(_encode(block, ",", "\n"))
+        handle.write(_encode(block))
 
 
-def _encode(block: np.ndarray, sep: str, end: str) -> str:
-    """Text of a 2-D float array, each entry followed by ``sep``, or ``end``
-    at the end of a row. ``sep`` and ``end`` hold at most 3 ASCII bytes."""
+def _encode(block: np.ndarray) -> str:
+    """Text of a 2-D float array: entries end in ``,``, rows in ``\\n``."""
     rows, width = block.shape
     flat = np.ascontiguousarray(block, dtype=float).ravel()
-    if not np.isfinite(flat).all():
-        texts = ("%.17g\0" * flat.size % tuple(flat.tolist())).split("\0")
-        return "".join(sep.join(texts[i : i + width]) + end
-                       for i in range(0, flat.size, width))
     digits, exp10 = _digits(flat)
     quads, trailing, prefixes, exponents, low_bytes, dots = _tables()
 
@@ -139,9 +134,13 @@ def _encode(block: np.ndarray, sep: str, end: str) -> str:
         part |= dots[j][point] * has_dot
         out[:, 1 + j] = part
     out[:, 0] = prefixes[np.signbit(flat) * 5 + np.where(below_one, -exp10, 0)]
+    # nan and inf were laid out as zero: their name replaces sign and digits
+    special = np.flatnonzero(~np.isfinite(flat))
+    out[special, 0] = [_word("%.17g" % v) for v in flat[special].tolist()]
+    out[special, 1:4] = 0
 
-    tails = np.full((rows, width), _word(sep, 5), dtype="<u8")
-    tails[:, -1] = _word(end, 5)
+    tails = np.full((rows, width), _word(",", 5), dtype="<u8")
+    tails[:, -1] = _word("\n", 5)
     out[:, 4] = exponents[np.where(fixed, 0, exp10 + 401)] | tails.ravel()
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -176,7 +175,7 @@ def _digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits = whole.astype(np.int64) + carry.astype(np.int64)
     exact &= (np.abs(tail) < _NEAR_HALF) & (digits < 10**17)
 
-    zero = flat == 0.0
+    zero = (flat == 0.0) | ~np.isfinite(flat)  # nan and inf too; _encode names them
     digits[zero] = 0
     exp10[zero] = 0
     for i in np.flatnonzero(~(exact | zero)).tolist():

@@ -77,6 +77,14 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
         raise ConfigError(f"{flag}: could not parse {text!r} as a vector") from None
 
 
+def _print_table(columns: list[str], table: np.ndarray, labels) -> None:
+    """Print ``columns`` as a header line, then each row of ``table`` after its label.
+    ``table += 0.0`` turns -0.0 into 0 in place, so a long forecast is not copied."""
+    sys.stdout.write(",".join(columns) + "\n")
+    table += 0.0
+    write_rows(sys.stdout, table, labels=labels)
+
+
 def _require_flag(value, flag: str, context: str):
     if value is None:
         raise ConfigError(f"{context} requires {flag}")
@@ -185,23 +193,29 @@ def cmd_fit(args) -> int:
     table = np.column_stack([
         values.real, values.imag, np.full(values.shape, model.fit_residual),
     ])
-    sys.stdout.write("index,re,im,training_residual\n")
-    write_rows(sys.stdout, table + 0.0, labels=np.arange(table.shape[0]))
+    _print_table(["index", "re", "im", "training_residual"], table, np.arange(values.size))
     return 0
 
 
 def _training_pair(args):
     """The snapshot pairs of all ``--data`` files as one, and their held-input count.
 
-    The count is the first file's input columns with ``--augment-inputs``, else 0.
-    The trajectories are dropped on return, so the fit holds the data once."""
+    The count is the input columns of every file with ``--augment-inputs``,
+    which refuses files that split states from inputs differently; it is 0
+    without. The trajectories are dropped on return, so the fit holds the
+    data once."""
     trajectories = [load_trajectory(path) for path in args.data]
-    inputs = trajectories[0].n_inputs if args.augment_inputs else 0
+    split = trajectories[0].n_states, trajectories[0].n_inputs
     pairs = []
-    for traj in trajectories:
+    for path, traj in zip(args.data, trajectories):
+        if args.augment_inputs and (traj.n_states, traj.n_inputs) != split:
+            raise DataError(
+                f"--augment-inputs needs one state/input split, but {args.data[0]} has "
+                f"{split[0]} x and {split[1]} u columns and {path} has "
+                f"{traj.n_states} x and {traj.n_inputs} u columns")
         work = delay_embed(traj, args.embed) if args.embed > 1 else traj
         pairs.append(snapshot_pairs(work, augment_inputs=args.augment_inputs))
-    return concat_pairs(pairs), inputs
+    return concat_pairs(pairs), split[1] if args.augment_inputs else 0
 
 
 # ------------------------------------------------------------------ spectrum
@@ -215,8 +229,7 @@ def cmd_spectrum(args) -> int:
     order = np.argsort(-magnitude, kind="stable")
     v = values[order]
     table = np.column_stack([v.real, v.imag, magnitude[order], np.angle(v)])
-    sys.stdout.write("index,re,im,magnitude,phase\n")
-    write_rows(sys.stdout, table + 0.0, labels=order)
+    _print_table(["index", "re", "im", "magnitude", "phase"], table, order)
     return 0
 
 
@@ -249,10 +262,8 @@ def cmd_predict(args) -> int:
 
     g0 = _initial_condition(record, load_rows(args.ic, "initial-condition file"))
     forecast = predict(record.model, g0, args.steps)
-    header = ["step"] + [f"g{j}" for j in range(1, forecast.shape[1] + 1)]
-    sys.stdout.write(",".join(header) + "\n")
-    forecast += 0.0  # in place: prints -0.0 as "0" without copying the forecast
-    write_rows(sys.stdout, forecast, labels=np.arange(1, forecast.shape[0] + 1))
+    columns = ["step"] + [f"g{j}" for j in range(1, forecast.shape[1] + 1)]
+    _print_table(columns, forecast, np.arange(1, forecast.shape[0] + 1))
     return 0
 
 

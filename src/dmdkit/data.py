@@ -342,7 +342,7 @@ def _finite_rows(handle, start, width: int, first_line: int, path) -> np.ndarray
         while handle.read(1 << 16):
             pass
         handle.seek(start)
-        table = np.array(_parse_rows(handle, width, first_line, path)).reshape(-1, width)
+        table = _parse_rows(handle, width, first_line, path)
     # nan passes every comparison, so a nan time stamp would load
     rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if rows.size:
@@ -374,9 +374,9 @@ def _parse_body(lines, width: int) -> np.ndarray | None:
     return table if table.shape[1] == width else None
 
 
-def _parse_rows(lines, width: int, first_line: int, path) -> list:
-    """Parse the data rows one field at a time, naming the first bad line."""
-    rows = []
+def _parse_rows(lines, width: int, first_line: int, path) -> np.ndarray:
+    """Parse the data rows one field at a time, naming the first bad line and field."""
+    values = []
     reader = csv.reader(lines)
     for fields in reader:
         if not fields:
@@ -386,14 +386,13 @@ def _parse_rows(lines, width: int, first_line: int, path) -> list:
             raise DataError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
             )
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            bad = next(f for f in fields if not _is_float(f))
-            raise DataError(
-                f"{path}: line {lineno}: non-numeric value '{bad.strip()}'"
-            ) from None
-    return rows
+        for f in fields:
+            try:
+                values.append(float(f))
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: non-numeric value "
+                                f"'{f.strip()}'") from None
+    return np.array(values).reshape(-1, width)
 
 
 def _row_line(handle, start, first_line: int, row: int) -> int:
@@ -405,14 +404,6 @@ def _row_line(handle, start, first_line: int, row: int) -> int:
     reader = csv.reader(handle)
     lines = (first_line - 1 + reader.line_num for fields in reader if fields)
     return next(itertools.islice(lines, row, None))
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

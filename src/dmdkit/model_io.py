@@ -38,7 +38,8 @@ conjugation.
 Reading uses the stdlib json parser with NaN and Infinity refused, then
 checks every field's type, every matrix payload's base64 alphabet, padding
 and length, every number's finiteness, that the observable is ``embed_h``
-rows of at least one state and ``inputs`` inputs, and that the matrix shapes
+rows of at least one state and ``inputs`` inputs (saving refuses a record
+that breaks this rule, through the same check), and that the matrix shapes
 agree with each other and with the fit metadata, so a damaged file raises
 ``DataError`` rather than failing later or forecasting wrongly. Files of any
 other schema version, older ones included, are refused.
@@ -126,10 +127,10 @@ def _packed(part: np.ndarray) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
-def _count(value, what: str, minimum: int = 0) -> int:
+def _count(value, what: str, minimum: int = 0, error=DataError) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise DataError(f"model file {what} must be an integer >= {minimum}, "
-                        f"got {value!r:.40}")
+        raise error(f"model file {what} must be an integer >= {minimum}, "
+                    f"got {value!r:.40}")
     return value
 
 
@@ -227,8 +228,21 @@ def _check_features(algorithm: str, features, error) -> None:
                     f"{type(features).__name__} features")
 
 
+def _split(fit_meta: dict, error) -> tuple[int, int, int]:
+    """``embed_h``, ``inputs`` and ``observable_dim`` of the fit metadata,
+    checked to be ``embed_h`` rows of at least one state and ``inputs`` inputs."""
+    h = _count(_require(fit_meta, "embed_h", "fit"), "embed_h", 1, error)
+    inputs = _count(_require(fit_meta, "inputs", "fit"), "inputs", 0, error)
+    n = _count(_require(fit_meta, "observable_dim", "fit"), "observable_dim", 1, error)
+    if n % h or n // h <= inputs:
+        raise error(f"model file observable_dim {n} is not embed_h {h} x "
+                    f"(states + {inputs} inputs) with at least one state")
+    return h, inputs, n
+
+
 def save_model(record: ModelRecord, path) -> None:
-    """Write the record as schema-versioned JSON."""
+    """Write the record as schema-versioned JSON, refusing (``ConfigError``)
+    a record the loader would refuse for its features or its observable split."""
     model = record.model
     _check_features(record.algorithm, model.features, ConfigError)
     arrays = _arrays_for(model)
@@ -245,6 +259,7 @@ def save_model(record: ModelRecord, path) -> None:
         "observable_dim": model.features.input_dim,
         "features": model.features.spec_string(),
     }
+    _split(fit_meta, ConfigError)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": record.algorithm,
@@ -337,12 +352,7 @@ def load_model(path) -> ModelRecord:
         raise DataError("model file 'residuals' must be a JSON object")
     _require(residuals, "training", "residuals")
     residuals = {k: _number(v, f"residual {k!r}") for k, v in residuals.items()}
-    h = _count(_require(fit_meta, "embed_h", "fit"), "embed_h", 1)
-    inputs = _count(_require(fit_meta, "inputs", "fit"), "inputs")
-    n = _count(_require(fit_meta, "observable_dim", "fit"), "observable_dim", 1)
-    if n % h or n // h <= inputs:
-        raise DataError(f"model file observable_dim {n} is not embed_h {h} x "
-                        f"(states + {inputs} inputs) with at least one state")
+    h, inputs, n = _split(fit_meta, DataError)
     dims = {"n": n}
     required = {"eigenvalues", "modes", "coeffs"}
     if algorithm == "kernel-edmd":

@@ -42,6 +42,11 @@ dmdkit simulate --system linear --a "0.7,0;0,0.2" --x0 1,1 --steps 10 --out b.cs
 status=0; dmdkit fit --algo companion --data a.csv --data b.csv --out ab.json 2> ab.err || status=$?; test "$status" -eq 2
 grep -- '--algo dmd' ab.err
 test ! -e ab.json
+# --augment-inputs refuses data files that split states from inputs differently
+printf 't,x1,x2,u1\n0,1,1,0\n1,0.9,0.5,1\n2,0.81,0.25,0\n' > split-a.csv
+printf 't,x1,u1,u2\n0,1,1,0\n1,0.9,0.5,1\n2,0.81,0.25,0\n' > split-b.csv
+status=0; dmdkit fit --algo dmd --augment-inputs --data split-a.csv --data split-b.csv --out split.json || status=$?; test "$status" -eq 3
+test ! -e split.json
 status=0; dmdkit simulate --system forced-linear --a 0.9 --b 1 --x0 1 --steps 3 --input-scale nan || status=$?; test "$status" -eq 2
 # an input hold far beyond the steps is one level; a step count past the
 # address space exits 2 and writes nothing

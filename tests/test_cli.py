@@ -435,6 +435,29 @@ def test_embedded_augmented_model_of_u_and_d_data_predicts_from_data_rows(capsys
     assert_allclose(forecast[:, 5:], np.tile(history[:, 2:].reshape(-1), (3, 1)), atol=1e-10)
 
 
+def test_augmented_fit_refuses_files_that_split_states_and_inputs_differently(capsys, tmp_path):
+    # the same width, but B's u1 sits where A has x2: it must not be fitted as a state
+    rows = "".join(f"{t},{0.9 ** t},{0.5 ** t},{t % 2}\n" for t in range(6))
+    first, second = tmp_path / "A.csv", tmp_path / "B.csv"
+    first.write_text("t,x1,x2,u1\n" + rows)
+    second.write_text("t,x1,u1,u2\n" + rows)
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", "dmd", "--augment-inputs",
+                                  "--data", str(first), "--data", str(second),
+                                  "--out", str(model)])
+    assert code == 3 and out == "" and one_error_line(err)
+    last = err.splitlines()[-1]
+    assert f"{first} has 2 x and 1 u columns" in last
+    assert f"{second} has 1 x and 2 u columns" in last
+    assert not model.exists()
+    # files that split alike still fit as one set
+    code, _, err = run(capsys, ["fit", "--algo", "dmd", "--augment-inputs",
+                                "--data", str(first), "--data", str(first),
+                                "--out", str(model)])
+    assert code == 0, err
+    assert json.loads(model.read_text())["fit"]["inputs"] == 1
+
+
 def test_embedding_as_deep_as_the_trajectory_exits_3(capsys, tmp_path):
     traj = write_diag_traj(capsys, tmp_path)
     code, _, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--embed", "21",

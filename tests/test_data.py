@@ -260,7 +260,10 @@ def test_load_names_line_of_non_numeric_value(tmp_path):
     ("t,x1\n0,1\n\n1,nan\n2,3\n", "line 4: non-finite value"),
     ("t,x1\n0,1\n\n0,2\n1,3\n", "line 4: time stamps must be strictly increasing"),
     ('t,x1\n0,1\n"1\n",2\n2,oops\n', "line 5: non-numeric value 'oops'"),
-], ids=["uneven-step", "nan", "repeated-stamp", "quoted-newline"])
+    ('t,x1,x2\n"0",1,"2"\n"1","2"," oops "\n', "line 3: non-numeric value 'oops'$"),
+    ('t,x1,x2\n0,1,2\n"1","x",y\n', "line 3: non-numeric value 'x'$"),
+], ids=["uneven-step", "nan", "repeated-stamp", "quoted-newline", "quoted-bad-field",
+        "first-bad-field"])
 def test_load_names_file_line_not_row_number(tmp_path, body, message):
     path = tmp_path / "bad.csv"
     path.write_text(body)

@@ -262,7 +262,7 @@ def test_schema_version_mismatch_names_both_versions(tmp_path):
     assert str(SCHEMA_VERSION) in str(err.value)
 
 
-@pytest.mark.parametrize("embed_h, inputs, loads", [
+SPLITS = [
     (1, 0, True),
     (1, 2, True),
     (3, 0, True),
@@ -270,12 +270,23 @@ def test_schema_version_mismatch_names_both_versions(tmp_path):
     (1, 10**30, False),
     (3, 1, False),  # one column per row, and it is an input
     (2, 0, False),  # 3 observables are not 2 rows
-])
-def test_inputs_count_must_leave_a_state_column(tmp_path, capsys, embed_h, inputs, loads):
+]
+
+
+def with_split(tmp_path, embed_h, inputs):
+    """A saved 3-observable dmd model file with these counts written into its JSON."""
     path = tmp_path / "model.json"
-    save_model(ModelRecord(algorithm="dmd", model=dmd_record().model, rtol=1e-10,
-                           embed_h=embed_h, inputs=inputs), path)
-    assert json.loads(path.read_text())["fit"]["observable_dim"] == 3
+    save_model(dmd_record(), path)
+    payload = json.loads(path.read_text())
+    assert payload["fit"]["observable_dim"] == 3
+    payload["fit"].update(embed_h=embed_h, inputs=inputs)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("embed_h, inputs, loads", SPLITS)
+def test_inputs_count_must_leave_a_state_column(tmp_path, capsys, embed_h, inputs, loads):
+    path = with_split(tmp_path, embed_h, inputs)
     if loads:
         record = load_model(path)
         assert (record.embed_h, record.inputs) == (embed_h, inputs)
@@ -283,6 +294,25 @@ def test_inputs_count_must_leave_a_state_column(tmp_path, capsys, embed_h, input
     assert main(["spectrum", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: model file observable_dim 3 is not ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("embed_h, inputs, loads", SPLITS)
+def test_save_refuses_the_counts_load_refuses(tmp_path, embed_h, inputs, loads):
+    # saving applies the loader's rule, in its words, and writes no file
+    record = ModelRecord(algorithm="dmd", model=dmd_record().model, rtol=1e-10,
+                         embed_h=embed_h, inputs=inputs)
+    path = tmp_path / "saved.json"
+    if loads:
+        save_model(record, path)
+        loaded = load_model(path)
+        assert (loaded.embed_h, loaded.inputs) == (embed_h, inputs)
+        return
+    with pytest.raises(DataError) as refused:
+        load_model(with_split(tmp_path, embed_h, inputs))
+    with pytest.raises(ConfigError) as err:
+        save_model(record, path)
+    assert str(err.value) == str(refused.value)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("key", ["matrices", "flags"])

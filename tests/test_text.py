@@ -101,6 +101,8 @@ def test_float_texts_match_per_value_format_on_subnormals_and_zeros():
 @pytest.mark.parametrize("values", [
     np.zeros(5), np.full(4, -0.0), np.array([]), np.array([3.5]),
     np.array([[0.0, 2.0], [-0.0, 0.0]]),
+    # non-finite entries alone, in a row of their own
+    np.array([np.nan]), np.array([-np.inf]), np.array([np.copysign(np.nan, -1.0), np.inf]),
 ])
 def test_float_texts_all_zero_none_zero_and_empty(values):
     assert float_texts(values) == per_value(values.ravel())
@@ -150,6 +152,27 @@ def test_write_rows_keeps_printing_nan_and_inf():
     out = io.StringIO()
     write_rows(out, table, labels=[4, 5])
     assert out.getvalue() == "4,1.5,nan,-inf\n5,inf,-0,0.10000000000000001\n"
+
+
+NON_FINITE_MIX = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0, 5e-324,
+                  -2.2250738585072014e-308 / 3, 1e300, 0.1, -1.5, 1e-5, 1e17, 123456789.0]
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_write_rows_lays_out_nan_and_inf_with_the_other_entries(monkeypatch, labelled):
+    # every row holds nan, -nan, +-inf, +-0.0, subnormals and 1e300, so each
+    # chunk boundary has non-finite entries on both sides
+    values = np.array([np.roll(NON_FINITE_MIX, k) for k in range(7)])
+    assert np.signbit(values).sum() > np.signbit(values[np.isfinite(values)]).sum()
+    labels = np.arange(10, 17) if labelled else None
+    monkeypatch.setattr(_text, "_CHUNK_VALUES", 2 * (values.shape[1] + 1))  # two rows
+    out = Recorder()
+    write_rows(out, values, labels=labels)
+    assert [piece.count("\n") for piece in out.pieces] == [2, 2, 2, 1]
+    prefix = [[str(k)] for k in labels] if labelled else [[]] * len(values)
+    expected = "".join(",".join(p + per_value(row)) + "\n" for p, row in zip(prefix, values))
+    assert out.getvalue() == expected
+    assert "nan,nan,inf,-inf,0,-0,4.9406564584124654e-324," in expected
 
 
 def test_pieces_stay_bounded_by_value_count(monkeypatch):
