@@ -305,11 +305,10 @@ def load_rows(path, what: str) -> np.ndarray:
     line, as ``load_trajectory``'s do.
     """
     with _text_file(path, what) as handle:
-        records = csv.reader(iter(handle.readline, ""))
-        first = next((fields for fields in records if fields), None)
+        first = next(_records(iter(handle.readline, ""), 1), None)
         if first is None:
             raise DataError(f"{path}: {what} has no data rows")
-        return _finite_rows(handle, 0, len(first), 1, path)
+        return _finite_rows(handle, 0, len(first[1]), 1, path)
 
 
 @contextmanager
@@ -374,14 +373,24 @@ def _parse_body(lines, width: int) -> np.ndarray | None:
     return table if table.shape[1] == width else None
 
 
+def _records(lines, first_line: int):
+    """Each non-empty CSV record of ``lines`` with the file line it starts on.
+
+    ``first_line`` is the file line of the first of ``lines``; a quoted field
+    may span lines, so a record can end on a later line than it starts.
+    """
+    reader = csv.reader(lines)
+    lineno = first_line
+    for fields in reader:
+        if fields:
+            yield lineno, fields
+        lineno = first_line + reader.line_num
+
+
 def _parse_rows(lines, width: int, first_line: int, path) -> np.ndarray:
     """Parse the data rows one field at a time, naming the first bad line and field."""
     values = []
-    reader = csv.reader(lines)
-    for fields in reader:
-        if not fields:
-            continue
-        lineno = first_line - 1 + reader.line_num  # a quoted field may span lines
+    for lineno, fields in _records(lines, first_line):
         if len(fields) != width:
             raise DataError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
@@ -396,14 +405,12 @@ def _parse_rows(lines, width: int, first_line: int, path) -> np.ndarray:
 
 
 def _row_line(handle, start, first_line: int, row: int) -> int:
-    """File line of data row ``row`` (0-based), read again from offset ``start``.
+    """File line that data row ``row`` (0-based) starts on, read again from offset ``start``.
 
     Both parsers skip empty lines, so this counts only non-empty records.
     """
     handle.seek(start)
-    reader = csv.reader(handle)
-    lines = (first_line - 1 + reader.line_num for fields in reader if fields)
-    return next(itertools.islice(lines, row, None))
+    return next(itertools.islice(_records(handle, first_line), row, None))[0]
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

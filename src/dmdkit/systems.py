@@ -1,9 +1,12 @@
 """Benchmark discrete-time systems, simulation, and an exact lift oracle.
 
-Four map families cover the test surface: a linear map, a planar rotation
-(optionally observed through its first coordinate only), the quadratic system
-x1+ = mu*x1, x2+ = lam*x2 + c*x1^2 whose dynamics close on a small monomial
-set, and a linear map driven by a seeded piecewise-constant input.
+Every system is one map, x+ = A x + B u + c x1^2 e2: a linear part, an
+input term present only for a forced system, and a coupling that adds
+c*x1^2 to x2 (nonzero only for the quadratic system). The four factories
+fill it in: a linear map, a planar rotation (its matrix, optionally observed
+through the first coordinate only), the quadratic system x1+ = mu*x1,
+x2+ = lam*x2 + c*x1^2 (A = diag(mu, lam)), whose dynamics close on a small
+monomial set, and a linear map driven by a seeded piecewise-constant input.
 
 ``exact_lift_oracle`` composes the map with each monomial of a polynomial
 dictionary symbolically and re-expands, producing the true finite-dimensional
@@ -13,7 +16,7 @@ regression-based fits, so it serves as an independent reference for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,22 +36,20 @@ _MAX_INPUT_SCALE = np.finfo(float).max / 2
 class SystemSpec:
     """A benchmark system plus the simulation request (initial state, steps).
 
-    ``a`` is the step matrix of a linear, forced linear or rotation system
-    (a rotation by theta is stored as its matrix). ``observe`` applies to a
-    rotation only, ``mu``, ``lam`` and ``c`` to the quadratic system, and
-    ``b_in`` and ``input_*`` to the forced one. Use the factory functions
-    (``linear_system`` etc.) rather than filling fields by hand; they
-    validate the per-kind parameters.
+    The map is x+ = a @ x + b_in @ u + c * x1^2 e2 for every system: ``a``
+    is the linear map (a rotation by theta is stored as its matrix, the
+    quadratic system as diag(mu, lam)), ``b_in`` is None unless the system
+    is forced, and ``c`` is 0.0 unless it is quadratic. ``observe`` is
+    "first" only for a rotation seen through x1, and ``input_*`` draw a
+    forced system's input. Use the factory functions (``linear_system``
+    etc.) rather than filling fields by hand; they validate the parameters.
     """
 
-    kind: str
     initial_state: np.ndarray
     steps: int
-    a: np.ndarray | None = None
+    a: np.ndarray
     observe: str = "full"
-    mu: float | None = None
-    lam: float | None = None
-    c: float | None = None
+    c: float = 0.0
     b_in: np.ndarray | None = None
     input_seed: int = 0
     input_hold: int = 5
@@ -85,7 +86,7 @@ def linear_system(a, x0, steps: int) -> SystemSpec:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != x0.size:
         raise ShapeError(f"A must be square and match x0; got {a.shape} vs {x0.size}")
     _check_steps(steps)
-    return SystemSpec(kind="linear", initial_state=x0, steps=int(steps), a=a)
+    return SystemSpec(initial_state=x0, steps=int(steps), a=a)
 
 
 def rotation_system(theta: float, steps: int, x0=(1.0, 0.0), observe: str = "full") -> SystemSpec:
@@ -99,8 +100,8 @@ def rotation_system(theta: float, steps: int, x0=(1.0, 0.0), observe: str = "ful
         raise ShapeError("rotation state is 2-dimensional")
     _check_steps(steps)
     c, s = np.cos(float(theta)), np.sin(float(theta))
-    return SystemSpec(kind="rotation", initial_state=x0, steps=int(steps),
-                      a=np.array([[c, -s], [s, c]]), observe=observe)
+    return SystemSpec(initial_state=x0, steps=int(steps), a=np.array([[c, -s], [s, c]]),
+                      observe=observe)
 
 
 def quadratic_system(mu: float, lam: float, c: float, x0, steps: int) -> SystemSpec:
@@ -114,22 +115,19 @@ def quadratic_system(mu: float, lam: float, c: float, x0, steps: int) -> SystemS
     if x0.size != 2:
         raise ShapeError("quadratic system state is 2-dimensional")
     _check_steps(steps)
-    return SystemSpec(kind="quadratic_invariant", initial_state=x0, steps=int(steps),
-                      mu=float(mu), lam=float(lam), c=float(c))
+    return SystemSpec(initial_state=x0, steps=int(steps), a=np.diag([float(mu), float(lam)]),
+                      c=float(c))
 
 
 def forced_linear_system(a, b_in, x0, steps: int, input_seed: int = 0,
                          input_hold: int = 5, input_scale: float = 1.0) -> SystemSpec:
     """x+ = A x + B u with a seeded piecewise-constant pseudo-random input."""
-    a = _matrix(a, "A")
+    spec = linear_system(a, x0, steps)
     b_in = _matrix(b_in, "B")
     if b_in.ndim == 1:
         b_in = b_in[:, None]
-    x0 = _vector(x0)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != x0.size:
-        raise ShapeError(f"A must be square and match x0; got {a.shape} vs {x0.size}")
-    if b_in.shape[0] != x0.size:
-        raise ShapeError(f"B rows must match the state dimension {x0.size}")
+    if b_in.shape[0] != spec.state_dim:
+        raise ShapeError(f"B rows must match the state dimension {spec.state_dim}")
     if input_hold < 1:
         raise ConfigError(f"input_hold must be >= 1, got {input_hold}")
     if input_seed < 0:
@@ -138,10 +136,8 @@ def forced_linear_system(a, b_in, x0, steps: int, input_seed: int = 0,
         raise ConfigError(
             f"input_scale must lie in [0, {_MAX_INPUT_SCALE:.6g}], got {input_scale}"
         )
-    _check_steps(steps)
-    return SystemSpec(kind="forced_linear", initial_state=x0, steps=int(steps),
-                      a=a, b_in=b_in, input_seed=int(input_seed),
-                      input_hold=int(input_hold), input_scale=float(input_scale))
+    return replace(spec, b_in=b_in, input_seed=int(input_seed),
+                   input_hold=int(input_hold), input_scale=float(input_scale))
 
 
 def _piecewise_constant_inputs(spec: SystemSpec, samples: int) -> np.ndarray:
@@ -150,6 +146,16 @@ def _piecewise_constant_inputs(spec: SystemSpec, samples: int) -> np.ndarray:
     blocks = -(-samples // spec.input_hold)  # ceil
     levels = rng.uniform(-spec.input_scale, spec.input_scale, size=(blocks, n_u))
     return np.repeat(levels, min(spec.input_hold, samples), axis=0)[:samples]
+
+
+def _step(spec: SystemSpec, x: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+    """One step of x+ = a @ x + b_in @ u + c * x1^2 e2."""
+    nxt = spec.a @ x
+    if u is not None:
+        nxt += spec.b_in @ u
+    if spec.c:
+        nxt[1] += spec.c * x[0] ** 2
+    return nxt
 
 
 def simulate(spec: SystemSpec) -> Trajectory:
@@ -165,33 +171,21 @@ def simulate(spec: SystemSpec) -> Trajectory:
     inputs = None
     try:  # the path first, so its size is refused before any input is drawn
         path = np.empty((samples, state.size))
-        if spec.kind == "forced_linear":
+        if spec.b_in is not None:
             inputs = _piecewise_constant_inputs(spec, samples)
     except (MemoryError, ValueError):
         raise ConfigError(f"a trajectory of {spec.steps} steps is too large to allocate") from None
-
-    if spec.kind in ("linear", "rotation"):
-        step = lambda x, t: spec.a @ x
-    elif spec.kind == "quadratic_invariant":
-        step = lambda x, t: np.array([spec.mu * x[0], spec.lam * x[1] + spec.c * x[0] ** 2])
-    elif spec.kind == "forced_linear":
-        step = lambda x, t: spec.a @ x + spec.b_in @ inputs[t]
-    else:
-        raise ConfigError(f"unknown system kind {spec.kind!r}")
 
     path[0] = state
     # the divergence check reports overflow and inf - inf; warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(spec.steps):
-            state = step(state, t)
+            state = _step(spec, state, None if inputs is None else inputs[t])
             if not np.max(np.abs(state)) <= _DIVERGENCE_LIMIT:  # NaN fails too
                 raise DivergenceError(f"trajectory diverged at step {t + 1}")
             path[t + 1] = state
 
-    if spec.kind == "rotation" and spec.observe == "first":
-        states = path[:, :1]
-    else:
-        states = path
+    states = path[:, :1] if spec.observe == "first" else path
     return Trajectory(dt=1.0, states=states, inputs=inputs)
 
 
@@ -217,27 +211,18 @@ def _poly_pow(p: dict, n: int, nvars: int) -> dict:
 
 
 def _map_polynomials(spec: SystemSpec) -> list[dict]:
-    """Each state coordinate of the map as a polynomial in the current state."""
-    d = spec.state_dim
-    if spec.kind == "rotation" and spec.observe != "full":
+    """Each state coordinate of the map as a polynomial in the current state.
+
+    A polynomial holds only its nonzero terms; a zero coordinate is {}.
+    """
+    if spec.b_in is not None:
+        raise ConfigError("no exact lift for a forced system")
+    if spec.observe != "full":
         raise ConfigError("the lift oracle needs the full rotation state")
-    if spec.kind in ("linear", "rotation"):
-        a = spec.a
-    elif spec.kind == "quadratic_invariant":
-        return [
-            {(1, 0): spec.mu},
-            {(0, 1): spec.lam, (2, 0): spec.c},
-        ]
-    else:
-        raise ConfigError(f"no exact lift for system kind {spec.kind!r}")
-    polys = []
-    for i in range(d):
-        poly = {}
-        for j in range(d):
-            if a[i, j] != 0.0:
-                e = tuple(1 if k == j else 0 for k in range(d))
-                poly[e] = a[i, j]
-        polys.append(poly if poly else {(0,) * d: 0.0})
+    units = [tuple(row) for row in np.eye(spec.state_dim, dtype=int).tolist()]
+    polys = [{e: coeff for e, coeff in zip(units, row) if coeff != 0.0} for row in spec.a]
+    if spec.c:
+        polys[1][tuple(2 * v for v in units[0])] = spec.c
     return polys
 
 
@@ -277,22 +262,20 @@ def exact_lift_oracle(spec: SystemSpec, dictionary: PolynomialDictionary) -> Exa
     exps = [tuple(int(v) for v in row) for row in dictionary.exponents]
     position = {e: i for i, e in enumerate(exps)}
 
-    # image of each monomial under composition with the map
+    # image of each monomial under composition with the map, without the
+    # terms whose coefficients cancel or underflow to zero
     images = []
     for e in exps:
         poly = {(0,) * nvars: 1.0}
         for var, power in enumerate(e):
             if power:
                 poly = _poly_mul(poly, _poly_pow(maps[var], power, nvars))
-        images.append(poly)
+        images.append({term: c for term, c in poly.items() if c != 0.0})
 
     keep = set(range(len(exps)))
     while True:
         exps_kept = {exps[i] for i in keep}
-        open_rows = {
-            i for i in keep
-            if any(term not in exps_kept and abs(c) > 0 for term, c in images[i].items())
-        }
+        open_rows = {i for i in keep if not images[i].keys() <= exps_kept}
         if not open_rows:
             break
         keep -= open_rows

@@ -82,3 +82,11 @@ for model in shift-dmd shift-edmd shift-companion; do
   status=0; dmdkit predict $model.json shift-ic.csv 2 > $model.csv || status=$?; test "$status" -eq 4
   test ! -s $model.csv
 done
+# The quadratic system closes on {1, x1, x2, x1^2}, so a poly:2 EDMD fit of it
+# has mu^2 = 0.81 among its eigenvalues; a rotation seen through x1 writes x1 only
+dmdkit simulate --system quadratic --mu 0.9 --lam 0.5 --c 1 --x0=1,-0.4 --steps 30 --out quad.csv
+dmdkit fit --algo edmd --dict poly:2 --data quad.csv --out quad.json
+dmdkit spectrum quad.json > quad-spectrum.csv
+awk -F, 'NR > 1 { re = $2 - 0.81; im = $3; if (re * re + im * im < 1e-18) found = 1 } END { exit !found }' quad-spectrum.csv
+dmdkit simulate --system rotation --theta 0.5 --observe first --steps 5 --out first.csv
+test "$(head -n 1 first.csv)" = "t,x1"

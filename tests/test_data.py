@@ -262,8 +262,12 @@ def test_load_names_line_of_non_numeric_value(tmp_path):
     ('t,x1\n0,1\n"1\n",2\n2,oops\n', "line 5: non-numeric value 'oops'"),
     ('t,x1,x2\n"0",1,"2"\n"1","2"," oops "\n', "line 3: non-numeric value 'oops'$"),
     ('t,x1,x2\n0,1,2\n"1","x",y\n', "line 3: non-numeric value 'x'$"),
+    # a record that starts on line 3 and ends on line 4 is named by line 3
+    ('t,x1,x2\n0,1,2\nbad,"2\n",1\n', "line 3: non-numeric value 'bad'$"),
+    ('t,x1,x2\n0,1,2\n1,"2\n",1,4\n', "line 3: expected 3 fields, got 4$"),
+    ('t,x1,x2\n0,1,2\n1,"2\n",nan\n', "line 3: non-finite value$"),
 ], ids=["uneven-step", "nan", "repeated-stamp", "quoted-newline", "quoted-bad-field",
-        "first-bad-field"])
+        "first-bad-field", "spanning-bad-field", "spanning-ragged", "spanning-nan"])
 def test_load_names_file_line_not_row_number(tmp_path, body, message):
     path = tmp_path / "bad.csv"
     path.write_text(body)

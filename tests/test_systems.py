@@ -29,6 +29,16 @@ def test_quadratic_single_step_by_hand():
     traj = simulate(quadratic_system(0.9, 0.5, 1.0, x0=[1.0, 0.0], steps=1))
     assert_allclose(traj.states[1], [0.9, 1.0], rtol=0, atol=1e-15)
 
+@pytest.mark.parametrize("mu, lam, c", [
+    (0.9, 0.5, 1.0), (0.9, 0.5, 0.0), (0.0, 0.5, 1.0), (-0.7, 0.3, -2.5), (1.0, -1.0, 0.01),
+])
+def test_quadratic_simulation_is_its_recurrence(mu, lam, c):
+    traj = simulate(quadratic_system(mu, lam, c, x0=[1.0, -0.4], steps=200))
+    x1, x2 = 1.0, -0.4
+    for t in range(201):
+        assert traj.states[t].tolist() == [x1, x2]
+        x1, x2 = mu * x1, lam * x2 + c * x1**2
+
 def test_rotation_matches_closed_form():
     theta = 0.3
     traj = simulate(rotation_system(theta, steps=20))
@@ -59,12 +69,30 @@ def test_forced_inputs_are_seed_reproducible():
     assert u[4] != u[3]
 
 def test_forced_inputs_recorded_consistently_with_dynamics():
-    a = np.array([[0.5, 0.1], [0.0, 0.7]])
-    b = np.array([[1.0], [2.0]])
-    traj = simulate(forced_linear_system(a, b, [1.0, 1.0], steps=12, input_seed=3))
-    for t in range(12):
-        expected = a @ traj.states[t] + b @ traj.inputs[t]
-        assert_allclose(traj.states[t + 1], expected, rtol=0, atol=1e-13)
+    a = np.array([[0.5, 0.1, 0.0], [-0.2, 0.7, 0.3], [0.0, 0.4, -0.6]])
+    b = np.array([[1.0, 0.0], [2.0, -0.5], [0.3, 0.9]])
+    traj = simulate(forced_linear_system(a, b, [1.0, -1.0, 0.5], steps=200, input_seed=3,
+                                         input_hold=3))
+    x = traj.states[0]
+    for t in range(200):
+        x = a @ x + b @ traj.inputs[t]
+        assert traj.states[t + 1].tolist() == x.tolist()
+
+@pytest.mark.parametrize("args, error", [
+    (dict(a=[[np.nan]]), ShapeError),
+    (dict(b_in=[[np.inf]]), ShapeError),
+    (dict(x0=[]), ShapeError),
+    (dict(a=np.eye(2)), ShapeError),
+    (dict(b_in=np.ones((2, 1))), ShapeError),
+    (dict(steps=0), ConfigError),
+    (dict(input_hold=0), ConfigError),
+    (dict(input_seed=-1), ConfigError),
+    (dict(input_scale=np.nan), ConfigError),
+], ids=["a-finite", "b-finite", "x0", "a-shape", "b-rows", "steps", "hold", "seed", "scale"])
+def test_forced_factory_refuses_each_bad_argument(args, error):
+    good = dict(a=[[0.5]], b_in=[[1.0]], x0=[1.0], steps=3)
+    with pytest.raises(error):
+        forced_linear_system(**{**good, **args})
 
 def test_input_hold_past_the_samples_is_one_level():
     # every hold up to the step count repeats its levels as before, and a
@@ -147,13 +175,31 @@ def test_oracle_unavailable_when_state_drops_out():
     spec = quadratic_system(0.9, 0.5, 1.0, x0=[1.0, -0.4], steps=2)
     assert exact_lift_oracle(spec, PolynomialDictionary(2, 1)) is None
 
+def _assert_lifts_trajectory(spec, dictionary, lift):
+    theta = dictionary.transform(simulate(spec).states.T)[lift.indices]
+    assert_allclose(theta[:, 1:], lift.matrix @ theta[:, :-1], rtol=0, atol=1e-12)
+
 def test_oracle_consistency_along_trajectory():
     spec = quadratic_system(0.9, 0.5, 0.8, x0=[1.0, -0.4], steps=15)
     dictionary = PolynomialDictionary(2, 2)
+    _assert_lifts_trajectory(spec, dictionary, exact_lift_oracle(spec, dictionary))
+
+def test_oracle_drops_zero_coefficients():
+    # c = 0: x2 maps to lam*x2 alone, so degree 1 closes
+    spec = quadratic_system(0.9, 0.5, 0.0, x0=[1.0, -0.4], steps=20)
+    dictionary = PolynomialDictionary(2, 1)
     lift = exact_lift_oracle(spec, dictionary)
-    traj = simulate(spec)
-    theta = dictionary.transform(traj.states.T)[lift.indices]
-    assert_allclose(theta[:, 1:], lift.matrix @ theta[:, :-1], rtol=0, atol=1e-12)
+    assert lift.names == ("1", "x1", "x2")
+    assert lift.matrix.tolist() == np.diag([1.0, 0.9, 0.5]).tolist()
+    _assert_lifts_trajectory(spec, dictionary, lift)
+    # mu = 0: x1*x2 maps to 0, not through x1^3
+    spec = quadratic_system(0.0, 0.5, 1.0, x0=[1.0, -0.4], steps=20)
+    dictionary = PolynomialDictionary(2, 2)
+    lift = exact_lift_oracle(spec, dictionary)
+    assert lift.names == ("1", "x1", "x2", "x1^2", "x1*x2")
+    eigs = np.sort(np.linalg.eigvals(lift.matrix).real)
+    assert_allclose(eigs, [0.0, 0.0, 0.0, 0.5, 1.0], rtol=0, atol=1e-12)
+    _assert_lifts_trajectory(spec, dictionary, lift)
 
 def test_oracle_weighted_dictionary_is_similarity_transform():
     spec = quadratic_system(0.9, 0.5, 1.0, x0=[1.0, -0.4], steps=2)
@@ -181,10 +227,10 @@ def test_oracle_rotation_full_state():
 
 def test_oracle_rejects_partial_observation():
     spec = rotation_system(0.4, steps=3, observe="first")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="needs the full rotation state"):
         exact_lift_oracle(spec, PolynomialDictionary(2, 1))
 
 def test_oracle_rejects_forced_system():
     spec = forced_linear_system(np.eye(2) * 0.5, np.ones((2, 1)), [1.0, 1.0], steps=3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="no exact lift"):
         exact_lift_oracle(spec, PolynomialDictionary(2, 1))
