@@ -104,30 +104,33 @@ def cmd_simulate(args) -> int:
 
     kind = args.system
     steps = args.steps
-    if kind == "linear":
-        a = _parse_matrix(_require_flag(args.a, "--a", "--system linear"), "--a")
-        x0 = _parse_vector(_require_flag(args.x0, "--x0", "--system linear"), "--x0")
-        spec = linear_system(a, x0, steps)
-    elif kind == "rotation":
-        theta = _require_flag(args.theta, "--theta", "--system rotation")
-        x0 = _parse_vector(args.x0, "--x0") if args.x0 else (1.0, 0.0)
-        spec = rotation_system(theta, steps, x0=x0, observe=args.observe)
-    elif kind == "quadratic":
-        mu = _require_flag(args.mu, "--mu", "--system quadratic")
-        lam = _require_flag(args.lam, "--lam", "--system quadratic")
-        c = _require_flag(args.c, "--c", "--system quadratic")
-        x0 = _parse_vector(_require_flag(args.x0, "--x0", "--system quadratic"), "--x0")
-        spec = quadratic_system(mu, lam, c, x0, steps)
-    else:
-        a = _parse_matrix(_require_flag(args.a, "--a", "--system forced-linear"), "--a")
-        b_in = _parse_matrix(_require_flag(args.b, "--b", "--system forced-linear"), "--b")
-        x0 = _parse_vector(_require_flag(args.x0, "--x0", "--system forced-linear"), "--x0")
-        spec = forced_linear_system(
-            a, b_in, x0, steps,
-            input_seed=args.input_seed,
-            input_hold=args.input_hold,
-            input_scale=args.input_scale,
-        )
+    try:  # a flag value of the wrong shape is a usage error
+        if kind == "linear":
+            a = _parse_matrix(_require_flag(args.a, "--a", "--system linear"), "--a")
+            x0 = _parse_vector(_require_flag(args.x0, "--x0", "--system linear"), "--x0")
+            spec = linear_system(a, x0, steps)
+        elif kind == "rotation":
+            theta = _require_flag(args.theta, "--theta", "--system rotation")
+            x0 = _parse_vector(args.x0, "--x0") if args.x0 else (1.0, 0.0)
+            spec = rotation_system(theta, steps, x0=x0, observe=args.observe)
+        elif kind == "quadratic":
+            mu = _require_flag(args.mu, "--mu", "--system quadratic")
+            lam = _require_flag(args.lam, "--lam", "--system quadratic")
+            c = _require_flag(args.c, "--c", "--system quadratic")
+            x0 = _parse_vector(_require_flag(args.x0, "--x0", "--system quadratic"), "--x0")
+            spec = quadratic_system(mu, lam, c, x0, steps)
+        else:
+            a = _parse_matrix(_require_flag(args.a, "--a", "--system forced-linear"), "--a")
+            b_in = _parse_matrix(_require_flag(args.b, "--b", "--system forced-linear"), "--b")
+            x0 = _parse_vector(_require_flag(args.x0, "--x0", "--system forced-linear"), "--x0")
+            spec = forced_linear_system(
+                a, b_in, x0, steps,
+                input_seed=args.input_seed,
+                input_hold=args.input_hold,
+                input_scale=args.input_scale,
+            )
+    except ShapeError as err:
+        raise ConfigError(str(err)) from None
     traj = simulate(spec)
     if args.out:
         save_trajectory(traj, args.out)
@@ -158,7 +161,7 @@ def cmd_fit(args) -> int:
 
     check_rtol(args.rtol)  # for every fitter: the model file stores it
     size = "the data in " + ", ".join(args.data)  # until the pair's shape is known
-    try:  # data, a Gram matrix, lift or SVD that cannot be allocated is a usage error
+    try:  # data, a Gram matrix, lift, SVD or model file that cannot be allocated is a usage error
         pair, inputs = _training_pair(args)
         size = f"{pair.n_observables} observables x {pair.n_columns} column pairs"
         _note(f"fit {args.algo}: {size}")
@@ -171,22 +174,14 @@ def cmd_fit(args) -> int:
             model = fit_edmd(pair, dictionary, rtol=args.rtol)
         else:
             model = fit_kernel_edmd(pair, parse_kernel(args.kernel), rtol=args.rtol)
+        del pair  # the model keeps what it needs of the data; saving it needs none
+        for flag in model.flags:
+            _note(f"note: {flag}")
+        save_model(ModelRecord(algorithm=args.algo, model=model, rtol=args.rtol,
+                               embed_h=args.embed, inputs=inputs), args.out)
     except MemoryError as err:
         raise ConfigError(f"a {args.algo} fit of {size} is too large to allocate: "
                           f"{str(err) or 'out of memory'}") from None
-    del pair  # the model keeps what it needs of the data; saving it needs none
-
-    for flag in model.flags:
-        _note(f"note: {flag}")
-
-    record = ModelRecord(
-        algorithm=args.algo,
-        model=model,
-        rtol=args.rtol,
-        embed_h=args.embed,
-        inputs=inputs,
-    )
-    save_model(record, args.out)
     _note(f"wrote model to {args.out}")
 
     values = model.eigenvalues

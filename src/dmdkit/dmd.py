@@ -1,30 +1,29 @@
 """The spectral model every fitter returns, and DMD in companion and SVD form.
 
 Every fit in the package ends in one ``SpectralModel``: eigenvalues Lambda,
-modes V in observable space, and a complex map C from a feature vector f(z)
-to eigenfunction values, phi(z) = C f(z). The feature map f is always a
+modes V in observable space, and a map C from a feature vector f(z) to
+eigenfunction values, phi(z) = C f(z). The feature map f is always a
 ``Dictionary``: the identity (both DMD fits), a lift (EDMD, ``edmd``) or
 kernel sections at the training snapshots (kernel EDMD, ``kernel_edmd``),
 and the state dimension is its ``input_dim``. One routine each
 evaluates eigenfunctions, forecasts Re(V Lambda^m C f(z)) and forms the
 one-step map Re(V Lambda C), whatever the fitter.
 
-A real map's eigenvalues, modes and eigenfunctions come in conjugate pairs.
-Every fit ends in ``_finish_fit``, which passes its modes and C through the
-pair form a model file stores and back (``_pair_form``, ``_from_pair_form``),
-so the model is exactly conjugate-closed: a real eigenvalue's mode column
-and C row are real, and a lower pair member's are the exact conjugates of
-its upper member's. ``conjugate_slots`` checks that round trip, and
-``predict`` refuses a (hand-built) model that fails it. The forecast runs
-over the real eigenvalues and the upper members only, with the upper
-amplitudes doubled, so it needs no imaginary residue check: each block of
-steps is Re(T W) = Re(T) Re(W) - Im(T) Im(W), one real product of a fixed
-table T of eigenvalue powers Lambda^1 .. Lambda^b with weights W that carry
+A real map's eigenvalues, modes and eigenfunctions come in conjugate pairs,
+so a model holds V and C in pair form, the real matrices a model file
+stores (``_pair_form``); ``SpectralModel.modes_v`` and ``.coeffs`` rebuild
+the complex ones when asked. A fit forms both by real products: C as the
+pair form of inv(P) times the real R below, V as M times the pair form of
+P. The one-step map Re(V Lambda C) is the real product (V_pf B) C_pf
+(``_one_step``). The forecast runs over the real eigenvalues and the upper
+members only, with the upper amplitudes doubled: each block of steps is
+Re(T W) = Re(T) Re(W) - Im(T) Im(W), one real product of a fixed table T of
+eigenvalue powers Lambda^1 .. Lambda^b with weights W that carry
 Lambda^(jb) for block j (``_spectral_predict`` states its growth bound and
 tolerance). Every fitter's training residual is the one-step defect
-||xp - Re(V Lambda C) F|| / ||xp|| of the closed model on its training
-features F (x, its lift, or the Gram matrix of x), summed over column
-blocks within 1e-13 absolute of the one-shot product.
+||xp - Re(V Lambda C) F|| / ||xp|| of the model on its training features F
+(x, its lift, or the Gram matrix of x), summed over column blocks within
+1e-13 absolute of the one-shot product.
 
 All four fitters are one construction (``_projected_fit``): each
 eigendecomposes a reduced operator K^ = P Lambda inv(P) on a feature
@@ -79,20 +78,31 @@ _RESIDUAL_BLOCK = 256
 class SpectralModel:
     """Eigenvalues, modes and the feature-to-eigenfunction map of a fit.
 
-    ``coeffs`` (r x f) maps a feature vector to the r eigenfunction values
-    and ``modes_v`` (n x r) maps those back to the n observables.
+    ``modes_pf`` (n x r) and ``coeffs_pf`` (r x f) hold the complex modes V
+    and map C in pair form, as a model file stores them; ``modes_v`` and
+    ``coeffs`` rebuild V and C on each access, and raise NumericalError for
+    eigenvalues not closed under conjugation. C maps a feature vector to the
+    r eigenfunction values and V maps those back to the n observables.
     ``features`` is the feature map f, whose ``input_dim`` is n.
     ``residuals`` holds the fit's residuals by name, ``training`` first.
-    Fitted and loaded models are exactly conjugate-closed (see
-    ``conjugate_slots``).
     """
 
     eigenvalues: np.ndarray
-    modes_v: np.ndarray
-    coeffs: np.ndarray
+    modes_pf: np.ndarray
+    coeffs_pf: np.ndarray
     features: Dictionary
     flags: tuple = ()
     residuals: dict = field(default_factory=dict)
+
+    @property
+    def modes_v(self) -> np.ndarray:
+        """The complex modes V (n x r)."""
+        return _from_pair_form(self.modes_pf.T, self.eigenvalues).T
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The complex feature-to-eigenfunction map C (r x f)."""
+        return _from_pair_form(self.coeffs_pf, self.eigenvalues)
 
     @property
     def fit_residual(self) -> float:
@@ -130,8 +140,10 @@ def _pair_form(rows: np.ndarray, upper, lower) -> np.ndarray:
     return out
 
 
-def _from_pair_form(stored: np.ndarray, upper, lower) -> np.ndarray:
-    """The complex rows whose pair form is ``stored``, in ``stored``'s layout."""
+def _from_pair_form(stored: np.ndarray, values) -> np.ndarray:
+    """The complex rows whose pair form under eigenvalues ``values`` is ``stored``,
+    in ``stored``'s layout; NumericalError unless ``values`` is conjugate-closed."""
+    _, upper, lower = conjugate_pairs(values)
     out = stored.astype(complex)
     out.real[lower] = stored[upper]
     out.imag[upper] = stored[lower]
@@ -139,31 +151,28 @@ def _from_pair_form(stored: np.ndarray, upper, lower) -> np.ndarray:
     return out
 
 
-def _closed(rows: np.ndarray, upper, lower) -> np.ndarray:
-    """``rows`` through the pair form and back: real rows real, each lower row
-    the conjugate of its upper row, exactly as a model file rebuilds them."""
-    return _from_pair_form(_pair_form(rows, upper, lower), upper, lower)
+def _scaled(columns: np.ndarray, factors: np.ndarray, upper, lower) -> np.ndarray:
+    """The pair form of complex columns times ``factors`` (one per column),
+    from their pair form ``columns``: a pair's columns re and im, with factor
+    a + ib at its upper member, become a re - b im and b re + a im."""
+    out = columns * factors.real
+    b = factors.imag[upper]
+    out[:, upper] -= columns[:, lower] * b
+    out[:, lower] += columns[:, upper] * b
+    return out
 
 
 def _one_step(model: SpectralModel) -> np.ndarray:
-    """Re(V Lambda C), whatever the model's flags."""
-    return ((model.modes_v * model.eigenvalues) @ model.coeffs).real
+    """Re(V Lambda C) as the real product (V_pf B) C_pf, whatever the model's flags.
 
-
-def _finish_fit(model, xp, features, **others) -> SpectralModel:
-    """The model made exactly conjugate-closed, with residuals {training, **others}.
-
-    Modes and coeffs, complex arrays of the fitter's own, are overwritten
-    with their round trip through the pair form (``_closed``), so a loaded
-    model holds the fitted one's exact values. training is
-    ||xp - Re(V Lambda C) F||_F / ||xp||_F over the training features F (f
-    of x); a flagged fit stores it too.
+    B is ``_scaled`` by Lambda, then a pair's columns times 2 and -2: a pair
+    adds 2 Re(lambda v c) = 2 Re(lambda v) Re(c) - 2 Im(lambda v) Im(c).
     """
     _, upper, lower = conjugate_pairs(model.eigenvalues)
-    for rows in (model.coeffs, model.modes_v.T):
-        rows[...] = _closed(rows, upper, lower)
-    training = _relative_error(xp, _one_step(model), features)
-    return replace(model, residuals={"training": training, **others})
+    left = _scaled(model.modes_pf, model.eigenvalues, upper, lower)
+    left[:, upper] *= 2.0
+    left[:, lower] *= -2.0
+    return left @ model.coeffs_pf
 
 
 def _invert_basis(p: np.ndarray):
@@ -191,24 +200,31 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, train, exact=False,
 
     ``reduce`` (r x f) maps a feature vector to subspace coordinates, so
     C = inv(P) reduce; ``mode_base`` (n x r) maps subspace coordinates to
-    the observables, so V = mode_base P. With ``exact`` (SVD DMD) the modes
-    are mode_base P / lambda, and those of |lambda| <= _ZERO_EIGENVALUE_TOL
-    are zero and flagged zero_eigenvalue_modes. The fit ends in
-    ``_finish_fit`` over the training features ``train``.
+    the observables, so V = mode_base P. Both are real, so V and C are formed
+    in pair form, with zeros +0.0 as a model file holds them. With ``exact``
+    (SVD DMD) the modes are mode_base P / lambda, and those of |lambda| <=
+    _ZERO_EIGENVALUE_TOL are zero and flagged zero_eigenvalue_modes. The
+    residuals are ``residuals`` and training, over the features ``train``.
     """
     spectrum = eig(k_hat)
+    values = spectrum.values
+    _, upper, lower = conjugate_pairs(values)
     p_inv, basis_flags = _invert_basis(spectrum.vectors)
-    modes = mode_base @ spectrum.vectors
+    coeffs = _pair_form(p_inv, upper, lower) @ reduce
+    modes = mode_base @ _pair_form(spectrum.vectors.T, upper, lower).T
+    del spectrum, p_inv  # r x r complex each; the residual need not sit on them
     if exact:
-        alive = np.abs(spectrum.values) > _ZERO_EIGENVALUE_TOL
-        np.divide(modes, spectrum.values, out=modes, where=alive)
+        alive = np.abs(values) > _ZERO_EIGENVALUE_TOL
+        inverse = np.divide(1.0, values, out=np.zeros_like(values), where=alive)
+        modes = _scaled(modes, inverse, upper, lower)
         if not alive.all():
             modes[:, ~alive] = 0.0
             flags = (*flags, "zero_eigenvalue_modes")
-    model = SpectralModel(spectrum.values, modes, p_inv @ reduce, features,
-                          flags=(*flags, *basis_flags))
-    del spectrum, p_inv  # r x r complex each; the residual need not sit on them
-    return _finish_fit(model, xp, train, **residuals)
+    modes += 0.0
+    coeffs += 0.0
+    model = SpectralModel(values, modes, coeffs, features, flags=(*flags, *basis_flags))
+    training = _relative_error(xp, _one_step(model), train)
+    return replace(model, residuals={"training": training, **residuals})
 
 
 def fit_companion(pair: SnapshotPair) -> SpectralModel:
@@ -280,7 +296,7 @@ def _require_basis(model: SpectralModel) -> None:
 def eigenfunction_values(model: SpectralModel, z) -> np.ndarray:
     """Eigenfunction values C f(z); columns of z give columns of phi."""
     _require_basis(model)
-    return model.coeffs @ model.features.transform(z)
+    return _from_pair_form(model.coeffs_pf @ model.features.transform(z), model.eigenvalues)
 
 
 def full_operator(model: SpectralModel) -> np.ndarray:
@@ -291,21 +307,6 @@ def full_operator(model: SpectralModel) -> np.ndarray:
     """
     _require_basis(model)
     return _one_step(model)
-
-
-def conjugate_slots(model: SpectralModel):
-    """``conjugate_pairs`` of the model's eigenvalues, checked against its
-    modes and coeffs: each must equal its own round trip through the pair
-    form (``_closed``), else NumericalError.
-    """
-    real, upper, lower = conjugate_pairs(model.eigenvalues)
-    for name, rows in (("coeffs", model.coeffs), ("modes", model.modes_v.T)):
-        if not np.array_equal(rows, _closed(rows, upper, lower)):
-            raise NumericalError(
-                f"model {name} are not conjugate-closed; the model is not "
-                "conjugate-consistent with real data"
-            )
-    return real, upper, lower
 
 
 def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
@@ -347,17 +348,16 @@ def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
 def predict(model: SpectralModel, z0, steps: int) -> np.ndarray:
     """Spectral forecast g_m = Re(V Lambda^m C f(z0)) of the observables, m = 1..steps.
 
-    The conjugate-closed model (see ``conjugate_slots``) is forecast over its
-    real eigenvalues and the upper member of each pair, whose amplitude is
-    doubled: the lower member adds the conjugate of the upper one's term.
+    The model is forecast over its real eigenvalues and the upper member of
+    each pair, whose amplitude is doubled: the lower member adds the
+    conjugate of the upper one's term.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps}")
     _require_basis(model)
-    conjugate_slots(model)
     values = np.asarray(model.eigenvalues, dtype=complex)
     keep = values.imag >= 0  # the real eigenvalues and the upper members
-    phi0 = model.coeffs[keep] @ model.features.transform(np.asarray(z0, dtype=float).ravel())
+    phi0 = eigenfunction_values(model, np.asarray(z0, dtype=float).ravel())[keep]
     phi0[values[keep].imag > 0] *= 2.0
     return _spectral_predict(model.modes_v[:, keep], values[keep], phi0, steps)
 

@@ -25,15 +25,12 @@ the model's own, so save -> load -> save is byte-identical and loaded models
 reproduce the original predictions bit for bit. The metadata floats are
 the stdlib encoder's shortest round-trip text, which reads back exactly.
 
-A fitted model is exactly conjugate-closed (see ``dmd.conjugate_slots``),
-so its modes and coeffs are stored real, in pair form: the column of modes
-(row of coeffs) of a real eigenvalue holds its vector, an upper pair
-member's slot holds the real part of its vector and its lower partner's
-slot the imaginary part. ``dmd`` owns the pair form (``dmd._pair_form``
-and ``dmd._from_pair_form``, whose round trip closes every fit); this
-module only calls them. The loader rebuilds the complex matrices from the
-stored eigenvalues and refuses a list that is not closed under
-conjugation.
+A model holds its modes and coeffs in pair form (see ``dmd``), and they are
+stored and loaded as they are, real: the column of modes (row of coeffs) of
+a real eigenvalue holds its vector, an upper pair member's slot the real
+part of its vector and its lower partner's slot the imaginary part; the
+complex matrices are formed only when a model is used. Saving and loading
+refuse eigenvalues not closed under conjugation, which no pair form fits.
 
 Reading uses the stdlib json parser with NaN and Infinity refused, then
 checks every field's type, every matrix payload's base64 alphabet, padding
@@ -54,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import write_text_file
-from .dmd import SpectralModel, _from_pair_form, _pair_form, conjugate_slots
+from .dmd import SpectralModel
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .linalg import conjugate_pairs
 from .observables import (Dictionary, IdentityDictionary, KernelDictionary,
@@ -216,8 +213,8 @@ def _arrays_for(model: SpectralModel) -> dict:
     """The model's matrices by stored name; None marks one the file leaves out."""
     return {
         "eigenvalues": model.eigenvalues,
-        "modes": model.modes_v,
-        "coeffs": model.coeffs,
+        "modes": model.modes_pf,
+        "coeffs": model.coeffs_pf,
         "points": getattr(model.features, "points", None),
     }
 
@@ -241,16 +238,15 @@ def _split(fit_meta: dict, error) -> tuple[int, int, int]:
 
 
 def save_model(record: ModelRecord, path) -> None:
-    """Write the record as schema-versioned JSON, refusing (``ConfigError``)
-    a record the loader would refuse for its features or its observable split."""
+    """Write the record as schema-versioned JSON, refusing a record the loader
+    would refuse for its features or its observable split (``ConfigError``)
+    or for eigenvalues not closed under conjugation (``NumericalError``)."""
     model = record.model
     _check_features(record.algorithm, model.features, ConfigError)
     arrays = _arrays_for(model)
     if not all(np.isfinite(value).all() for value in arrays.values() if value is not None):
         raise DataError("model matrices must be finite")
-    _, upper, lower = conjugate_slots(model)
-    arrays["coeffs"] = _pair_form(model.coeffs, upper, lower)
-    arrays["modes"] = _pair_form(model.modes_v.T, upper, lower).T
+    conjugate_pairs(model.eigenvalues)
     fit_meta = {
         "rtol": float(record.rtol) + 0.0,  # never "-0.0"
         "embed_h": int(record.embed_h),
@@ -359,13 +355,13 @@ def load_model(path) -> ModelRecord:
         required.add("points")
     m = _decode_matrices(matrices, dims, required)
     try:
-        _, upper, lower = conjugate_pairs(m["eigenvalues"])
+        conjugate_pairs(m["eigenvalues"])
     except NumericalError as err:
         raise DataError(f"model file {err}") from None
     model = SpectralModel(
         eigenvalues=m["eigenvalues"],
-        modes_v=_from_pair_form(m["modes"].T, upper, lower).T,
-        coeffs=_from_pair_form(m["coeffs"], upper, lower),
+        modes_pf=m["modes"],
+        coeffs_pf=m["coeffs"],
         features=_features(algorithm, fit_meta, n, m),
         flags=flags,
         residuals=residuals,

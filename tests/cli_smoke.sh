@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the `dmdkit` command: every subcommand, the CSV
 # variants a fit must read alike (CRLF, byte-order mark, a pipe), the exit
-# codes of refused inputs, and that failed fits leave no model file.
+# codes of refused inputs, that failed fits and simulations leave no file,
+# and that refitting the same data gives a byte-identical model file.
 #
 # Run it in an empty scratch directory with `dmdkit` on PATH (the installed
 # console script, or a shim that runs `python -m dmdkit.cli`); `python` must
@@ -90,3 +91,12 @@ dmdkit spectrum quad.json > quad-spectrum.csv
 awk -F, 'NR > 1 { re = $2 - 0.81; im = $3; if (re * re + im * im < 1e-18) found = 1 } END { exit !found }' quad-spectrum.csv
 dmdkit simulate --system rotation --theta 0.5 --observe first --steps 5 --out first.csv
 test "$(head -n 1 first.csv)" = "t,x1"
+# refitting the same data gives a byte-identical model file, for every algorithm
+for algo in "dmd" "companion" "edmd --dict poly:3" "kernel-edmd --kernel gaussian:1"; do
+  dmdkit fit --algo $algo --data rot.csv --out refit-a.json > refit-a.csv
+  dmdkit fit --algo $algo --data rot.csv --out refit-b.json > refit-b.csv
+  cmp refit-a.json refit-b.json
+done
+# a flag of the wrong shape is a usage error (exit 2), and simulate writes nothing
+status=0; dmdkit simulate --system linear --a "0.9,0;0,0.5" --x0 1,1,1 --steps 3 --out bad.csv || status=$?; test "$status" -eq 2
+test ! -e bad.csv

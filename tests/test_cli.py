@@ -466,23 +466,44 @@ def test_embedding_as_deep_as_the_trajectory_exits_3(capsys, tmp_path):
     assert "fewer than 2 samples to pair" in err
 
 
-@pytest.mark.parametrize("flags, expected", [
-    (["--input-scale", "nan"], 2),
-    (["--input-scale", "inf"], 2),
-    (["--input-scale", "-1"], 2),
-    (["--input-scale", "1e308"], 2),
-    (["--input-seed", "-1"], 2),
-    (["--a", "nan,0;0,0.5"], 3),
-    (["--b", "1;inf"], 3),
+@pytest.mark.parametrize("flags", [
+    ["--input-scale", "nan"],
+    ["--input-scale", "inf"],
+    ["--input-scale", "-1"],
+    ["--input-scale", "1e308"],
+    ["--input-seed", "-1"],
+    ["--a", "nan,0;0,0.5"],
+    ["--b", "1;inf"],
 ], ids=["scale-nan", "scale-inf", "scale-negative", "scale-overflow", "seed-negative",
         "a-nan", "b-inf"])
-def test_bad_forced_linear_flags_exit_with_one_line(capsys, flags, expected):
+def test_bad_forced_linear_flags_exit_with_one_line(capsys, flags):
     argv = ["simulate", "--system", "forced-linear", "--a", "0.9,0;0,0.5", "--b", "1;0.5",
             "--x0", "1,1", "--steps", "5"]
     code, out, err = run(capsys, argv + flags)  # a later flag overrides an earlier one
-    assert code == expected
+    assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--system", "linear", "--a", "0.9,0;0,0.5", "--x0", "1,1,1"],
+    ["--system", "linear", "--a", "0.9,0;0,0.5", "--x0=nan,1"],
+    ["--system", "linear", "--a", "nan,0;0,0.5", "--x0", "1,1"],
+    ["--system", "linear", "--a", "0.9,0,1;0,0.5,1", "--x0", "1,1"],
+    ["--system", "rotation", "--theta", "0.5", "--x0", "1,0,0"],
+    ["--system", "quadratic", "--mu", "0.9", "--lam", "0.5", "--c", "1", "--x0", "1"],
+    ["--system", "forced-linear", "--a", "0.9,0;0,0.5", "--b", "1,1,1", "--x0", "1,1"],
+], ids=["linear-x0-long", "linear-x0-nan", "linear-a-nan", "linear-a-not-square",
+        "rotation-x0-long", "quadratic-x0-short", "forced-b-wide"])
+def test_simulate_flag_of_the_wrong_shape_exits_2_and_writes_nothing(capsys, tmp_path, flags):
+    # the system factories raise ShapeError; from the command line it is a
+    # usage error, as the other refused simulate flags are
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run(capsys, ["simulate", *flags, "--steps", "3", "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")  # no traceback
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1213,6 +1234,27 @@ def test_fit_that_cannot_be_allocated_exits_2(capsys, tmp_path):
     assert out == ""
     assert one_error_line(err) and "kernel-edmd fit" in err and "too large to allocate" in err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_model_file_that_cannot_be_allocated_exits_2_and_leaves_no_file(
+        capsys, tmp_path, monkeypatch):
+    # the fit succeeds but memory runs out while its model file is written,
+    # as a 3,001 x 999 SVD DMD fit capped 275-295 MiB above the loaded CLI
+    # did in base64; the partial file is removed
+    traj = write_diag_traj(capsys, tmp_path)
+
+    def short_of_memory(payload, handle, **options):
+        handle.write("{")
+        raise MemoryError
+
+    monkeypatch.setattr(json, "dump", short_of_memory)
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(traj),
+                                  "--out", str(model)])
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "dmd fit" in err and "too large to allocate" in err
+    assert not model.exists()
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 from dataclasses import replace
 
 from dmdkit.data import Trajectory, concat_pairs, snapshot_pairs
-from dmdkit.dmd import _finish_fit, eigenfunction_values, fit_svd_dmd, predict
+from dmdkit.dmd import _pair_form, eigenfunction_values, fit_svd_dmd, predict
 from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.errors import ConfigError, NumericalError, ShapeError
-from dmdkit.linalg import eig, svd_truncated
+from dmdkit.linalg import conjugate_pairs, eig, svd_truncated
 from dmdkit.observables import (CustomDictionary, IdentityDictionary, PolynomialDictionary,
                                 build_dictionary)
 from dmdkit.systems import linear_system, quadratic_system, simulate
@@ -136,7 +136,8 @@ def test_modes_equal_the_explicit_d_u_p_product(system, spec, steps):
     explicit = d_coeffs @ factors.u @ eig(k_hat).vectors
     assert model.flags == ()
     assert np.max(np.abs(model.modes_v - explicit)) <= 1e-14 * np.max(np.abs(model.modes_v))
-    reference = _finish_fit(replace(model, modes_v=explicit), pair.xp, lifted.x)
+    _, upper, lower = conjugate_pairs(model.eigenvalues)
+    reference = replace(model, modes_pf=_pair_form(explicit.T, upper, lower).T)
     z0 = pair.x[:, -1]
     expected = predict(reference, z0, steps)
     assert np.max(np.abs(predict(model, z0, steps) - expected)) <= 1e-13 * np.max(np.abs(expected))

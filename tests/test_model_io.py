@@ -17,7 +17,7 @@ from dmdkit.dmd import (
     predict,
 )
 from dmdkit.edmd import fit_edmd
-from dmdkit.errors import ConfigError, DataError, DmdkitError
+from dmdkit.errors import ConfigError, DataError, DmdkitError, NumericalError
 from dmdkit.kernel_edmd import fit_kernel_edmd
 from dmdkit.linalg import conjugate_pairs
 from dmdkit.model_io import (
@@ -117,6 +117,10 @@ def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, capsys,
     assert model.features.spec_string() == want.features.spec_string()
     for name, value in _arrays_for(want).items():
         assert_array_equal(_arrays_for(model)[name], value, err_msg=name)
+    # the stored pair forms are real and the fitted model's own bits
+    for stored, fitted in ((model.modes_pf, want.modes_pf), (model.coeffs_pf, want.coeffs_pf)):
+        assert stored.dtype == fitted.dtype == float
+        assert stored.tobytes() == fitted.tobytes()
     z = np.random.default_rng(41).uniform(-1.0, 1.0, (model.features.input_dim, 3))
     assert_array_equal(predict(model, z[:, 0], 7), predict(want, z[:, 0], 7))
     assert_array_equal(eigenfunction_values(model, z), eigenfunction_values(want, z))
@@ -377,7 +381,7 @@ def test_non_finite_values_are_refused(tmp_path):
     import dataclasses
 
     record = dmd_record()
-    broken = dataclasses.replace(record.model, coeffs=np.array([[np.inf]]))
+    broken = dataclasses.replace(record.model, coeffs_pf=np.array([[np.inf]]))
     bad = dataclasses.replace(record, model=broken)
     with pytest.raises(DataError, match="finite"):
         save_model(bad, tmp_path / "model.json")
@@ -439,9 +443,26 @@ def test_file_floats_survive_json_parse_exactly(tmp_path):
     assert loaded.tobytes() == coeffs.tobytes()
 
 
+def test_eigenvalues_not_closed_under_conjugation_are_refused_when_saved_or_used(tmp_path):
+    # a lone complex eigenvalue has no conjugate partner, so no complex model
+    # stands behind the pair form
+    one = np.array([[1.0]])
+    model = SpectralModel(eigenvalues=np.array([0.5 + 0.1j]), modes_pf=one, coeffs_pf=one,
+                          features=IdentityDictionary(1), residuals={"training": 0.0})
+    path = tmp_path / "model.json"
+    closure = "not closed under conjugation"
+    with pytest.raises(NumericalError, match=closure):
+        save_model(ModelRecord(algorithm="dmd", model=model, rtol=1e-10), path)
+    assert not path.exists()
+    for call in (lambda: predict(model, [1.0], 2), lambda: eigenfunction_values(model, [1.0]),
+                 lambda: full_operator(model)):
+        with pytest.raises(NumericalError, match=closure):
+            call()
+
+
 def test_matrix_payload_is_little_endian_binary64(tmp_path):
     one = np.array([[1.0]])
-    model = SpectralModel(eigenvalues=np.array([1.0]), modes_v=one, coeffs=one,
+    model = SpectralModel(eigenvalues=np.array([1.0]), modes_pf=one, coeffs_pf=one,
                           features=IdentityDictionary(1), residuals={"training": 0.0})
     path = tmp_path / "model.json"
     save_model(ModelRecord(algorithm="dmd", model=model, rtol=1e-10), path)

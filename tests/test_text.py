@@ -199,11 +199,10 @@ def test_model_file_matrices_match_per_value_format_with_negative_zero_as_zero(t
     record = dmd_record()
     # one conjugate pair per value: upper members at even slots, so the pair
     # form of the 1 x 2k mode row interleaves the real and imaginary parts
-    upper = real + 1j * imag
-    modes = np.column_stack([upper, np.conj(upper)]).reshape(1, -1)
+    modes = np.column_stack([real, imag]).reshape(1, -1)
     values = np.tile([0.5 + 0.25j, 0.5 - 0.25j], real.size)
-    model = dataclasses.replace(record.model, eigenvalues=values, modes_v=modes,
-                                coeffs=np.zeros((values.size, 2), dtype=complex))
+    model = dataclasses.replace(record.model, eigenvalues=values, modes_pf=modes,
+                                coeffs_pf=np.zeros((values.size, 2)))
     path = tmp_path / "model.json"
     save_model(dataclasses.replace(record, model=model), path)
     stored = json.loads(path.read_text())["matrices"]["modes"]
