@@ -54,6 +54,10 @@ save_model = _deferred("model_io", "save_model")
 load_model = _deferred("model_io", "load_model")
 
 
+# control characters and line separators, escaped so quoted input keeps an error one line
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+
+
 def _note(text: str) -> None:
     print(text, file=sys.stderr)
 
@@ -160,6 +164,7 @@ def cmd_fit(args) -> int:
     from .observables import build_dictionary, parse_kernel
 
     check_rtol(args.rtol)  # for every fitter: the model file stores it
+    kernel = None if args.kernel is None else parse_kernel(args.kernel)  # before any data
     size = "the data in " + ", ".join(args.data)  # until the pair's shape is known
     try:  # data, a Gram matrix, lift, SVD or model file that cannot be allocated is a usage error
         pair, inputs = _training_pair(args)
@@ -173,7 +178,7 @@ def cmd_fit(args) -> int:
             dictionary = build_dictionary(args.dict, pair.n_observables, snapshots=pair.x)
             model = fit_edmd(pair, dictionary, rtol=args.rtol)
         else:
-            model = fit_kernel_edmd(pair, parse_kernel(args.kernel), rtol=args.rtol)
+            model = fit_kernel_edmd(pair, kernel, rtol=args.rtol)
         del pair  # the model keeps what it needs of the data; saving it needs none
         for flag in model.flags:
             _note(f"note: {flag}")
@@ -353,17 +358,15 @@ def main(argv=None) -> int:
         return 1
     except OSError as err:  # the files a command writes raise DataError
         _quiet_stdout()
-        _note(f"error: cannot write standard output: {err}")
-        return 3
+        code, text = 3, f"cannot write standard output: {err}"
     except ConfigError as err:
-        _note(f"error: {err}")
-        return 2
+        code, text = 2, str(err)
     except (DataError, ShapeError) as err:
-        _note(f"error: {err}")
-        return 3
+        code, text = 3, str(err)
     except NumericalError as err:
-        _note(f"error: {err}")
-        return 4
+        code, text = 4, str(err)
+    _note("error: " + text.translate(_ESCAPES))
+    return code
 
 
 def run() -> int:

@@ -11,10 +11,10 @@ one-step map Re(V Lambda C), whatever the fitter.
 
 A real map's eigenvalues, modes and eigenfunctions come in conjugate pairs,
 so a model holds V and C in pair form, the real matrices a model file
-stores (``_pair_form``); ``SpectralModel.modes_v`` and ``.coeffs`` rebuild
-the complex ones when asked. A fit forms both by real products: C as the
-pair form of inv(P) times the real R below, V as M times the pair form of
-P. The one-step map Re(V Lambda C) is the real product (V_pf B) C_pf
+stores: a real eigenvalue's column of V (row of C) holds its vector, an
+upper member's the real part and its lower partner's the imaginary part;
+``SpectralModel.modes_v`` and ``.coeffs`` rebuild the complex ones when
+asked. The one-step map Re(V Lambda C) is the real product (V_pf B) C_pf
 (``_one_step``). The forecast runs over the real eigenvalues and the upper
 members only, with the upper amplitudes doubled: each block of steps is
 Re(T W) = Re(T) Re(W) - Im(T) Im(W), one real product of a fixed table T of
@@ -35,19 +35,23 @@ squares successor of x_k, R = pinv(x_k), M = x_k), the leading left
 singular vectors U of x (SVD DMD: R = U^T, M = xp W inv(Sigma), modes
 divided by lambda) or of the lift theta(x) (EDMD: R = U^T, M = x W
 inv(Sigma)), or the Gram factor G = Q S^2 Q^T (kernel EDMD: R = inv(S)
-Q^T, M = x Q inv(S)).
+Q^T, M = x Q inv(S)). No complex matrix is formed: ``linalg.eig`` returns
+P in pair form P_r, and P = P_r T, where T's block on a pair's (upper,
+lower) slots is [[1, 1], [i, -i]]. So V_pf = M P_r and C_pf = S inv(P_r) R,
+S being 1 at a real eigenvalue, 1/2 at an upper member, -1/2 at a lower one.
 
-The eigenbasis inverse (``_invert_basis``) computes inv(P) first and judges
-the basis by the 1-norm condition number kappa_1 = |P|_1 |inv(P)|_1, which
-costs two column sums where the 2-norm kappa_2 costs a full SVD. Since
-kappa_2 / r <= kappa_1 <= r kappa_2 for an r x r basis, the two rules can
-disagree only when kappa_2 lies within a factor r of the 1e12 limit. A
-basis that inv finds exactly singular, whose inverse is not finite, or
-whose kappa_1 passes the limit is inverted by pinv and flagged
-eigenvector_basis_singular. The modes need no inverse, so such a model
-keeps its modes and training residual, but its eigenfunctions are not
-defined: ``eigenfunction_values``, ``full_operator`` and ``predict`` refuse
-it with a NumericalError.
+The eigenbasis inverse (``_invert_basis``) computes inv(P_r) and judges
+the basis by kappa_1 = |P_r|_1 |inv(P_r)|_1, which costs two column sums
+where the 2-norm kappa_2 costs a full SVD. As kappa_2 / r <= kappa_1 <=
+r kappa_2 for an r x r basis, and kappa_2(P_r) is within a factor sqrt(2)
+of kappa_2(P) (T / sqrt(2) is unitary on each pair block), the rule can
+disagree with one on kappa_2(P) only within a factor sqrt(2) r of the 1e12
+limit. A basis that inv finds exactly singular, whose inverse is not
+finite, or whose kappa_1 passes the limit is inverted by pinv (exact for P
+too: pinv(P) = inv(T) pinv(P_r)) and flagged eigenvector_basis_singular.
+The modes need no inverse, so such a model keeps its modes and training
+residual, but its eigenfunctions are not defined: ``eigenfunction_values``,
+``full_operator`` and ``predict`` refuse it with a NumericalError.
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ _COMPANION_RTOL = 1e-12
 # pinv and the fit is flagged eigenvector_basis_singular
 _BASIS_CONDITION_LIMIT = 1e12
 _ZERO_EIGENVALUE_TOL = 1e-12
+# every flag a fit can raise; saving and loading a model refuse any other
+_FIT_FLAGS = ("eigenvector_basis_singular", "zero_eigenvalue_modes", "degenerate_single_column")
 # forecast steps advanced per block in _spectral_predict
 _PREDICT_BLOCK = 256
 # snapshot columns per block of a training residual in _relative_error
@@ -130,16 +136,6 @@ def _relative_error(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     return float(np.sqrt(total) / (denom if denom > 0 else 1.0))
 
 
-def _pair_form(rows: np.ndarray, upper, lower) -> np.ndarray:
-    """Real rows (one per eigenvalue) holding conjugate-closed complex ``rows``,
-    in ``rows``' layout: the real part, with each lower row replaced by its
-    upper row's imaginary part, and every zero +0.0, as a model file stores it."""
-    out = rows.real.copy(order="K")
-    out[lower] = rows.imag[upper]
-    out += 0.0
-    return out
-
-
 def _from_pair_form(stored: np.ndarray, values) -> np.ndarray:
     """The complex rows whose pair form under eigenvalues ``values`` is ``stored``,
     in ``stored``'s layout; NumericalError unless ``values`` is conjugate-closed."""
@@ -176,7 +172,7 @@ def _one_step(model: SpectralModel) -> np.ndarray:
 
 
 def _invert_basis(p: np.ndarray):
-    """The inverse of an eigenvector matrix and the flags its inversion raised.
+    """The inverse of a real eigenvector basis and the flags its inversion raised.
 
     P falls back to pinv, flagged eigenvector_basis_singular, when inv finds
     it exactly singular or kappa_1 = |P|_1 |inv(P)|_1 is not at most
@@ -200,19 +196,22 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, train, exact=False,
 
     ``reduce`` (r x f) maps a feature vector to subspace coordinates, so
     C = inv(P) reduce; ``mode_base`` (n x r) maps subspace coordinates to
-    the observables, so V = mode_base P. Both are real, so V and C are formed
-    in pair form, with zeros +0.0 as a model file holds them. With ``exact``
-    (SVD DMD) the modes are mode_base P / lambda, and those of |lambda| <=
-    _ZERO_EIGENVALUE_TOL are zero and flagged zero_eigenvalue_modes. The
-    residuals are ``residuals`` and training, over the features ``train``.
+    the observables, so V = mode_base P. Both are real, as is P's pair form
+    P_r, so V_pf = mode_base P_r and C_pf = S inv(P_r) reduce, with zeros
+    +0.0 as a model file holds them. With ``exact`` (SVD DMD) the modes are
+    mode_base P / lambda, and those of |lambda| <= _ZERO_EIGENVALUE_TOL are
+    zero and flagged zero_eigenvalue_modes. The residuals are ``residuals``
+    and training, over the features ``train``.
     """
     spectrum = eig(k_hat)
     values = spectrum.values
     _, upper, lower = conjugate_pairs(values)
-    p_inv, basis_flags = _invert_basis(spectrum.vectors)
-    coeffs = _pair_form(p_inv, upper, lower) @ reduce
-    modes = mode_base @ _pair_form(spectrum.vectors.T, upper, lower).T
-    del spectrum, p_inv  # r x r complex each; the residual need not sit on them
+    p_inv, basis_flags = _invert_basis(spectrum.basis)
+    p_inv[upper] *= 0.5
+    p_inv[lower] *= -0.5
+    coeffs = p_inv @ reduce
+    modes = mode_base @ spectrum.basis
+    del spectrum, p_inv  # r x r each; the residual need not sit on them
     if exact:
         alive = np.abs(values) > _ZERO_EIGENVALUE_TOL
         inverse = np.divide(1.0, values, out=np.zeros_like(values), where=alive)

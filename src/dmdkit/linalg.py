@@ -13,8 +13,8 @@ Every fitting routine in the package funnels its eigenvalue problems through
   imaginary part, so the upper-half-plane member of a conjugate pair comes
   first, though not always next to its partner: eigenvalues of equal modulus
   interleave (e.g. on the unit circle);
-* eigenvectors have unit 2-norm and are rotated so their first nonzero
-  component lies on the positive real axis.
+* eigenvectors have unit 2-norm, their first nonzero component on the
+  positive real axis, and ``eig`` returns them as one real matrix.
 
 ``conjugate_pairs`` finds the real eigenvalues and the two members of each
 conjugate pair by exact value; a real matrix gives its conjugate pairs
@@ -69,10 +69,10 @@ class SvdFactors:
 
 @dataclass(frozen=True)
 class EigenPairs:
-    """Eigenvalues with matched eigenvectors (column ``i`` pairs with ``values[i]``)."""
+    """Eigenvalues and their eigenvectors in pair form (see ``eig``)."""
 
     values: np.ndarray
-    vectors: np.ndarray
+    basis: np.ndarray
 
 
 def spectral_order(values: np.ndarray) -> np.ndarray:
@@ -138,39 +138,29 @@ def svd_truncated(m, rtol: float = DEFAULT_RTOL) -> SvdFactors:
     return SvdFactors(u[:, :rank].copy(), s[:rank].copy(), vt[:rank].T.copy())
 
 
-def _canonical_columns(vecs: np.ndarray) -> np.ndarray:
-    """Unit-normalize columns and rotate each first nonzero entry to be positive real."""
-    out = np.array(vecs, dtype=complex)
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        v = v / norm
-        nonzero = np.flatnonzero(np.abs(v) > 1e-12)
-        if nonzero.size:
-            lead = v[nonzero[0]]
-            v = v * (np.conj(lead) / np.abs(lead))
-        out[:, j] = v
-    return out
-
-
 def eig(m) -> EigenPairs:
     """Eigendecomposition of a square real matrix under the package conventions.
 
     Eigenvalues are sorted by descending magnitude (ties: descending imaginary
-    part); eigenvectors are unit-norm with their first nonzero component made
-    positive real. Complex eigenvalues of a real matrix come in exact
-    conjugate pairs whose eigenvectors are exact conjugates, the upper-half
-    plane member first; the two are adjacent only when no other eigenvalue
-    has the same modulus (``conjugate_pairs`` finds them in any order).
+    part), so a conjugate pair's upper member comes first, next to its partner
+    only when no other eigenvalue has the same modulus. The eigenvectors p are
+    unit-norm with their first entry above 1e-12 in modulus positive real;
+    ``basis`` holds them as LAPACK's dgeev lays them out, in pair form: a real
+    eigenvalue's column is its p, an upper member's Re p, its partner's Im p.
     """
     arr = _as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"eig needs a square matrix, got shape {arr.shape}")
     values, vectors = np.linalg.eig(arr)
     order = spectral_order(values)
-    return EigenPairs(values[order], _canonical_columns(vectors[:, order]))
+    # LAPACK returns unit-norm columns, so no norm is zero
+    vectors /= np.linalg.norm(vectors, axis=0)
+    lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(arr.shape[0])]
+    vectors *= np.conj(lead) / np.abs(lead)
+    # a lower member's vector is the exact conjugate of its partner's, so its
+    # slot's Im p, the partner's imaginary part, is minus its own
+    np.negative(vectors.imag, out=vectors.real, where=values.imag < 0)
+    return EigenPairs(values[order], vectors.real[:, order])
 
 
 def conjugate_pairs(values):

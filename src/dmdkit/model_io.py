@@ -34,12 +34,12 @@ refuse eigenvalues not closed under conjugation, which no pair form fits.
 
 Reading uses the stdlib json parser with NaN and Infinity refused, then
 checks every field's type, every matrix payload's base64 alphabet, padding
-and length, every number's finiteness, that the observable is ``embed_h``
-rows of at least one state and ``inputs`` inputs (saving refuses a record
-that breaks this rule, through the same check), and that the matrix shapes
-agree with each other and with the fit metadata, so a damaged file raises
-``DataError`` rather than failing later or forecasting wrongly. Files of any
-other schema version, older ones included, are refused.
+and length, every number's finiteness, that each flag is one a fit raises
+and the observable ``embed_h`` rows of at least one state and ``inputs``
+inputs (saving refuses a record that breaks either rule, in the same
+words), and that the matrix shapes agree with each other and with the fit
+metadata, so a damaged file raises ``DataError`` rather than failing later
+or forecasting wrongly. Files of any other schema version are refused.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import write_text_file
-from .dmd import SpectralModel
+from .dmd import _FIT_FLAGS, SpectralModel
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .linalg import conjugate_pairs
 from .observables import (Dictionary, IdentityDictionary, KernelDictionary,
@@ -225,6 +225,13 @@ def _check_features(algorithm: str, features, error) -> None:
                     f"{type(features).__name__} features")
 
 
+def _check_flags(flags, error) -> None:
+    for flag in flags:
+        if flag not in _FIT_FLAGS:
+            raise error(f"model flag {flag!r:.40} is not one a fit raises "
+                        f"({', '.join(_FIT_FLAGS)})")
+
+
 def _split(fit_meta: dict, error) -> tuple[int, int, int]:
     """``embed_h``, ``inputs`` and ``observable_dim`` of the fit metadata,
     checked to be ``embed_h`` rows of at least one state and ``inputs`` inputs."""
@@ -239,10 +246,11 @@ def _split(fit_meta: dict, error) -> tuple[int, int, int]:
 
 def save_model(record: ModelRecord, path) -> None:
     """Write the record as schema-versioned JSON, refusing a record the loader
-    would refuse for its features or its observable split (``ConfigError``)
+    would refuse for its features, flags or observable split (``ConfigError``)
     or for eigenvalues not closed under conjugation (``NumericalError``)."""
     model = record.model
     _check_features(record.algorithm, model.features, ConfigError)
+    _check_flags(model.flags, ConfigError)
     arrays = _arrays_for(model)
     if not all(np.isfinite(value).all() for value in arrays.values() if value is not None):
         raise DataError("model matrices must be finite")
@@ -342,7 +350,7 @@ def load_model(path) -> ModelRecord:
     flags = _require(payload, "flags", "top-level")
     if not isinstance(flags, list):
         raise DataError("model file 'flags' must be a list")
-    flags = tuple(_string(flag, "flag") for flag in flags)
+    _check_flags(flags, DataError)
     residuals = _require(fit_meta, "residuals", "fit")
     if not isinstance(residuals, dict):
         raise DataError("model file 'residuals' must be a JSON object")
@@ -363,7 +371,7 @@ def load_model(path) -> ModelRecord:
         modes_pf=m["modes"],
         coeffs_pf=m["coeffs"],
         features=_features(algorithm, fit_meta, n, m),
-        flags=flags,
+        flags=tuple(flags),
         residuals=residuals,
     )
     return ModelRecord(

@@ -69,6 +69,10 @@ dmdkit fit --algo edmd --dict rbf:1:8 --data rot.csv --out rbf.json
 dmdkit predict rbf.json ic.csv 5
 dmdkit fit --algo kernel-edmd --kernel gaussian:1 --data rot.csv --out kernel.json
 dmdkit predict kernel.json ic.csv 5
+# a line break in a quoted value is escaped, so the error stays one line
+status=0; dmdkit fit --algo kernel-edmd --kernel $'gauss\nian:1' --data rot.csv --out nl.json 2> nl.err || status=$?; test "$status" -eq 2
+test "$(wc -l < nl.err)" -eq 1
+grep -q '^error: .*gauss\\nian' nl.err
 # The shift map (x1, x2) -> (x2, 0) has a singular eigenvector basis: its
 # companion, SVD DMD and EDMD fits save a model flagged so, whose spectrum
 # prints, and predict refuses it (exit 4)
@@ -83,6 +87,12 @@ for model in shift-dmd shift-edmd shift-companion; do
   status=0; dmdkit predict $model.json shift-ic.csv 2 > $model.csv || status=$?; test "$status" -eq 4
   test ! -s $model.csv
 done
+# a flag no fit raises makes a model file malformed (exit 3), where loading it
+# as unflagged would let predict forecast
+sed 's/"eigenvector_basis_singular"/"x"/' shift-edmd.json > shift-x.json
+grep -q '"x"' shift-x.json
+status=0; dmdkit predict shift-x.json shift-ic.csv 2 > shift-x.csv || status=$?; test "$status" -eq 3
+test ! -s shift-x.csv
 # The quadratic system closes on {1, x1, x2, x1^2}, so a poly:2 EDMD fit of it
 # has mu^2 = 0.81 among its eigenvalues; a rotation seen through x1 writes x1 only
 dmdkit simulate --system quadratic --mu 0.9 --lam 0.5 --c 1 --x0=1,-0.4 --steps 30 --out quad.csv

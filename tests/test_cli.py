@@ -852,6 +852,26 @@ def test_flagged_model_without_flags_key_exits_3(capsys, tmp_path):
     assert "'flags'" in err
 
 
+@pytest.mark.parametrize("kernel", [None, "gauss\nian:1", "gauss\u2028ian:1"],
+                         ids=["csv-field", "kernel-newline", "kernel-line-separator"])
+def test_error_quoting_a_line_break_stays_one_line(capsys, tmp_path, kernel):
+    # a quoted CSV field (exit 3) and a --kernel value (exit 2) may hold a
+    # line break, which the one error line quotes escaped
+    if kernel is None:
+        data = tmp_path / "data.csv"
+        data.write_text('t,x1,x2\n0,1,"1\n2"\n1,2,3\n')
+        argv, expected = ["--algo", "dmd"], (3, r"non-numeric value '1\n2'")
+    else:
+        data = write_diag_traj(capsys, tmp_path)
+        argv = ["--algo", "kernel-edmd", "--kernel", kernel]
+        expected = (2, repr(kernel))
+    code, out, err = run(capsys, ["fit", *argv, "--data", str(data),
+                                  "--out", str(tmp_path / "model.json")])
+    assert (code, out) == (expected[0], "")
+    assert one_error_line(err) and expected[1] in err.splitlines()[-1]
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
 def one_error_line(err):
     """One ``error:`` line, after any progress notes, and no traceback."""
     lines = err.splitlines()

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dmdkit import dmd as dmd_module
+from dmdkit import edmd as edmd_module
+from dmdkit import kernel_edmd as kernel_edmd_module
 from dmdkit.data import (
     SnapshotPair,
     Trajectory,
@@ -18,7 +21,6 @@ from dmdkit.dmd import (
     _RESIDUAL_BLOCK,
     _from_pair_form,
     _invert_basis,
-    _pair_form,
     _spectral_predict,
     eigenfunction_values,
     embedding_sweep,
@@ -222,7 +224,8 @@ def test_eigenvector_residual_invariant():
         res = left @ k_hat - model.eigenvalues[:, None] * left
         scale = np.maximum(1.0, np.abs(model.eigenvalues)) * np.linalg.norm(left, axis=1)
         assert np.all(np.linalg.norm(res, axis=1) <= 1e-8 * scale)
-        vectors = eig(k_hat).vectors
+        spectrum = eig(k_hat)
+        vectors = _from_pair_form(spectrum.basis.T, spectrum.values).T
         assert_allclose(left @ vectors, np.eye(vectors.shape[0]), atol=1e-8)
 
 def pair_count_of_exactly_closed(model):
@@ -241,21 +244,71 @@ def pair_count_of_exactly_closed(model):
     return upper.size
 
 
-def test_pair_form_round_trip_closes_rows_and_stores_plus_zeros():
-    # rows of a real eigenvalue, an upper and its lower member; the round
-    # trip keeps the real row's real part and the upper row, and makes the
-    # lower row the upper one's conjugate, with every stored zero +0.0
+def test_from_pair_form_closes_rows_of_a_stored_pair_form():
+    # stored rows of a real eigenvalue, an upper and its lower member: the
+    # real row stays real, the upper row takes the lower one as its
+    # imaginary part, and the lower row becomes the upper one's conjugate,
+    # with no -0.0 in the real and upper rows
     values = np.array([0.5, 0.9 + 0.1j, 0.9 - 0.1j])
-    _, upper, lower = conjugate_pairs(values)
-    rows = np.empty((3, 2), dtype=complex)
-    rows.real = [[-0.0, 1.0], [-0.0, 3.0], [9.0, 9.0]]
-    rows.imag = [[1.0, 0.0], [2.0, -0.0], [9.0, 9.0]]
-    stored = _pair_form(rows, upper, lower)
-    assert_array_equal(stored, [[0.0, 1.0], [0.0, 3.0], [2.0, 0.0]])
-    assert not np.signbit(stored).any()
+    stored = np.array([[0.0, 1.0], [0.0, 3.0], [2.0, 0.0]])
     closed = _from_pair_form(stored, values)
     assert_array_equal(closed, [[0.0, 1.0], [2.0j, 3.0], [-2.0j, 3.0]])
     assert not np.signbit(closed[:2].view(float)).any()
+
+
+def _canonical_loop(vectors):
+    """Unit-normalize columns and rotate each first entry above 1e-12 in
+    modulus to be positive real, one column at a time: the reference for
+    ``eig``'s vectorized pass."""
+    out = np.array(vectors, dtype=complex)
+    for j in range(out.shape[1]):
+        v = out[:, j] / np.linalg.norm(out[:, j])
+        lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
+        out[:, j] = v * (np.conj(lead) / np.abs(lead))
+    return out
+
+
+@pytest.mark.parametrize("algo", ["companion", "dmd", "edmd", "kernel-edmd"])
+def test_fit_from_real_basis_matches_complex_eigenvectors(monkeypatch, algo):
+    # A fit inverts the real pair-form basis P_r. Against C = inv(P) R and
+    # V = M P formed from numpy's complex eigenvectors of the same K^, put in
+    # eig's canonical form column by column, coeffs and modes agree within
+    # 1e-12 of their largest entry (1.3e-15 seen); the eigenvalues are
+    # numpy's, sorted, bit for bit
+    calls = []
+
+    def spy(k_hat, reduce, mode_base, *args, **kwargs):
+        calls.append((k_hat, reduce, mode_base, kwargs.get("exact", False)))
+        return projected_fit(k_hat, reduce, mode_base, *args, **kwargs)
+
+    projected_fit = dmd_module._projected_fit
+    for module in (dmd_module, edmd_module, kernel_edmd_module):
+        monkeypatch.setattr(module, "_projected_fit", spy)
+    # two damped rotations in a seeded orthogonal frame
+    rng = np.random.default_rng(23)
+    blocks = np.zeros((4, 4))
+    for k, (radius, theta) in enumerate([(0.95, 0.4), (0.9, 1.3)]):
+        c, s = radius * np.cos(theta), radius * np.sin(theta)
+        blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+    frame = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    pair = linear_pair(frame @ blocks @ frame.T, rng.standard_normal(4), steps=12)
+    model = {
+        "companion": lambda: fit_companion(pair),
+        "dmd": lambda: fit_svd_dmd(pair),
+        "edmd": lambda: fit_edmd(pair, build_dictionary("poly:2", 4)),
+        "kernel-edmd": lambda: fit_kernel_edmd(pair, parse_kernel("gaussian:2")),
+    }[algo]()
+    (k_hat, reduce, mode_base, exact), = calls
+    values, vectors = np.linalg.eig(k_hat)
+    order = spectral_order(values)
+    assert np.any(values.imag) and model.flags == ()
+    assert_array_equal(model.eigenvalues, values[order])
+    p = _canonical_loop(vectors[:, order])
+    coeffs = np.linalg.inv(p) @ reduce
+    modes = mode_base @ p / (values[order] if exact else 1.0)
+    for found, expected in ((model.coeffs, coeffs), (model.modes_v, modes)):
+        assert np.max(np.abs(found - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 def test_conjugate_symmetry_of_real_fits():
     rng = np.random.default_rng(17)

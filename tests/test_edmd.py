@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 from dataclasses import replace
 
 from dmdkit.data import Trajectory, concat_pairs, snapshot_pairs
-from dmdkit.dmd import _pair_form, eigenfunction_values, fit_svd_dmd, predict
+from dmdkit.dmd import _from_pair_form, eigenfunction_values, fit_svd_dmd, predict
 from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.errors import ConfigError, NumericalError, ShapeError
-from dmdkit.linalg import conjugate_pairs, eig, svd_truncated
+from dmdkit.linalg import eig, svd_truncated
 from dmdkit.observables import (CustomDictionary, IdentityDictionary, PolynomialDictionary,
                                 build_dictionary)
 from dmdkit.systems import linear_system, quadratic_system, simulate
@@ -33,7 +33,8 @@ def lifted_basis(pair, dictionary):
     lifted = lift_snapshots(pair, dictionary)
     factors = svd_truncated(lifted.x)
     k_hat = factors.u.T @ lifted.xp @ (factors.w / factors.sigma)
-    return factors.u @ eig(k_hat).vectors
+    spectrum = eig(k_hat)
+    return factors.u @ _from_pair_form(spectrum.basis.T, spectrum.values).T
 
 
 def rotation_pair(seed):
@@ -133,11 +134,12 @@ def test_modes_equal_the_explicit_d_u_p_product(system, spec, steps):
     factors = svd_truncated(lifted.x)
     k_hat = factors.u.T @ (lifted.xp @ (factors.w / factors.sigma))
     d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
-    explicit = d_coeffs @ factors.u @ eig(k_hat).vectors
+    basis = eig(k_hat).basis
+    explicit_pf = d_coeffs @ factors.u @ basis
+    explicit = _from_pair_form(explicit_pf.T, model.eigenvalues).T
     assert model.flags == ()
     assert np.max(np.abs(model.modes_v - explicit)) <= 1e-14 * np.max(np.abs(model.modes_v))
-    _, upper, lower = conjugate_pairs(model.eigenvalues)
-    reference = replace(model, modes_pf=_pair_form(explicit.T, upper, lower).T)
+    reference = replace(model, modes_pf=explicit_pf)
     z0 = pair.x[:, -1]
     expected = predict(reference, z0, steps)
     assert np.max(np.abs(predict(model, z0, steps) - expected)) <= 1e-13 * np.max(np.abs(expected))

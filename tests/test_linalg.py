@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dmdkit.dmd import _from_pair_form
 from dmdkit.errors import ConfigError, EmptyRankError, NumericalError, ShapeError
 from dmdkit.linalg import DEFAULT_RTOL, conjugate_pairs, eig, spectral_order, svd_truncated
 
@@ -79,9 +80,10 @@ def test_eig_companion_of_hand_factored_polynomial():
     c = np.array([[0.0, -6.0], [1.0, 5.0]])
     pairs = eig(c)
     assert_allclose(pairs.values, [3.0, 2.0], atol=1e-12)
-    # eigenvector residual and normalization
+    # eigenvector residual and normalization; a real eigenvalue's basis
+    # column is its eigenvector
     for i in range(2):
-        v = pairs.vectors[:, i]
+        v = pairs.basis[:, i]
         assert_allclose(np.linalg.norm(v), 1.0, atol=1e-12)
         resid = c @ v - pairs.values[i] * v
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(c)
@@ -99,8 +101,13 @@ def test_eig_first_nonzero_component_rotated_positive_real():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((5, 5))
     pairs = eig(m)
+    # the complex eigenvectors, rebuilt from their pair form
+    vectors = _from_pair_form(pairs.basis.T, pairs.values).T
+    assert np.any(pairs.values.imag)  # the seed gives a conjugate pair
     for j in range(5):
-        v = pairs.vectors[:, j]
+        v = vectors[:, j]
+        assert_allclose(np.linalg.norm(v), 1.0, atol=1e-12)
+        assert np.linalg.norm(m @ v - pairs.values[j] * v) <= 1e-12 * np.linalg.norm(m)
         lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
         assert lead.real > 0

@@ -1,6 +1,7 @@
 import base64
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -533,6 +534,32 @@ def test_eigenvalues_not_closed_under_conjugation_exit_3(tmp_path, capsys, make_
         assert main(argv) == 3
         assert capsys.readouterr().err == "error: model file eigenvalues are not closed " \
             "under conjugation, as the spectrum of a real map must be\n"
+
+
+@pytest.mark.parametrize("flags", [["x"], ["eigenvector_basis_singular", "x"], [1]])
+def test_flags_no_fit_raises_are_refused_when_loaded_or_saved(tmp_path, capsys, flags):
+    # loaded as no flag, ["x"] would let predict forecast; saving refuses
+    # what loading refuses, in its words, and writes no file
+    record = dmd_record()
+    path = tmp_path / "model.json"
+    save_model(record, path)
+    payload = json.loads(path.read_text())
+    payload["flags"] = flags
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"model flag {flags[-1]!r} is not one a fit raises") \
+            as refused:
+        load_model(path)
+    ic = tmp_path / "ic.csv"
+    ic.write_text(",".join(["0.5"] * payload["fit"]["observable_dim"]) + "\n")
+    assert main(["predict", str(path), str(ic), "2"]) == 3
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    flagged = ModelRecord(algorithm="dmd", model=replace(record.model, flags=tuple(flags)),
+                          rtol=record.rtol)
+    saved = tmp_path / "saved.json"
+    with pytest.raises(ConfigError) as err:
+        save_model(flagged, saved)
+    assert str(err.value) == str(refused.value)
+    assert not saved.exists()
 
 
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)
