@@ -270,8 +270,13 @@ def cmd_predict(args) -> int:
 # ------------------------------------------------------------------- parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is one error: line, exit 2
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmdkit",
         description="Koopman spectral analysis of snapshot time series",
     )
@@ -344,15 +349,13 @@ def _quiet_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return int(err.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # so a failed write shows here, not at exit
         return code
+    except SystemExit as err:  # --help prints its text and exits 0
+        return int(err.code or 0)
     except BrokenPipeError:  # the reader left early, as `| head` does
         _quiet_stdout()
         return 1

@@ -15,30 +15,33 @@ stores: a real eigenvalue's column of V (row of C) holds its vector, an
 upper member's the real part and its lower partner's the imaginary part;
 ``SpectralModel.modes_v`` and ``.coeffs`` rebuild the complex ones when
 asked. The one-step map Re(V Lambda C) is the real product (V_pf B) C_pf
-(``_one_step``). The forecast runs over the real eigenvalues and the upper
-members only, with the upper amplitudes doubled: each block of steps is
+(``full_operator``). The forecast runs over the real eigenvalues and the
+upper members only, with the upper amplitudes doubled: each block of steps is
 Re(T W) = Re(T) Re(W) - Im(T) Im(W), one real product of a fixed table T of
 eigenvalue powers Lambda^1 .. Lambda^b with weights W that carry
 Lambda^(jb) for block j (``_spectral_predict`` states its growth bound and
 tolerance). Every fitter's training residual is the one-step defect
 ||xp - Re(V Lambda C) F|| / ||xp|| of the model on its training features F
-(x, its lift, or the Gram matrix of x), summed over column blocks within
-1e-13 absolute of the one-shot product.
+(x, its lift, or the Gram matrix of x), summed over column blocks of a
+factor of F, so no n x f map is formed.
 
 All four fitters are one construction (``_projected_fit``): each
 eigendecomposes a reduced operator K^ = P Lambda inv(P) on a feature
 subspace, with C = inv(P) R and V = M P, where R maps features to subspace
-coordinates and M maps those to the observables. Only the basis differs:
-the leading k = min(n, m) Krylov columns x_k = x[:, :k] of one trajectory
-(companion, Rowley et al. 2009: K^ is the companion matrix of the least
-squares successor of x_k, R = pinv(x_k), M = x_k), the leading left
-singular vectors U of x (SVD DMD: R = U^T, M = xp W inv(Sigma), modes
-divided by lambda) or of the lift theta(x) (EDMD: R = U^T, M = x W
-inv(Sigma)), or the Gram factor G = Q S^2 Q^T (kernel EDMD: R = inv(S)
-Q^T, M = x Q inv(S)). No complex matrix is formed: ``linalg.eig`` returns
-P in pair form P_r, and P = P_r T, where T's block on a pair's (upper,
-lower) slots is [[1, 1], [i, -i]]. So V_pf = M P_r and C_pf = S inv(P_r) R,
-S being 1 at a real eigenvalue, 1/2 at an upper member, -1/2 at a lower one.
+coordinates and M maps those to the observables, and R F = coords right.
+Only the basis differs: the leading k = min(n, m) Krylov columns x_k =
+x[:, :k] of one trajectory (companion, Rowley et al. 2009: K^ is the
+companion matrix of the least squares successor of x_k, R = coords =
+pinv(x_k), M = x_k, right = x), the Gram factor G = Q S^2 Q^T (kernel EDMD:
+R = coords = inv(S) Q^T, M = x Q inv(S), right = G), or the leading left
+singular vectors U of the features theta(x) = U Sigma W^T (``_svd_fit``:
+R = U^T, coords = Sigma and right = W^T at any cut rank; M = x W inv(Sigma)
+for an EDMD lift, and SVD DMD is EDMD over the identity with exact modes
+xp W inv(Sigma) P / lambda, Tu et al. 2014). No complex matrix is formed:
+``linalg.eig`` returns P in pair form P_r, and P = P_r T, where T's block
+on a pair's (upper, lower) slots is [[1, 1], [i, -i]]. So V_pf = M P_r and
+C_pf = S inv(P_r) R, S being 1 at a real eigenvalue, 1/2 at an upper
+member, -1/2 at a lower one.
 
 The eigenbasis inverse (``_invert_basis``) computes inv(P_r) and judges
 the basis by kappa_1 = |P_r|_1 |inv(P_r)|_1, which costs two column sums
@@ -56,7 +59,7 @@ residual, but its eigenfunctions are not defined: ``eigenfunction_values``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,7 +120,7 @@ class SpectralModel:
 
     @property
     def lifted_residual(self) -> float:
-        """EDMD's one-step defect in dictionary space."""
+        """An SVD fit's one-step defect in feature space."""
         return self.residuals["lifted"]
 
 
@@ -158,19 +161,6 @@ def _scaled(columns: np.ndarray, factors: np.ndarray, upper, lower) -> np.ndarra
     return out
 
 
-def _one_step(model: SpectralModel) -> np.ndarray:
-    """Re(V Lambda C) as the real product (V_pf B) C_pf, whatever the model's flags.
-
-    B is ``_scaled`` by Lambda, then a pair's columns times 2 and -2: a pair
-    adds 2 Re(lambda v c) = 2 Re(lambda v) Re(c) - 2 Im(lambda v) Im(c).
-    """
-    _, upper, lower = conjugate_pairs(model.eigenvalues)
-    left = _scaled(model.modes_pf, model.eigenvalues, upper, lower)
-    left[:, upper] *= 2.0
-    left[:, lower] *= -2.0
-    return left @ model.coeffs_pf
-
-
 def _invert_basis(p: np.ndarray):
     """The inverse of a real eigenvector basis and the flags its inversion raised.
 
@@ -190,8 +180,8 @@ def _invert_basis(p: np.ndarray):
     return p_inv, ()
 
 
-def _projected_fit(k_hat, reduce, mode_base, features, xp, train, exact=False,
-                   flags=(), **residuals) -> SpectralModel:
+def _projected_fit(k_hat, reduce, mode_base, features, xp, coords, right, exact=False,
+                   **residuals) -> SpectralModel:
     """The model of a reduced operator K^ = P Lambda inv(P) on a feature subspace.
 
     ``reduce`` (r x f) maps a feature vector to subspace coordinates, so
@@ -200,16 +190,19 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, train, exact=False,
     P_r, so V_pf = mode_base P_r and C_pf = S inv(P_r) reduce, with zeros
     +0.0 as a model file holds them. With ``exact`` (SVD DMD) the modes are
     mode_base P / lambda, and those of |lambda| <= _ZERO_EIGENVALUE_TOL are
-    zero and flagged zero_eigenvalue_modes. The residuals are ``residuals``
-    and training, over the features ``train``.
+    zero and flagged zero_eigenvalue_modes; one column pair is flagged
+    degenerate_single_column. The training residual takes reduce F = coords
+    right: S cancels B's 2 and -2, so Re(V Lambda C) F is ((V_pf Lambda)
+    (inv(P_r) coords)) right. ``residuals`` are stored as given.
     """
+    flags = ("degenerate_single_column",) if xp.shape[1] == 1 else ()
     spectrum = eig(k_hat)
     values = spectrum.values
     _, upper, lower = conjugate_pairs(values)
     p_inv, basis_flags = _invert_basis(spectrum.basis)
-    p_inv[upper] *= 0.5
-    p_inv[lower] *= -0.5
     coeffs = p_inv @ reduce
+    # companion and kernel EDMD pass coords = reduce: no second r x f product
+    fit_coords = coeffs if coords is reduce else p_inv @ coords
     modes = mode_base @ spectrum.basis
     del spectrum, p_inv  # r x r each; the residual need not sit on them
     if exact:
@@ -220,10 +213,12 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, train, exact=False,
             modes[:, ~alive] = 0.0
             flags = (*flags, "zero_eigenvalue_modes")
     modes += 0.0
+    training = _relative_error(xp, _scaled(modes, values, upper, lower) @ fit_coords, right)
+    coeffs[upper] *= 0.5  # after the residual: fit_coords may be coeffs
+    coeffs[lower] *= -0.5
     coeffs += 0.0
-    model = SpectralModel(values, modes, coeffs, features, flags=(*flags, *basis_flags))
-    training = _relative_error(xp, _one_step(model), train)
-    return replace(model, residuals={"training": training, **residuals})
+    return SpectralModel(values, modes, coeffs, features, flags=(*flags, *basis_flags),
+                         residuals={"training": training, **residuals})
 
 
 def fit_companion(pair: SnapshotPair) -> SpectralModel:
@@ -263,24 +258,29 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
     c_matrix[1:, :-1] = np.eye(k - 1)
     c_matrix[:, -1] = block_pinv @ xp[:, k - 1]
     return _projected_fit(c_matrix, block_pinv, block,
-                          IdentityDictionary(pair.n_observables), xp, x)
+                          IdentityDictionary(pair.n_observables), xp, block_pinv, x)
+
+
+def _svd_fit(pair: SnapshotPair, lifted: SnapshotPair, features: Dictionary,
+             rtol: float, exact: bool = False) -> SpectralModel:
+    """The fit on the leading left singular vectors U of lifted.x = theta(x),
+    with SVD DMD's modes if ``exact``. As U^T theta(x) = Sigma W^T, ``lifted``
+    is ||theta(xp) - (U K^ Sigma) W^T|| / ||theta(xp)|| and ``observable``
+    ||x - (x W) W^T|| / ||x||."""
+    svd = svd_truncated(lifted.x, rtol)
+    shifted = lifted.xp @ (svd.w / svd.sigma)
+    k_hat = svd.u.T @ shifted
+    return _projected_fit(
+        k_hat, svd.u.T, shifted if exact else pair.x @ (svd.w / svd.sigma), features,
+        pair.xp, np.diag(svd.sigma), svd.w.T, exact=exact,
+        lifted=_relative_error(lifted.xp, svd.u @ (k_hat * svd.sigma), svd.w.T),
+        observable=_relative_error(pair.x, pair.x @ svd.w, svd.w.T))
 
 
 def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel:
-    """Project the shift operator onto the leading singular subspace.
-
-    The reduced operator U^T xp W inv(Sigma) is eigendecomposed; the modes
-    are xp W inv(Sigma) P / lambda, and eigenfunctions are inv(P) U^T z.
-    The training residual is the model's one-step defect
-    ||xp - Re(V Lambda C) x|| / ||xp||.
-    """
-    factors = svd_truncated(pair.x, rtol)
-    shifted = pair.xp @ (factors.w / factors.sigma)  # formed once; no r x m product is
-    u_t = factors.u.T
-    del factors  # w is as large as x; eig and the residual need not sit on it
-    flags = ("degenerate_single_column",) if pair.x.shape[1] == 1 else ()
-    return _projected_fit(u_t @ shifted, u_t, shifted, IdentityDictionary(pair.n_observables),
-                          pair.xp, pair.x, exact=True, flags=flags)
+    """SVD DMD: ``_svd_fit`` over the identity dictionary, with exact modes
+    xp W inv(Sigma) P / lambda; eigenfunctions are inv(P) U^T z."""
+    return _svd_fit(pair, pair, IdentityDictionary(pair.n_observables), rtol, exact=True)
 
 
 def _require_basis(model: SpectralModel) -> None:
@@ -302,10 +302,16 @@ def full_operator(model: SpectralModel) -> np.ndarray:
     """The one-step map Re(V Lambda C) from features to observables.
 
     For SVD DMD on exact data this is the system matrix; in general it is
-    xp pinv(x) less the part carried by zero eigenvalues.
+    xp pinv(x) less the part carried by zero eigenvalues. It is (V_pf B)
+    C_pf: B is ``_scaled`` by Lambda, then a pair's columns times 2 and -2,
+    as a pair adds 2 Re(lambda v c) = 2 Re(lambda v) Re(c) - 2 Im(lambda v) Im(c).
     """
     _require_basis(model)
-    return _one_step(model)
+    _, upper, lower = conjugate_pairs(model.eigenvalues)
+    left = _scaled(model.modes_pf, model.eigenvalues, upper, lower)
+    left[:, upper] *= 2.0
+    left[:, lower] *= -2.0
+    return left @ model.coeffs_pf
 
 
 def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:

@@ -70,5 +70,6 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
     g_gram = kernel.gram(pair.x, pair.x)
     q, sigma = _gram_basis(g_gram, rtol)
     k_hat_u = (q.T @ kernel.gram(pair.x, pair.xp) @ q) / sigma[:, None] / sigma[None, :]
-    return _projected_fit(k_hat_u, q.T / sigma[:, None], pair.x @ q / sigma[None, :],
-                          KernelDictionary(kernel, pair.x), pair.xp, g_gram)
+    reduce = q.T / sigma[:, None]
+    return _projected_fit(k_hat_u, reduce, pair.x @ q / sigma[None, :],
+                          KernelDictionary(kernel, pair.x), pair.xp, reduce, g_gram)

@@ -20,6 +20,12 @@ grep '"schema_version": 7' model.json
 sed 's/"schema_version": 7/"schema_version": 6/' model.json > model6.json
 status=0; dmdkit spectrum model6.json || status=$?; test "$status" -eq 3
 dmdkit spectrum model.json > spectrum.csv
+# SVD DMD is EDMD over the identity dictionary: the same spectrum, and its
+# model file holds the same three residuals
+dmdkit fit --algo edmd --dict identity --data rot.csv --out identity.json
+dmdkit spectrum identity.json | cmp - spectrum.csv
+grep -q '"lifted"' model.json
+grep -q '"observable"' model.json
 sed 's/$/\r/' rot.csv > rot-crlf.csv
 { printf '\xef\xbb\xbf'; cat rot.csv; } > rot-bom.csv
 for copy in crlf bom; do
@@ -73,6 +79,10 @@ dmdkit predict kernel.json ic.csv 5
 status=0; dmdkit fit --algo kernel-edmd --kernel $'gauss\nian:1' --data rot.csv --out nl.json 2> nl.err || status=$?; test "$status" -eq 2
 test "$(wc -l < nl.err)" -eq 1
 grep -q '^error: .*gauss\\nian' nl.err
+# a malformed command line is one error line too, with no usage text
+status=0; dmdkit fit --algo bogus --data rot.csv --out bogus.json 2> bogus.err || status=$?; test "$status" -eq 2
+test "$(wc -l < bogus.err)" -eq 1
+grep -q "^error: argument --algo: invalid choice: 'bogus'" bogus.err
 # The shift map (x1, x2) -> (x2, 0) has a singular eigenvector basis: its
 # companion, SVD DMD and EDMD fits save a model flagged so, whose spectrum
 # prints, and predict refuses it (exit 4)

@@ -11,12 +11,14 @@ import sys
 import numpy as np
 
 from dmdkit.data import SnapshotPair, delay_embed, snapshot_pairs
-from dmdkit.dmd import fit_companion, fit_svd_dmd, full_operator
+from dmdkit.dmd import _from_pair_form, fit_companion, fit_svd_dmd, full_operator
 from dmdkit.dmd import eigenfunction_values as dmd_phi
 from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.kernel_edmd import fit_kernel_edmd
 from dmdkit.kernel_edmd import eigenfunction_values as kernel_phi
-from dmdkit.observables import CustomDictionary, PolynomialDictionary, PolynomialKernel
+from dmdkit.linalg import eig, svd_truncated
+from dmdkit.observables import (CustomDictionary, IdentityDictionary, PolynomialDictionary,
+                                PolynomialKernel)
 from dmdkit.systems import (
     exact_lift_oracle,
     forced_linear_system,
@@ -138,6 +140,26 @@ def test_criterion_1_linear_exact_recovery():
             assert angular_error(modes[:, i], true_vectors[:, i]) <= 1e-6
     print("PASS criterion 1: 20 seeded stable systems recovered "
           "(eigenvalues 1e-7, mode angle 1e-6)")
+
+
+def test_svd_dmd_is_identity_edmd_on_criterion_1_systems():
+    # one SVD fit: DMD is EDMD over the identity dictionary, so the two agree
+    # bit for bit but in the modes, which DMD takes exact, xp W inv(Sigma) P
+    # / lambda, where EDMD's are x W inv(Sigma) P (Tu et al. 2014)
+    for n, _, pair in seeded_linear_problems():
+        dmd = fit_svd_dmd(pair)
+        edmd = fit_edmd(pair, IdentityDictionary(n))
+        assert np.array_equal(dmd.eigenvalues, edmd.eigenvalues)
+        assert np.array_equal(dmd.coeffs_pf, edmd.coeffs_pf)
+        for name in ("lifted", "observable"):
+            assert dmd.residuals[name] == edmd.residuals[name]
+        factors = svd_truncated(pair.x)
+        scaled = factors.w / factors.sigma
+        basis = eig(factors.u.T @ (pair.xp @ scaled)).basis
+        for model, base, divisor in ((dmd, pair.xp, dmd.eigenvalues), (edmd, pair.x, 1.0)):
+            explicit = _from_pair_form((base @ scaled @ basis).T, model.eigenvalues).T / divisor
+            assert np.max(np.abs(model.modes_v - explicit)) <= 1e-13 * np.max(np.abs(explicit))
+    print("PASS: SVD DMD is identity EDMD with exact modes on 20 seeded systems")
 
 
 def test_criterion_2_companion_svd_agreement():

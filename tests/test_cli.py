@@ -531,6 +531,28 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,words", [
+    (["fit", "--algo", "bogus", "--data", "x", "--out", "y"], "invalid choice: 'bogus'"),
+    (["fit", "--algo", "dmd", "--data", "x"], "required: --out"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["predict", "m.json", "ic.csv", "notint"], "invalid int value: 'notint'"),
+], ids=["bad-choice", "missing-flag", "unknown-subcommand", "non-integer-steps"])
+def test_malformed_command_line_is_one_error_line(capsys, argv, words):
+    # no usage lines and no "dmdkit fit: error:" prefix: the one error line
+    # every refused input gets, exit 2
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and one_error_line(err)
+    assert words in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: dmdkit")
+
+
 def test_malformed_data_csv_exits_3(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,x1\n0,1\n1,word\n")

@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dmdkit import dmd as dmd_module
-from dmdkit import edmd as edmd_module
 from dmdkit import kernel_edmd as kernel_edmd_module
 from dmdkit.data import (
     SnapshotPair,
@@ -206,10 +205,13 @@ def test_svd_dmd_zero_data_raises():
         fit_svd_dmd(pair)
 
 def test_svd_dmd_single_column_flagged():
+    # one rule for every fitter that takes one column pair (a companion fit
+    # needs two)
     pair = raw_pair([[1.0], [0.0]], [[0.9], [0.0]])
-    model = fit_svd_dmd(pair)
-    assert "degenerate_single_column" in model.flags
-    assert model.eigenvalues.size == 1
+    for model in (fit_svd_dmd(pair), fit_edmd(pair, build_dictionary("poly:2", 2)),
+                  fit_kernel_edmd(pair, parse_kernel("gaussian:1"))):
+        assert "degenerate_single_column" in model.flags
+        assert model.eigenvalues.size == 1
 
 def test_eigenvector_residual_invariant():
     rng = np.random.default_rng(5)
@@ -282,7 +284,8 @@ def test_fit_from_real_basis_matches_complex_eigenvectors(monkeypatch, algo):
         return projected_fit(k_hat, reduce, mode_base, *args, **kwargs)
 
     projected_fit = dmd_module._projected_fit
-    for module in (dmd_module, edmd_module, kernel_edmd_module):
+    # dmd and edmd reach it through dmd._svd_fit, kernel EDMD by import
+    for module in (dmd_module, kernel_edmd_module):
         monkeypatch.setattr(module, "_projected_fit", spy)
     # two damped rotations in a seeded orthogonal frame
     rng = np.random.default_rng(23)
@@ -396,11 +399,14 @@ def one_shot_residuals(algo, pair):
     others = {}
     if algo == "companion":
         model, features = fit_companion(pair), pair.x
-    elif algo == "dmd":
-        model, features = fit_svd_dmd(pair), pair.x
-    elif algo == "edmd":
-        dictionary = build_dictionary("poly:2", pair.n_observables)
-        model = fit_edmd(pair, dictionary)
+    elif algo in ("dmd", "edmd"):
+        # SVD DMD is the identity-dictionary fit, with the same three residuals
+        if algo == "dmd":
+            dictionary = IdentityDictionary(pair.n_observables)
+            model = fit_svd_dmd(pair)
+        else:
+            dictionary = build_dictionary("poly:2", pair.n_observables)
+            model = fit_edmd(pair, dictionary)
         lifted = lift_snapshots(pair, dictionary)
         features = model.features.transform(pair.x)
         factors = svd_truncated(lifted.x, DEFAULT_RTOL)
@@ -468,10 +474,10 @@ def test_fit_svd_dmd_peak_memory_is_a_small_multiple_of_the_data():
 
 
 def test_tall_fit_svd_dmd_peak_memory_is_a_small_multiple_of_the_data():
-    # 600 observables over 200 columns: the n x n one-step map of the
-    # training residual (3 times x's bytes when real) and the n x r modes and
-    # r x f map C dominate. Held real in pair form, the peak is 9.4 times x's
-    # bytes; complex, closed by a round trip through the pair form, it was 14.4
+    # 600 observables over 200 columns: the n x r modes and r x f map C
+    # dominate. The peak was 14.4 times x's bytes with complex models, 9.4
+    # held real in pair form with the n x n one-step map (3 times x's bytes)
+    # in the training residual, and 8.4 with every residual formed against W^T
     rng = np.random.default_rng(14)
     a = rng.standard_normal((600, 600)) / (2 * np.sqrt(600))
     x = rng.standard_normal((600, 200))
