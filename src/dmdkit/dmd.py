@@ -22,22 +22,26 @@ eigenvalue powers Lambda^1 .. Lambda^b with weights W that carry
 Lambda^(jb) for block j (``_spectral_predict`` states its growth bound and
 tolerance). Every fitter's training residual is the one-step defect
 ||xp - Re(V Lambda C) F|| / ||xp|| of the model on its training features F
-(x, its lift, or the Gram matrix of x), summed over column blocks of a
-factor of F, so no n x f map is formed.
+(x, its lift, or the Gram matrix of x), summed over column blocks of the
+right factor below, so no n x f map is formed.
 
 All four fitters are one construction (``_projected_fit``): each
 eigendecomposes a reduced operator K^ = P Lambda inv(P) on a feature
 subspace, with C = inv(P) R and V = M P, where R maps features to subspace
-coordinates and M maps those to the observables, and R F = coords right.
-Only the basis differs: the leading k = min(n, m) Krylov columns x_k =
-x[:, :k] of one trajectory (companion, Rowley et al. 2009: K^ is the
-companion matrix of the least squares successor of x_k, R = coords =
-pinv(x_k), M = x_k, right = x), the Gram factor G = Q S^2 Q^T (kernel EDMD:
-R = coords = inv(S) Q^T, M = x Q inv(S), right = G), or the leading left
-singular vectors U of the features theta(x) = U Sigma W^T (``_svd_fit``:
-R = U^T, coords = Sigma and right = W^T at any cut rank; M = x W inv(Sigma)
-for an EDMD lift, and SVD DMD is EDMD over the identity with exact modes
-xp W inv(Sigma) P / lambda, Tu et al. 2014). No complex matrix is formed:
+coordinates and M maps those to the observables. Each gives the training
+features' coordinates in one form, R F = diag(s) right, so the residual's
+left factor needs only inv(P) diag(s), an r x r column scaling. Only the
+basis differs. The SVD fits (``_svd_fit``) take the leading left singular
+vectors U of the features theta(x) = U Sigma W^T: R = U^T, s = Sigma and
+right = W^T at any cut rank; M = x W inv(Sigma) for an EDMD lift, and SVD
+DMD is EDMD over the identity with exact modes xp W inv(Sigma) P / lambda
+(Tu et al. 2014). Kernel EDMD takes the same basis through the Gram matrix:
+G = Q S^2 Q^T is the SVD of the implicit lift theta(x) = U S Q^T, so R =
+inv(S) Q^T, M = x Q inv(S), s = S and right = Q^T (``kernel_edmd``).
+Companion DMD (Rowley et al. 2009) takes the leading k = min(n, m) Krylov
+columns x_k = x[:, :k] of one trajectory: K^ is the companion matrix of the
+least squares successor of x_k, R = pinv(x_k), M = x_k, s = 1 and right =
+pinv(x_k) x, a k x m array. No complex matrix is formed:
 ``linalg.eig`` returns P in pair form P_r, and P = P_r T, where T's block
 on a pair's (upper, lower) slots is [[1, 1], [i, -i]]. So V_pf = M P_r and
 C_pf = S inv(P_r) R, S being 1 at a real eigenvalue, 1/2 at an upper
@@ -130,12 +134,20 @@ def _relative_error(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     Only _RESIDUAL_BLOCK columns of left right exist at a time; the squared
     norm of the difference is summed over the blocks. Against the one-shot
     product the result agrees to 1e-13 absolute (stated in tests/test_dmd.py).
+    When the largest |target| entry is 2^256 or more, or below 2^-257, a
+    square could overflow or underflow: then each block and the denominator
+    are scaled by 2^-e (``np.ldexp``), 2^e being the power of two just above
+    that entry. A power of two scales exactly, so the ratio is the unscaled
+    one's wherever that is finite; data in range make no scaled copy.
     """
+    exponent = np.frexp(max(target.max(initial=0.0), -target.min(initial=0.0)))[1]
+    shift = -exponent if abs(exponent) > 256 else 0
     total = 0.0
     for start in range(0, target.shape[1], _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
-        total += np.linalg.norm(target[:, cols] - left @ right[:, cols]) ** 2
-    denom = np.linalg.norm(target)
+        block = target[:, cols] - left @ right[:, cols]
+        total += np.linalg.norm(np.ldexp(block, shift, out=block)) ** 2
+    denom = np.linalg.norm(np.ldexp(target, shift) if shift else target)
     return float(np.sqrt(total) / (denom if denom > 0 else 1.0))
 
 
@@ -180,7 +192,7 @@ def _invert_basis(p: np.ndarray):
     return p_inv, ()
 
 
-def _projected_fit(k_hat, reduce, mode_base, features, xp, coords, right, exact=False,
+def _projected_fit(k_hat, reduce, mode_base, features, xp, scale, right, exact=False,
                    **residuals) -> SpectralModel:
     """The model of a reduced operator K^ = P Lambda inv(P) on a feature subspace.
 
@@ -191,9 +203,13 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, coords, right, exact=
     +0.0 as a model file holds them. With ``exact`` (SVD DMD) the modes are
     mode_base P / lambda, and those of |lambda| <= _ZERO_EIGENVALUE_TOL are
     zero and flagged zero_eigenvalue_modes; one column pair is flagged
-    degenerate_single_column. The training residual takes reduce F = coords
-    right: S cancels B's 2 and -2, so Re(V Lambda C) F is ((V_pf Lambda)
-    (inv(P_r) coords)) right. ``residuals`` are stored as given.
+    degenerate_single_column. The training features F come as reduce F =
+    diag(scale) right: (Sigma, W^T) for the SVD fits, the singular values
+    and Q^T of G = Q S^2 Q^T for kernel EDMD, and (ones, pinv(x_k) x) for
+    companion. The pair-form S cancels B's 2 and -2, so
+    Re(V Lambda C) F is ((V_pf Lambda) (inv(P_r) diag(scale))) right, and
+    inv(P_r) diag(scale) is the column scaling inv(P_r) * scale.
+    ``residuals`` are stored as given.
     """
     flags = ("degenerate_single_column",) if xp.shape[1] == 1 else ()
     spectrum = eig(k_hat)
@@ -201,8 +217,10 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, coords, right, exact=
     _, upper, lower = conjugate_pairs(values)
     p_inv, basis_flags = _invert_basis(spectrum.basis)
     coeffs = p_inv @ reduce
-    # companion and kernel EDMD pass coords = reduce: no second r x f product
-    fit_coords = coeffs if coords is reduce else p_inv @ coords
+    coeffs[upper] *= 0.5
+    coeffs[lower] *= -0.5
+    coeffs += 0.0
+    fit_coords = p_inv * scale
     modes = mode_base @ spectrum.basis
     del spectrum, p_inv  # r x r each; the residual need not sit on them
     if exact:
@@ -214,9 +232,6 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, coords, right, exact=
             flags = (*flags, "zero_eigenvalue_modes")
     modes += 0.0
     training = _relative_error(xp, _scaled(modes, values, upper, lower) @ fit_coords, right)
-    coeffs[upper] *= 0.5  # after the residual: fit_coords may be coeffs
-    coeffs[lower] *= -0.5
-    coeffs += 0.0
     return SpectralModel(values, modes, coeffs, features, flags=(*flags, *basis_flags),
                          residuals={"training": training, **residuals})
 
@@ -257,8 +272,8 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
     c_matrix = np.zeros((k, k))
     c_matrix[1:, :-1] = np.eye(k - 1)
     c_matrix[:, -1] = block_pinv @ xp[:, k - 1]
-    return _projected_fit(c_matrix, block_pinv, block,
-                          IdentityDictionary(pair.n_observables), xp, block_pinv, x)
+    return _projected_fit(c_matrix, block_pinv, block, IdentityDictionary(pair.n_observables),
+                          xp, np.ones(k), block_pinv @ x)
 
 
 def _svd_fit(pair: SnapshotPair, lifted: SnapshotPair, features: Dictionary,
@@ -272,7 +287,7 @@ def _svd_fit(pair: SnapshotPair, lifted: SnapshotPair, features: Dictionary,
     k_hat = svd.u.T @ shifted
     return _projected_fit(
         k_hat, svd.u.T, shifted if exact else pair.x @ (svd.w / svd.sigma), features,
-        pair.xp, np.diag(svd.sigma), svd.w.T, exact=exact,
+        pair.xp, svd.sigma, svd.w.T, exact=exact,
         lifted=_relative_error(lifted.xp, svd.u @ (k_hat * svd.sigma), svd.w.T),
         observable=_relative_error(pair.x, pair.x @ svd.w, svd.w.T))
 
@@ -355,14 +370,20 @@ def predict(model: SpectralModel, z0, steps: int) -> np.ndarray:
 
     The model is forecast over its real eigenvalues and the upper member of
     each pair, whose amplitude is doubled: the lower member adds the
-    conjugate of the upper one's term.
+    conjugate of the upper one's term. An initial condition whose
+    eigenfunction values are not finite (its features overflow) is a
+    NumericalError, not a forecast of NaN.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps}")
     _require_basis(model)
     values = np.asarray(model.eigenvalues, dtype=complex)
     keep = values.imag >= 0  # the real eigenvalues and the upper members
-    phi0 = eigenfunction_values(model, np.asarray(z0, dtype=float).ravel())[keep]
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        phi0 = eigenfunction_values(model, np.asarray(z0, dtype=float).ravel())[keep]
+    if not np.isfinite(phi0).all():
+        raise NumericalError("the initial condition's eigenfunction values are not "
+                             "finite: its features overflow")
     phi0[values[keep].imag > 0] *= 2.0
     return _spectral_predict(model.modes_v[:, keep], values[keep], phi0, steps)
 

@@ -17,6 +17,8 @@ see the span assumption fail rather than silently trusting the spectrum.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .data import SnapshotPair
 from .dmd import SpectralModel, _svd_fit
 from .errors import ShapeError
@@ -31,11 +33,12 @@ def lift_snapshots(pair: SnapshotPair, dictionary: Dictionary) -> SnapshotPair:
             f"dictionary expects dimension {dictionary.input_dim}, pair has "
             f"{pair.n_observables} observables"
         )
-    return SnapshotPair(
-        x=dictionary.transform(pair.x),
-        xp=dictionary.transform(pair.xp),
-        dt=pair.dt,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # SnapshotPair refuses a non-finite lift
+        return SnapshotPair(
+            x=dictionary.transform(pair.x),
+            xp=dictionary.transform(pair.xp),
+            dt=pair.dt,
+        )
 
 
 def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,

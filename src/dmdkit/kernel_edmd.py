@@ -3,11 +3,13 @@
 Two m-by-m Gram matrices of the m snapshot pairs summarize all the explicit
 fit computes in dictionary space: G holds kernel products among the
 snapshots and A-hat holds products against the shifted snapshots.
-Eigendecomposing G = Q S^2 Q^T recovers the singular structure of the
-implicit lifted data, and the reduced operator S^-1 Q^T A Q S^-1 equals the
-explicit one exactly. With the polynomial kernel this is checked against the
-weighted explicit dictionary to tight tolerance; other kernels follow the
-same algebra.
+G = theta(x)^T theta(x), so its eigendecomposition G = Q S^2 Q^T is the SVD
+of the implicit lift, theta(x) = U S Q^T with U = theta(x) Q S^-1 (Williams,
+Rowley & Kevrekidis, "A kernel-based method for data-driven Koopman
+spectral analysis", 2015), and the reduced operator S^-1 Q^T A Q S^-1 equals
+the explicit one U^T theta(xp) Q S^-1 exactly. With the polynomial kernel
+this is checked against the weighted explicit dictionary to tight
+tolerance; other kernels follow the same algebra.
 
 The fit is ``dmd._projected_fit`` with the Gram factor as its basis: the
 model's features are a ``KernelDictionary`` (the kernel sections at the
@@ -29,9 +31,20 @@ from .data import SnapshotPair
 from .dmd import SpectralModel, _projected_fit
 # eigenfunction_values is re-exported: the kernel model is a SpectralModel
 from .dmd import eigenfunction_values  # noqa: F401
-from .errors import EmptyRankError
+from .errors import EmptyRankError, ShapeError
 from .linalg import DEFAULT_RTOL, check_rtol
 from .observables import Kernel, KernelDictionary
+
+
+def _finite_gram(kernel: Kernel, a_cols, b_cols, name: str) -> np.ndarray:
+    """``kernel.gram(a_cols, b_cols)``, refused with a ShapeError if an entry
+    is not finite: eigh returns finite eigenvalues for [[nan, 1], [1, 1]]."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the check reports it
+        gram = kernel.gram(a_cols, b_cols)
+    if not np.isfinite(gram).all():
+        raise ShapeError(f"Gram matrix {name} contains non-finite entries: "
+                         f"the {kernel.spec_string()} kernel overflows on the snapshots")
+    return gram
 
 
 def _gram_basis(g_gram: np.ndarray, rtol: float):
@@ -62,14 +75,17 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
                     rtol: float = DEFAULT_RTOL) -> SpectralModel:
     """Fit the reduced operator from Gram matrices alone.
 
-    G is factored by ``_gram_basis``, and the reduced operator's
-    eigenstructure gives eigenvalues, modes, and the dual rows for
-    eigenfunctions. Column j of G is the kernel row of training column j,
-    so the training residual is ||xp - Re(V Lambda C) G|| / ||xp||.
+    G is factored by ``_gram_basis`` and then dropped, and the reduced
+    operator's eigenstructure gives eigenvalues, modes, and the dual rows
+    for eigenfunctions. Column j of G is the kernel row of training column
+    j, so the training residual is ||xp - Re(V Lambda C) G|| / ||xp||; as
+    U^T theta(x) = S Q^T, the fit passes its training coordinates as
+    (S, Q^T), exact at a cut rank since the kept eigenvectors are orthogonal
+    to the dropped ones. A G or A-hat with a non-finite entry (a kernel that
+    overflows on finite data) is a ShapeError.
     """
-    g_gram = kernel.gram(pair.x, pair.x)
-    q, sigma = _gram_basis(g_gram, rtol)
-    k_hat_u = (q.T @ kernel.gram(pair.x, pair.xp) @ q) / sigma[:, None] / sigma[None, :]
-    reduce = q.T / sigma[:, None]
-    return _projected_fit(k_hat_u, reduce, pair.x @ q / sigma[None, :],
-                          KernelDictionary(kernel, pair.x), pair.xp, reduce, g_gram)
+    q, sigma = _gram_basis(_finite_gram(kernel, pair.x, pair.x, "G"), rtol)
+    k_hat_u = (q.T @ _finite_gram(kernel, pair.x, pair.xp, "A-hat") @ q
+               / sigma[:, None] / sigma[None, :])
+    return _projected_fit(k_hat_u, q.T / sigma[:, None], pair.x @ q / sigma[None, :],
+                          KernelDictionary(kernel, pair.x), pair.xp, sigma, q.T)

@@ -120,3 +120,26 @@ done
 # a flag of the wrong shape is a usage error (exit 2), and simulate writes nothing
 status=0; dmdkit simulate --system linear --a "0.9,0;0,0.5" --x0 1,1,1 --steps 3 --out bad.csv || status=$?; test "$status" -eq 2
 test ! -e bad.csv
+# features that overflow: predict refuses an initial condition whose lift or
+# kernel row overflows (exit 4), and a kernel fit of finite data near 1e200
+# names the Gram matrix (exit 3), each with its one error line last and no
+# warning; dmd and companion fit such data (exit 0), residuals scaled by 2^-e
+echo "1e200,1e200" > huge-ic.csv
+for algo in "edmd --dict poly:2" "kernel-edmd --kernel poly:2"; do
+  dmdkit fit --algo $algo --data a.csv --out over.json
+  status=0; dmdkit predict over.json huge-ic.csv 3 > over.csv 2> over.err || status=$?; test "$status" -eq 4
+  test ! -s over.csv
+  test "$(wc -l < over.err)" -eq 1
+  grep -q "^error: the initial condition's eigenfunction values are not finite" over.err
+done
+printf 't,x1,x2\n0,1e200,1e200\n1,9e199,5e199\n2,8.1e199,2.5e199\n3,7.29e199,1.25e199\n' > huge.csv
+for kernel in gaussian:1 poly:2; do
+  status=0; dmdkit fit --algo kernel-edmd --kernel $kernel --data huge.csv --out huge-k.json 2> huge-k.err || status=$?; test "$status" -eq 3
+  test "$(wc -l < huge-k.err)" -eq 2
+  tail -n 1 huge-k.err | grep -q '^error: Gram matrix G contains non-finite entries'
+  test ! -e huge-k.json
+done
+for algo in dmd companion; do
+  dmdkit fit --algo $algo --data huge.csv --out huge-$algo.json > huge-$algo.csv
+  awk -F, 'NR > 1 { rows++; if (!($4 < 1e-10)) bad = 1 } END { exit bad || !rows }' huge-$algo.csv
+done

@@ -586,6 +586,61 @@ def test_zero_data_exits_4(capsys, tmp_path):
     assert "error" in err
 
 
+def write_huge_traj(tmp_path, power, name="huge.csv"):
+    """The diagonal system's states times 2^power, a trajectory of finite data."""
+    states = simulate(linear_system(np.diag([0.9, 0.5]), [1.0, 1.0], 20)).states
+    path = tmp_path / name
+    save_trajectory(Trajectory(dt=1.0, states=np.ldexp(states, power)), path)
+    return path
+
+
+@pytest.mark.parametrize("algo", ["dmd", "companion"])
+def test_fit_of_data_scaled_by_2_to_the_600_exits_0(capsys, tmp_path, algo):
+    # squares of 4e180 overflow; the residual is scaled back by a power of
+    # two, so it reads as the unscaled fit's within 1e-12 of it plus 1e-14
+    residuals = []
+    for power in (0, 600):
+        code, out, _ = run(capsys, [
+            "fit", "--algo", algo, "--data", str(write_huge_traj(tmp_path, power)),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 0
+        residuals.append(csv_rows(out)[1][0][3])
+    assert abs(residuals[1] - residuals[0]) <= 1e-12 * residuals[0] + 1e-14
+
+
+@pytest.mark.parametrize("algo", [["edmd", "--dict", "poly:2"], ["kernel-edmd", "--kernel", "poly:2"]],
+                         ids=["edmd", "kernel-edmd"])
+def test_predict_from_an_overflowing_initial_condition_exits_4(capsys, tmp_path, algo):
+    model = tmp_path / "m.json"
+    code, _, _ = run(capsys, ["fit", "--algo", *algo, "--data",
+                              str(write_diag_traj(capsys, tmp_path)), "--out", str(model)])
+    assert code == 0
+    ic = tmp_path / "ic.csv"
+    ic.write_text("1e200,1e200\n")
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "3"])
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["error: the initial condition's eigenfunction values are "
+                                "not finite: its features overflow"]
+
+
+@pytest.mark.parametrize("algo,message", [
+    (["kernel-edmd", "--kernel", kernel], f"Gram matrix G contains non-finite entries: "
+                                          f"the {kernel} kernel overflows on the snapshots")
+    for kernel in ("gaussian:1", "poly:2", "laplacian:1")
+] + [(["edmd", "--dict", "poly:2"], "snapshot matrices contain non-finite entries")],
+    ids=["gaussian", "poly", "laplacian", "edmd"])
+def test_fit_whose_features_overflow_exits_3_with_one_line(capsys, tmp_path, algo, message):
+    # states near 1.3e200 (2^665) are finite, but their Gram matrix or lift
+    # is not: one error line after the fit's note, and no RuntimeWarning
+    model = tmp_path / "m.json"
+    code, _, err = run(capsys, ["fit", "--algo", *algo, "--data",
+                                str(write_huge_traj(tmp_path, 665)), "--out", str(model)])
+    assert code == 3
+    assert err.splitlines()[1:] == [f"error: {message}"]
+    assert not model.exists()
+
+
 def test_schema_bump_is_rejected_on_load(capsys, tmp_path):
     traj = write_diag_traj(capsys, tmp_path)
     model = tmp_path / "model.json"

@@ -7,9 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dmdkit.cli import main
-from dmdkit.data import SnapshotPair, snapshot_pairs
+from dmdkit.data import SnapshotPair, Trajectory, snapshot_pairs
 from dmdkit.edmd import fit_edmd
-from dmdkit.errors import ConfigError, EmptyRankError, NumericalError
+from dmdkit.errors import ConfigError, EmptyRankError, NumericalError, ShapeError
 from dmdkit.dmd import eigenfunction_values, predict
 from dmdkit.kernel_edmd import _gram_basis, fit_kernel_edmd
 from dmdkit.linalg import conjugate_pairs
@@ -271,9 +271,10 @@ def test_gram_basis_rejects_rtol_outside_unit_interval(rtol):
 
 def test_gaussian_fit_peak_memory_is_a_small_multiple_of_the_gram_matrix():
     # a 4-state double rotation (angles 0.9 and 2.3) over 400 columns with a
-    # width-2 Gaussian keeps 247 of 400 Gram eigenvalues. Inverting the real
-    # pair-form eigenbasis, the traced peak is 4.18 times G's bytes; the
-    # complex basis, inverted and then put in pair form, took 5.37 times
+    # width-2 Gaussian keeps 247 of 400 Gram eigenvalues. The traced peak is
+    # 3.46 times G's bytes: the residual is formed against Q^T, so neither G
+    # nor an n x m left factor outlives the Gram factoring. It was 4.18 times
+    # with the residual formed against G, and 5.37 with the complex basis
     a = np.zeros((4, 4))
     for k, theta in enumerate((0.9, 2.3)):
         c, s = np.cos(theta), np.sin(theta)
@@ -288,4 +289,20 @@ def test_gaussian_fit_peak_memory_is_a_small_multiple_of_the_gram_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.75 * g_gram.nbytes, peak / g_gram.nbytes
+    assert peak <= 4.0 * g_gram.nbytes, peak / g_gram.nbytes
+
+
+@pytest.mark.parametrize("kernel,row,value,name", [
+    (GaussianKernel(1.0), 2, 1e200, "G"),
+    (PolynomialKernel(2), 2, 1e200, "G"),
+    (PolynomialKernel(2), 3, 1e160, "A-hat"),
+], ids=["gaussian-G", "poly-G", "poly-A-hat"])
+def test_kernel_that_overflows_on_finite_data_is_refused(kernel, row, value, name):
+    # one state at 1e200 (inside x) overflows G; at 1e160 as the last state
+    # (in xp only) it overflows A-hat alone. eigh returns finite eigenvalues
+    # for a G holding NaN, so G is checked before it
+    states = np.array([[1.0, 0.5], [0.5, 0.25], [0.25, 0.125], [0.125, 0.0625]])
+    states[row] = value
+    pair = snapshot_pairs(Trajectory(dt=1.0, states=states))
+    with pytest.raises(ShapeError, match=f"^Gram matrix {name} contains non-finite"):
+        fit_kernel_edmd(pair, kernel)
