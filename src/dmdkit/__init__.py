@@ -33,7 +33,7 @@ _EXPORTS = {
     "linalg": (
         "DEFAULT_RTOL", "EigenPairs", "SvdFactors", "conjugate_pairs", "eig", "svd_truncated",
     ),
-    "model_io": ("SCHEMA_VERSION", "ModelRecord", "load_model", "save_model"),
+    "model_io": ("SCHEMA_VERSION", "load_model", "save_model"),
     "observables": (
         "CustomDictionary", "Dictionary", "GaussianKernel", "IdentityDictionary",
         "Kernel", "KernelDictionary", "LaplacianKernel", "PolynomialDictionary",

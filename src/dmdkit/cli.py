@@ -22,7 +22,7 @@ from ._text import write_rows
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 
 if TYPE_CHECKING:
-    from .model_io import ModelRecord
+    from .dmd import SpectralModel
 
 
 def _deferred(module: str, name: str):
@@ -158,12 +158,13 @@ def cmd_fit(args) -> int:
         raise ConfigError("--algo kernel-edmd requires --kernel")
     if args.embed < 1:
         raise ConfigError(f"--embed must be at least 1, got {args.embed}")
+    from dataclasses import replace
+
     from .dmd import fit_companion
     from .linalg import check_rtol
-    from .model_io import ModelRecord
     from .observables import build_dictionary, parse_kernel
 
-    check_rtol(args.rtol)  # for every fitter: the model file stores it
+    check_rtol(args.rtol)  # for every fitter, before any data
     kernel = None if args.kernel is None else parse_kernel(args.kernel)  # before any data
     size = "the data in " + ", ".join(args.data)  # until the pair's shape is known
     try:  # data, a Gram matrix, lift, SVD or model file that cannot be allocated is a usage error
@@ -180,10 +181,10 @@ def cmd_fit(args) -> int:
         else:
             model = fit_kernel_edmd(pair, kernel, rtol=args.rtol)
         del pair  # the model keeps what it needs of the data; saving it needs none
+        model = replace(model, embed_h=args.embed, inputs=inputs)
         for flag in model.flags:
             _note(f"note: {flag}")
-        save_model(ModelRecord(algorithm=args.algo, model=model, rtol=args.rtol,
-                               embed_h=args.embed, inputs=inputs), args.out)
+        save_model(model, args.out)
     except MemoryError as err:
         raise ConfigError(f"a {args.algo} fit of {size} is too large to allocate: "
                           f"{str(err) or 'out of memory'}") from None
@@ -222,8 +223,7 @@ def _training_pair(args):
 
 
 def cmd_spectrum(args) -> int:
-    record = load_model(args.model)
-    values = np.asarray(record.model.eigenvalues)
+    values = np.asarray(load_model(args.model).eigenvalues)
     magnitude = np.abs(values)
     # the magnitude column prints the same numbers the rows are sorted by
     order = np.argsort(-magnitude, kind="stable")
@@ -236,7 +236,7 @@ def cmd_spectrum(args) -> int:
 # ------------------------------------------------------------------- predict
 
 
-def _initial_condition(record: ModelRecord, rows: np.ndarray) -> np.ndarray:
+def _initial_condition(model: SpectralModel, rows: np.ndarray) -> np.ndarray:
     """Assemble the model's observable vector from raw history rows.
 
     A model takes embed_h consecutive rows, oldest first, and restacks them
@@ -245,23 +245,23 @@ def _initial_condition(record: ModelRecord, rows: np.ndarray) -> np.ndarray:
     the states block comes first, then the held inputs, each ordered oldest
     to newest; other models take rows of states only.
     """
-    h, dim = record.embed_h, record.model.features.input_dim
+    h, dim = model.embed_h, model.features.input_dim
     if rows.shape[0] != h:
         raise DataError(f"model needs {h} history row{'s' * (h > 1)}, got {rows.shape[0]}")
     if rows.size != dim:
         raise DataError(f"history rows have {rows.shape[1]} values, expected {dim // h}")
-    cut = rows.shape[1] - record.inputs
+    cut = rows.shape[1] - model.inputs
     return np.concatenate([rows[:, :cut].reshape(-1), rows[:, cut:].reshape(-1)])
 
 
 def cmd_predict(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"steps must be non-negative, got {args.steps}")
-    record = load_model(args.model)
+    model = load_model(args.model)
     from .data import load_rows
 
-    g0 = _initial_condition(record, load_rows(args.ic, "initial-condition file"))
-    forecast = predict(record.model, g0, args.steps)
+    g0 = _initial_condition(model, load_rows(args.ic, "initial-condition file"))
+    forecast = predict(model, g0, args.steps)
     columns = ["step"] + [f"g{j}" for j in range(1, forecast.shape[1] + 1)]
     _print_table(columns, forecast, np.arange(1, forecast.shape[0] + 1))
     return 0

@@ -7,7 +7,10 @@ eigenfunction values, phi(z) = C f(z). The feature map f is always a
 kernel sections at the training snapshots (kernel EDMD, ``kernel_edmd``),
 and the state dimension is its ``input_dim``. One routine each
 evaluates eigenfunctions, forecasts Re(V Lambda^m C f(z)) and forms the
-one-step map Re(V Lambda C), whatever the fitter.
+one-step map Re(V Lambda C), whatever the fitter. A model also carries its
+fitter's tag and tolerance and how its observables stack data rows, and it
+checks every rule a model file has when it is built, so ``model_io`` only
+encodes and decodes.
 
 A real map's eigenvalues, modes and eigenfunctions come in conjugate pairs,
 so a model holds V and C in pair form, the real matrices a model file
@@ -70,7 +73,7 @@ import numpy as np
 from .data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
 from .errors import ConditioningError, ConfigError, NumericalError, ShapeError
 from .linalg import DEFAULT_RTOL, conjugate_pairs, eig, svd_truncated
-from .observables import Dictionary, IdentityDictionary
+from .observables import Dictionary, IdentityDictionary, KernelDictionary
 
 # companion precondition: the leading k = min(n, m) snapshot columns must be
 # well conditioned, all k singular values above 1e-12 times the largest
@@ -79,8 +82,15 @@ _COMPANION_RTOL = 1e-12
 # pinv and the fit is flagged eigenvector_basis_singular
 _BASIS_CONDITION_LIMIT = 1e12
 _ZERO_EIGENVALUE_TOL = 1e-12
-# every flag a fit can raise; saving and loading a model refuse any other
+# every flag a fit can raise; a model refuses any other
 _FIT_FLAGS = ("eigenvector_basis_singular", "zero_eigenvalue_modes", "degenerate_single_column")
+# each algorithm tag and the feature map its model evaluates
+_FEATURES = {
+    "companion": IdentityDictionary,
+    "dmd": IdentityDictionary,
+    "edmd": Dictionary,
+    "kernel-edmd": KernelDictionary,
+}
 # forecast steps advanced per block in _spectral_predict
 _PREDICT_BLOCK = 256
 # snapshot columns per block of a training residual in _relative_error
@@ -93,19 +103,63 @@ class SpectralModel:
 
     ``modes_pf`` (n x r) and ``coeffs_pf`` (r x f) hold the complex modes V
     and map C in pair form, as a model file stores them; ``modes_v`` and
-    ``coeffs`` rebuild V and C on each access, and raise NumericalError for
-    eigenvalues not closed under conjugation. C maps a feature vector to the
-    r eigenfunction values and V maps those back to the n observables.
+    ``coeffs`` rebuild V and C on each access. C maps a feature vector to
+    the r eigenfunction values and V maps those back to the n observables.
     ``features`` is the feature map f, whose ``input_dim`` is n.
-    ``residuals`` holds the fit's residuals by name, ``training`` first.
+    ``algorithm`` is the fitter's tag and ``rtol`` the rank tolerance it
+    applied. ``residuals`` holds the fit's residuals by name, ``training``
+    first. A data row of the fit held states, then ``inputs`` held inputs
+    (0 unless fitted with --augment-inputs), and n stacks ``embed_h`` such
+    rows, so a forecast can restack plain history rows.
+
+    Construction refuses what no fit returns and no model file may hold: a
+    tag outside _FEATURES, or features of a type the tag does not take; a
+    flag outside _FIT_FLAGS; n other than embed_h x (states + inputs) with
+    at least one state; modes other than n x r or coeffs other than r x f
+    (ConfigError); and eigenvalues not closed under conjugation
+    (NumericalError). ``dataclasses.replace`` checks the new model again.
     """
 
     eigenvalues: np.ndarray
     modes_pf: np.ndarray
     coeffs_pf: np.ndarray
     features: Dictionary
+    algorithm: str
+    rtol: float
     flags: tuple = ()
     residuals: dict = field(default_factory=dict)
+    embed_h: int = 1
+    inputs: int = 0
+
+    def __post_init__(self):
+        tag = self.algorithm
+        if not isinstance(tag, str) or tag not in _FEATURES:
+            raise ConfigError(f"algorithm tag {tag!r:.40} is not one of {', '.join(_FEATURES)}")
+        if not isinstance(self.features, _FEATURES[tag]):
+            raise ConfigError(f"a {tag} model cannot hold {type(self.features).__name__} features")
+        for flag in self.flags:
+            if flag not in _FIT_FLAGS:
+                raise ConfigError(f"flag {flag!r:.40} is not one a fit raises "
+                                  f"({', '.join(_FIT_FLAGS)})")
+        h, inputs, n = self.embed_h, self.inputs, self.features.input_dim
+        for name, value, least in (("embed_h", h, 1), ("inputs", inputs, 0)):
+            whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (whole and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r:.40}")
+        if n % h or n // h <= inputs:
+            raise ConfigError(f"observable_dim {n} is not embed_h {h} x "
+                              f"(states + {inputs} inputs) with at least one state")
+        if np.ndim(self.eigenvalues) != 1:
+            raise ConfigError(f"eigenvalues must be a vector, got shape "
+                              f"{np.shape(self.eigenvalues)}")
+        r, f = len(self.eigenvalues), self.features.size
+        for name, matrix, shape, what in (
+                ("modes", self.modes_pf, (n, r), "observable dimension x eigenvalue count"),
+                ("coeffs", self.coeffs_pf, (r, f), "eigenvalue count x feature count")):
+            if np.shape(matrix) != shape:
+                raise ConfigError(f"matrix {name!r} is {'x'.join(map(str, np.shape(matrix)))}, "
+                                  f"not {what} = {shape[0]}x{shape[1]}")
+        conjugate_pairs(self.eigenvalues)
 
     @property
     def modes_v(self) -> np.ndarray:
@@ -192,7 +246,7 @@ def _invert_basis(p: np.ndarray):
     return p_inv, ()
 
 
-def _projected_fit(k_hat, reduce, mode_base, features, xp, scale, right, exact=False,
+def _projected_fit(k_hat, reduce, mode_base, features, algorithm, rtol, xp, scale, right,
                    **residuals) -> SpectralModel:
     """The model of a reduced operator K^ = P Lambda inv(P) on a feature subspace.
 
@@ -200,16 +254,16 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, scale, right, exact=F
     C = inv(P) reduce; ``mode_base`` (n x r) maps subspace coordinates to
     the observables, so V = mode_base P. Both are real, as is P's pair form
     P_r, so V_pf = mode_base P_r and C_pf = S inv(P_r) reduce, with zeros
-    +0.0 as a model file holds them. With ``exact`` (SVD DMD) the modes are
-    mode_base P / lambda, and those of |lambda| <= _ZERO_EIGENVALUE_TOL are
-    zero and flagged zero_eigenvalue_modes; one column pair is flagged
-    degenerate_single_column. The training features F come as reduce F =
-    diag(scale) right: (Sigma, W^T) for the SVD fits, the singular values
-    and Q^T of G = Q S^2 Q^T for kernel EDMD, and (ones, pinv(x_k) x) for
-    companion. The pair-form S cancels B's 2 and -2, so
+    +0.0 as a model file holds them. For the ``dmd`` tag (SVD DMD's exact
+    modes) the modes are mode_base P / lambda, and those of |lambda| <=
+    _ZERO_EIGENVALUE_TOL are zero and flagged zero_eigenvalue_modes; one
+    column pair is flagged degenerate_single_column. The training features
+    F come as reduce F = diag(scale) right: (Sigma, W^T) for the SVD fits,
+    the singular values and Q^T of G = Q S^2 Q^T for kernel EDMD, and
+    (ones, pinv(x_k) x) for companion. The pair-form S cancels B's 2 and -2, so
     Re(V Lambda C) F is ((V_pf Lambda) (inv(P_r) diag(scale))) right, and
     inv(P_r) diag(scale) is the column scaling inv(P_r) * scale.
-    ``residuals`` are stored as given.
+    ``algorithm``, ``rtol`` and ``residuals`` are stored as given.
     """
     flags = ("degenerate_single_column",) if xp.shape[1] == 1 else ()
     spectrum = eig(k_hat)
@@ -223,7 +277,7 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, scale, right, exact=F
     fit_coords = p_inv * scale
     modes = mode_base @ spectrum.basis
     del spectrum, p_inv  # r x r each; the residual need not sit on them
-    if exact:
+    if algorithm == "dmd":
         alive = np.abs(values) > _ZERO_EIGENVALUE_TOL
         inverse = np.divide(1.0, values, out=np.zeros_like(values), where=alive)
         modes = _scaled(modes, inverse, upper, lower)
@@ -232,8 +286,8 @@ def _projected_fit(k_hat, reduce, mode_base, features, xp, scale, right, exact=F
             flags = (*flags, "zero_eigenvalue_modes")
     modes += 0.0
     training = _relative_error(xp, _scaled(modes, values, upper, lower) @ fit_coords, right)
-    return SpectralModel(values, modes, coeffs, features, flags=(*flags, *basis_flags),
-                         residuals={"training": training, **residuals})
+    return SpectralModel(values, modes, coeffs, features, algorithm, rtol, (*flags, *basis_flags),
+                         {"training": training, **residuals})
 
 
 def fit_companion(pair: SnapshotPair) -> SpectralModel:
@@ -248,7 +302,8 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
     pinv(x_k) = W inv(Sigma) U^T comes from one truncated SVD of x_k, and
     the fit is ``_projected_fit`` with R = pinv(x_k) and M = x_k, so
     V = x_k P and C = inv(P) pinv(x_k) = pinv(x_k P). The training residual
-    is ||xp - Re(V Lambda C) x|| / ||xp|| over every column.
+    is ||xp - Re(V Lambda C) x|| / ||xp|| over every column. The model's
+    ``rtol`` is _COMPANION_RTOL, the only tolerance the fit applies.
     """
     x, xp = pair.x, pair.xp
     if x.shape[1] < 2:
@@ -273,21 +328,21 @@ def fit_companion(pair: SnapshotPair) -> SpectralModel:
     c_matrix[1:, :-1] = np.eye(k - 1)
     c_matrix[:, -1] = block_pinv @ xp[:, k - 1]
     return _projected_fit(c_matrix, block_pinv, block, IdentityDictionary(pair.n_observables),
-                          xp, np.ones(k), block_pinv @ x)
+                          "companion", _COMPANION_RTOL, xp, np.ones(k), block_pinv @ x)
 
 
 def _svd_fit(pair: SnapshotPair, lifted: SnapshotPair, features: Dictionary,
-             rtol: float, exact: bool = False) -> SpectralModel:
+             algorithm: str, rtol: float) -> SpectralModel:
     """The fit on the leading left singular vectors U of lifted.x = theta(x),
-    with SVD DMD's modes if ``exact``. As U^T theta(x) = Sigma W^T, ``lifted``
-    is ||theta(xp) - (U K^ Sigma) W^T|| / ||theta(xp)|| and ``observable``
-    ||x - (x W) W^T|| / ||x||."""
+    with SVD DMD's modes for the ``dmd`` tag. As U^T theta(x) = Sigma W^T,
+    ``lifted`` is ||theta(xp) - (U K^ Sigma) W^T|| / ||theta(xp)|| and
+    ``observable`` ||x - (x W) W^T|| / ||x||."""
     svd = svd_truncated(lifted.x, rtol)
     shifted = lifted.xp @ (svd.w / svd.sigma)
     k_hat = svd.u.T @ shifted
     return _projected_fit(
-        k_hat, svd.u.T, shifted if exact else pair.x @ (svd.w / svd.sigma), features,
-        pair.xp, svd.sigma, svd.w.T, exact=exact,
+        k_hat, svd.u.T, shifted if algorithm == "dmd" else pair.x @ (svd.w / svd.sigma),
+        features, algorithm, rtol, pair.xp, svd.sigma, svd.w.T,
         lifted=_relative_error(lifted.xp, svd.u @ (k_hat * svd.sigma), svd.w.T),
         observable=_relative_error(pair.x, pair.x @ svd.w, svd.w.T))
 
@@ -295,7 +350,7 @@ def _svd_fit(pair: SnapshotPair, lifted: SnapshotPair, features: Dictionary,
 def fit_svd_dmd(pair: SnapshotPair, rtol: float = DEFAULT_RTOL) -> SpectralModel:
     """SVD DMD: ``_svd_fit`` over the identity dictionary, with exact modes
     xp W inv(Sigma) P / lambda; eigenfunctions are inv(P) U^T z."""
-    return _svd_fit(pair, pair, IdentityDictionary(pair.n_observables), rtol, exact=True)
+    return _svd_fit(pair, pair, IdentityDictionary(pair.n_observables), "dmd", rtol)
 
 
 def _require_basis(model: SpectralModel) -> None:
@@ -308,9 +363,17 @@ def _require_basis(model: SpectralModel) -> None:
 
 
 def eigenfunction_values(model: SpectralModel, z) -> np.ndarray:
-    """Eigenfunction values C f(z); columns of z give columns of phi."""
+    """Eigenfunction values C f(z); columns of z give columns of phi.
+
+    A point whose values are not finite (its features overflow) is a
+    NumericalError, not a phi of NaN or inf.
+    """
     _require_basis(model)
-    return _from_pair_form(model.coeffs_pf @ model.features.transform(z), model.eigenvalues)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        phi = _from_pair_form(model.coeffs_pf @ model.features.transform(z), model.eigenvalues)
+    if not np.isfinite(phi).all():
+        raise NumericalError("eigenfunction values are not finite: the point's features overflow")
+    return phi
 
 
 def full_operator(model: SpectralModel) -> np.ndarray:
@@ -341,7 +404,9 @@ def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
     entry overflows where the running product stays finite. Against
     step-by-step products the forecast agrees to 1e-12 times its largest
     entry, and row by row to 1e-13 relative for a growing mode (both stated
-    in tests/test_dmd.py). A forecast too large to allocate is a ConfigError.
+    in tests/test_dmd.py). A forecast too large to allocate is a ConfigError,
+    and one that leaves the floating-point range is a NumericalError naming
+    the first step that is not finite.
     """
     try:
         out = np.empty((steps, modes.shape[0]))
@@ -356,12 +421,16 @@ def _spectral_predict(modes, values, amplitudes, steps: int) -> np.ndarray:
     np.multiply.accumulate(table, axis=0, out=table)
     powers = np.concatenate([table.real, -table.imag], axis=1)
     weights = (modes * amplitudes).T
-    for start in range(0, steps, block):
-        count = min(block, steps - start)
-        np.matmul(powers[:count], np.concatenate([weights.real, weights.imag]),
-                  out=out[start : start + count])
-        if start + block < steps:
-            weights = weights * table[-1, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for start in range(0, steps, block):
+            count = min(block, steps - start)
+            rows = out[start : start + count]
+            np.matmul(powers[:count], np.concatenate([weights.real, weights.imag]), out=rows)
+            if not np.isfinite(rows).all():
+                step = start + 1 + int(np.argmin(np.isfinite(rows).all(axis=1)))
+                raise NumericalError(f"forecast step {step} is not finite: the forecast overflows")
+            if start + block < steps:
+                weights = weights * table[-1, :, None]
     return out
 
 
@@ -371,19 +440,14 @@ def predict(model: SpectralModel, z0, steps: int) -> np.ndarray:
     The model is forecast over its real eigenvalues and the upper member of
     each pair, whose amplitude is doubled: the lower member adds the
     conjugate of the upper one's term. An initial condition whose
-    eigenfunction values are not finite (its features overflow) is a
-    NumericalError, not a forecast of NaN.
+    eigenfunction values are not finite, or a forecast that overflows, is a
+    NumericalError, not a forecast of NaN or inf.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps}")
-    _require_basis(model)
     values = np.asarray(model.eigenvalues, dtype=complex)
     keep = values.imag >= 0  # the real eigenvalues and the upper members
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        phi0 = eigenfunction_values(model, np.asarray(z0, dtype=float).ravel())[keep]
-    if not np.isfinite(phi0).all():
-        raise NumericalError("the initial condition's eigenfunction values are not "
-                             "finite: its features overflow")
+    phi0 = eigenfunction_values(model, np.asarray(z0, dtype=float).ravel())[keep]
     phi0[values[keep].imag > 0] *= 2.0
     return _spectral_predict(model.modes_v[:, keep], values[keep], phi0, steps)
 

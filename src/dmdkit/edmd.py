@@ -46,4 +46,4 @@ def fit_edmd(pair: SnapshotPair, dictionary: Dictionary,
     """Regress the lifted one-step operator and map its spectrum to state
     space: ``_svd_fit`` of the lift, with its training, lifted and observable
     residuals (how well D theta(x) rebuilds x)."""
-    return _svd_fit(pair, lift_snapshots(pair, dictionary), dictionary, rtol)
+    return _svd_fit(pair, lift_snapshots(pair, dictionary), dictionary, "edmd", rtol)

@@ -88,4 +88,5 @@ def fit_kernel_edmd(pair: SnapshotPair, kernel: Kernel,
     k_hat_u = (q.T @ _finite_gram(kernel, pair.x, pair.xp, "A-hat") @ q
                / sigma[:, None] / sigma[None, :])
     return _projected_fit(k_hat_u, q.T / sigma[:, None], pair.x @ q / sigma[None, :],
-                          KernelDictionary(kernel, pair.x), pair.xp, sigma, q.T)
+                          KernelDictionary(kernel, pair.x), "kernel-edmd", rtol,
+                          pair.xp, sigma, q.T)

@@ -42,6 +42,10 @@ test "$(wc -l < forecast.csv)" -eq 3001
 status=0; dmdkit predict model.json ic.csv 1000000000000000 || status=$?; test "$status" -eq 2
 dmdkit fit --algo companion --data rot.csv --out companion.json
 dmdkit predict companion.json ic.csv 5
+# a companion file records the 1e-12 its fit cuts at, whatever --rtol says
+dmdkit fit --algo companion --rtol 0.5 --data rot.csv --out companion-rtol.json
+grep -q '"rtol": 1e-12,' companion.json
+grep -q '"rtol": 1e-12,' companion-rtol.json
 dmdkit simulate --system rotation --theta 0.5 --steps 1 --out rot1.csv
 status=0; dmdkit fit --algo companion --data rot1.csv --data rot1.csv --out two.json || status=$?; test "$status" -eq 2
 dmdkit simulate --system linear --a "0.9,0;0,0.5" --x0 1,1 --steps 10 --out a.csv
@@ -130,7 +134,7 @@ for algo in "edmd --dict poly:2" "kernel-edmd --kernel poly:2"; do
   status=0; dmdkit predict over.json huge-ic.csv 3 > over.csv 2> over.err || status=$?; test "$status" -eq 4
   test ! -s over.csv
   test "$(wc -l < over.err)" -eq 1
-  grep -q "^error: the initial condition's eigenfunction values are not finite" over.err
+  grep -q "^error: eigenfunction values are not finite" over.err
 done
 printf 't,x1,x2\n0,1e200,1e200\n1,9e199,5e199\n2,8.1e199,2.5e199\n3,7.29e199,1.25e199\n' > huge.csv
 for kernel in gaussian:1 poly:2; do
@@ -143,3 +147,12 @@ for algo in dmd companion; do
   dmdkit fit --algo $algo --data huge.csv --out huge-$algo.json > huge-$algo.csv
   awk -F, 'NR > 1 { rows++; if (!($4 < 1e-10)) bad = 1 } END { exit bad || !rows }' huge-$algo.csv
 done
+# a forecast that leaves the double range exits 4 with one error line naming
+# its first non-finite step, and prints no rows
+dmdkit simulate --system linear --a "1.5,0;0,0.5" --x0 1,1 --steps 10 --out grow.csv
+dmdkit fit --algo dmd --data grow.csv --out grow.json
+echo "1e300,1" > grow-ic.csv
+status=0; dmdkit predict grow.json grow-ic.csv 50 > grow-forecast.csv 2> grow.err || status=$?; test "$status" -eq 4
+test ! -s grow-forecast.csv
+test "$(wc -l < grow.err)" -eq 1
+grep -q '^error: forecast step 47 is not finite' grow.err

@@ -620,8 +620,8 @@ def test_predict_from_an_overflowing_initial_condition_exits_4(capsys, tmp_path,
     ic.write_text("1e200,1e200\n")
     code, out, err = run(capsys, ["predict", str(model), str(ic), "3"])
     assert (code, out) == (4, "")
-    assert err.splitlines() == ["error: the initial condition's eigenfunction values are "
-                                "not finite: its features overflow"]
+    assert err.splitlines() == ["error: eigenfunction values are not finite: the point's "
+                                "features overflow"]
 
 
 @pytest.mark.parametrize("algo,message", [
@@ -1203,6 +1203,42 @@ def test_predict_negative_steps_exits_2_before_reading_the_model(capsys, tmp_pat
     assert code == 2
     assert out == ""
     assert one_error_line(err) and "steps must be non-negative" in err
+
+
+def test_forecast_that_overflows_exits_4_without_rows(capsys, tmp_path):
+    data = tmp_path / "grow.csv"
+    run(capsys, ["simulate", "--system", "linear", "--a", "1.5,0;0,0.5", "--x0", "1,1",
+                 "--steps", "10", "--out", str(data)])
+    model = tmp_path / "model.json"
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(data), "--out", str(model)])
+    ic = tmp_path / "ic.csv"
+    ic.write_text("1e300,1\n")
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "46"])
+    assert code == 0 and "inf" not in out
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "50"])
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["error: forecast step 47 is not finite: the forecast overflows"]
+
+
+def test_companion_model_file_stores_the_tolerance_its_fit_applies(capsys, tmp_path):
+    # the companion fit never reads --rtol; its file holds the 1e-12 it cuts at
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, ["fit", "--algo", "companion", "--rtol", "0.5", "--data",
+                              str(write_diag_traj(capsys, tmp_path)), "--out", str(model)])
+    assert code == 0
+    assert json.loads(model.read_text())["fit"]["rtol"] == 1e-12
+
+
+def test_fit_of_files_with_different_time_steps_exits_3(capsys, tmp_path):
+    first = write_diag_traj(capsys, tmp_path)
+    second = tmp_path / "slow.csv"
+    second.write_text("t,x1,x2\n0,1,1\n2,0.9,0.5\n4,0.81,0.25\n")  # dt 2, not 1
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(first),
+                                  "--data", str(second), "--out", str(model)])
+    assert (code, out) == (3, "")
+    assert one_error_line(err) and "mismatched sampling intervals" in err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("steps", [10**15, 2**62, 10**30])

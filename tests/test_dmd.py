@@ -279,9 +279,9 @@ def test_fit_from_real_basis_matches_complex_eigenvectors(monkeypatch, algo):
     # numpy's, sorted, bit for bit
     calls = []
 
-    def spy(k_hat, reduce, mode_base, *args, **kwargs):
-        calls.append((k_hat, reduce, mode_base, kwargs.get("exact", False)))
-        return projected_fit(k_hat, reduce, mode_base, *args, **kwargs)
+    def spy(k_hat, reduce, mode_base, features, algorithm, *args, **kwargs):
+        calls.append((k_hat, reduce, mode_base, algorithm == "dmd"))  # SVD DMD's exact modes
+        return projected_fit(k_hat, reduce, mode_base, features, algorithm, *args, **kwargs)
 
     projected_fit = dmd_module._projected_fit
     # dmd and edmd reach it through dmd._svd_fit, kernel EDMD by import
@@ -580,6 +580,33 @@ def test_predict_refuses_an_initial_condition_whose_features_overflow(fit):
     assert np.isfinite(predict(model, [1e100, 1e100], steps=2)).all()
     with pytest.raises(NumericalError, match="not finite"):
         predict(model, [1e200, 1e200], steps=2)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda pair: fit_edmd(pair, build_dictionary("poly:2", 2)),
+    lambda pair: fit_kernel_edmd(pair, parse_kernel("poly:2")),
+], ids=["edmd", "kernel-edmd"])
+def test_eigenfunction_values_refuse_a_point_whose_features_overflow(fit):
+    # one check serves predict and eigenfunction_values: a NumericalError,
+    # not a phi of NaN or inf behind a RuntimeWarning
+    model = fit(linear_pair(np.diag([0.9, 0.5]), [1.0, 1.0], steps=9))
+    points = np.array([[1e100, 0.5], [1e100, 0.5]])
+    assert np.isfinite(eigenfunction_values(model, points)).all()
+    points[:, 1] = 1e200
+    with pytest.raises(NumericalError, match="eigenfunction values are not finite"):
+        eigenfunction_values(model, points)
+
+
+@pytest.mark.parametrize("block", [1, 4, _PREDICT_BLOCK])
+def test_forecast_that_overflows_names_its_first_non_finite_step(monkeypatch, block):
+    # 1e300 grows by 1.5 a step and passes the largest double at step 47:
+    # a NumericalError naming it, not rows of inf behind a RuntimeWarning
+    monkeypatch.setattr(dmd_module, "_PREDICT_BLOCK", block)
+    model = fit_svd_dmd(linear_pair(np.diag([1.5, 0.5]), [1.0, 1.0], steps=10))
+    assert np.isfinite(predict(model, [1e300, 1.0], steps=46)).all()
+    for steps in (47, 50):
+        with pytest.raises(NumericalError, match="^forecast step 47 is not finite"):
+            predict(model, [1e300, 1.0], steps=steps)
 
 
 @pytest.mark.parametrize("power", [600, -600])

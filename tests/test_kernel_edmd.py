@@ -13,7 +13,7 @@ from dmdkit.errors import ConfigError, EmptyRankError, NumericalError, ShapeErro
 from dmdkit.dmd import eigenfunction_values, predict
 from dmdkit.kernel_edmd import _gram_basis, fit_kernel_edmd
 from dmdkit.linalg import conjugate_pairs
-from dmdkit.model_io import ModelRecord, save_model
+from dmdkit.model_io import save_model
 from dmdkit.observables import GaussianKernel, PolynomialDictionary, PolynomialKernel
 from dmdkit.systems import linear_system, quadratic_system, rotation_system, simulate
 
@@ -252,7 +252,7 @@ def test_predict_refuses_a_kernel_model_flagged_singular(tmp_path, capsys):
         predict(flagged, traj.states[0], 3)
     # the same through the command line, after a save and load
     path = tmp_path / "model.json"
-    save_model(ModelRecord(algorithm="kernel-edmd", model=flagged, rtol=1e-10), path)
+    save_model(flagged, path)
     ic = tmp_path / "ic.csv"
     ic.write_text(",".join(map(str, traj.states[0])) + "\n")
     assert main(["predict", str(path), str(ic), "3"]) == 4

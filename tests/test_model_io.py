@@ -21,13 +21,7 @@ from dmdkit.edmd import fit_edmd
 from dmdkit.errors import ConfigError, DataError, DmdkitError, NumericalError
 from dmdkit.kernel_edmd import fit_kernel_edmd
 from dmdkit.linalg import conjugate_pairs
-from dmdkit.model_io import (
-    SCHEMA_VERSION,
-    ModelRecord,
-    _arrays_for,
-    load_model,
-    save_model,
-)
+from dmdkit.model_io import SCHEMA_VERSION, _arrays_for, load_model, save_model
 from dmdkit.observables import (
     CustomDictionary,
     GaussianKernel,
@@ -66,20 +60,21 @@ def spiral_pair(steps=11):
     return SnapshotPair(states[:, :-1], states[:, 1:])
 
 
+# Each maker returns a fitted SpectralModel, which carries its algorithm tag,
+# rtol and observable split; the names are the test ids.
 def dmd_record():
-    return ModelRecord(algorithm="dmd", model=fit_svd_dmd(linear_pair()), rtol=1e-10)
+    return fit_svd_dmd(linear_pair())
 
 
 def companion_record():
-    pair = linear_pair(n=2, steps=8, seed=3)
-    return ModelRecord(algorithm="companion", model=fit_companion(pair), rtol=1e-12)
+    return fit_companion(linear_pair(n=2, steps=8, seed=3))
 
 
 def edmd_record(dictionary=None):
     pair = quadratic_pair()
     if dictionary is None:
         dictionary = PolynomialDictionary(2, degree=2)
-    return ModelRecord(algorithm="edmd", model=fit_edmd(pair, dictionary), rtol=1e-10)
+    return fit_edmd(pair, dictionary)
 
 
 def rbf_record():
@@ -88,8 +83,7 @@ def rbf_record():
 
 
 def kernel_record():
-    model = fit_kernel_edmd(spiral_pair(), PolynomialKernel(2))
-    return ModelRecord(algorithm="kernel-edmd", model=model, rtol=1e-10)
+    return fit_kernel_edmd(spiral_pair(), PolynomialKernel(2))
 
 
 RECORD_MAKERS = [dmd_record, companion_record, edmd_record, kernel_record, rbf_record]
@@ -100,7 +94,7 @@ def singular_edmd_record():
     pair = SnapshotPair(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]]))
     model = fit_edmd(pair, IdentityDictionary(2))
     assert "eigenvector_basis_singular" in model.flags
-    return ModelRecord(algorithm="edmd", model=model, rtol=1e-10)
+    return model
 
 
 @pytest.mark.parametrize("make_record", RECORD_MAKERS)
@@ -110,7 +104,7 @@ def test_loaded_model_forecasts_and_eigenfunctions_bit_for_bit(tmp_path, capsys,
     save_model(record, path)
     loaded = load_model(path)
     assert (loaded.algorithm, loaded.rtol) == (record.algorithm, record.rtol)
-    model, want = loaded.model, record.model
+    model, want = loaded, record
     assert model.features.input_dim == want.features.input_dim
     assert model.flags == want.flags
     assert model.residuals == want.residuals
@@ -159,35 +153,41 @@ def test_dmd_round_trip_is_exact(tmp_path):
     loaded = round_trip(tmp_path, record)
     assert loaded.algorithm == "dmd"
     assert loaded.rtol == record.rtol
-    assert isinstance(loaded.model.features, IdentityDictionary)
-    assert _arrays_for(loaded.model)["points"] is None
-    assert_spectra_equal(loaded.model, record.model)
-    assert loaded.model.fit_residual == record.model.fit_residual
+    assert isinstance(loaded.features, IdentityDictionary)
+    assert _arrays_for(loaded)["points"] is None
+    assert_spectra_equal(loaded, record)
+    assert loaded.fit_residual == record.fit_residual
 
 
 def test_companion_round_trip_is_exact(tmp_path):
     record = companion_record()
     loaded = round_trip(tmp_path, record)
     assert loaded.algorithm == "companion"
-    assert loaded.model.features.input_dim == record.model.features.input_dim
-    assert_spectra_equal(loaded.model, record.model)
+    assert loaded.features.input_dim == record.features.input_dim
+    assert_spectra_equal(loaded, record)
+
+
+def test_companion_stores_the_tolerance_its_fit_applies():
+    # the companion fit cuts at a fixed 1e-12 and takes no rtol; the round
+    # trips above show a file keeps a model's rtol
+    assert companion_record().rtol == 1e-12
 
 
 def test_edmd_round_trip_is_exact(tmp_path):
     record = edmd_record()
     loaded = round_trip(tmp_path, record)
-    assert loaded.model.features.spec_string() == "poly:2"
-    assert_spectra_equal(loaded.model, record.model)
-    assert loaded.model.lifted_residual == record.model.lifted_residual
-    assert loaded.model.flags == record.model.flags
+    assert loaded.features.spec_string() == "poly:2"
+    assert_spectra_equal(loaded, record)
+    assert loaded.lifted_residual == record.lifted_residual
+    assert loaded.flags == record.flags
 
 
 def test_kernel_round_trip_is_exact(tmp_path):
     record = kernel_record()
     loaded = round_trip(tmp_path, record)
-    assert loaded.model.features.spec_string() == record.model.features.spec_string()
-    assert_spectra_equal(loaded.model, record.model)
-    assert_array_equal(loaded.model.features.points, record.model.features.points)
+    assert loaded.features.spec_string() == record.features.spec_string()
+    assert_spectra_equal(loaded, record)
+    assert_array_equal(loaded.features.points, record.features.points)
 
 
 def test_loaded_dmd_model_predicts_to_machine_precision(tmp_path):
@@ -195,7 +195,7 @@ def test_loaded_dmd_model_predicts_to_machine_precision(tmp_path):
     loaded = round_trip(tmp_path, record)
     g0 = np.array([0.3, -1.1, 0.7])
     assert_allclose(
-        predict(loaded.model, g0, 6), predict(record.model, g0, 6),
+        predict(loaded, g0, 6), predict(record, g0, 6),
         rtol=1e-13, atol=1e-15,
     )
 
@@ -205,7 +205,7 @@ def test_loaded_edmd_model_predicts_to_machine_precision(tmp_path):
     loaded = round_trip(tmp_path, record)
     z0 = np.array([0.8, -0.3])
     assert_allclose(
-        predict(loaded.model, z0, 5), predict(record.model, z0, 5),
+        predict(loaded, z0, 5), predict(record, z0, 5),
         rtol=1e-13, atol=1e-15,
     )
 
@@ -215,7 +215,7 @@ def test_loaded_kernel_model_predicts_to_machine_precision(tmp_path):
     loaded = round_trip(tmp_path, record)
     z0 = np.array([0.5, 0.1])
     assert_allclose(
-        predict(loaded.model, z0, 5), predict(record.model, z0, 5),
+        predict(loaded, z0, 5), predict(record, z0, 5),
         rtol=1e-13, atol=1e-15,
     )
 
@@ -235,12 +235,12 @@ def test_rbf_centers_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(record, path)
     loaded = load_model(path)
-    assert isinstance(loaded.model.features, KernelDictionary)
-    assert loaded.model.features.kernel.sigma == 0.7
-    assert_array_equal(loaded.model.features.points, record.model.features.points)
+    assert isinstance(loaded.features, KernelDictionary)
+    assert loaded.features.kernel.sigma == 0.7
+    assert_array_equal(loaded.features.points, record.features.points)
     z = np.array([0.4, -0.2])
     assert_array_equal(
-        loaded.model.features.transform(z), record.model.features.transform(z)
+        loaded.features.transform(z), record.features.transform(z)
     )
 
 
@@ -303,20 +303,19 @@ def test_inputs_count_must_leave_a_state_column(tmp_path, capsys, embed_h, input
 
 @pytest.mark.parametrize("embed_h, inputs, loads", SPLITS)
 def test_save_refuses_the_counts_load_refuses(tmp_path, embed_h, inputs, loads):
-    # saving applies the loader's rule, in its words, and writes no file
-    record = ModelRecord(algorithm="dmd", model=dmd_record().model, rtol=1e-10,
-                         embed_h=embed_h, inputs=inputs)
+    # a model with counts the loader refuses cannot be built, so none is
+    # saved; the loader reports the model's words after "model file"
     path = tmp_path / "saved.json"
     if loads:
-        save_model(record, path)
+        save_model(replace(dmd_record(), embed_h=embed_h, inputs=inputs), path)
         loaded = load_model(path)
         assert (loaded.embed_h, loaded.inputs) == (embed_h, inputs)
         return
     with pytest.raises(DataError) as refused:
         load_model(with_split(tmp_path, embed_h, inputs))
     with pytest.raises(ConfigError) as err:
-        save_model(record, path)
-    assert str(err.value) == str(refused.value)
+        save_model(replace(dmd_record(), embed_h=embed_h, inputs=inputs), path)
+    assert f"model file {err.value}" == str(refused.value)
     assert not path.exists()
 
 
@@ -379,18 +378,15 @@ def test_missing_file_raises_data_error(tmp_path):
 
 
 def test_non_finite_values_are_refused(tmp_path):
-    import dataclasses
-
     record = dmd_record()
-    broken = dataclasses.replace(record.model, coeffs_pf=np.array([[np.inf]]))
-    bad = dataclasses.replace(record, model=broken)
+    bad = replace(record, coeffs_pf=np.full_like(record.coeffs_pf, np.inf))
     with pytest.raises(DataError, match="finite"):
         save_model(bad, tmp_path / "model.json")
 
 
 def test_unknown_algorithm_tag_is_refused():
-    with pytest.raises(ConfigError):
-        ModelRecord(algorithm="pod", model=None, rtol=1e-10)
+    with pytest.raises(ConfigError, match="algorithm tag 'pod' is not one of"):
+        replace(dmd_record(), algorithm="pod")
 
 
 @pytest.mark.parametrize("make_record, damage, named", [
@@ -417,11 +413,10 @@ def test_loaded_features_must_fit_the_file(tmp_path, make_record, damage, named)
 
 
 def test_record_features_must_match_algorithm(tmp_path):
-    kernel_model = kernel_record().model
+    kernel_model = kernel_record()
     for algorithm in ("dmd", "companion"):
-        record = ModelRecord(algorithm=algorithm, model=kernel_model, rtol=1e-10)
-        with pytest.raises(ConfigError, match=algorithm):
-            save_model(record, tmp_path / "model.json")
+        with pytest.raises(ConfigError, match=f"a {algorithm} model cannot hold Kernel"):
+            save_model(replace(kernel_model, algorithm=algorithm), tmp_path / "model.json")
         assert not (tmp_path / "model.json").exists()
 
 
@@ -433,28 +428,29 @@ def test_file_floats_survive_json_parse_exactly(tmp_path):
     stored = payload["matrices"]["coeffs"]
     # pair form: real rows as they are, an upper row's real part in its own
     # slot and its imaginary part in its lower partner's slot
-    _, upper, lower = conjugate_pairs(record.model.eigenvalues)
+    _, upper, lower = conjugate_pairs(record.eigenvalues)
     assert upper.size > 0
-    coeffs = record.model.coeffs
+    coeffs = record.coeffs
     want = coeffs.real.copy()
     want[lower] = coeffs.imag[upper]
     assert "imag" not in stored
     assert doubles(stored["real"]).tobytes() == want.tobytes()
-    loaded = load_model(path).model.coeffs
+    loaded = load_model(path).coeffs
     assert loaded.tobytes() == coeffs.tobytes()
 
 
 def test_eigenvalues_not_closed_under_conjugation_are_refused_when_saved_or_used(tmp_path):
     # a lone complex eigenvalue has no conjugate partner, so no complex model
-    # stands behind the pair form
+    # stands behind the pair form: no such model can be built, and one whose
+    # eigenvalues are changed in place after construction cannot be used
     one = np.array([[1.0]])
-    model = SpectralModel(eigenvalues=np.array([0.5 + 0.1j]), modes_pf=one, coeffs_pf=one,
-                          features=IdentityDictionary(1), residuals={"training": 0.0})
-    path = tmp_path / "model.json"
+    fields = dict(modes_pf=one, coeffs_pf=one, features=IdentityDictionary(1),
+                  algorithm="dmd", rtol=1e-10, residuals={"training": 0.0})
     closure = "not closed under conjugation"
     with pytest.raises(NumericalError, match=closure):
-        save_model(ModelRecord(algorithm="dmd", model=model, rtol=1e-10), path)
-    assert not path.exists()
+        SpectralModel(eigenvalues=np.array([0.5 + 0.1j]), **fields)
+    model = SpectralModel(eigenvalues=np.array([0.5 + 0j]), **fields)
+    model.eigenvalues[0] = 0.5 + 0.1j
     for call in (lambda: predict(model, [1.0], 2), lambda: eigenfunction_values(model, [1.0]),
                  lambda: full_operator(model)):
         with pytest.raises(NumericalError, match=closure):
@@ -464,13 +460,14 @@ def test_eigenvalues_not_closed_under_conjugation_are_refused_when_saved_or_used
 def test_matrix_payload_is_little_endian_binary64(tmp_path):
     one = np.array([[1.0]])
     model = SpectralModel(eigenvalues=np.array([1.0]), modes_pf=one, coeffs_pf=one,
-                          features=IdentityDictionary(1), residuals={"training": 0.0})
+                          features=IdentityDictionary(1), algorithm="dmd", rtol=1e-10,
+                          residuals={"training": 0.0})
     path = tmp_path / "model.json"
-    save_model(ModelRecord(algorithm="dmd", model=model, rtol=1e-10), path)
+    save_model(model, path)
     stored = json.loads(path.read_text())["matrices"]
     for name in ("eigenvalues", "modes", "coeffs"):
         assert stored[name] == {"rows": 1, "cols": 1, "real": "AAAAAAAA8D8="}, name
-    assert load_model(path).model.eigenvalues.tolist() == [1.0]
+    assert load_model(path).eigenvalues.tolist() == [1.0]
 
 
 # ---------------------------------------------------------------- schema 6
@@ -482,7 +479,7 @@ def test_imag_is_stored_exactly_when_some_entry_is_nonzero(tmp_path, make_record
     path = tmp_path / "model.json"
     save_model(record, path)
     stored = json.loads(path.read_text())["matrices"]
-    arrays = _arrays_for(record.model)
+    arrays = _arrays_for(record)
     assert set(stored) == {name for name, value in arrays.items() if value is not None}
     for name in {"eigenvalues", "points"} & set(stored):
         matrix = stored[name]
@@ -497,7 +494,7 @@ def test_modes_and_coeffs_are_stored_real_in_pair_form(tmp_path, make_record):
     path = tmp_path / "model.json"
     save_model(record, path)
     stored = json.loads(path.read_text())["matrices"]
-    model = record.model
+    model = record
     r, n, f = model.eigenvalues.size, model.features.input_dim, model.features.size
     for name, count in (("modes", n * r), ("coeffs", r * f)):
         assert "imag" not in stored[name], name
@@ -510,10 +507,10 @@ def test_all_real_spectrum_has_no_imag_in_the_file(tmp_path):
     model = fit_svd_dmd(pair)
     assert not np.any(model.eigenvalues.imag)
     path = tmp_path / "model.json"
-    save_model(ModelRecord(algorithm="dmd", model=model, rtol=1e-10), path)
+    save_model(model, path)
     stored = json.loads(path.read_text())["matrices"]
     assert not any("imag" in matrix for matrix in stored.values())
-    loaded = load_model(path).model
+    loaded = load_model(path)
     assert_array_equal(loaded.modes_v, model.modes_v)
     assert_array_equal(loaded.coeffs, model.coeffs)
 
@@ -538,27 +535,26 @@ def test_eigenvalues_not_closed_under_conjugation_exit_3(tmp_path, capsys, make_
 
 @pytest.mark.parametrize("flags", [["x"], ["eigenvector_basis_singular", "x"], [1]])
 def test_flags_no_fit_raises_are_refused_when_loaded_or_saved(tmp_path, capsys, flags):
-    # loaded as no flag, ["x"] would let predict forecast; saving refuses
-    # what loading refuses, in its words, and writes no file
+    # loaded as no flag, ["x"] would let predict forecast; no model with
+    # such a flag can be built, so none is saved, and the loader reports the
+    # model's words after "model file"
     record = dmd_record()
     path = tmp_path / "model.json"
     save_model(record, path)
     payload = json.loads(path.read_text())
     payload["flags"] = flags
     path.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match=f"model flag {flags[-1]!r} is not one a fit raises") \
-            as refused:
+    with pytest.raises(DataError,
+                       match=f"model file flag {flags[-1]!r} is not one a fit raises") as refused:
         load_model(path)
     ic = tmp_path / "ic.csv"
     ic.write_text(",".join(["0.5"] * payload["fit"]["observable_dim"]) + "\n")
     assert main(["predict", str(path), str(ic), "2"]) == 3
     assert capsys.readouterr().err == f"error: {refused.value}\n"
-    flagged = ModelRecord(algorithm="dmd", model=replace(record.model, flags=tuple(flags)),
-                          rtol=record.rtol)
     saved = tmp_path / "saved.json"
     with pytest.raises(ConfigError) as err:
-        save_model(flagged, saved)
-    assert str(err.value) == str(refused.value)
+        save_model(replace(record, flags=tuple(flags)), saved)
+    assert f"model file {err.value}" == str(refused.value)
     assert not saved.exists()
 
 
@@ -576,7 +572,7 @@ def test_complex_matrix_without_imag_loads_as_complex(tmp_path):
     payload = json.loads(path.read_text())
     payload["matrices"]["eigenvalues"].pop("imag", None)
     path.write_text(json.dumps(payload))
-    model = load_model(path).model
+    model = load_model(path)
     # an all-real spectrum reads every pair-form slot as a real vector
     for matrix in (model.eigenvalues, model.modes_v, model.coeffs):
         assert matrix.dtype == complex and not np.any(matrix.imag)
@@ -627,6 +623,6 @@ def test_damaged_fields_raise_data_error(tmp_path, make_record):
             except DataError:
                 continue
             try:
-                predict(loaded.model, z, 2)
+                predict(loaded, z, 2)
             except DmdkitError:
                 pass

@@ -12,9 +12,10 @@ import pytest
 from dmdkit import _text
 from dmdkit._text import write_rows
 from dmdkit.data import Trajectory, save_trajectory, snapshot_pairs
-from dmdkit.dmd import fit_svd_dmd
-from dmdkit.errors import DataError
-from dmdkit.model_io import ModelRecord, load_model, save_model
+from dmdkit.dmd import SpectralModel, fit_svd_dmd
+from dmdkit.errors import ConfigError, DataError, NumericalError
+from dmdkit.model_io import load_model, save_model
+from dmdkit.observables import IdentityDictionary
 from dmdkit.systems import linear_system, simulate
 
 EDGE_VALUES = [
@@ -189,22 +190,21 @@ def test_pieces_stay_bounded_by_value_count(monkeypatch):
 
 def dmd_record():
     a = np.array([[0.9, 0.2], [0.0, 0.5]])
-    model = fit_svd_dmd(snapshot_pairs(simulate(linear_system(a, [1.0, -0.4], 12))))
-    return ModelRecord(algorithm="dmd", model=model, rtol=1e-10)
+    return fit_svd_dmd(snapshot_pairs(simulate(linear_system(a, [1.0, -0.4], 12))))
 
 
 def test_model_file_matrices_match_per_value_format_with_negative_zero_as_zero(tmp_path):
     real = edge_and_random_values(count=3000)
     imag = -real[::-1]
-    record = dmd_record()
     # one conjugate pair per value: upper members at even slots, so the pair
     # form of the 1 x 2k mode row interleaves the real and imaginary parts
     modes = np.column_stack([real, imag]).reshape(1, -1)
     values = np.tile([0.5 + 0.25j, 0.5 - 0.25j], real.size)
-    model = dataclasses.replace(record.model, eigenvalues=values, modes_pf=modes,
-                                coeffs_pf=np.zeros((values.size, 2)))
+    coeffs = np.zeros((values.size, 1))
+    model = SpectralModel(values, modes, coeffs, IdentityDictionary(1), "dmd", 1e-10,
+                          residuals={"training": 0.0})
     path = tmp_path / "model.json"
-    save_model(dataclasses.replace(record, model=model), path)
+    save_model(model, path)
     stored = json.loads(path.read_text())["matrices"]["modes"]
     assert "imag" not in stored
     bits = np.frombuffer(base64.b64decode(stored["real"]), "<u8").reshape(-1, 2)
@@ -213,9 +213,10 @@ def test_model_file_matrices_match_per_value_format_with_negative_zero_as_zero(t
         # the stored bits are the model's, except that -0.0 is stored as +0.0
         assert np.array_equal(bits[:, column], (part + 0.0).astype("<f8").view("<u8"))
         assert not np.signbit(bits[:, column].view("<f8")[part == 0]).any()
-    # a 1 x 2k mode matrix does not fit the 2-observable model around it
-    with pytest.raises(DataError, match="'modes'"):
-        load_model(path)
+    assert load_model(path).modes_pf.tobytes() == (modes + 0.0).tobytes()
+    # a 1 x 2k mode matrix does not fit a 2-observable model
+    with pytest.raises(ConfigError, match="'modes'"):
+        dataclasses.replace(dmd_record(), eigenvalues=values, modes_pf=modes, coeffs_pf=coeffs)
 
 
 def test_model_file_is_valid_json_and_resaves_byte_identical(tmp_path):
@@ -232,17 +233,21 @@ def test_model_file_is_valid_json_and_resaves_byte_identical(tmp_path):
 ])
 def test_non_finite_matrix_entry_raises_data_error(tmp_path, bad):
     record = dmd_record()
-    values = record.model.eigenvalues.astype(complex)
+    values = record.eigenvalues.astype(complex)
     values[-1] = bad
-    model = dataclasses.replace(record.model, eigenvalues=values)
+    if np.isnan(bad.imag):  # no eigenvalue is its conjugate: the model refuses it
+        with pytest.raises(NumericalError, match="not closed under conjugation"):
+            dataclasses.replace(record, eigenvalues=values)
+        return
+    if bad.imag:  # give it its conjugate partner, so the model holds it
+        values[-2] = np.conj(bad)
+    model = dataclasses.replace(record, eigenvalues=values)
     with pytest.raises(DataError, match="finite"):
-        save_model(dataclasses.replace(record, model=model), tmp_path / "model.json")
+        save_model(model, tmp_path / "model.json")
 
 
 def test_non_finite_metadata_number_raises_data_error(tmp_path):
-    record = dmd_record()
-    model = dataclasses.replace(record.model, residuals={"training": float("nan")})
-    record = dataclasses.replace(record, model=model)
+    record = dataclasses.replace(dmd_record(), residuals={"training": float("nan")})
     path = tmp_path / "model.json"
     with pytest.raises(DataError, match="non-finite"):
         save_model(record, path)
