@@ -240,9 +240,9 @@ def write_text_file(path, what: str, write) -> None:
     """Create ``path`` and call ``write(handle)`` on it, leaving no partial file.
 
     An ``OSError`` (a missing directory, a full disk) becomes a one-line
-    ``DataError`` naming ``what``; a ``DataError`` or ``MemoryError`` from
-    ``write`` passes through. Either way a regular file this call created is
-    removed again, since it was written piece by piece.
+    ``DataError`` naming ``what``; a ``MemoryError`` from ``write`` passes
+    through. Either way a regular file this call created is removed again,
+    since it was written piece by piece.
     """
     try:
         handle = open(path, "w", encoding="utf-8", newline="\n")
@@ -251,7 +251,7 @@ def write_text_file(path, what: str, write) -> None:
     try:
         with handle:
             write(handle)
-    except (OSError, DataError, MemoryError) as err:
+    except (OSError, MemoryError) as err:
         if os.path.isfile(path):
             os.remove(path)
         if not isinstance(err, OSError):

@@ -216,7 +216,7 @@ def concat_pairs(pairs: list[SnapshotPair]) -> SnapshotPair:
     for p in pairs[1:]:
         if p.n_observables != n_obs:
             raise ShapeError("snapshot pairs have mismatched observable dimensions")
-        if p.dt != dt:
+        if abs(p.dt - dt) > _DT_RTOL * dt:
             raise ShapeError("snapshot pairs have mismatched sampling intervals")
     if len(pairs) == 1:
         return pairs[0]

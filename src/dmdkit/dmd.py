@@ -67,10 +67,11 @@ residual, but its eigenfunctions are not defined: ``eigenfunction_values``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .data import SnapshotPair, Trajectory, delay_embed, snapshot_pairs
+from .data import SnapshotPair, Trajectory, _freeze, delay_embed, snapshot_pairs
 from .errors import ConditioningError, ConfigError, NumericalError, ShapeError
 from .linalg import DEFAULT_RTOL, conjugate_pairs, eig, svd_truncated
 from .observables import Dictionary, IdentityDictionary, KernelDictionary
@@ -116,8 +117,10 @@ class SpectralModel:
     tag outside _FEATURES, or features of a type the tag does not take; a
     flag outside _FIT_FLAGS; n other than embed_h x (states + inputs) with
     at least one state; modes other than n x r or coeffs other than r x f
-    (ConfigError); and eigenvalues not closed under conjugation
-    (NumericalError). ``dataclasses.replace`` checks the new model again.
+    (ConfigError); a NaN or inf in an array, ``rtol`` or a residual, then
+    eigenvalues not closed under conjugation (NumericalError). Arrays and
+    residuals are then read-only, flags a tuple, and ``pairs`` holds the
+    ``conjugate_pairs`` partition. ``dataclasses.replace`` checks anew.
     """
 
     eigenvalues: np.ndarray
@@ -130,6 +133,7 @@ class SpectralModel:
     residuals: dict = field(default_factory=dict)
     embed_h: int = 1
     inputs: int = 0
+    pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tag = self.algorithm
@@ -159,17 +163,26 @@ class SpectralModel:
             if np.shape(matrix) != shape:
                 raise ConfigError(f"matrix {name!r} is {'x'.join(map(str, np.shape(matrix)))}, "
                                   f"not {what} = {shape[0]}x{shape[1]}")
-        conjugate_pairs(self.eigenvalues)
+        for name in ("eigenvalues", "modes_pf", "coeffs_pf"):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name))))
+        object.__setattr__(self, "flags", tuple(self.flags))
+        object.__setattr__(self, "residuals", MappingProxyType(dict(self.residuals)))
+        for what, value in (("matrix 'eigenvalues'", self.eigenvalues), ("rtol", self.rtol),
+                            ("matrix 'modes'", self.modes_pf), ("matrix 'coeffs'", self.coeffs_pf),
+                            *((f"residual {k!r}", v) for k, v in self.residuals.items())):
+            if not np.isfinite(value).all():
+                raise NumericalError(f"{what} is not finite (NaN or inf)")
+        object.__setattr__(self, "pairs", tuple(map(_freeze, conjugate_pairs(self.eigenvalues))))
 
     @property
     def modes_v(self) -> np.ndarray:
         """The complex modes V (n x r)."""
-        return _from_pair_form(self.modes_pf.T, self.eigenvalues).T
+        return _from_pair_form(self.modes_pf.T, self.pairs).T
 
     @property
     def coeffs(self) -> np.ndarray:
         """The complex feature-to-eigenfunction map C (r x f)."""
-        return _from_pair_form(self.coeffs_pf, self.eigenvalues)
+        return _from_pair_form(self.coeffs_pf, self.pairs)
 
     @property
     def fit_residual(self) -> float:
@@ -205,10 +218,9 @@ def _relative_error(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     return float(np.sqrt(total) / (denom if denom > 0 else 1.0))
 
 
-def _from_pair_form(stored: np.ndarray, values) -> np.ndarray:
-    """The complex rows whose pair form under eigenvalues ``values`` is ``stored``,
-    in ``stored``'s layout; NumericalError unless ``values`` is conjugate-closed."""
-    _, upper, lower = conjugate_pairs(values)
+def _from_pair_form(stored: np.ndarray, pairs) -> np.ndarray:
+    """The complex rows, in ``stored``'s layout, whose pair form under ``pairs`` is ``stored``."""
+    _, upper, lower = pairs
     out = stored.astype(complex)
     out.real[lower] = stored[upper]
     out.imag[upper] = stored[lower]
@@ -370,7 +382,7 @@ def eigenfunction_values(model: SpectralModel, z) -> np.ndarray:
     """
     _require_basis(model)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        phi = _from_pair_form(model.coeffs_pf @ model.features.transform(z), model.eigenvalues)
+        phi = _from_pair_form(model.coeffs_pf @ model.features.transform(z), model.pairs)
     if not np.isfinite(phi).all():
         raise NumericalError("eigenfunction values are not finite: the point's features overflow")
     return phi
@@ -385,7 +397,7 @@ def full_operator(model: SpectralModel) -> np.ndarray:
     as a pair adds 2 Re(lambda v c) = 2 Re(lambda v) Re(c) - 2 Im(lambda v) Im(c).
     """
     _require_basis(model)
-    _, upper, lower = conjugate_pairs(model.eigenvalues)
+    _, upper, lower = model.pairs
     left = _scaled(model.modes_pf, model.eigenvalues, upper, lower)
     left[:, upper] *= 2.0
     left[:, lower] *= -2.0

@@ -19,14 +19,14 @@ own, so save -> load -> save is byte-identical and loaded models reproduce
 the original predictions bit for bit. The metadata floats are the stdlib
 encoder's shortest round-trip text, which reads back exactly.
 
-A model checks its own rules when it is built (``SpectralModel``), so
-saving only encodes. Loading uses the stdlib json parser with NaN and
-Infinity refused, checks every field's type, every matrix payload's base64
-alphabet, padding, length and finiteness, and that ``observable_dim`` is
-the row count of modes and points, then builds the model; the model's
-refusal, like every other, is a ``DataError`` that names the file, so a
-damaged file never fails later or forecasts wrongly. Files of any other
-schema version are refused.
+A model checks its own rules, finite numbers among them, when it is built
+and cannot change after (``SpectralModel``), so saving only encodes.
+Loading uses the stdlib json parser with NaN and Infinity refused, checks
+every field's type and matrix payload (base64 alphabet, padding, length)
+and that ``observable_dim`` is the row count of modes and points, then
+builds the model; its refusal, like every other, is a ``DataError`` naming
+the file, so a damaged file never fails later or forecasts wrongly. Files
+of any other schema version are refused.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _string(value, what: str) -> str:
 
 
 def _numbers(value, name: str, key: str, count: int) -> np.ndarray:
-    """The base64 string ``value`` as a float array of ``count`` finite entries."""
+    """The base64 string ``value`` as a float array of ``count`` entries."""
     if not isinstance(value, str):
         raise DataError(f"matrix {name!r} {key} must be a base64 string")
     try:
@@ -104,10 +104,7 @@ def _numbers(value, name: str, key: str, count: int) -> np.ndarray:
     if len(raw) != 8 * count:
         raise DataError(f"matrix {name!r} {key} holds {len(raw)} bytes, not the "
                         f"{8 * count} of {count} doubles")
-    arr = np.frombuffer(raw, "<f8").astype(float)  # a writable native copy
-    if not np.isfinite(arr).all():
-        raise DataError(f"matrix {name!r} {key} has NaN or infinite entries")
-    return arr
+    return np.frombuffer(raw, "<f8").astype(float)  # a native copy
 
 
 def _decode_matrix(obj, name: str, want_complex: bool) -> np.ndarray:
@@ -122,8 +119,8 @@ def _decode_matrix(obj, name: str, want_complex: bool) -> np.ndarray:
     if "imag" not in obj:
         return re.astype(complex) if want_complex else re
     im = _numbers(obj["imag"], name, "imag", rows * cols).reshape(rows, cols)
-    if want_complex:
-        return re + 1j * im
+    if want_complex:  # paired as stored, where re + 1j * im turns an infinite im into a NaN re
+        return np.stack((re, im), axis=-1).view(complex)[..., 0]
     if np.any(im != 0.0):
         raise DataError(f"matrix {name!r} must be real but has imaginary entries")
     return re
@@ -134,23 +131,16 @@ def _decode_matrix(obj, name: str, want_complex: bool) -> np.ndarray:
 
 def _arrays_for(model: SpectralModel) -> dict:
     """The model's matrices by stored name; None marks one the file leaves out."""
-    return {
-        "eigenvalues": model.eigenvalues,
-        "modes": model.modes_pf,
-        "coeffs": model.coeffs_pf,
-        "points": getattr(model.features, "points", None),
-    }
+    return {"eigenvalues": model.eigenvalues, "modes": model.modes_pf, "coeffs": model.coeffs_pf,
+            "points": getattr(model.features, "points", None)}
 
 
 def save_model(model: SpectralModel, path) -> None:
     """Write the model as schema-versioned JSON.
 
-    The model checked itself when it was built, so only the encoder's own
-    rule is left: every stored number must be finite (``DataError``).
+    The model checked itself when it was built and cannot change after, so
+    any model is written as it is.
     """
-    arrays = _arrays_for(model)
-    if not all(np.isfinite(value).all() for value in arrays.values() if value is not None):
-        raise DataError("model matrices must be finite")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": model.algorithm,
@@ -164,16 +154,13 @@ def save_model(model: SpectralModel, path) -> None:
         },
         "flags": list(model.flags),
         "matrices": {
-            name: _encode_matrix(value) for name, value in arrays.items()
+            name: _encode_matrix(value) for name, value in _arrays_for(model).items()
             if value is not None
         },
     }
 
     def write(handle):
-        try:
-            json.dump(payload, handle, indent=2, allow_nan=False)
-        except ValueError:  # write_text_file cleans up after DataError, not this
-            raise DataError("model files cannot encode non-finite numbers") from None
+        json.dump(payload, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
     write_text_file(path, "model file", write)

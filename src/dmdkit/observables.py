@@ -26,6 +26,7 @@ from math import comb
 
 import numpy as np
 
+from .data import _freeze
 from .errors import ConfigError, ShapeError
 
 
@@ -285,7 +286,7 @@ class KernelDictionary(Dictionary):
 
     Kernel EDMD's features are its training snapshots' sections, and an rbf
     dictionary is Gaussian sections at strided centers. The spec string is
-    the kernel's; the points are data, stored beside it.
+    the kernel's; the points are data, stored beside it, read-only.
     """
 
     def __init__(self, kernel: Kernel, points):
@@ -295,7 +296,7 @@ class KernelDictionary(Dictionary):
         names = tuple(f"k{j}" for j in range(1, points.shape[1] + 1))
         super().__init__(points.shape[0], points.shape[1], names)
         self.kernel = kernel
-        self.points = points
+        self.points = _freeze(points)
 
     def _transform_columns(self, cols):
         return self.kernel.gram(self.points, cols)

@@ -11,6 +11,9 @@
 #
 #     cd "$(mktemp -d)" && bash /path/to/dmdkit/tests/cli_smoke.sh
 set -eo pipefail
+# a numpy overflow or invalid value fails each dmdkit child, as pyproject.toml's
+# filterwarnings fails it in the Tier-1 tests' own process
+export PYTHONWARNINGS=error::RuntimeWarning
 
 dmdkit simulate --system rotation --theta 0.5 --steps 5
 dmdkit simulate --system rotation --theta 0.5 --steps 20 --out rot.csv
@@ -34,7 +37,14 @@ for copy in crlf bom; do
 done
 cat rot.csv | dmdkit fit --algo dmd --data /dev/stdin --out model-pipe.json
 dmdkit spectrum model-pipe.json | cmp - spectrum.csv
-python -c 'import base64, json, numpy as np; m = json.load(open("model.json"))["matrices"]["eigenvalues"]; values = np.frombuffer(base64.b64decode(m["real"]), "<f8").reshape(m["rows"], m["cols"]); rows = open("spectrum.csv").read().splitlines()[1:]; assert values.size == len(rows) > 0, (values.size, rows)'
+python -c '
+import base64, json, numpy as np
+with open("model.json") as handle:
+    m = json.load(handle)["matrices"]["eigenvalues"]
+with open("spectrum.csv") as handle:
+    rows = handle.read().splitlines()[1:]
+values = np.frombuffer(base64.b64decode(m["real"]), "<f8").reshape(m["rows"], m["cols"])
+assert values.size == len(rows) > 0, (values.size, rows)'
 echo "1,0" > ic.csv
 dmdkit predict model.json ic.csv 5
 dmdkit predict model.json ic.csv 3000 > forecast.csv

@@ -157,7 +157,7 @@ def test_svd_dmd_is_identity_edmd_on_criterion_1_systems():
         scaled = factors.w / factors.sigma
         basis = eig(factors.u.T @ (pair.xp @ scaled)).basis
         for model, base, divisor in ((dmd, pair.xp, dmd.eigenvalues), (edmd, pair.x, 1.0)):
-            explicit = _from_pair_form((base @ scaled @ basis).T, model.eigenvalues).T / divisor
+            explicit = _from_pair_form((base @ scaled @ basis).T, model.pairs).T / divisor
             assert np.max(np.abs(model.modes_v - explicit)) <= 1e-13 * np.max(np.abs(explicit))
     print("PASS: SVD DMD is identity EDMD with exact modes on 20 seeded systems")
 

@@ -731,7 +731,7 @@ def _polynomial_features(payload):
 
 @pytest.mark.parametrize("damage, named", [
     (_nan_in_modes, "NaN"),
-    (_inf_in_coeffs, "'coeffs' real has NaN or infinite entries"),
+    (_inf_in_coeffs, "'coeffs' is not finite"),
     (_non_alphabet_character, "'modes' real is not valid base64"),
     (_one_double_short, "'coeffs' real holds"),
     (_bad_padding, "'modes' real is not valid base64"),
@@ -1239,6 +1239,18 @@ def test_fit_of_files_with_different_time_steps_exits_3(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert one_error_line(err) and "mismatched sampling intervals" in err
     assert not model.exists()
+
+
+def test_fit_of_files_sampled_alike_from_different_start_times_exits_0(capsys, tmp_path):
+    # 5.1 - 5.0 reads 0.09999999999999964, not the 0.1 of 0.1 - 0.0
+    first, second = tmp_path / "early.csv", tmp_path / "late.csv"
+    first.write_text("t,x1,x2\n0,1,1\n0.1,0.9,0.5\n0.2,0.81,0.25\n")
+    second.write_text("t,x1,x2\n5,1,1\n5.1,0.9,0.5\n5.2,0.81,0.25\n")
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, ["fit", "--algo", "dmd", "--data", str(first),
+                                "--data", str(second), "--out", str(model)])
+    assert code == 0 and "error" not in err
+    assert model.exists()
 
 
 @pytest.mark.parametrize("steps", [10**15, 2**62, 10**30])

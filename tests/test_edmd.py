@@ -10,7 +10,7 @@ from dmdkit.data import Trajectory, concat_pairs, snapshot_pairs
 from dmdkit.dmd import _from_pair_form, eigenfunction_values, fit_svd_dmd, predict
 from dmdkit.edmd import fit_edmd, lift_snapshots
 from dmdkit.errors import ConfigError, NumericalError, ShapeError
-from dmdkit.linalg import eig, svd_truncated
+from dmdkit.linalg import conjugate_pairs, eig, svd_truncated
 from dmdkit.observables import (CustomDictionary, IdentityDictionary, PolynomialDictionary,
                                 build_dictionary)
 from dmdkit.systems import linear_system, quadratic_system, simulate
@@ -36,7 +36,7 @@ def lifted_basis(pair, dictionary):
     factors = svd_truncated(lifted.x)
     k_hat = factors.u.T @ lifted.xp @ (factors.w / factors.sigma)
     spectrum = eig(k_hat)
-    return factors.u @ _from_pair_form(spectrum.basis.T, spectrum.values).T
+    return factors.u @ _from_pair_form(spectrum.basis.T, conjugate_pairs(spectrum.values)).T
 
 
 def rotation_pair(seed):
@@ -138,7 +138,7 @@ def test_modes_equal_the_explicit_d_u_p_product(system, spec, steps):
     d_coeffs = pair.x @ (factors.w / factors.sigma) @ factors.u.T
     basis = eig(k_hat).basis
     explicit_pf = d_coeffs @ factors.u @ basis
-    explicit = _from_pair_form(explicit_pf.T, model.eigenvalues).T
+    explicit = _from_pair_form(explicit_pf.T, model.pairs).T
     assert model.flags == ()
     assert np.max(np.abs(model.modes_v - explicit)) <= 1e-14 * np.max(np.abs(model.modes_v))
     reference = replace(model, modes_pf=explicit_pf)

@@ -379,9 +379,8 @@ def test_missing_file_raises_data_error(tmp_path):
 
 def test_non_finite_values_are_refused(tmp_path):
     record = dmd_record()
-    bad = replace(record, coeffs_pf=np.full_like(record.coeffs_pf, np.inf))
-    with pytest.raises(DataError, match="finite"):
-        save_model(bad, tmp_path / "model.json")
+    with pytest.raises(NumericalError, match="matrix 'coeffs' is not finite"):
+        replace(record, coeffs_pf=np.full_like(record.coeffs_pf, np.inf))
 
 
 def test_unknown_algorithm_tag_is_refused():
@@ -441,20 +440,22 @@ def test_file_floats_survive_json_parse_exactly(tmp_path):
 
 def test_eigenvalues_not_closed_under_conjugation_are_refused_when_saved_or_used(tmp_path):
     # a lone complex eigenvalue has no conjugate partner, so no complex model
-    # stands behind the pair form: no such model can be built, and one whose
-    # eigenvalues are changed in place after construction cannot be used
+    # stands behind the pair form: no such model can be built, and a built
+    # model's eigenvalues cannot be changed in place to one, so what is saved
+    # and used is the model as it was checked
     one = np.array([[1.0]])
     fields = dict(modes_pf=one, coeffs_pf=one, features=IdentityDictionary(1),
                   algorithm="dmd", rtol=1e-10, residuals={"training": 0.0})
-    closure = "not closed under conjugation"
-    with pytest.raises(NumericalError, match=closure):
+    with pytest.raises(NumericalError, match="not closed under conjugation"):
         SpectralModel(eigenvalues=np.array([0.5 + 0.1j]), **fields)
     model = SpectralModel(eigenvalues=np.array([0.5 + 0j]), **fields)
-    model.eigenvalues[0] = 0.5 + 0.1j
-    for call in (lambda: predict(model, [1.0], 2), lambda: eigenfunction_values(model, [1.0]),
-                 lambda: full_operator(model)):
-        with pytest.raises(NumericalError, match=closure):
-            call()
+    with pytest.raises(ValueError, match="read-only"):
+        model.eigenvalues[0] = 0.5 + 0.1j
+    assert model.eigenvalues.tolist() == [0.5]
+    assert_array_equal(predict(model, [1.0], 2), [[0.5], [0.25]])
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert load_model(path).eigenvalues.tolist() == [0.5]
 
 
 def test_matrix_payload_is_little_endian_binary64(tmp_path):
@@ -468,6 +469,86 @@ def test_matrix_payload_is_little_endian_binary64(tmp_path):
     for name in ("eigenvalues", "modes", "coeffs"):
         assert stored[name] == {"rows": 1, "cols": 1, "real": "AAAAAAAA8D8="}, name
     assert load_model(path).eigenvalues.tolist() == [1.0]
+
+
+# ------------------------------------------------- a model checked once, trusted after
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_stored_arrays_are_read_only_when_fitted_or_loaded(tmp_path, make_record):
+    fitted = make_record()
+    path = tmp_path / "model.json"
+    save_model(fitted, path)
+    for model in (fitted, load_model(path)):
+        arrays = [model.eigenvalues, model.modes_pf, model.coeffs_pf, *model.pairs]
+        if isinstance(model.features, KernelDictionary):
+            arrays.append(model.features.points)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(TypeError):
+            model.residuals["training"] = 0.5
+        assert isinstance(model.flags, tuple)
+
+
+def test_a_model_keeps_its_flags_and_residuals_when_the_callers_change():
+    one = np.array([[1.0]])
+    residuals, flags = {"training": 0.0}, ["zero_eigenvalue_modes"]
+    model = SpectralModel(np.array([0.5]), one, one, IdentityDictionary(1), "dmd", 1e-10,
+                          flags, residuals)
+    residuals["training"] = float("nan")
+    flags.append("x")
+    assert model.residuals == {"training": 0.0}
+    assert model.flags == ("zero_eigenvalue_modes",)
+    assert one.flags.writeable  # the model froze a view, not the caller's array
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["eigenvalues", "modes_pf", "coeffs_pf", "rtol", "residual"])
+def test_construction_refuses_a_non_finite_number(field, bad):
+    model = dmd_record()
+    if field == "rtol":
+        changes, named = {"rtol": bad}, "rtol"
+    elif field == "residual":
+        changes = {"residuals": {**model.residuals, "observable": bad}}
+        named = "residual 'observable'"
+    else:
+        array = getattr(model, field).copy()
+        array[(-1,) * array.ndim] = bad
+        changes = {field: array}
+        named = {"modes_pf": "matrix 'modes'", "coeffs_pf": "matrix 'coeffs'"}.get(
+            field, "matrix 'eigenvalues'")
+    with pytest.raises(NumericalError, match=fr"^{named} is not finite \(NaN or inf\)$"):
+        replace(model, **changes)
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_model_pairs_are_its_eigenvalue_partition(make_record):
+    model = make_record()
+    assert len(model.pairs) == 3
+    for held, want in zip(model.pairs, conjugate_pairs(model.eigenvalues)):
+        assert_array_equal(held, want)
+
+
+@pytest.mark.parametrize("make_record", RECORD_MAKERS)
+def test_uses_of_a_model_read_its_pairs_without_pairing_again(monkeypatch, make_record):
+    model = make_record()
+    calls = []
+
+    def spy(values):
+        calls.append(values)
+        return conjugate_pairs(values)
+
+    monkeypatch.setattr("dmdkit.dmd.conjugate_pairs", spy)
+    z = np.full(model.features.input_dim, 0.5)
+    predict(model, z, 3)
+    eigenfunction_values(model, z)
+    full_operator(model)
+    model.modes_v
+    model.coeffs
+    assert calls == []
+    replace(model)  # construction pairs the eigenvalues, once
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- schema 6

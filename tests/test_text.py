@@ -232,26 +232,34 @@ def test_model_file_is_valid_json_and_resaves_byte_identical(tmp_path):
     complex(0.5, np.nan), complex(0.5, -np.inf),
 ])
 def test_non_finite_matrix_entry_raises_data_error(tmp_path, bad):
+    # the model refuses it before its conjugation rule, so no model holds
+    # it to save, and a file that holds it is refused when loaded
     record = dmd_record()
     values = record.eigenvalues.astype(complex)
     values[-1] = bad
-    if np.isnan(bad.imag):  # no eigenvalue is its conjugate: the model refuses it
-        with pytest.raises(NumericalError, match="not closed under conjugation"):
-            dataclasses.replace(record, eigenvalues=values)
-        return
-    if bad.imag:  # give it its conjugate partner, so the model holds it
-        values[-2] = np.conj(bad)
-    model = dataclasses.replace(record, eigenvalues=values)
-    with pytest.raises(DataError, match="finite"):
-        save_model(model, tmp_path / "model.json")
+    with pytest.raises(NumericalError, match="matrix 'eigenvalues' is not finite"):
+        dataclasses.replace(record, eigenvalues=values)
+    path = tmp_path / "model.json"
+    save_model(record, path)
+    payload = json.loads(path.read_text())
+    stored = payload["matrices"]["eigenvalues"]
+    for key, part in (("real", values.real), ("imag", values.imag)):
+        stored[key] = base64.b64encode(part.astype("<f8").tobytes()).decode("ascii")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="^model file matrix 'eigenvalues' is not finite"):
+        load_model(path)
 
 
 def test_non_finite_metadata_number_raises_data_error(tmp_path):
-    record = dataclasses.replace(dmd_record(), residuals={"training": float("nan")})
+    with pytest.raises(NumericalError, match="residual 'training' is not finite"):
+        dataclasses.replace(dmd_record(), residuals={"training": float("nan")})
     path = tmp_path / "model.json"
-    with pytest.raises(DataError, match="non-finite"):
-        save_model(record, path)
-    assert not path.exists()
+    save_model(dmd_record(), path)
+    payload = json.loads(path.read_text())
+    payload["fit"]["residuals"]["training"] = float("nan")
+    path.write_text(json.dumps(payload))  # as the constant NaN
+    with pytest.raises(DataError, match="contains NaN; every number must be finite"):
+        load_model(path)
 
 
 def reference_trajectory_csv(traj):
