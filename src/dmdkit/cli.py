@@ -99,6 +99,8 @@ def _require_flag(value, flag: str, context: str):
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
     from .systems import (
         forced_linear_system,
         linear_system,
@@ -116,7 +118,7 @@ def cmd_simulate(args) -> int:
         elif kind == "rotation":
             theta = _require_flag(args.theta, "--theta", "--system rotation")
             x0 = _parse_vector(args.x0, "--x0") if args.x0 else (1.0, 0.0)
-            spec = rotation_system(theta, steps, x0=x0, observe=args.observe)
+            spec = rotation_system(theta, steps, x0=x0)
         elif kind == "quadratic":
             mu = _require_flag(args.mu, "--mu", "--system quadratic")
             lam = _require_flag(args.lam, "--lam", "--system quadratic")
@@ -135,7 +137,7 @@ def cmd_simulate(args) -> int:
             )
     except ShapeError as err:
         raise ConfigError(str(err)) from None
-    traj = simulate(spec)
+    traj = simulate(replace(spec, observe=args.observe))
     if args.out:
         save_trajectory(traj, args.out)
         _note(f"wrote {traj.length} samples to {args.out}")

@@ -1,5 +1,8 @@
 """Trajectory containers, CSV I/O, snapshot pairing, and delay embedding.
 
+The package's one rule for an input array, ``_finite_array``, lives here
+too; ``linalg``, ``observables`` and ``systems.SystemSpec`` call it.
+
 A trajectory stores one sample per row. Snapshot matrices used by the fitting
 routines store one sample per *column*, with the pair (x, xp) aligned so that
 column j of xp is the successor (one sampling step later) of column j of x.
@@ -8,9 +11,10 @@ n x T sample-per-column matrix, and x and xp are its overlapping read-only
 windows of columns 0..T-2 and 1..T-1, so a fit holds one copy of the data.
 
 CSV format: a header row ``t,x1..xN[,u1..uM][,d1..dK]`` followed by numeric
-rows; time stamps must be uniformly spaced. The ``d`` columns are read as
-further inputs after the ``u`` columns, so a trajectory holds one block of
-held signals, and it is written back with every held column named ``u``.
+rows; time stamps must be uniformly spaced, up to the rounding of each
+stamp. The ``d`` columns are read as further inputs after the ``u`` columns,
+so a trajectory holds one block of held signals, and it is written back with
+every held column named ``u``.
 Files are UTF-8, and one leading byte-order mark is dropped. Floats are
 written with 17 significant digits so a save/load round trip is bit-exact.
 
@@ -34,6 +38,7 @@ import itertools
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -44,19 +49,37 @@ from .errors import ConfigError, DataError, ShapeError
 _DT_RTOL = 1e-9
 
 
-def _as_samples(value, name: str) -> np.ndarray:
-    """Coerce to a (T, n) float array; 1-D input is treated as scalar samples."""
+def _finite_array(value, name: str, ndim: int | None = None) -> np.ndarray:
+    """``value`` as a float array, refused with a ShapeError naming ``name`` unless
+    it is numeric, non-empty, finite and, if ``ndim`` is given, ``ndim``-D."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"{name} must be numeric: {exc}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ShapeError(f"{name} is empty, shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        verb = "contain" if name.endswith("s") else "contains"  # "states contain"
+        raise ShapeError(f"{name} {verb} non-finite entries")
+    return arr
+
+
+def _as_2d(value, name: str) -> np.ndarray:
+    """A finite 2-D float array; a 1-D value is one column."""
+    arr = _finite_array(value, name)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ShapeError(f"{name} must be a (samples, dim) array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name} contains non-finite entries")
+    if arr.ndim != 2:
+        raise ShapeError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
     return arr
+
+
+def _check_dt(dt) -> None:
+    """Refuse a sampling interval that is not a positive finite number."""
+    if not (isinstance(dt, Real) and 0 < dt < np.inf):  # NaN fails too
+        raise ShapeError(f"dt must be a positive finite number, got {dt}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -85,14 +108,13 @@ class Trajectory:
     inputs: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ShapeError(f"dt must be a positive finite number, got {self.dt}")
-        states = _as_samples(self.states, "states")
+        _check_dt(self.dt)
+        states = _as_2d(self.states, "states")
         if states.shape[0] < 2:
             raise ShapeError("a trajectory needs at least 2 samples")
         object.__setattr__(self, "states", _freeze(np.ascontiguousarray(states)))
         if self.inputs is not None:
-            inputs = _as_samples(self.inputs, "inputs")
+            inputs = _as_2d(self.inputs, "inputs")
             if inputs.shape[0] != states.shape[0]:
                 raise ShapeError(
                     f"inputs has {inputs.shape[0]} samples, states has {states.shape[0]}"
@@ -128,14 +150,11 @@ class SnapshotPair:
     dt: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        xp = np.asarray(self.xp, dtype=float)
-        if x.ndim != 2 or x.shape[1] < 1:
-            raise ShapeError(f"x must be (n_obs, m) with m >= 1, got {x.shape}")
+        _check_dt(self.dt)
+        x = _finite_array(self.x, "snapshot matrices", 2)
+        xp = _finite_array(self.xp, "snapshot matrices", 2)
         if xp.shape != x.shape:
             raise ShapeError(f"xp shape {xp.shape} does not match x shape {x.shape}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xp))):
-            raise ShapeError("snapshot matrices contain non-finite entries")
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "xp", _freeze(xp))
 
@@ -265,7 +284,9 @@ def load_trajectory(path) -> Trajectory:
 
     Errors name the offending 1-based line. The sampling interval is taken
     from the first two stamps and every later step must match it to within
-    1e-9 relative jitter.
+    1e-9 relative jitter plus two units in the last place of the largest
+    |t|: each stamp is rounded by up to half a unit, so stamps offset far
+    from zero (t = 1.7e9 + k/10) step unevenly by that much.
     """
     with _text_file(path, "trajectory file") as handle:
         # read by readline, not iteration, so handle.tell() stays available
@@ -289,7 +310,7 @@ def load_trajectory(path) -> Trajectory:
         steps = np.diff(t)
         jitter = np.abs(steps - dt)
         worst = int(np.argmax(jitter))
-        if jitter[worst] > _DT_RTOL * abs(dt):
+        if jitter[worst] > _DT_RTOL * abs(dt) + 2 * np.spacing(np.max(np.abs(t))):
             raise DataError(
                 f"{path}: line {_row_line(handle, start, first_line, worst + 1)}: time step "
                 f"{float(steps[worst])!r} deviates from dt={dt!r}"

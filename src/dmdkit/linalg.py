@@ -18,7 +18,9 @@ Every fitting routine in the package funnels its eigenvalue problems through
 
 ``conjugate_pairs`` finds the real eigenvalues and the two members of each
 conjugate pair by exact value; a real matrix gives its conjugate pairs
-exactly. The factorizations themselves come from numpy.linalg (LAPACK).
+exactly. The factorizations themselves come from numpy.linalg (LAPACK), and
+``svd_truncated`` and ``eig`` take any matrix that passes the package's
+input-array rule (``data._finite_array``: numeric, 2-D, non-empty, finite).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _finite_array
 from .errors import ConfigError, EmptyRankError, NumericalError, ShapeError
 
 # Relative singular-value cutoff used by every fit unless overridden.
@@ -37,21 +40,6 @@ DEFAULT_RTOL = 1e-10
 # numpy 2.4's OpenBLAS a 3001 x 998 SVD under an address-space cap needed
 # 25-32 MiB more with 1 thread and 33-40 MiB with 2 threads.
 _BLAS_BUFFER_BYTES = 48 * 2**20
-
-
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate ``m`` as a non-empty 2-D real array with finite entries."""
-    try:
-        arr = np.asarray(m, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"{name} must be a real numeric array: {exc}") from None
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ShapeError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -128,7 +116,7 @@ def svd_truncated(m, rtol: float = DEFAULT_RTOL) -> SvdFactors:
     MemoryError
         If the address space cannot hold the SVD's working set.
     """
-    arr = _as_matrix(m)
+    arr = _finite_array(m, "matrix", 2)
     check_rtol(rtol)
     _reserve_svd_workspace(*arr.shape)
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
@@ -148,7 +136,7 @@ def eig(m) -> EigenPairs:
     ``basis`` holds them as LAPACK's dgeev lays them out, in pair form: a real
     eigenvalue's column is its p, an upper member's Re p, its partner's Im p.
     """
-    arr = _as_matrix(m)
+    arr = _finite_array(m, "matrix", 2)
     if arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"eig needs a square matrix, got shape {arr.shape}")
     values, vectors = np.linalg.eig(arr)

@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .data import _freeze
+from .data import _finite_array, _freeze
 from .errors import ConfigError, ShapeError
 
 
@@ -290,9 +290,7 @@ class KernelDictionary(Dictionary):
     """
 
     def __init__(self, kernel: Kernel, points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.size == 0 or not np.all(np.isfinite(points)):
-            raise ShapeError("points must be a non-empty finite (dim, n_points) array")
+        points = _finite_array(points, "points", 2)
         names = tuple(f"k{j}" for j in range(1, points.shape[1] + 1))
         super().__init__(points.shape[0], points.shape[1], names)
         self.kernel = kernel

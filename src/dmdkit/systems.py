@@ -16,12 +16,13 @@ regression-based fits, so it serves as an independent reference for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Trajectory
+from .data import Trajectory, _as_2d, _finite_array, _freeze
 from .errors import ConfigError, DivergenceError, ShapeError
 
 if TYPE_CHECKING:
@@ -40,9 +41,12 @@ class SystemSpec:
     is the linear map (a rotation by theta is stored as its matrix, the
     quadratic system as diag(mu, lam)), ``b_in`` is None unless the system
     is forced, and ``c`` is 0.0 unless it is quadratic. ``observe`` is
-    "first" only for a rotation seen through x1, and ``input_*`` draw a
-    forced system's input. Use the factory functions (``linear_system``
-    etc.) rather than filling fields by hand; they validate the parameters.
+    "full", or "first" to record x1 only; ``input_*`` draw a forced input.
+
+    A spec checks every field when built (a bad array is a ShapeError, a bad
+    setting a ConfigError) and stores its arrays read-only, so ``simulate``
+    and ``exact_lift_oracle`` trust any spec. The factories (``linear_system``
+    etc.) check only the rotation angle and the quadratic rates.
     """
 
     initial_state: np.ndarray
@@ -55,52 +59,57 @@ class SystemSpec:
     input_hold: int = 5
     input_scale: float = 1.0
 
+    def __post_init__(self):
+        steps = _integer(self.steps, "steps", 1)
+        x0 = _finite_array(self.initial_state, "initial_state", 1)
+        n = x0.size
+        a = _finite_array(self.a, "a", 2)
+        if a.shape != (n, n):
+            raise ShapeError(f"a must be {n} x {n} for an initial_state of size {n}, "
+                             f"got shape {a.shape}")
+        if self.observe not in ("full", "first"):
+            raise ConfigError(f"observe must be 'full' or 'first', got {self.observe!r}")
+        c = float(_finite_array(self.c, "c", 0))
+        if c and n < 2:
+            raise ConfigError(f"c couples x1^2 into x2, so it needs 2 or more states, got {n}")
+        b_in = None if self.b_in is None else _as_2d(self.b_in, "b_in")
+        if b_in is not None and b_in.shape[0] != n:
+            raise ShapeError(f"b_in must have a row per state of initial_state ({n}), "
+                             f"got shape {b_in.shape}")
+        seed = _integer(self.input_seed, "input_seed", 0)
+        hold = _integer(self.input_hold, "input_hold", 1)
+        scale = self.input_scale
+        if not (isinstance(scale, Real) and 0.0 <= scale <= _MAX_INPUT_SCALE):  # NaN fails
+            raise ConfigError(
+                f"input_scale must lie in [0, {_MAX_INPUT_SCALE:.6g}], got {scale}")
+        for name, value in (
+                ("initial_state", _freeze(x0)), ("steps", steps), ("a", _freeze(a)), ("c", c),
+                ("b_in", None if b_in is None else _freeze(b_in)), ("input_seed", seed),
+                ("input_hold", hold), ("input_scale", float(scale))):
+            object.__setattr__(self, name, value)
+
     @property
     def state_dim(self) -> int:
-        return int(np.asarray(self.initial_state).size)
+        return int(self.initial_state.size)
 
 
-def _check_steps(steps):
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ConfigError(f"steps must be an integer >= 1, got {steps}")
-
-
-def _vector(x0, name="initial state") -> np.ndarray:
-    arr = np.asarray(x0, dtype=float).ravel()
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name} must be a non-empty finite vector")
-    return arr
-
-
-def _matrix(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name} must be a finite matrix")
-    return arr
+def _integer(value, name: str, least: int) -> int:
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
 
 
 def linear_system(a, x0, steps: int) -> SystemSpec:
     """x+ = A x."""
-    a = _matrix(a, "A")
-    x0 = _vector(x0)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != x0.size:
-        raise ShapeError(f"A must be square and match x0; got {a.shape} vs {x0.size}")
-    _check_steps(steps)
-    return SystemSpec(initial_state=x0, steps=int(steps), a=a)
+    return SystemSpec(initial_state=x0, steps=steps, a=a)
 
 
 def rotation_system(theta: float, steps: int, x0=(1.0, 0.0), observe: str = "full") -> SystemSpec:
     """Planar rotation by theta per step; observe all of x or only x1."""
     if not (np.isfinite(theta) and abs(theta) < np.pi):
         raise ConfigError(f"rotation angle must satisfy |theta| < pi, got {theta}")
-    if observe not in ("full", "first"):
-        raise ConfigError(f"observe must be 'full' or 'first', got {observe!r}")
-    x0 = _vector(x0)
-    if x0.size != 2:
-        raise ShapeError("rotation state is 2-dimensional")
-    _check_steps(steps)
     c, s = np.cos(float(theta)), np.sin(float(theta))
-    return SystemSpec(initial_state=x0, steps=int(steps), a=np.array([[c, -s], [s, c]]),
+    return SystemSpec(initial_state=x0, steps=steps, a=np.array([[c, -s], [s, c]]),
                       observe=observe)
 
 
@@ -109,35 +118,14 @@ def quadratic_system(mu: float, lam: float, c: float, x0, steps: int) -> SystemS
     for name, val in (("mu", mu), ("lam", lam)):
         if not (np.isfinite(val) and abs(val) <= 1.0):
             raise ConfigError(f"|{name}| must be <= 1, got {val}")
-    if not np.isfinite(c):
-        raise ConfigError(f"c must be finite, got {c}")
-    x0 = _vector(x0)
-    if x0.size != 2:
-        raise ShapeError("quadratic system state is 2-dimensional")
-    _check_steps(steps)
-    return SystemSpec(initial_state=x0, steps=int(steps), a=np.diag([float(mu), float(lam)]),
-                      c=float(c))
+    return SystemSpec(initial_state=x0, steps=steps, a=np.diag([float(mu), float(lam)]), c=c)
 
 
 def forced_linear_system(a, b_in, x0, steps: int, input_seed: int = 0,
                          input_hold: int = 5, input_scale: float = 1.0) -> SystemSpec:
     """x+ = A x + B u with a seeded piecewise-constant pseudo-random input."""
-    spec = linear_system(a, x0, steps)
-    b_in = _matrix(b_in, "B")
-    if b_in.ndim == 1:
-        b_in = b_in[:, None]
-    if b_in.shape[0] != spec.state_dim:
-        raise ShapeError(f"B rows must match the state dimension {spec.state_dim}")
-    if input_hold < 1:
-        raise ConfigError(f"input_hold must be >= 1, got {input_hold}")
-    if input_seed < 0:
-        raise ConfigError(f"input_seed must be >= 0, got {input_seed}")
-    if not 0.0 <= input_scale <= _MAX_INPUT_SCALE:  # NaN fails too
-        raise ConfigError(
-            f"input_scale must lie in [0, {_MAX_INPUT_SCALE:.6g}], got {input_scale}"
-        )
-    return replace(spec, b_in=b_in, input_seed=int(input_seed),
-                   input_hold=int(input_hold), input_scale=float(input_scale))
+    return SystemSpec(initial_state=x0, steps=steps, a=a, b_in=b_in, input_seed=input_seed,
+                      input_hold=input_hold, input_scale=input_scale)
 
 
 def _piecewise_constant_inputs(spec: SystemSpec, samples: int) -> np.ndarray:

@@ -84,6 +84,23 @@ def test_simulate_rotation_first_coordinate_is_scalar(capsys):
     assert_allclose([r[1] for r in rows], np.cos(0.5 * np.arange(5)), atol=1e-14)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--system", "linear", "--a", "0.9,0;0,0.5", "--x0", "1,1"],
+    ["--system", "quadratic", "--mu", "0.9", "--lam", "0.5", "--c", "1", "--x0", "1,1"],
+    ["--system", "forced-linear", "--a", "0.9,0;0,0.5", "--b", "1;0.5", "--x0", "1,1"],
+], ids=["linear", "quadratic", "forced-linear"])
+def test_simulate_observe_first_records_x1_for_every_system(capsys, flags):
+    code, full, _ = run(capsys, ["simulate", *flags, "--steps", "2"])
+    assert code == 0
+    code, first, _ = run(capsys, ["simulate", *flags, "--steps", "2", "--observe", "first"])
+    assert code == 0
+    header, rows = csv_rows(first)
+    assert header[:2] == ["t", "x1"] and "x2" not in header
+    full_header, full_rows = csv_rows(full)
+    keep = [full_header.index(name) for name in header]
+    assert rows == [[row[i] for i in keep] for row in full_rows]
+
+
 def test_fit_dmd_prints_eigenvalues_and_residual(capsys, tmp_path):
     traj = write_diag_traj(capsys, tmp_path)
     model = tmp_path / "model.json"

@@ -24,6 +24,9 @@ from dmdkit.data import (
     snapshot_pairs,
 )
 from dmdkit.errors import ConfigError, DataError, ShapeError
+from dmdkit.linalg import eig, svd_truncated
+from dmdkit.observables import GaussianKernel, KernelDictionary
+from dmdkit.systems import SystemSpec
 
 # ------------------------------------------------------------------ containers
 
@@ -37,6 +40,46 @@ def test_trajectory_validation():
         Trajectory(dt=1.0, states=[[1.0], [np.nan]])
     with pytest.raises(ShapeError):
         Trajectory(dt=1.0, states=[[1.0], [2.0]], inputs=[[1.0]])  # length mismatch
+
+
+# each caller of the one input-array rule: (build, name in its messages, a
+# valid value, a value of the wrong number of dimensions)
+ARRAY_CALLERS = {
+    "Trajectory": (lambda v: Trajectory(dt=1.0, states=v), "states",
+                   np.ones((3, 2)), np.ones((3, 2, 1))),
+    "SnapshotPair": (lambda v: SnapshotPair(v, v), "snapshot matrices",
+                     np.ones((2, 3)), np.ones(3)),
+    "KernelDictionary": (lambda v: KernelDictionary(GaussianKernel(1.0), v), "points",
+                         np.ones((2, 3)), np.ones(3)),
+    "svd_truncated": (svd_truncated, "matrix", np.eye(2), np.ones(2)),
+    "eig": (eig, "matrix", np.eye(2), np.ones(2)),
+    "SystemSpec": (lambda v: SystemSpec(initial_state=v, steps=1, a=np.eye(2)), "initial_state",
+                   np.ones(2), np.ones((2, 1))),
+}
+
+
+@pytest.mark.parametrize("case, words", [
+    ("string", "must be numeric"), ("empty", "is empty"), ("ndim", r"-D, got shape"),
+    ("nan", "non-finite entries"), ("inf", "non-finite entries"),
+])
+@pytest.mark.parametrize("caller", ARRAY_CALLERS)
+def test_every_input_array_passes_one_rule(caller, case, words):
+    build, name, good, wrong_ndim = ARRAY_CALLERS[caller]
+    build(good)
+    bad = good.copy()
+    if case in ("nan", "inf"):
+        bad.flat[-1] = np.nan if case == "nan" else -np.inf
+    value = {"string": "abc", "empty": good[:0], "ndim": wrong_ndim}.get(case, bad)
+    with pytest.raises(ShapeError, match=f"^{name} .*{words}"):
+        build(value)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf, "0.5"])
+def test_containers_refuse_a_bad_sampling_interval(dt):
+    with pytest.raises(ShapeError, match="dt must be a positive finite number"):
+        Trajectory(dt=dt, states=[[1.0], [2.0]])
+    with pytest.raises(ShapeError, match="dt must be a positive finite number"):
+        SnapshotPair(np.ones((2, 3)), np.ones((2, 3)), dt=dt)
 
 
 def test_trajectory_arrays_are_immutable():
@@ -301,6 +344,17 @@ def test_load_rejects_time_jitter(tmp_path):
     path.write_text("t,x1\n0,1\n1,2\n2.002,3\n")  # 1e-3 relative jitter
     with pytest.raises(DataError, match="deviates"):
         load_trajectory(path)
+
+
+def test_load_accepts_stamps_whose_offset_rounds_their_steps(tmp_path):
+    # near 1.7e9 a double holds a step of 0.1 only to about 2.4e-7, so the
+    # steps of these stamps differ by up to a unit in the last place of t
+    t = [1700000000 + k / 10 for k in range(10)]
+    path = tmp_path / "offset.csv"
+    path.write_text("t,x1\n" + "".join(f"{v!r},{k}\n" for k, v in enumerate(t)))
+    traj = load_trajectory(path)
+    assert traj.dt == t[1] - t[0] == 0.09999990463256836
+    assert traj.states[:, 0].tolist() == list(range(10))
 
 
 def test_load_header_contract(tmp_path):

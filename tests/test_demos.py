@@ -1,4 +1,8 @@
-"""Every script under demos/ runs to completion in a fresh interpreter."""
+"""Every script under demos/ runs to completion in a fresh interpreter.
+
+Each runs with RuntimeWarning as an error, as pyproject.toml's filterwarnings
+makes it for the in-process tests, so a numpy overflow or invalid value fails it.
+"""
 
 import subprocess
 import sys
@@ -15,6 +19,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, cwd=tmp_path, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr

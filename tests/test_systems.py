@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from dmdkit.errors import ConfigError, DivergenceError, ShapeError
 from dmdkit.observables import PolynomialDictionary
+from dmdkit.errors import DmdkitError
 from dmdkit.systems import (
+    SystemSpec,
     exact_lift_oracle,
     forced_linear_system,
     linear_system,
@@ -84,15 +86,72 @@ def test_forced_inputs_recorded_consistently_with_dynamics():
     (dict(x0=[]), ShapeError),
     (dict(a=np.eye(2)), ShapeError),
     (dict(b_in=np.ones((2, 1))), ShapeError),
+    (dict(b_in=[1.0, 1.0]), ShapeError),
     (dict(steps=0), ConfigError),
     (dict(input_hold=0), ConfigError),
     (dict(input_seed=-1), ConfigError),
     (dict(input_scale=np.nan), ConfigError),
-], ids=["a-finite", "b-finite", "x0", "a-shape", "b-rows", "steps", "hold", "seed", "scale"])
+], ids=["a-finite", "b-finite", "x0", "a-shape", "b-rows", "b-1d-rows", "steps", "hold", "seed",
+     "scale"])
 def test_forced_factory_refuses_each_bad_argument(args, error):
     good = dict(a=[[0.5]], b_in=[[1.0]], x0=[1.0], steps=3)
     with pytest.raises(error):
         forced_linear_system(**{**good, **args})
+
+GOOD_SPEC = dict(initial_state=[1.0, 2.0], steps=3, a=[[0.5, 0.0], [0.0, 0.5]])
+FORCED = dict(b_in=[[1.0], [0.5]])
+
+
+@pytest.mark.parametrize("fields, error, named", [
+    (dict(a=np.eye(3)), ShapeError, r"^a must be 2 x 2 for an initial_state of size 2, "
+                                     r"got shape \(3, 3\)$"),
+    (dict(initial_state=[1.0], a=[[0.5]], c=1.0), ConfigError, "^c couples"),
+    (dict(b_in=[1.0, 0.5, 0.2]), ShapeError, r"^b_in must have a row per state .*\(3, 1\)$"),
+    (dict(FORCED, input_hold=0), ConfigError, "^input_hold must be an integer >= 1"),
+    (dict(observe="bogus"), ConfigError, "^observe must be 'full' or 'first', got 'bogus'"),
+    (dict(steps=0), ConfigError, "^steps must be an integer >= 1"),
+    (dict(steps=2.5), ConfigError, "^steps must be an integer >= 1"),
+    (dict(steps="3"), ConfigError, "^steps must be an integer >= 1"),
+    (dict(FORCED, input_seed=-1), ConfigError, "^input_seed must be an integer >= 0"),
+    (dict(FORCED, input_seed=1.5), ConfigError, "^input_seed must be an integer >= 0"),
+    (dict(FORCED, input_scale=np.nan), ConfigError, "^input_scale must lie in"),
+    (dict(FORCED, input_scale=-1.0), ConfigError, "^input_scale must lie in"),
+    (dict(FORCED, input_scale="1"), ConfigError, "^input_scale must lie in"),
+    (dict(initial_state=[1.0, np.nan]), ShapeError, "^initial_state contains non-finite"),
+    (dict(a=[[0.5, np.inf], [0.0, 0.5]]), ShapeError, "^a contains non-finite"),
+    (dict(b_in=[[np.nan], [0.5]]), ShapeError, "^b_in contains non-finite"),
+    (dict(c=np.nan), ShapeError, "^c contains non-finite"),
+    (dict(c=[1.0]), ShapeError, "^c must be 0-D"),
+], ids=["a-size", "c-one-state", "b-1d-rows", "hold", "observe", "steps-0", "steps-float",
+        "steps-str", "seed-negative", "seed-float", "scale-nan", "scale-negative", "scale-str",
+        "x0-nan", "a-inf", "b-nan", "c-nan", "c-vector"])
+def test_hand_built_spec_refuses_each_bad_field(fields, error, named):
+    with pytest.raises(error, match=named) as err:
+        SystemSpec(**{**GOOD_SPEC, **fields})
+    assert isinstance(err.value, DmdkitError)
+
+
+def test_hand_built_spec_takes_lists_and_a_1d_input_column():
+    # a list initial state and a 1-D b_in, refused with raw numpy errors
+    # before specs checked themselves, simulate as the factory's spec does
+    spec = SystemSpec(initial_state=[1.0, 2.0], steps=20, a=[[0.9, 0.1], [0.0, 0.5]],
+                      b_in=[1.0, 0.5], input_seed=3, input_hold=2)
+    made = forced_linear_system([[0.9, 0.1], [0.0, 0.5]], [[1.0], [0.5]], [1.0, 2.0], 20,
+                                input_seed=3, input_hold=2)
+    assert spec.b_in.tobytes() == made.b_in.tobytes() and spec.b_in.shape == (2, 1)
+    got, want = simulate(spec), simulate(made)
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.inputs.tobytes() == want.inputs.tobytes()
+
+
+def test_spec_arrays_are_read_only():
+    a, b_in, x0 = np.eye(2) * 0.5, np.ones((2, 1)), np.array([1.0, 2.0])
+    spec = SystemSpec(initial_state=x0, steps=3, a=a, b_in=b_in)
+    for name in ("initial_state", "a", "b_in"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spec, name)[0] = 7.0
+    a[0, 0] = b_in[0, 0] = x0[0] = 3.0  # the caller's arrays stay writable
+
 
 def test_input_hold_past_the_samples_is_one_level():
     # every hold up to the step count repeats its levels as before, and a
