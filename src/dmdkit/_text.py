@@ -16,19 +16,23 @@ fraction lies within 2**-30 of one half, which happens for exact ties
 (``1e15 + 0.25`` is one). Such entries, entries where ``log10`` was off by one
 or the rounding carried into an 18th digit, and subnormal or out-of-range
 entries take ``"%.16e" % |v|`` one at a time, which gives the same 17 digits
-and exponent. Zero is exact: ``D = 0``.
+and exponent. Zero is exact: ``D = 0``. ``D`` is split into its first digit
+and two 8-digit words; SWAR arithmetic (three multiply-and-shift divisions
+on the whole uint64 word) turns each into 8 digit bytes, the first at byte
+0. The bit length of the 16 digit bytes, as one double, gives the last
+nonzero digit.
 
-Layout. Each entry becomes one row of five little-endian 64-bit words: the
-sign with the ``0.``-and-zeros prefix that fixed form puts before numbers
-below one, the digits with the decimal point inserted, and the exponent of
-scientific form (``%g`` uses it below 1e-4 and from 1e17 on) followed by the
-separator. Every byte ``%g`` would not print (trailing zeros, unused prefix
-and exponent bytes) is NUL, and one ``bytes.translate`` deletes them all.
-
-Entries holding nan or inf are laid out as zero, then their ``%.17g`` name
-(``nan``, ``inf``, ``-inf``) replaces the prefix word and the digit words are
-cleared. The sign of zero is kept: ``-0.0`` becomes ``"-0"``. Writers that
-must not emit ``"-0"`` add ``+ 0.0`` to their array first.
+Layout. Each entry becomes four little-endian 64-bit words: the sign, the
+``0.``-and-zeros prefix that fixed form puts before numbers below one and
+the first digit; the other 16 digits, cut after the last one ``%g`` prints,
+with the decimal point inserted by a mask and a shift; and the digit the
+point pushed out, the exponent of scientific form (``%g`` uses it below
+1e-4 and from 1e17 on) and the separator. Every byte ``%g`` would not print
+is NUL, and one ``bytes.translate`` deletes them all. Entries holding nan or
+inf are laid out as zero, then their ``%.17g`` name (``nan``, ``inf``,
+``-inf``) replaces word 0. The sign of zero is kept: ``-0.0`` becomes
+``"-0"``. Writers that must not emit ``"-0"`` add ``+ 0.0`` to their array
+first.
 
 Whole tables are formatted in pieces of at most ``_CHUNK_ROWS`` rows and
 ``_CHUNK_VALUES`` numbers, so the working arrays stay a few megabytes
@@ -47,6 +51,15 @@ import os
 import numpy as np
 
 from .errors import DataError
+
+_U = np.uint64
+# SWAR steps: in each lane of 2 * lane bits, holding x < 10**(lane // 4),
+# q = x * factor >> shift & keep is x // d for d = 10**(lane // 8), and
+# (x << lane) - q * (d * 2**lane - 1) holds q in its lower half, x - q * d above.
+_SWAR_STEPS = [tuple(_U(v) for v in (factor, shift, keep, lane, (d << lane) - 1))
+               for factor, shift, keep, lane, d in ((109951163, 40, 2**32 - 1, 32, 10**4),
+                                                    (5243, 19, 0x7F0000007F, 16, 100),
+                                                    (103, 10, 0xF000F000F000F, 8, 10))]
 
 _CHUNK_ROWS = 4096
 _CHUNK_VALUES = 32768
@@ -89,91 +102,101 @@ def _encode(block: np.ndarray) -> str:
     rows, width = block.shape
     flat = np.ascontiguousarray(block, dtype=float).ravel()
     digits, exp10 = _digits(flat)
-    quads, trailing, prefixes, exponents, low_bytes, dots = _tables()
+    prefixes, exponents, points, wholes, ascii_zeros, upper_bytes, dots = _tables()
+    words = np.empty((4, flat.size), dtype=np.uint64)
+    lead, area, tail = words[0], words[1:3], words[3]
+    spare = np.empty_like(area)
 
-    # D as a first digit and four groups of four: g0 | g1 g2 g3 g4
-    upper = digits // 10**8
-    lower = (digits - upper * 10**8).astype(np.int32)
-    upper = upper.astype(np.int32)
-    g0 = upper // 10**8
-    upper -= g0 * 10**8
-    g1, g2 = np.divmod(upper, 10**4)
-    g3, g4 = np.divmod(lower, 10**4)
-    # index of the last nonzero digit; 0 for zero
-    zeros = trailing[g4] + (g4 == 0) * (
-        trailing[g3] + (g3 == 0) * (trailing[g2] + (g2 == 0) * trailing[g1]))
-    last = 16 - zeros
+    # D as its first digit d0 and two 8-digit words, d1..d8 and d9..d16
+    d0 = digits // _U(10**16)
+    digits -= d0 * _U(10**16)
+    np.floor_divide(digits, _U(10**8), out=area[0])
+    area[1] = digits - area[0] * _U(10**8)
+    # each word to 8 digit bytes, the first at byte 0
+    for factor, shift, keep, lane, borrow in _SWAR_STEPS:
+        np.multiply(area, factor, out=spare)
+        spare >>= shift
+        spare &= keep
+        spare *= borrow
+        area <<= lane
+        area -= spare
 
-    # Digit area: 24 bytes, the first digit at byte 0, bytes 1-3 NUL and
-    # digit k >= 1 at byte k + 3, read as three 64-bit words.
-    words = np.zeros((flat.size, 6), dtype="<u4")
-    words[:, 0] = 48 + g0
-    for col, group in enumerate((g1, g2, g3, g4), start=1):
-        words[:, col] = quads[group]
-    area = words.view("<u8")
+    # digits up to the last nonzero one: a digit byte is at most 9, so no
+    # rounding of d9..d16 * 2**64 + d1..d8 to a double changes its bit length
+    span = area[1] * 2.0**64 + area[0]
+    last = (np.frexp(span, out=(span, None))[1] + 7) >> 3
 
-    fixed = (exp10 >= -4) & (exp10 <= 16)
-    below_one = fixed & (exp10 < 0)
+    index = np.add(exp10, 400, out=exp10)
     # fixed form keeps every digit before the point, trailing zeros or not
-    whole = np.where(fixed & ~below_one, exp10, 0)
-    kept = np.maximum(last, whole) + 4
-    # digit the point follows: 0 in scientific form, none below one
-    point = np.where(below_one, 16, whole)
-    has_dot = point < last
-    point += 4  # byte the point goes to; later bytes move up one
+    kept = np.take(wholes, index)
+    np.maximum(kept, last, out=kept)
+    area += np.take(ascii_zeros, kept, axis=1, out=spare)
+    # the point follows digit ``point`` (16 for none, or none after it): bytes
+    # from there on move up one, word 2's last to word 3, and it fills the gap
+    point = np.take(points, index, out=kept)
+    np.copyto(point, 16, where=point >= last)
+    moved = np.take(upper_bytes, point, axis=1, out=spare)
+    moved &= area
+    area ^= moved
+    area[1] |= moved[0] >> _U(56)
+    np.take(exponents, index, out=tail)
+    tail |= moved[1] >> _U(56)
+    moved <<= _U(8)
+    area |= moved
+    area |= np.take(dots, point, axis=1, out=spare)
 
-    out = np.empty((flat.size, 5), dtype="<u8")
-    parts = [area[:, j] & low_bytes[j][kept] for j in range(3)]
-    masks = [low_bytes[j][point] for j in range(3)]
-    moved = [part & ~mask for part, mask in zip(parts, masks)]
-    for j in range(3):
-        part = parts[j] & masks[j]
-        part |= moved[j] << np.uint64(8)
-        if j:
-            part |= moved[j - 1] >> np.uint64(56)
-        part |= dots[j][point] * has_dot
-        out[:, 1 + j] = part
-    out[:, 0] = prefixes[np.signbit(flat) * 5 + np.where(below_one, -exp10, 0)]
-    # nan and inf were laid out as zero: their name replaces sign and digits
+    np.take(prefixes, index, out=lead)
+    np.bitwise_or(lead, _U(ord("-")), out=lead, where=np.signbit(flat))
+    lead |= (d0 + _U(48)) << _U(48)
     special = np.flatnonzero(~np.isfinite(flat))
-    out[special, 0] = [_word("%.17g" % v) for v in flat[special].tolist()]
-    out[special, 1:4] = 0
+    lead[special] = [_word("%.17g" % v) for v in flat[special].tolist()]
 
-    tails = np.full((rows, width), _word(",", 5), dtype="<u8")
-    tails[:, -1] = _word("\n", 5)
-    out[:, 4] = exponents[np.where(fixed, 0, exp10 + 401)] | tails.ravel()
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    ends = tail.reshape(rows, width)
+    ends |= _U(_word(",", 6))
+    ends[:, -1] ^= _U(_word(",", 6) ^ _word("\n", 6))
+    return words.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """17-digit integers ``D`` and exponents ``e`` with |v| ~ D * 10**(e - 16)."""
+    """17-digit integers ``D`` (uint64) and exponents ``e`` with |v| ~ D * 10**(e - 16)."""
     mag = np.abs(flat)
     inside = (mag >= _LOWEST) & (mag <= _HIGHEST)
-    mag = np.where(inside, mag, 1.0)
-    exp10 = np.floor(np.log10(mag)).astype(np.int64)
-    scale = 16 - exp10
+    # entries outside are redone below; clamped, they stay finite
+    np.fmax(mag, _LOWEST, out=mag)
+    np.fmin(mag, _HIGHEST, out=mag)
+    head = np.log10(mag)
+    np.subtract(16.0, np.floor(head, out=head), out=head)
+    scale = head.astype(np.intp)
     low = int(scale.min())
     scale -= low
     present = np.flatnonzero(np.bincount(scale))
     table = np.zeros((4, present[-1] + 1))
     table[:, present] = np.array([_power_of_ten(int(k)) for k in present + low]).T
-    hi, lo, hi_top, hi_bottom = (column[scale] for column in table)
+    hi, lo, hi_top, hi_bottom = (np.take(column, scale) for column in table)
+    exp10 = np.subtract(16 - low, scale, out=scale)
 
-    # Dekker: head + tail = mag * hi exactly, then add mag * lo
-    big = _SPLIT * mag
-    top = big - (big - mag)
-    bottom = mag - top
-    head = mag * hi
-    tail = ((top * hi_top - head) + top * hi_bottom + bottom * hi_top) + bottom * hi_bottom
-    tail += mag * lo
-    whole = np.rint(head)
-    tail += head - whole
+    # Dekker: head + tail = mag * hi exactly, then add mag * lo, summed left to right as
+    # ((top*hi_top - head) + top*hi_bottom + bottom*hi_top) + bottom*hi_bottom + mag*lo
+    # + (head - rint(head)), since any other grouping rounds differently
+    np.multiply(mag, hi, out=head)
+    top = np.multiply(_SPLIT, mag, out=hi)
+    bottom = top - mag
+    top -= bottom
+    np.subtract(mag, top, out=bottom)
+    tail = top * hi_top
+    tail -= head
+    for left, right, term in ((top, hi_bottom, top), (bottom, hi_top, hi_top),
+                              (bottom, hi_bottom, bottom), (mag, lo, lo)):
+        tail += np.multiply(left, right, out=term)
+    whole = np.rint(head, out=top)
+    tail += np.subtract(head, whole, out=head)
     # a scaled value below 1e16 means log10 rounded up
     exact = inside & ((whole > 1e16) | ((whole == 1e16) & (tail >= 0)))
-    carry = np.rint(tail)
+    carry = np.rint(tail, out=hi_top)
     tail -= carry
-    digits = whole.astype(np.int64) + carry.astype(np.int64)
-    exact &= (np.abs(tail) < _NEAR_HALF) & (digits < 10**17)
+    digits = whole.astype(np.int64)
+    digits += carry.astype(np.int8)
+    exact &= (np.abs(tail, out=tail) < _NEAR_HALF) & (digits < 10**17)
 
     zero = (flat == 0.0) | ~np.isfinite(flat)  # nan and inf too; _encode names them
     digits[zero] = 0
@@ -182,7 +205,7 @@ def _digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         text = "%.16e" % abs(float(flat[i]))
         digits[i] = int(text[0] + text[2:18])
         exp10[i] = int(text[19:])
-    return digits, exp10
+    return digits.view(np.uint64), exp10
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,28 +232,29 @@ def _word(text: str, shift: int = 0) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _tables():
-    """Lookup tables of the layout, built on first use."""
-    g = np.arange(10000, dtype="<u4")
-    quads = ((48 + g // 1000) | (48 + g // 100 % 10) << 8
-             | (48 + g // 10 % 10) << 16 | (48 + g % 10) << 24)
-    trailing = ((g % 10 == 0).astype(np.int8) + (g % 100 == 0)
-                + (g % 1000 == 0) + (g == 0)).astype(np.int8)
-    prefixes = np.array([_word(sign + ("0." + "0" * (k - 1) if k else ""))
-                         for sign in ("", "-") for k in range(5)], dtype="<u8")
-    # entry 0 is the empty exponent of fixed form; entry e + 401 is "e%+03d"
-    t = np.arange(-400, 401)
-    mag = np.abs(t)
-    exponents = np.zeros(t.size + 1, dtype="<u8")
-    exponents[1:] = (ord("e") | np.where(t < 0, ord("-"), ord("+")) << 8
-                     | np.where(mag >= 100, 48 + mag // 100, 0) << 16
-                     | (48 + mag // 10 % 10) << 24 | (48 + mag % 10) << 32)
-    # low_bytes[j][m]: word j of a mask keeping the first m bytes of 24;
-    # dots[j][m]: word j of "." at byte m
-    low_bytes = np.array([[(1 << 8 * min(max(m - 8 * j, 0), 8)) - 1 for m in range(25)]
-                          for j in range(3)], dtype="<u8")
-    dots = np.array([[_word(".", m - 8 * j) if 0 <= m - 8 * j < 8 else 0
-                      for m in range(25)] for j in range(3)], dtype="<u8")
-    return quads, trailing, prefixes, exponents, low_bytes, dots
+    """Lookup tables of the layout, built on first use: four indexed by
+    ``e + 400``, and three indexed by a byte count ``m`` that hold both digit
+    words: ``"0"`` below byte ``m``, all bytes from ``m`` on, ``"."`` at ``m``.
+    """
+    e = np.arange(-400, 401, dtype=np.intp)
+    # the ``0.`` and zeros before a number below one, at bytes 1-5 after the sign
+    prefixes = np.array([_word("0." + "0" * (-k - 1), 1) if -4 <= k < 0 else 0
+                         for k in e.tolist()], dtype=np.uint64)
+    # scientific form's exponent at bytes 1-5, after the byte a point pushes out
+    exponents = np.array([0 if -4 <= k <= 16 else _word("e%+03d" % k, 1)
+                          for k in e.tolist()], dtype=np.uint64)
+    # digits after the first that fixed form prints before the point, and
+    # the digit the point follows: 0 in scientific form, none (16) below one
+    wholes = np.where((e >= 0) & (e <= 16), e, 0)
+    points = np.where((e >= -4) & (e < 0), 16, wholes)
+    def by_byte_count(pattern):  # both words of the 16 bytes ``pattern(m)``
+        data = [pattern(m).ljust(16, b"\0")[:16] for m in range(17)]
+        return np.array([[int.from_bytes(d[j : j + 8], "little") for d in data]
+                         for j in (0, 8)], dtype=np.uint64)
+    ascii_zeros = by_byte_count(lambda m: b"0" * m)
+    upper_bytes = by_byte_count(lambda m: bytes(m) + b"\xff" * (16 - m))
+    dots = by_byte_count(lambda m: bytes(m) + b".")
+    return prefixes, exponents, points, wholes, ascii_zeros, upper_bytes, dots
 
 
 # ------------------------------------------------------------------ files

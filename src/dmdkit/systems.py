@@ -29,6 +29,7 @@ if TYPE_CHECKING:
     from .observables import PolynomialDictionary
 
 _DIVERGENCE_LIMIT = 1e12
+_BLOCK_STEPS = 256  # steps that simulate takes between two divergence checks
 # largest input scale whose draw range [-scale, scale] has a finite width
 _MAX_INPUT_SCALE = np.finfo(float).max / 2
 
@@ -106,8 +107,9 @@ def linear_system(a, x0, steps: int) -> SystemSpec:
 
 def rotation_system(theta: float, steps: int, x0=(1.0, 0.0), observe: str = "full") -> SystemSpec:
     """Planar rotation by theta per step; observe all of x or only x1."""
-    if not (np.isfinite(theta) and abs(theta) < np.pi):
-        raise ConfigError(f"rotation angle must satisfy |theta| < pi, got {theta}")
+    if not (isinstance(theta, Real) and abs(theta) < np.pi):  # NaN fails
+        raise ConfigError(
+            f"rotation angle must be a real number with |theta| < pi, got {theta!r}")
     c, s = np.cos(float(theta)), np.sin(float(theta))
     return SystemSpec(initial_state=x0, steps=steps, a=np.array([[c, -s], [s, c]]),
                       observe=observe)
@@ -116,8 +118,8 @@ def rotation_system(theta: float, steps: int, x0=(1.0, 0.0), observe: str = "ful
 def quadratic_system(mu: float, lam: float, c: float, x0, steps: int) -> SystemSpec:
     """x1+ = mu*x1, x2+ = lam*x2 + c*x1^2 (invariant on {1, x1, x2, x1^2})."""
     for name, val in (("mu", mu), ("lam", lam)):
-        if not (np.isfinite(val) and abs(val) <= 1.0):
-            raise ConfigError(f"|{name}| must be <= 1, got {val}")
+        if not (isinstance(val, Real) and abs(val) <= 1.0):  # NaN fails
+            raise ConfigError(f"{name} must be a real number with |{name}| <= 1, got {val!r}")
     return SystemSpec(initial_state=x0, steps=steps, a=np.diag([float(mu), float(lam)]), c=c)
 
 
@@ -136,42 +138,41 @@ def _piecewise_constant_inputs(spec: SystemSpec, samples: int) -> np.ndarray:
     return np.repeat(levels, min(spec.input_hold, samples), axis=0)[:samples]
 
 
-def _step(spec: SystemSpec, x: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-    """One step of x+ = a @ x + b_in @ u + c * x1^2 e2."""
-    nxt = spec.a @ x
-    if u is not None:
-        nxt += spec.b_in @ u
-    if spec.c:
-        nxt[1] += spec.c * x[0] ** 2
-    return nxt
-
-
 def simulate(spec: SystemSpec) -> Trajectory:
     """Iterate the map for ``spec.steps`` transitions and record observations.
 
     The trajectory has steps + 1 samples and dt = 1. A forced system also
     records its input sequence, drawn from ``spec.input_seed``.
-    Blow-up past 1e12 or to NaN in any coordinate raises a divergence error;
-    a trajectory too large to allocate is a ConfigError.
+    Blow-up past 1e12 or to NaN in any coordinate raises a divergence error
+    that names the first such step. The check runs once per block of
+    ``_BLOCK_STEPS`` (256) steps, so fewer than that many steps are computed
+    past a divergence before it is reported. A trajectory too large to
+    allocate is a ConfigError.
     """
     samples = spec.steps + 1
-    state = spec.initial_state.copy()
     inputs = None
     try:  # the path first, so its size is refused before any input is drawn
-        path = np.empty((samples, state.size))
+        path = np.empty((samples, spec.state_dim))
         if spec.b_in is not None:
             inputs = _piecewise_constant_inputs(spec, samples)
     except (MemoryError, ValueError):
         raise ConfigError(f"a trajectory of {spec.steps} steps is too large to allocate") from None
 
-    path[0] = state
+    path[0] = spec.initial_state
     # the divergence check reports overflow and inf - inf; warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(spec.steps):
-            state = _step(spec, state, None if inputs is None else inputs[t])
-            if not np.max(np.abs(state)) <= _DIVERGENCE_LIMIT:  # NaN fails too
-                raise DivergenceError(f"trajectory diverged at step {t + 1}")
-            path[t + 1] = state
+        for start in range(1, samples, _BLOCK_STEPS):
+            stop = min(start + _BLOCK_STEPS, samples)
+            for t in range(start, stop):
+                np.matmul(spec.a, path[t - 1], out=path[t])  # x+ = a @ x + b_in @ u + c * x1^2 e2
+                if inputs is not None:
+                    path[t] += spec.b_in @ inputs[t - 1]
+                if spec.c:
+                    path[t, 1] += spec.c * path[t - 1, 0] ** 2
+            bounded = np.max(np.abs(path[start:stop]), axis=1) <= _DIVERGENCE_LIMIT
+            if not bounded.all():  # NaN fails too
+                raise DivergenceError(
+                    f"trajectory diverged at step {start + int(np.argmin(bounded))}")
 
     states = path[:, :1] if spec.observe == "first" else path
     return Trajectory(dt=1.0, states=states, inputs=inputs)

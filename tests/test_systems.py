@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dmdkit.errors import ConfigError, DivergenceError, ShapeError
 from dmdkit.observables import PolynomialDictionary
@@ -56,6 +56,41 @@ def test_rotation_first_coordinate_observation():
 def test_divergence_guard_trips():
     with pytest.raises(DivergenceError):
         simulate(linear_system([[2.0]], [1.0], steps=60))
+
+@pytest.mark.parametrize("step", [1, 255, 256, 257, 512, 700])
+def test_divergence_names_its_first_step_across_check_blocks(step):
+    # x doubles each step, so x0 = 1e12 / 2**step + a little first passes 1e12 at ``step``
+    x0 = np.nextafter(1e12 / 2.0**step, np.inf)
+    with pytest.raises(DivergenceError, match=f"diverged at step {step}$"):
+        simulate(linear_system([[2.0]], [x0], steps=700))
+    # the last step of the run
+    with pytest.raises(DivergenceError, match=f"diverged at step {step}$"):
+        simulate(linear_system([[2.0]], [x0], steps=step))
+    if step > 1:
+        assert simulate(linear_system([[2.0]], [x0], steps=step - 1)).length == step
+
+
+def test_forced_simulation_equals_a_step_by_step_loop_across_check_blocks():
+    a = np.array([[0.5, 0.1, 0.0], [-0.2, 0.7, 0.3], [0.0, 0.4, -0.6]])
+    b = np.array([[1.0, 0.0], [2.0, -0.5], [0.3, 0.9]])
+    traj = simulate(forced_linear_system(a, b, [1.0, -1.0, 0.5], steps=600, input_seed=5,
+                                         input_hold=7))
+    expected = np.empty((601, 3))
+    expected[0] = [1.0, -1.0, 0.5]
+    for t in range(1, 601):
+        expected[t] = a @ expected[t - 1] + b @ traj.inputs[t - 1]
+    assert_array_equal(traj.states, expected)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, 0.5j, [0.5], float("nan"), 4.0])
+@pytest.mark.parametrize("factory", [
+    lambda v: rotation_system(v, 3),
+    lambda v: quadratic_system(v, 0.5, 1.0, [1.0, 0.0], 3),
+    lambda v: quadratic_system(0.5, v, 1.0, [1.0, 0.0], 3),
+], ids=["theta", "mu", "lam"])
+def test_factories_refuse_non_numeric_parameters_with_config_error(factory, bad):
+    with pytest.raises(ConfigError, match="must be a real number"):
+        factory(bad)
 
 def test_forced_inputs_are_seed_reproducible():
     a = 0.8 * np.eye(2)

@@ -109,6 +109,37 @@ def test_float_texts_all_zero_none_zero_and_empty(values):
     assert float_texts(values) == per_value(values.ravel())
 
 
+def layout_cells(per_cell=4):
+    """Doubles whose 17-digit text has exactly k significant digits, by (e, k).
+
+    For each decimal exponent e in -6..18 and each k in 1..17, up to
+    ``per_cell`` values whose ``%.16e`` digits end in exactly 17 - k zeros.
+    """
+    rng = np.random.default_rng(34)
+    cells = {}
+    for e in range(-6, 19):
+        for k in range(1, 18):
+            for m in rng.integers(10 ** (k - 1), 10**k, size=400).tolist():
+                v = float(f"{m}e{e - k + 1}")
+                text = "%.16e" % v
+                if m % 10 and int(text[19:]) == e and len((text[0] + text[2:18]).rstrip("0")) == k:
+                    cells.setdefault((e, k), []).append(v)
+                    if len(cells[(e, k)]) == per_cell:
+                        break
+    return cells
+
+
+def test_float_texts_match_per_value_format_in_every_layout_cell():
+    # random bit patterns rarely reach fixed form (e in -4..16) or short digit
+    # strings, which decide the point's place and where the digits are cut
+    cells = layout_cells()
+    # no double lies within half a 17th digit of 1e-6..9e-6 or 1e-5..9e-5
+    assert set(cells) == {(e, k) for e in range(-6, 19) for k in range(1, 18)} - {(-6, 1), (-5, 1)}
+    values = np.array([v for group in cells.values() for v in group])
+    values = np.concatenate([values, -values])
+    assert float_texts(values) == per_value(values)
+
+
 class Recorder(io.StringIO):
     """A text stream that keeps each write apart."""
 
@@ -138,7 +169,9 @@ def test_write_rows_matches_csv_writer_across_chunks(monkeypatch):
 
 
 def test_write_rows_prints_labels_below_2_to_53_as_integers():
-    labels = np.array([0, 1, 9, 10, 99, 10**15, 2**53 - 1])
+    # every digit count from 1 to 16, at both ends of each
+    labels = np.array([0, 1, 9] + [b for k in range(2, 16) for b in (10 ** (k - 1), 10**k - 1)]
+                      + [10**15, 2**53 - 1])
     table = np.full((labels.size, 1), 0.5)
     out = io.StringIO()
     write_rows(out, table, labels=labels)
