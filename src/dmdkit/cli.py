@@ -238,8 +238,8 @@ def cmd_spectrum(args) -> int:
 # ------------------------------------------------------------------- predict
 
 
-def _initial_condition(model: SpectralModel, rows: np.ndarray) -> np.ndarray:
-    """Assemble the model's observable vector from raw history rows.
+def _initial_condition(model: SpectralModel, rows: np.ndarray, path) -> np.ndarray:
+    """Assemble the model's observable vector from the history rows read from ``path``.
 
     A model takes embed_h consecutive rows, oldest first, and restacks them
     the way the training pipeline did. Models fit with --augment-inputs take
@@ -249,9 +249,11 @@ def _initial_condition(model: SpectralModel, rows: np.ndarray) -> np.ndarray:
     """
     h, dim = model.embed_h, model.features.input_dim
     if rows.shape[0] != h:
-        raise DataError(f"model needs {h} history row{'s' * (h > 1)}, got {rows.shape[0]}")
+        raise DataError(f"{path}: model needs {h} history row{'s' * (h > 1)}, "
+                        f"got {rows.shape[0]}")
     if rows.size != dim:
-        raise DataError(f"history rows have {rows.shape[1]} values, expected {dim // h}")
+        raise DataError(f"{path}: history rows have {rows.shape[1]} values, "
+                        f"expected {dim // h}")
     cut = rows.shape[1] - model.inputs
     return np.concatenate([rows[:, :cut].reshape(-1), rows[:, cut:].reshape(-1)])
 
@@ -262,7 +264,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     from .data import load_rows
 
-    g0 = _initial_condition(model, load_rows(args.ic, "initial-condition file"))
+    g0 = _initial_condition(model, load_rows(args.ic, "initial-condition file"), args.ic)
     forecast = predict(model, g0, args.steps)
     columns = ["step"] + [f"g{j}" for j in range(1, forecast.shape[1] + 1)]
     _print_table(columns, forecast, np.arange(1, forecast.shape[0] + 1))

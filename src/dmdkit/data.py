@@ -18,16 +18,20 @@ every held column named ``u``.
 Files are UTF-8, and one leading byte-order mark is dropped. Floats are
 written with 17 significant digits so a save/load round trip is bit-exact.
 
-Reading streams the file: after the header, ``np.loadtxt`` parses the open
-file a line at a time straight into the table, so a load holds the parsed
-doubles, never the CSV text. Only when loadtxt refuses the body (quoted
-fields, ragged or non-numeric rows, ``_`` in numbers) does the reader check
-that the rest of the file decodes, seek back to the first data line and parse
-again one record at a time; that fallback, and the search for a row's line
-after a non-finite value or a bad time step, are the only paths that count
-lines, so every error names the file line it found, and a file with bytes
-that are not UTF-8 is refused as such whatever row comes first. A stream
-that cannot seek (a pipe) is read into memory whole before it is parsed.
+Reading streams the file: after the header, ``_text.read_rows`` parses the
+open file in pieces of whole lines (at most 256 KiB each) with whole-array
+arithmetic, so a load holds the parsed doubles and one piece of text, never
+the whole CSV text. It takes numbers in ``.17g``, ``repr`` and ``%.18e``
+form, separated by ``,`` with ``\\n`` or ``\\r\\n`` line ends. Only when it
+refuses a piece (quoted fields, blank lines, spaces, ``_`` in numbers,
+``nan``, ragged or non-numeric rows) does the loader check that the rest of
+the file decodes, seek back to the first data line and parse again one
+record at a time, into the same doubles. That fallback, and the search for a
+row's line after a non-finite value or a bad time step, are the only paths
+that count lines, so every error names the file line it found, and a file
+with bytes that are not UTF-8 is refused as such whatever row comes first. A
+stream that cannot seek (a pipe) is read into memory whole before it is
+parsed.
 """
 
 from __future__ import annotations
@@ -35,14 +39,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
 
-from ._text import write_rows, write_text_file
+from ._text import read_rows, write_rows, write_text_file
 from .errors import ConfigError, DataError, ShapeError
 
 # Allowed relative jitter between consecutive time steps on load.
@@ -356,7 +359,7 @@ def _text_file(path, what: str):
 def _finite_rows(handle, start, width: int, first_line: int, path) -> np.ndarray:
     """The rows of ``handle`` from offset ``start`` (file line ``first_line``) as a finite table."""
     handle.seek(start)
-    table = _parse_body(handle, width)
+    table = read_rows(handle, width)
     if table is None:
         # every byte decodes before any row is judged, as when the text was read whole
         while handle.read(1 << 16):
@@ -369,29 +372,6 @@ def _finite_rows(handle, start, width: int, first_line: int, path) -> np.ndarray
         line = _row_line(handle, start, first_line, rows[0])
         raise DataError(f"{path}: line {line}: non-finite value")
     return table
-
-
-def _parse_body(lines, width: int) -> np.ndarray | None:
-    """The data rows parsed by ``np.loadtxt`` straight from ``lines``, or None if it balks.
-
-    ``lines`` is the open file at its first data line, so the CSV text is
-    never held whole: loadtxt reads it a line at a time into the table. Whatever
-    loadtxt accepts, ``_parse_rows`` reads into the same doubles; but
-    loadtxt refuses some bodies that loop takes (quoted fields, ``_`` in
-    numbers) and its messages do not name the line. On None the caller
-    rewinds the file to the first data line, which loadtxt may have read
-    part-way past, and sends it through ``_parse_rows``. A decode failure
-    is a ValueError too, but it is passed on: the file is not UTF-8.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data"
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except UnicodeDecodeError:
-        raise
-    except (ValueError, UserWarning):
-        return None
-    return table if table.shape[1] == width else None
 
 
 def _records(lines, first_line: int):

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the `dmdkit` command: every subcommand, the CSV
-# variants a fit must read alike (CRLF, byte-order mark, a pipe), the exit
-# codes of refused inputs, that failed fits and simulations leave no file,
-# and that refitting the same data gives a byte-identical model file.
+# variants a fit must read alike (CRLF, byte-order mark, a pipe, numpy's
+# %.18e text), the exit codes of refused inputs, that failed fits and
+# simulations leave no file, and that refitting the same data gives a
+# byte-identical model file.
 #
 # Run it in an empty scratch directory with `dmdkit` on PATH (the installed
 # console script, or a shim that runs `python -m dmdkit.cli`); `python` must
@@ -37,6 +38,17 @@ for copy in crlf bom; do
 done
 cat rot.csv | dmdkit fit --algo dmd --data /dev/stdin --out model-pipe.json
 dmdkit spectrum model-pipe.json | cmp - spectrum.csv
+# numpy.savetxt's default %.18e text of the same table, under the same header,
+# loads into the same doubles, so the model file is byte-identical
+python -c '
+import numpy as np
+with open("rot.csv") as handle:
+    header = handle.readline().rstrip("\n")
+table = np.loadtxt("rot.csv", delimiter=",", skiprows=1)
+np.savetxt("rot-18e.csv", table, delimiter=",", header=header, comments="")'
+grep -q '^1.000000000000000000e+00,8.775825618903727587e-01,' rot-18e.csv
+dmdkit fit --algo dmd --data rot-18e.csv --out model-18e.json
+cmp model.json model-18e.json
 python -c '
 import base64, json, numpy as np
 with open("model.json") as handle:

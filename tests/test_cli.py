@@ -212,6 +212,22 @@ def test_predict_diagonal_powers(capsys, tmp_path):
     assert_allclose(rows, [[1, 0.9, 0.5], [2, 0.81, 0.25]], atol=1e-10)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1,1,1\n", "history rows have 3 values, expected 2"),
+    ("1,1\n1,1\n", "model needs 1 history row, got 2"),
+], ids=["values", "rows"])
+def test_initial_condition_shape_errors_name_the_file(capsys, tmp_path, rows, message):
+    traj = write_diag_traj(capsys, tmp_path)
+    model = tmp_path / "model.json"
+    run(capsys, ["fit", "--algo", "dmd", "--data", str(traj), "--out", str(model)])
+    ic = tmp_path / "ic.csv"
+    ic.write_text(rows)
+    code, out, err = run(capsys, ["predict", str(model), str(ic), "2"])
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: {ic}: {message}"
+
+
 def test_predict_reruns_are_byte_identical(capsys, tmp_path):
     traj = write_diag_traj(capsys, tmp_path)
     model = tmp_path / "model.json"
@@ -299,10 +315,7 @@ def test_svd_dmd_fit_holds_one_copy_of_the_data(capsys, tmp_path):
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    # numpy < 1.23 has a pure-Python loadtxt that holds every value as a
-    # Python float before building the table
-    if np.lib.NumpyVersion(np.__version__) >= "1.23.0":
-        assert peak <= 5 * states.nbytes, peak / states.nbytes
+    assert peak <= 5 * states.nbytes, peak / states.nbytes
 
 
 def test_edmd_cli_round_trip_tracks_simulation(capsys, tmp_path):
@@ -1449,9 +1462,10 @@ def test_svd_that_leaves_openblas_no_buffer_exits_2(tmp_path, wide_csv, margin_m
 
 @pytest.mark.parametrize("margin_mb", [6, 10])
 def test_data_that_cannot_be_allocated_exits_2(tmp_path, wide_csv, margin_mb):
-    # Capped 6 MB above the loaded CLI, np.loadtxt cannot grow its table;
-    # at 10 MB the table loads but its contiguous copy of the states does not
-    # fit. The pair's shape is not known yet, so the message names the file
+    # Capped 6 MB above the loaded CLI, the reader cannot grow its table by
+    # the next piece's rows; at 10 MB the table loads but its contiguous copy
+    # of the states does not fit. The pair's shape is not known yet, so the
+    # message names the file
     code, out, err = under_address_limit(
         ["fit", "--algo", "dmd", "--data", str(wide_csv), "--out", "model.json"],
         tmp_path, limit=margin_mb << 20, above_loaded=True)

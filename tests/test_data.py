@@ -319,7 +319,8 @@ def test_load_names_file_line_not_row_number(tmp_path, body, message):
 
 
 def test_fast_body_parse_matches_per_field_parse(tmp_path):
-    from dmdkit.data import _parse_body, _parse_rows
+    from dmdkit._text import read_rows
+    from dmdkit.data import _parse_rows
 
     rng = np.random.default_rng(32)
     scales = 10.0 ** rng.integers(-300, 300, (40, 3))
@@ -327,7 +328,7 @@ def test_fast_body_parse_matches_per_field_parse(tmp_path):
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
     body = path.read_text().split("\n", 1)[1]
-    fast = _parse_body(io.StringIO(body), 4)
+    fast = read_rows(io.StringIO(body), 4)
     assert fast is not None
     assert_array_equal(fast, np.array(_parse_rows(io.StringIO(body), 4, 2, path)))
 
@@ -387,13 +388,10 @@ def test_load_trajectory_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert_array_equal(loaded.states, traj.states)
-    # numpy < 1.23 has a pure-Python loadtxt that holds every value as a
-    # Python float before building the table
-    if np.lib.NumpyVersion(np.__version__) >= "1.23.0":
-        assert peak <= 3 * table_bytes, peak / table_bytes
+    assert peak <= 3 * table_bytes, peak / table_bytes
 
 
-# more data rows than one np.loadtxt chunk (50,000 lines)
+# data rows spanning many of the reader's pieces (about 8,192 fields each)
 LONG_ROWS = 60_000
 
 
@@ -419,7 +417,7 @@ def test_long_file_names_its_last_line(tmp_path, damage, message):
 
 
 def test_long_file_with_bytes_not_utf8_on_its_last_line_is_refused(tmp_path):
-    # the decoder fails inside np.loadtxt, far past the first read
+    # the decoder fails as the reader reads its last piece, far past the first
     path = tmp_path / "long.csv"
     path.write_bytes(("\n".join(long_csv_lines()) + "\n").encode() + b"9e9,\xff,1\n")
     with pytest.raises(DataError, match="not UTF-8"):

@@ -5,13 +5,14 @@ import csv
 import dataclasses
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dmdkit import _text
 from dmdkit._text import write_rows
-from dmdkit.data import Trajectory, save_trajectory, snapshot_pairs
+from dmdkit.data import Trajectory, load_trajectory, save_trajectory, snapshot_pairs
 from dmdkit.dmd import SpectralModel, fit_svd_dmd
 from dmdkit.errors import ConfigError, DataError, NumericalError
 from dmdkit.model_io import load_model, save_model
@@ -320,3 +321,192 @@ def test_trajectory_csv_matches_per_value_writer_and_keeps_negative_zero(tmp_pat
     text = path.read_text()
     assert text == reference_trajectory_csv(traj)
     assert text.splitlines()[1].split(",")[1] == "-0"
+
+
+# ------------------------------------------------------------------ reading
+
+
+def read_counting(monkeypatch, text, width):
+    """``read_rows`` of ``text``, and how many fields it left to ``float`` one at a time."""
+    counted = []
+    one_at_a_time = _text._one_at_a_time
+
+    def counting(data, first, last):
+        counted.append(len(first))
+        return one_at_a_time(data, first, last)
+
+    monkeypatch.setattr(_text, "_one_at_a_time", counting)
+    return _text.read_rows(io.StringIO(text), width), sum(counted)
+
+
+def midpoints(fields):
+    """How many of the decimal ``fields`` lie exactly halfway between two doubles."""
+    count = 0
+    for field in fields:
+        exact = Fraction(field)
+        nearest = float(field)
+        if nearest and exact != nearest and np.isfinite(nearest):
+            other = np.nextafter(nearest, np.inf if exact > nearest else -np.inf)
+            count += 2 * exact == Fraction(nearest) + Fraction(float(other))
+    return count
+
+
+def outside(values):
+    """How many of ``values`` are nonzero with magnitudes outside [1e-250, 1e250]."""
+    size = np.abs(np.asarray(values, dtype=float))
+    return int(np.count_nonzero(((size < 1e-250) | (size > 1e250)) & (size != 0)))
+
+
+def float_bits(table):
+    return np.asarray(table, dtype=float).ravel().view(np.uint64)
+
+
+def assert_reads_as_float(table, text):
+    """``table`` holds, bit for bit, ``float`` of each field of ``text``."""
+    assert table is not None
+    fields = [field for line in text.splitlines() for field in line.split(",")]
+    assert float_bits(table).tolist() == float_bits([float(f) for f in fields]).tolist()
+
+
+def written(values, width):
+    """``values`` as ``write_rows`` text, ``width`` to a row, and the table written."""
+    table = np.resize(values, (-(-len(values) // width), width))
+    out = io.StringIO()
+    write_rows(out, table)
+    return out.getvalue(), table
+
+
+def test_reader_reads_back_every_layout_cell(monkeypatch):
+    values = np.array([v for group in layout_cells().values() for v in group])
+    text, table = written(np.concatenate([values, -values, [0.0, -0.0]]), 9)
+    loaded, slow = read_counting(monkeypatch, text, 9)
+    assert float_bits(loaded).tolist() == float_bits(table).tolist()
+    assert_reads_as_float(loaded, text)
+    assert slow == 0
+
+
+def test_reader_reads_back_random_bit_patterns(monkeypatch):
+    # about a fifth of all doubles lie outside [1e-250, 1e250], and those
+    # fields go to float one at a time; no 17-digit field here is a midpoint
+    values = edge_and_random_values(count=200_000, seed=35)
+    text, table = written(values, 11)
+    loaded, slow = read_counting(monkeypatch, text, 11)
+    assert float_bits(loaded).tolist() == float_bits(table).tolist()
+    assert_reads_as_float(loaded, text)
+    assert slow == outside(table) == 37_670
+
+
+@pytest.mark.parametrize("fmt, ties", [(repr, 6), ("%.18e".__mod__, 0), ("%.18E".__mod__, 0),
+                                        ("%.15g".__mod__, 20)],
+                         ids=["repr", "savetxt", "upper", "short"])
+def test_reader_takes_other_writers_text(monkeypatch, fmt, ties):
+    # shorter digit strings of integers from 2**54 on can be exact ties, as
+    # 1.933387984781209e+16 is; float decides those, and the fields outside
+    # [1e-250, 1e250]
+    values = edge_and_random_values(count=20_000, seed=36)
+    values = values[: values.size // 5 * 5]
+    fields = [fmt(float(v)) for v in values]
+    text = "".join(",".join(fields[i : i + 5]) + "\n" for i in range(0, len(fields), 5))
+    loaded, slow = read_counting(monkeypatch, text, 5)
+    assert_reads_as_float(loaded, text)
+    assert midpoints(fields) == ties
+    assert slow == outside(values) + ties
+
+
+def test_reader_rounds_exact_ties_half_to_even(monkeypatch):
+    # each is exactly halfway between two doubles, so the double-double sum
+    # cannot tell which way it rounds, and float decides each one
+    ties = ["9007199254740993", "9007199254740995", "-9007199254740993e0",
+            "4503599627370496.5", "4503599627370497.5", "18014398509481986",
+            "1152921504606847104", "900719925474099.3e1", "0.9007199254740993e16"]
+    text = "\n".join(ties) + "\n"
+    loaded, slow = read_counting(monkeypatch, text, 1)
+    assert_reads_as_float(loaded, text)
+    assert loaded[:, 0].tolist() == [2.0**53, 2.0**53 + 4, -(2.0**53), 2.0**52, 2.0**52 + 2,
+                                     2.0**54, 2.0**60, 2.0**53, 2.0**53]
+    assert slow == len(ties)
+
+
+def test_reader_takes_signs_points_and_exponents_in_each_form(monkeypatch):
+    text = ("+1,.5,5.,1E5,-0,+0.0\n"
+            "-.5,-5.,1e-5,1e+5,007,-0e-999\n"
+            "0.000123,123456789012345678e-300,1e250,9999999999999999999,00000000000000000000001,1.e3\n")
+    loaded, slow = read_counting(monkeypatch, text, 6)
+    assert_reads_as_float(loaded, text)
+    assert slow == 1  # 1.2e-283 is below 1e-250
+    assert np.signbit(loaded[[0, 1], [4, 5]]).all()
+
+
+def test_reader_joins_rows_that_straddle_its_pieces(monkeypatch):
+    values = edge_and_random_values(count=3000, seed=37)
+    text, table = written(values, 7)
+    crlf = text.replace("\n", "\r\n")
+    whole = _text.read_rows(io.StringIO(crlf), 7)
+    # first pieces of 21 characters, then of about 7 fields: most rows straddle two
+    monkeypatch.setattr(_text, "_PIECE_FIELDS", 7)
+    loaded, _ = read_counting(monkeypatch, crlf, 7)
+    assert float_bits(loaded).tolist() == float_bits(whole).tolist() == float_bits(table).tolist()
+    # a last line with no line end is read too
+    loaded, _ = read_counting(monkeypatch, crlf.removesuffix("\r\n"), 7)
+    assert float_bits(loaded).tolist() == float_bits(table).tolist()
+
+
+def test_crlf_and_byte_order_mark_load_through_the_reader(tmp_path, monkeypatch):
+    import dmdkit.data
+
+    values = edge_and_random_values(count=600, seed=38)
+    values = values[np.abs(values) < 1e100][:300].reshape(100, 3)
+    traj = Trajectory(dt=0.25, states=values)
+    path = tmp_path / "traj.csv"
+    save_trajectory(traj, path)
+    other = tmp_path / "other.csv"
+    other.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+
+    def refused(*args):
+        raise AssertionError("loaded one record at a time")
+
+    monkeypatch.setattr(dmdkit.data, "_parse_rows", refused)
+    for loaded in (load_trajectory(path), load_trajectory(other)):
+        assert loaded.dt == 0.25
+        assert float_bits(loaded.states).tolist() == float_bits(values).tolist()
+
+
+@pytest.mark.parametrize("row", [
+    '1,"1.5",2', "1,1_5,2", "1, 1.5 ,2", "1,1e0005,2", "1,1.2345678901234567890123,2",
+    "1,١٢,2", "1,0x1p0,2",
+], ids=["quoted", "underscore", "spaces", "4-digit-exponent", "20-digits", "arabic-digits",
+        "hex"])
+def test_forms_the_reader_refuses_load_one_record_at_a_time(tmp_path, row):
+    body = f"0,1,2\n{row}\n2,3,4\n"
+    assert _text.read_rows(io.StringIO(body), 3) is None
+    path = tmp_path / "odd.csv"
+    fields = next(csv.reader([row]))
+    try:
+        expected = [float(f) for f in fields]
+    except ValueError:
+        path.write_text("t,x1,x2\n" + body)
+        with pytest.raises(DataError, match="line 3: non-numeric value"):
+            load_trajectory(path)
+        return
+    path.write_text("t,x1,x2\n" + body + "3,oops,5\n")
+    with pytest.raises(DataError, match="line 5: non-numeric value 'oops'$"):
+        load_trajectory(path)
+    path.write_text("t,x1,x2\n" + body)
+    loaded = load_trajectory(path)
+    assert loaded.states[1].tolist() == expected[1:]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1,2\n\n1,2,3\n2,oops,4\n", "line 5: non-numeric value 'oops'"),
+    ("0,1,2\n1,inf,3\n2,3,4\n", "line 3: non-finite value"),
+    ("0,1,2\n1,nan,3\n2,3,4\n", "line 3: non-finite value"),
+    ("0,1,2\r\n1,2,3\r\n\r\n3,4,5\r\n", "line 5: time step 2.0 deviates"),
+    # taken by the reader, whose float of 1e999 is inf
+    ("0,1,2\n1,1e999,3\n2,3,4\n", "line 3: non-finite value"),
+], ids=["blank-line", "inf", "nan", "crlf-blank-line", "overflow"])
+def test_refused_forms_keep_their_line_numbers(tmp_path, body, message):
+    assert (_text.read_rows(io.StringIO(body), 3) is None) == ("e999" not in body)
+    path = tmp_path / "odd.csv"
+    path.write_text("t,x1,x2\n" + body, newline="")
+    with pytest.raises(DataError, match=message):
+        load_trajectory(path)
